@@ -17,17 +17,15 @@ Conventions:
 
 Default quadrature is the 3-point edge-midpoint rule (degree-2 exact
 in the chart).  A 7-point degree-5 rule is available for strongly
-varying metrics.  Element contributions are accumulated in fixed chunk
-order, so assembled matrices are bit-identical regardless of the
-worker count.
+varying metrics.  Element contributions are computed in fixed chunks
+of faces, which bounds the size of the quadrature temporaries.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.io
@@ -196,14 +194,8 @@ def _symmetrize(local):
     return 0.5 * (local + np.swapaxes(local, -1, -2))
 
 
-def _run_chunks(fn, n_items: int, workers: Optional[int]):
-    slices = [
-        slice(s, min(s + _CHUNK, n_items)) for s in range(0, n_items, _CHUNK)
-    ]
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, slices))
-    return [fn(s) for s in slices]
+def _run_chunks(fn, n_items: int):
+    return [fn(slice(s, s + _CHUNK)) for s in range(0, n_items, _CHUNK)]
 
 
 def _scatter(parts, shape) -> sp.csr_matrix:
@@ -218,7 +210,7 @@ def _scatter(parts, shape) -> sp.csr_matrix:
 
 
 def assemble_scalar(
-    mesh, metric: ChartMetric, quad_rule: str = "midpoint", workers: int = 1
+    mesh, metric: ChartMetric, quad_rule: str = "midpoint"
 ) -> ScalarOperators:
     """P1 mass and stiffness on the full logical vertex set.
 
@@ -242,7 +234,7 @@ def assemble_scalar(
         cols = np.tile(idx, (1, 3)).ravel()
         return rows, cols, m_loc.ravel(), k_loc.ravel()
 
-    parts = _run_chunks(chunk, mesh.n_faces, workers)
+    parts = _run_chunks(chunk, mesh.n_faces)
     mass = _scatter([(p[0], p[1], p[2]) for p in parts], (V, V))
     stiff = _scatter([(p[0], p[1], p[3]) for p in parts], (V, V))
     boundary = np.nonzero(mesh.boundary_vertex_mask)[0]
@@ -267,9 +259,16 @@ def apply_dirichlet(ops: ScalarOperators) -> DirichletReduction:
 
 
 def assemble_oneform(
-    mesh, metric: ChartMetric, quad_rule: str = "midpoint", workers: int = 1
+    mesh,
+    metric: ChartMetric,
+    quad_rule: str = "midpoint",
+    scalar: Optional[ScalarOperators] = None,
 ) -> OneFormOperators:
     """Edge-element mass, incidence operators, and face mass.
+
+    The vertex mass comes from ``scalar``, the P1 operators of the same
+    mesh, metric and rule when the caller has them, and is assembled
+    here otherwise.
 
     The Whitney form of edge (a, b) on a triangle is
     ``lambda_a d lambda_b - lambda_b d lambda_a`` times the sign
@@ -300,7 +299,7 @@ def assemble_oneform(
         cols = np.tile(idx, (1, 3)).ravel()
         return rows, cols, local.ravel()
 
-    mass1 = _scatter(_run_chunks(chunk, F, 1 if workers is None else workers), (E, E))
+    mass1 = _scatter(_run_chunks(chunk, F), (E, E))
 
     rows = np.arange(E)
     d0 = sp.coo_matrix(
@@ -321,14 +320,17 @@ def assemble_oneform(
         shape=(F, E),
     ).tocsr()
 
-    scal = assemble_scalar(mesh, metric, quad_rule, workers)
+    if scalar is None:
+        scalar = assemble_scalar(mesh, metric, quad_rule)
+    elif scalar.mesh is not mesh or scalar.metric is not metric:
+        raise AssemblyError("scalar operators belong to another mesh or metric")
     area = 0.5 * data["detJ"]
     inv_sqrt = np.sum(data["wts"][None, :] / data["sqrtdet"], axis=1) * data["detJ"]
     mass2 = sp.diags(inv_sqrt / area**2)
 
     boundary_edges = np.nonzero(mesh.boundary_edge_mask)[0]
     return OneFormOperators(
-        mass1, d0, d1, scal.mass, mass2, boundary_edges, mesh, metric
+        mass1, d0, d1, scalar.mass, mass2, boundary_edges, mesh, metric
     )
 
 
@@ -404,6 +406,7 @@ def dirichlet_form_quadrature(
     phi: np.ndarray,
     lambda_ref: float,
     quad_rule: str = "midpoint",
+    scalar: Optional[ScalarOperators] = None,
 ) -> dict:
     """Quadrature of the 1-form Dirichlet energy of the two trial fields.
 
@@ -423,7 +426,8 @@ def dirichlet_form_quadrature(
     refinement.
 
     ``lambda_ref`` is the eigenvalue of phi; it is echoed in the
-    diagnostic when the normalization check fails.
+    diagnostic when the normalization check fails.  ``scalar`` is
+    passed on to :func:`assemble_oneform`.
     """
     fe = _f_expr(f)
     data = _chart_data(mesh, metric, quad_rule)
@@ -437,7 +441,7 @@ def dirichlet_form_quadrature(
             f"distance function is not unit-gradient (max deviation {dev:.3e})"
         )
 
-    ops = assemble_oneform(mesh, metric, quad_rule)
+    ops = assemble_oneform(mesh, metric, quad_rule, scalar)
     norm = float(phi @ (ops.mass0 @ phi))
     if abs(norm - 1.0) > M_NORMALIZATION_TOL:
         raise AssemblyError(

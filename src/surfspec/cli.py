@@ -26,26 +26,15 @@ import copy
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import jsonschema
 
-from .assembly import (
-    AssemblyError,
-    apply_dirichlet,
-    assemble_oneform,
-    assemble_scalar,
-)
-from .eigen import (
-    EigenError,
-    SolverOptions,
-    cluster_multiplicities,
-    solve_oneform,
-    solve_smallest,
-)
+from .assembly import AssemblyError, assemble_oneform
+from .eigen import EigenError, SolverOptions, cluster_multiplicities, solve_oneform
 from .expr import ExprError
 from .geometry import (
     ChartMetric,
@@ -53,8 +42,10 @@ from .geometry import (
     GeometryError,
     builtin_metric,
 )
-from .mesh import DomainSpec, MeshError, triangulate
+from .mesh import DomainSpec, MeshError
+from .mesh import triangulate  # noqa: F401  (perfbench/tracer.py wraps cli.triangulate)
 from .verify import (
+    LevelCache,
     VerificationReport,
     VerifyError,
     convergence_study,
@@ -79,16 +70,152 @@ __all__ = [
 ]
 
 SPEC_VERSION = 1
-CHECK_NAMES = (
-    "inequality",
-    "lemma",
-    "union",
-    "hodge-dims",
-    "curvature",
-    "convergence",
-    "oracle",
-)
-_NEEDS_DISTANCE = ("inequality", "lemma", "curvature")
+
+
+# ---------------------------------------------------------------------------
+# check registry
+
+
+def _inequality_table(q):
+    rows = [
+        (
+            lv["level"], lv["n_faces"], float(lv["h"]), float(lv["lambda1"]),
+            float(lv["mu_target"]), float(lv["margin"]), float(lv["tol_h"]),
+        )
+        for lv in q["levels"]
+    ]
+    header = ("level", "n_faces", "h", "lambda1", "mu_target", "margin", "tol_h")
+    return "inequality_levels.csv", header, rows
+
+
+def _union_table(q):
+    pairs = zip(q["oneform_positive"], q["scalar_union"])
+    rows = [(i + 1, float(a), float(b)) for i, (a, b) in enumerate(pairs)]
+    return "spectrum_union.csv", ("index", "oneform", "scalar_union"), rows
+
+
+def _convergence_table(q):
+    rows = [(lv["level"], float(lv["h"]), float(lv["value"])) for lv in q["table"]]
+    return f"convergence_{q['bc']}.csv", ("level", "h", "value"), rows
+
+
+def _oracle_table(q):
+    rows = [
+        (i + 1, kind, v)
+        for kind in ("dirichlet", "neumann")
+        for i, v in enumerate(q[kind])
+    ]
+    return "oracle.csv", ("index", "kind", "value"), rows
+
+
+def _lemma_summary(q):
+    c = q["coarse"]
+    return (
+        f"excess {c['excess_nu']:.3g}/{c['excess_star_nu']:.3g}, "
+        f"cross ratio {c['cross_ratio']:.3g}"
+    )
+
+
+def _curvature_summary(q):
+    c = q["curvature"]
+    return (
+        f"min margin {c['min_margin']:.6g} at "
+        f"({c['min_point'][0]:.6g}, {c['min_point'][1]:.6g})"
+    )
+
+
+def _convergence_summary(q):
+    order = q["fitted_order"]
+    if order is None:
+        return "non-monotone sequence"
+    return f"order {order:.3f}, limit {q['extrapolated']:.8g}"
+
+
+@dataclass(frozen=True)
+class _Check:
+    """Everything the front end knows about one check."""
+
+    name: str  # config name: ``checks`` entries and ``check_params`` keys
+    report: str  # the ``check`` field of its report
+    params: Dict[str, Tuple[dict, object]]  # parameter -> (schema, default)
+    # (params, distance, cache) -> report; looks the check up at call time
+    run: Callable[..., VerificationReport]
+    summary: Callable[[dict], str]  # quantities -> summary detail
+    needs_distance: bool = False
+    # quantities -> (file name, header, rows) of its CSV table
+    table: Optional[Callable[[dict], tuple]] = None
+
+    def defaults(self) -> dict:
+        return {key: default for key, (_, default) in self.params.items()}
+
+
+_INT = {"type": "integer"}
+
+CHECKS: Dict[str, _Check] = {c.name: c for c in (
+    _Check(
+        "inequality", "inequality",
+        {"levels": ({**_INT, "minimum": 2}, 3)},
+        lambda p, f, c: verify_inequality(
+            c.domain, c.metric, f, levels=p["levels"], cache=c
+        ),
+        lambda q: f"extrapolated margin {q['extrapolated_margin']:.6g}",
+        needs_distance=True, table=_inequality_table,
+    ),
+    _Check(
+        "lemma", "lemma",
+        {"level": ({**_INT, "minimum": 0}, 0)},
+        lambda p, f, c: lemma_check(
+            c.domain, c.metric, f, level=p["level"], cache=c
+        ),
+        _lemma_summary, needs_distance=True,
+    ),
+    _Check(
+        "union", "spectrum-union",
+        {"level": ({**_INT, "minimum": 0}, 0),
+         "count": ({**_INT, "minimum": 1}, 10)},
+        lambda p, f, c: spectrum_union_check(
+            c.domain, c.metric, level=p["level"], count=p["count"], cache=c
+        ),
+        lambda q: (
+            f"max rel diff {q['max_rel_difference']:.3g}, "
+            f"zero modes {q['zero_modes']}/{q['betti1']}"
+        ),
+        table=_union_table,
+    ),
+    _Check(
+        "hodge-dims", "hodge-dimension", {},
+        lambda p, f, c: hodge_dimension_check(c.mesh(0)),
+        lambda q: (
+            f"rank d0 {q['rank_d0']} + rank d1 {q['rank_d1']} + "
+            f"b1 {q['betti1']} == E {q['n_edges']}"
+        ),
+    ),
+    _Check(
+        "curvature", "curvature",
+        {"samples": ({**_INT, "minimum": 2}, 64)},
+        lambda p, f, c: curvature_check(
+            c.domain, c.metric, f, samples=p["samples"]
+        ),
+        _curvature_summary, needs_distance=True,
+    ),
+    _Check(
+        "convergence", "convergence",
+        {"bc": ({"enum": ["dirichlet", "neumann"]}, "dirichlet"),
+         "levels": ({**_INT, "minimum": 3}, 3)},
+        lambda p, f, c: convergence_study(
+            c.domain, c.metric, bc=p["bc"], levels=p["levels"], cache=c
+        ),
+        _convergence_summary, table=_convergence_table,
+    ),
+    _Check(
+        "oracle", "oracle",
+        {"max_index": ({**_INT, "minimum": 1}, 10)},
+        lambda p, f, c: oracle_check(p["max_index"]),
+        lambda q: f"{q['compared_pairs']} interlacing pairs checked",
+        table=_oracle_table,
+    ),
+)}
+_BY_REPORT = {c.report: c for c in CHECKS.values()}
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -147,60 +274,18 @@ CONFIG_SCHEMA = {
             "type": "array",
             "minItems": 1,
             "uniqueItems": True,
-            "items": {"enum": list(CHECK_NAMES)},
+            "items": {"enum": list(CHECKS)},
         },
         "check_params": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "inequality": {
+                c.name: {
                     "type": "object",
                     "additionalProperties": False,
-                    "properties": {
-                        "levels": {"type": "integer", "minimum": 2}
-                    },
-                },
-                "lemma": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "level": {"type": "integer", "minimum": 0}
-                    },
-                },
-                "hodge-dims": {
-                    "type": "object",
-                    "additionalProperties": False,
-                },
-                "union": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "level": {"type": "integer", "minimum": 0},
-                        "count": {"type": "integer", "minimum": 1},
-                    },
-                },
-                "curvature": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "samples": {"type": "integer", "minimum": 2}
-                    },
-                },
-                "convergence": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "bc": {"enum": ["dirichlet", "neumann"]},
-                        "levels": {"type": "integer", "minimum": 3},
-                    },
-                },
-                "oracle": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "max_index": {"type": "integer", "minimum": 1}
-                    },
-                },
+                    "properties": {k: sch for k, (sch, _) in c.params.items()},
+                }
+                for c in CHECKS.values()
             },
         },
         "output": {
@@ -214,20 +299,15 @@ CONFIG_SCHEMA = {
     },
 }
 
-_SOLVER_DEFAULTS = {
-    "tolerance": 1e-9,
-    "seed": 42,
-    "dense_threshold": 2000,
-    "quadrature": "midpoint",
+# solver config key -> SolverOptions field, whose default is the config default
+_SOLVER_FIELDS = {
+    "tolerance": "tol",
+    "seed": "seed",
+    "dense_threshold": "dense_cutoff",
+    "quadrature": "quad_rule",
 }
-_CHECK_PARAM_DEFAULTS = {
-    "inequality": {"levels": 3},
-    "lemma": {"level": 0},
-    "union": {"level": 0, "count": 10},
-    "hodge-dims": {},
-    "curvature": {"samples": 64},
-    "convergence": {"bc": "dirichlet", "levels": 3},
-    "oracle": {"max_index": 10},
+_SOLVER_DEFAULTS = {
+    key: getattr(SolverOptions(), name) for key, name in _SOLVER_FIELDS.items()
 }
 
 class ConfigError(ValueError):
@@ -281,19 +361,17 @@ def validate_config(raw: dict) -> dict:
     solver = dict(_SOLVER_DEFAULTS)
     solver.update(cfg.get("solver", {}))
     cfg["solver"] = solver
-    params = {
-        name: {**_CHECK_PARAM_DEFAULTS[name],
-               **cfg.get("check_params", {}).get(name, {})}
-        for name in CHECK_NAMES
+    cfg["check_params"] = {
+        name: {**check.defaults(), **cfg.get("check_params", {}).get(name, {})}
+        for name, check in CHECKS.items()
     }
-    cfg["check_params"] = params
     cfg.setdefault("output", {})
     cfg["output"].setdefault("report", "report.json")
     cfg["output"].setdefault("csv_dir", None)
 
     missing = [
         name for name in cfg["checks"]
-        if name in _NEEDS_DISTANCE and not cfg["distance_function"]
+        if CHECKS[name].needs_distance and not cfg["distance_function"]
     ]
     if missing:
         raise ConfigError(
@@ -366,46 +444,14 @@ def build_objects(
                 f"{sorted(extra)}"
             )
 
-    solver = cfg["solver"]
     options = SolverOptions(
-        dense_cutoff=solver["dense_threshold"],
-        seed=solver["seed"],
-        tol=solver["tolerance"],
-        quad_rule=solver["quadrature"],
+        **{name: cfg["solver"][key] for key, name in _SOLVER_FIELDS.items()}
     )
     return metric, domain, distance, options
 
 
 # ---------------------------------------------------------------------------
 # check execution
-
-
-def _run_check(name, cfg, metric, domain, distance, options):
-    p = cfg["check_params"][name]
-    if name == "inequality":
-        return verify_inequality(
-            domain, metric, distance, levels=p["levels"], options=options
-        )
-    if name == "lemma":
-        return lemma_check(
-            domain, metric, distance, level=p["level"], options=options
-        )
-    if name == "union":
-        return spectrum_union_check(
-            domain, metric, level=p["level"], count=p["count"],
-            options=options,
-        )
-    if name == "hodge-dims":
-        return hodge_dimension_check(triangulate(domain))
-    if name == "curvature":
-        return curvature_check(domain, metric, distance, samples=p["samples"])
-    if name == "convergence":
-        return convergence_study(
-            domain, metric, bc=p["bc"], levels=p["levels"], options=options
-        )
-    if name == "oracle":
-        return oracle_check(p["max_index"])
-    raise ConfigError(f"config field 'checks': unknown check '{name}'")
 
 
 def _envelope(cfg: dict, reports: List[VerificationReport], total: float) -> dict:
@@ -424,32 +470,21 @@ def _envelope(cfg: dict, reports: List[VerificationReport], total: float) -> dic
     }
 
 
-def run(config: dict, parallel: bool = False) -> Tuple[dict, int]:
-    """Execute every check named in the config.
+def run(config: dict) -> Tuple[dict, int]:
+    """Execute every check named in the config, in config order.
 
     Returns the report dictionary and the exit code (0 all passed,
-    1 otherwise).  With ``parallel`` the checks run on a thread pool;
-    results are collected in config order, so the report is identical
-    either way.
+    1 otherwise).  The checks share one :class:`LevelCache`, which is
+    dropped when the run ends.
     """
     cfg = validate_config(config)
     metric, domain, distance, options = build_objects(cfg)
-    names = list(cfg["checks"])
+    cache = LevelCache(domain, metric, options)
     start = time.perf_counter()
-    if parallel and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=min(4, len(names))) as pool:
-            futures = [
-                pool.submit(
-                    _run_check, nm, cfg, metric, domain, distance, options
-                )
-                for nm in names
-            ]
-            reports = [f.result() for f in futures]
-    else:
-        reports = [
-            _run_check(nm, cfg, metric, domain, distance, options)
-            for nm in names
-        ]
+    reports = [
+        CHECKS[name].run(cfg["check_params"][name], distance, cache)
+        for name in cfg["checks"]
+    ]
     total = time.perf_counter() - start
     report = _envelope(cfg, reports, total)
     code = 0 if all(r.passed for r in reports) else 1
@@ -479,56 +514,14 @@ def write_csv(path, header: Sequence[str], rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _check_csv(name: str, quantities: dict, directory: Path) -> None:
-    if name == "inequality" and not quantities.get("refused"):
-        rows = [
-            (
-                lv["level"], lv["n_faces"], float(lv["h"]),
-                float(lv["lambda1"]), float(lv["mu_target"]),
-                float(lv["margin"]), float(lv["tol_h"]),
-            )
-            for lv in quantities["levels"]
-        ]
-        write_csv(
-            directory / "inequality_levels.csv",
-            ("level", "n_faces", "h", "lambda1", "mu_target", "margin",
-             "tol_h"),
-            rows,
-        )
-    elif name == "spectrum-union":
-        pairs = zip(quantities["oneform_positive"], quantities["scalar_union"])
-        rows = [
-            (i + 1, float(a), float(b)) for i, (a, b) in enumerate(pairs)
-        ]
-        write_csv(
-            directory / "spectrum_union.csv",
-            ("index", "oneform", "scalar_union"),
-            rows,
-        )
-    elif name == "convergence":
-        rows = [
-            (lv["level"], float(lv["h"]), float(lv["value"]))
-            for lv in quantities["table"]
-        ]
-        write_csv(
-            directory / f"convergence_{quantities['bc']}.csv",
-            ("level", "h", "value"),
-            rows,
-        )
-    elif name == "oracle":
-        rows = [
-            (i + 1, kind, v)
-            for kind in ("dirichlet", "neumann")
-            for i, v in enumerate(quantities[kind])
-        ]
-        write_csv(directory / "oracle.csv", ("index", "kind", "value"), rows)
-
-
 def _emit_csv_tables(report: dict, csv_dir) -> None:
     directory = Path(csv_dir)
     directory.mkdir(parents=True, exist_ok=True)
     for check in report["checks"]:
-        _check_csv(check["check"], check["quantities"], directory)
+        table, q = _BY_REPORT[check["check"]].table, check["quantities"]
+        if table is not None and not q.get("refused"):
+            name, header, rows = table(q)
+            write_csv(directory / name, header, rows)
 
 
 def _summary_line(check: dict) -> str:
@@ -536,42 +529,8 @@ def _summary_line(check: dict) -> str:
     status = "PASS" if check["passed"] else "FAIL"
     if q.get("refused"):
         detail = f"refused: {q['reason']}"
-    elif name == "inequality":
-        detail = (
-            f"extrapolated margin {q['extrapolated_margin']:.6g}"
-        )
-    elif name == "lemma":
-        c = q["coarse"]
-        detail = (
-            f"excess {c['excess_nu']:.3g}/{c['excess_star_nu']:.3g}, "
-            f"cross ratio {c['cross_ratio']:.3g}"
-        )
-    elif name == "spectrum-union":
-        detail = (
-            f"max rel diff {q['max_rel_difference']:.3g}, "
-            f"zero modes {q['zero_modes']}/{q['betti1']}"
-        )
-    elif name == "hodge-dimension":
-        detail = (
-            f"rank d0 {q['rank_d0']} + rank d1 {q['rank_d1']} + "
-            f"b1 {q['betti1']} == E {q['n_edges']}"
-        )
-    elif name == "curvature":
-        c = q["curvature"]
-        detail = (
-            f"min margin {c['min_margin']:.6g} at "
-            f"({c['min_point'][0]:.6g}, {c['min_point'][1]:.6g})"
-        )
-    elif name == "convergence":
-        order = q["fitted_order"]
-        detail = (
-            "non-monotone sequence" if order is None
-            else f"order {order:.3f}, limit {q['extrapolated']:.8g}"
-        )
-    elif name == "oracle":
-        detail = f"{q['compared_pairs']} interlacing pairs checked"
     else:
-        detail = ""
+        detail = _BY_REPORT[name].summary(q)
     return f"{name:<12} {status}  {detail}"
 
 
@@ -581,7 +540,7 @@ def _summary_line(check: dict) -> str:
 
 def _cmd_run(args) -> int:
     cfg = validate_config(load_config(args.config))
-    report, code = run(cfg, parallel=args.parallel)
+    report, code = run(cfg)
     for check in report["checks"]:
         print(_summary_line(check))
     report_path = args.report or cfg["output"]["report"]
@@ -592,6 +551,18 @@ def _cmd_run(args) -> int:
         _emit_csv_tables(report, csv_dir)
         print(f"csv tables written to {csv_dir}")
     return code
+
+
+def _run_single(cfg: dict, name: str) -> VerificationReport:
+    """Run one check of a resolved config with its ``check_params``."""
+    check = CHECKS[name]
+    if check.needs_distance and not cfg["distance_function"]:
+        raise ConfigError(
+            f"config field 'distance_function': required by the {name} check"
+        )
+    metric, domain, distance, options = build_objects(cfg)
+    cache = LevelCache(domain, metric, options)
+    return check.run(cfg["check_params"][name], distance, cache)
 
 
 def _single_check_report(cfg, report: VerificationReport, path) -> None:
@@ -608,11 +579,7 @@ def _cmd_verify(args) -> int:
         cfg["check_params"]["inequality"]["levels"] = args.levels
     if "inequality" not in cfg["checks"]:
         cfg["checks"] = ["inequality"]
-        cfg = validate_config(cfg)
-    metric, domain, distance, options = build_objects(cfg)
-    report = _run_check(
-        "inequality", cfg, metric, domain, distance, options
-    )
+    report = _run_single(cfg, "inequality")
     q = report.quantities
     if q.get("refused"):
         print(f"refused: {q['reason']}")
@@ -631,23 +598,12 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _spectrum_result(cfg, metric, domain, options, bc: str, count: int):
-    mesh = triangulate(domain)
-    rule = options.quad_rule
-    if bc == "oneform":
-        ops = assemble_oneform(mesh, metric, quad_rule=rule)
-        return solve_oneform(ops, count, tol=options.tol, options=options)
-    ops = assemble_scalar(mesh, metric, quad_rule=rule)
-    if bc == "dirichlet":
-        red = apply_dirichlet(ops)
-        return solve_smallest(
-            red.stiffness, red.mass, count, tol=options.tol,
-            bc="dirichlet", options=options,
-        )
-    return solve_smallest(
-        ops.stiffness, ops.mass, count, tol=options.tol,
-        bc="neumann", options=options,
-    )
+def _spectrum_result(metric, domain, options, bc: str, count: int):
+    cache = LevelCache(domain, metric, options)
+    if bc != "oneform":
+        return cache.spectrum(0, bc, count)
+    ops = assemble_oneform(cache.mesh(0), metric, quad_rule=options.quad_rule)
+    return solve_oneform(ops, count, tol=options.tol, options=options)
 
 
 def _spectrum_rows(result, rel_gap: float = 1e-3):
@@ -670,7 +626,7 @@ def _spectrum_rows(result, rel_gap: float = 1e-3):
 def _cmd_spectrum(args) -> int:
     cfg = validate_config(load_config(args.config))
     metric, domain, _, options = build_objects(cfg)
-    result = _spectrum_result(cfg, metric, domain, options, args.bc, args.count)
+    result = _spectrum_result(metric, domain, options, args.bc, args.count)
     rows = _spectrum_rows(result)
     for index, value, mult, residual in rows:
         print(f"{index:4d}  {value!r}  mult {mult}  residual {residual:.3g}")
@@ -684,13 +640,8 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_curvature(args) -> int:
     cfg = validate_config(load_config(args.config))
-    if not cfg["distance_function"]:
-        raise ConfigError(
-            "config field 'distance_function': required by the "
-            "curvature check"
-        )
-    metric, domain, distance, _ = build_objects(cfg)
-    report = curvature_check(domain, metric, distance, samples=args.samples)
+    cfg["check_params"]["curvature"]["samples"] = args.samples
+    report = _run_single(cfg, "curvature")
     print(_summary_line(report.to_dict()))
     _single_check_report(cfg, report, args.report)
     return 0 if report.passed else 1
@@ -699,23 +650,17 @@ def _cmd_curvature(args) -> int:
 def _cmd_convergence(args) -> int:
     cfg = validate_config(load_config(args.config))
     p = cfg["check_params"]["convergence"]
-    bc = args.bc or p["bc"]
-    levels = args.levels or p["levels"]
-    metric, domain, _, options = build_objects(cfg)
-    report = convergence_study(
-        domain, metric, bc=bc, levels=levels, options=options
-    )
+    p["bc"] = args.bc or p["bc"]
+    p["levels"] = args.levels or p["levels"]
+    report = _run_single(cfg, "convergence")
     for lv in report.quantities["table"]:
         print(
             f"level {lv['level']}: h {lv['h']:.6g}, value {lv['value']!r}"
         )
     print(_summary_line(report.to_dict()))
     if args.csv:
-        rows = [
-            (lv["level"], float(lv["h"]), float(lv["value"]))
-            for lv in report.quantities["table"]
-        ]
-        write_csv(args.csv, ("level", "h", "value"), rows)
+        _, header, rows = _convergence_table(report.quantities)
+        write_csv(args.csv, header, rows)
         print(f"csv written to {args.csv}")
     _single_check_report(cfg, report, args.report)
     return 0 if report.passed else 1
@@ -726,12 +671,10 @@ def _cmd_oracle(args) -> int:
     print(",".join(str(v) for v in dirichlet))
     print(",".join(str(v) for v in neumann))
     if args.csv:
-        rows = [
-            (i + 1, kind, v)
-            for kind, values in (("dirichlet", dirichlet), ("neumann", neumann))
-            for i, v in enumerate(values)
-        ]
-        write_csv(args.csv, ("index", "kind", "value"), rows)
+        _, header, rows = _oracle_table(
+            {"dirichlet": dirichlet, "neumann": neumann}
+        )
+        write_csv(args.csv, header, rows)
     return 0
 
 
@@ -753,10 +696,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="path to a JSON run config")
     p.add_argument("--report", help="report path (overrides the config)")
     p.add_argument("--csv-dir", help="table directory (overrides the config)")
-    p.add_argument(
-        "--parallel", action="store_true",
-        help="run checks concurrently (report is identical either way)",
-    )
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("verify", help="run the eigenvalue comparison only")

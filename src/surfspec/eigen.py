@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 ZERO_MODE_FACTOR = 1e-10  # eta below this times max(eta) counts as harmonic
+SIGMA_SCALE = 1e-3  # shift-invert shift = scale * mean diagonal ratio
 
 
 class EigenError(ValueError):
@@ -55,9 +56,6 @@ class EigenError(ValueError):
 class SolverOptions:
     dense_cutoff: int = 2000
     seed: int = 42
-    sigma_scale: float = 1e-3  # shift = scale * mean diagonal ratio
-    maxiter: Optional[int] = None
-    ncv: Optional[int] = None
     tol: float = 1e-9  # residual acceptance used by the check drivers
     quad_rule: str = "midpoint"  # assembly rule used by the check drivers
 
@@ -78,7 +76,6 @@ class SpectralResult:
     mass: sp.spmatrix
     method: str
     shift: Optional[float] = None
-    iterations: Optional[int] = None
     converged: bool = True
     meta: dict = field(default_factory=dict)
 
@@ -124,7 +121,6 @@ def solve_smallest(
     if not 1 <= k <= dim:
         raise EigenError(f"requested {k} eigenpairs from dimension {dim}")
 
-    iterations = None
     shift = None
     converged = True
     if dim <= options.dense_cutoff or k >= dim:
@@ -135,19 +131,12 @@ def solve_smallest(
     else:
         method = "shift-invert-lanczos"
         diag_ratio = K.diagonal() / M.diagonal()
-        shift = float(options.sigma_scale * np.mean(diag_ratio))
+        shift = float(SIGMA_SCALE * np.mean(diag_ratio))
         rng = np.random.default_rng(options.seed)
         v0 = rng.standard_normal(dim)
         try:
             values, vectors = spla.eigsh(
-                K,
-                k=k,
-                M=M,
-                sigma=-shift,
-                which="LM",
-                v0=v0,
-                maxiter=options.maxiter,
-                ncv=options.ncv,
+                K, k=k, M=M, sigma=-shift, which="LM", v0=v0
             )
         except ArpackNoConvergence as exc:
             values, vectors = exc.eigenvalues, exc.eigenvectors
@@ -176,7 +165,6 @@ def solve_smallest(
         M,
         method,
         shift=shift,
-        iterations=iterations,
         converged=converged,
     )
 

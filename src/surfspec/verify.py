@@ -1,10 +1,13 @@
 """Top-level numerical checks on chart domains.
 
-Each check builds its own meshes and operators, computes the relevant
-spectral quantities, and returns a :class:`VerificationReport` whose
-pass flag is a pure function of the recorded numbers: given a
-report's dictionary form, :func:`recompute_pass` re-derives the flag
-without touching any solver state.
+The checks on refinement levels take their meshes, scalar operators
+and spectra from a :class:`LevelCache`, their own or one shared by the
+checks of a run; spectra are keyed on ``(level, bc, k)``, so a check's
+numbers do not depend on which other checks ran.  Every check returns
+a :class:`VerificationReport` whose pass flag is a pure function of
+the recorded numbers: given a report's dictionary form,
+:func:`recompute_pass` re-derives the flag without touching any solver
+state.
 
 The main inequality check compares the first Dirichlet eigenvalue
 against the Neumann eigenvalue of order 3 - b1 (b1 the first Betti
@@ -29,7 +32,7 @@ from .assembly import (
     assemble_scalar,
     dirichlet_form_quadrature,
 )
-from .eigen import SolverOptions, solve_oneform, solve_smallest
+from .eigen import ZERO_MODE_FACTOR, SolverOptions, solve_oneform, solve_smallest
 from .geometry import (
     UNIT_GRADIENT_TOL,
     ChartMetric,
@@ -54,7 +57,6 @@ __all__ = [
     "recompute_pass",
 ]
 
-ZERO_MODE_FACTOR = 1e-10
 UNION_RTOL = 1e-8
 LEMMA_SLACK = 0.05
 SHRINK_SLACK = 1e-12
@@ -177,31 +179,78 @@ def _precondition_failure(domain, metric, f, samples=48, enlarge=0.05):
     return None
 
 
-def _mesh_chain(domain: DomainSpec, count: int) -> List[Mesh]:
-    meshes = [triangulate(domain)]
-    for _ in range(count - 1):
-        meshes.append(refine(meshes[-1]))
-    return meshes
+class LevelCache:
+    """Meshes, scalar operators and spectra of one domain's refinement levels.
+
+    Level 0 is ``triangulate(domain)`` and level L + 1 refines level L.
+    Each item is built on first request and kept; spectra are keyed on
+    ``(level, bc, k)`` with ``bc`` either "dirichlet" or "neumann".
+    Every caller gets the same objects, which nothing may modify.
+    """
+
+    def __init__(
+        self, domain: DomainSpec, metric: ChartMetric,
+        options: Optional[SolverOptions] = None,
+    ):
+        self.domain = domain
+        self.metric = metric
+        self.options = options if options is not None else SolverOptions()
+        self._built: dict = {}
+
+    def _get(self, key, build):
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
+    def mesh(self, level: int) -> Mesh:
+        if level < 0:
+            raise VerifyError(f"refinement level {level} is negative")
+        return self._get(("mesh", level), lambda: (
+            triangulate(self.domain) if level == 0
+            else refine(self.mesh(level - 1))
+        ))
+
+    def operators(self, level: int):
+        """P1 mass and stiffness on all vertices: the Neumann pencil."""
+        return self._get(("operators", level), lambda: assemble_scalar(
+            self.mesh(level), self.metric, quad_rule=self.options.quad_rule
+        ))
+
+    def reduction(self, level: int):
+        """The operators restricted to interior vertices: the Dirichlet pencil."""
+        return self._get(
+            ("reduction", level), lambda: apply_dirichlet(self.operators(level))
+        )
+
+    def spectrum(self, level: int, bc: str, k: int):
+        """The k smallest eigenpairs of a level's ``bc`` pencil."""
+
+        def solve():
+            pencil = (
+                self.reduction(level) if bc == "dirichlet"
+                else self.operators(level)
+            )
+            return solve_smallest(
+                pencil.stiffness, pencil.mass, k,
+                tol=self.options.tol, bc=bc, options=self.options,
+            )
+
+        return self._get(("spectrum", level, bc, k), solve)
 
 
-def _scalar_modes(mesh, metric, k_dir, k_neu, options):
-    opts = options if options is not None else SolverOptions()
-    ops = assemble_scalar(mesh, metric, quad_rule=opts.quad_rule)
-    red = apply_dirichlet(ops)
-    dir_res = solve_smallest(
-        red.stiffness, red.mass, k_dir, tol=opts.tol, bc="dirichlet", options=opts
-    )
-    neu_res = solve_smallest(
-        ops.stiffness, ops.mass, k_neu, tol=opts.tol, bc="neumann", options=opts
-    )
-    return ops, red, dir_res, neu_res
-
-
-def _ground_state(mesh, metric, options):
-    ops, red, dir_res, _ = _scalar_modes(mesh, metric, 1, 1, options)
-    phi = np.zeros(mesh.n_vertices)
-    phi[red.interior] = dir_res.vectors[:, 0]
-    return float(dir_res.values[0]), phi
+def _level_cache(domain, metric, options, cache) -> LevelCache:
+    """The caller's cache, or a new one; refuses a cache for other inputs."""
+    if cache is None:
+        return LevelCache(domain, metric, options)
+    if (
+        cache.domain is not domain
+        or cache.metric is not metric
+        or (options is not None and options != cache.options)
+    ):
+        raise VerifyError(
+            "level cache was built for another domain, metric or options"
+        )
+    return cache
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +263,8 @@ def verify_inequality(
     f,
     levels: int = 3,
     options: Optional[SolverOptions] = None,
+    *,
+    cache: Optional[LevelCache] = None,
 ) -> VerificationReport:
     """Dirichlet-vs-Neumann comparison over a refinement chain.
 
@@ -230,6 +281,8 @@ def verify_inequality(
     """
     start = time.perf_counter()
     _check_period(domain, metric)
+    if levels < 1:
+        raise VerifyError("inequality check needs at least 1 level")
     f = _as_distance(metric, f)
     desc = (
         f"{domain.shape} n={domain.n}, {metric.family} metric, f = {f.expr}"
@@ -242,14 +295,14 @@ def verify_inequality(
             False, time.perf_counter() - start,
         )
 
-    meshes = _mesh_chain(domain, levels)
-    beta1 = meshes[0].betti1
+    cache = _level_cache(domain, metric, options, cache)
+    beta1 = cache.mesh(0).betti1
     mu_order = 3 - beta1
     rows = []
-    for lvl, mesh in enumerate(meshes):
-        _, _, dir_res, neu_res = _scalar_modes(mesh, metric, 1, 4, options)
-        lam1 = float(dir_res.values[0])
-        mu = [float(x) for x in neu_res.values]
+    for lvl in range(levels):
+        mesh = cache.mesh(lvl)
+        lam1 = float(cache.spectrum(lvl, "dirichlet", 1).values[0])
+        mu = [float(x) for x in cache.spectrum(lvl, "neumann", 4).values]
         target = mu[mu_order - 1]
         h = mesh.h_max
         tol_h = 2.0 * lam1 * h * h
@@ -306,6 +359,8 @@ def lemma_check(
     f,
     level: int = 0,
     options: Optional[SolverOptions] = None,
+    *,
+    cache: Optional[LevelCache] = None,
 ) -> VerificationReport:
     """Energy bounds for the two trial 1-forms built from the ground state.
 
@@ -328,14 +383,18 @@ def lemma_check(
             False, time.perf_counter() - start,
         )
 
-    base = triangulate(domain)
-    for _ in range(level):
-        base = refine(base)
+    cache = _level_cache(domain, metric, options, cache)
 
-    def stage(mesh):
-        lam1, phi = _ground_state(mesh, metric, options)
-        rule = options.quad_rule if options is not None else "midpoint"
-        out = dirichlet_form_quadrature(mesh, metric, f, phi, lam1, quad_rule=rule)
+    def stage(lvl):
+        mesh = cache.mesh(lvl)
+        ground = cache.spectrum(lvl, "dirichlet", 1)
+        lam1 = float(ground.values[0])
+        phi = np.zeros(mesh.n_vertices)
+        phi[cache.reduction(lvl).interior] = ground.vectors[:, 0]
+        out = dirichlet_form_quadrature(
+            mesh, metric, f, phi, lam1, quad_rule=cache.options.quad_rule,
+            scalar=cache.operators(lvl),
+        )
         return {
             "lambda1": lam1,
             "alpha_nu": out["alpha_nu"],
@@ -347,8 +406,8 @@ def lemma_check(
             "cross_ratio": abs(out["cross"]) / lam1,
         }
 
-    coarse = stage(base)
-    fine = stage(refine(base))
+    coarse = stage(level)
+    fine = stage(level + 1)
     quantities = {"coarse": coarse, "fine": fine, "slack": LEMMA_SLACK}
     passed = _lemma_pass(quantities)
     return VerificationReport(
@@ -386,6 +445,8 @@ def spectrum_union_check(
     level: int = 0,
     count: int = 10,
     options: Optional[SolverOptions] = None,
+    *,
+    cache: Optional[LevelCache] = None,
 ) -> VerificationReport:
     """Positive 1-form spectrum against the merged scalar spectra.
 
@@ -396,9 +457,8 @@ def spectrum_union_check(
     """
     start = time.perf_counter()
     _check_period(domain, metric)
-    mesh = triangulate(domain)
-    for _ in range(level):
-        mesh = refine(mesh)
+    cache = _level_cache(domain, metric, options, cache)
+    mesh = cache.mesh(level)
     desc = f"{domain.shape} n={domain.n}, {metric.family} metric"
     if mesh.n_edges > EDGE_DOF_CAP:
         raise VerifyError(
@@ -406,16 +466,19 @@ def spectrum_union_check(
         )
 
     beta1 = mesh.betti1
-    rule = options.quad_rule if options is not None else "midpoint"
-    one_ops = assemble_oneform(mesh, metric, quad_rule=rule)
-    one = solve_oneform(one_ops, count + beta1, options=options)
+    one_ops = assemble_oneform(
+        mesh, metric, quad_rule=cache.options.quad_rule,
+        scalar=cache.operators(level),
+    )
+    one = solve_oneform(one_ops, count + beta1, options=cache.options)
     top = float(np.max(one.values))
     zero_count = int(np.sum(one.values < ZERO_MODE_FACTOR * top))
     positive = [float(v) for v in one.values[zero_count:]]
 
-    _, _, dir_res, neu_res = _scalar_modes(mesh, metric, count, count + 1, options)
-    neu_positive = neu_res.values[1:]  # drop the constant mode
-    union = np.sort(np.concatenate([dir_res.values, neu_positive]))[:count]
+    dir_values = cache.spectrum(level, "dirichlet", count).values
+    # the Neumann side drops its constant mode
+    neu_positive = cache.spectrum(level, "neumann", count + 1).values[1:]
+    union = np.sort(np.concatenate([dir_values, neu_positive]))[:count]
 
     quantities = {
         "betti1": beta1,
@@ -611,6 +674,8 @@ def convergence_study(
     bc: str = "dirichlet",
     levels: int = 3,
     options: Optional[SolverOptions] = None,
+    *,
+    cache: Optional[LevelCache] = None,
 ) -> VerificationReport:
     """First nonzero eigenvalue over a refinement chain with a rate fit.
 
@@ -625,15 +690,16 @@ def convergence_study(
     if bc not in ("dirichlet", "neumann"):
         raise VerifyError(f"unknown boundary condition tag '{bc}'")
 
-    rows = []
-    for lvl, mesh in enumerate(_mesh_chain(domain, levels)):
-        if bc == "dirichlet":
-            _, _, res, _ = _scalar_modes(mesh, metric, 1, 1, options)
-            value = float(res.values[0])
-        else:
-            _, _, _, res = _scalar_modes(mesh, metric, 1, 2, options)
-            value = float(res.values[1])
-        rows.append({"level": lvl, "h": mesh.h_max, "value": value})
+    cache = _level_cache(domain, metric, options, cache)
+    index = 0 if bc == "dirichlet" else 1  # skip the constant Neumann mode
+    rows = [
+        {
+            "level": lvl,
+            "h": cache.mesh(lvl).h_max,
+            "value": float(cache.spectrum(lvl, bc, index + 1).values[index]),
+        }
+        for lvl in range(levels)
+    ]
 
     values = [r["value"] for r in rows]
     hs = [r["h"] for r in rows]

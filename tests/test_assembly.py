@@ -180,12 +180,11 @@ def test_oneform_bookkeeping():
     )
 
 
-def test_workers_do_not_change_bits():
-    mesh = triangulate(DomainSpec.rectangle(0, math.pi, 0, math.pi, 48))
-    serial = assemble_scalar(mesh, FLAT, workers=1)
-    threaded = assemble_scalar(mesh, FLAT, workers=4)
-    assert (serial.mass != threaded.mass).nnz == 0
-    assert (serial.stiffness != threaded.stiffness).nnz == 0
+def test_oneform_rejects_scalar_operators_of_another_mesh():
+    mesh = triangulate(DomainSpec.periodic_band(0, 1, 4))
+    other = assemble_scalar(triangulate(DomainSpec.periodic_band(0, 1, 4)), FLAT)
+    with pytest.raises(AssemblyError, match="another mesh"):
+        assemble_oneform(mesh, FLAT, scalar=other)
 
 
 def test_degree5_rule_exact_on_flat_whitney():

@@ -5,7 +5,9 @@ import math
 
 import pytest
 
+from surfspec import verify
 from surfspec.cli import (
+    CHECKS,
     ConfigError,
     build_objects,
     load_config,
@@ -178,16 +180,57 @@ def test_reports_byte_identical_excluding_metadata(tmp_path):
     cfg["checks"] = ["inequality", "union", "oracle"]
     cfg["check_params"]["union"] = {"count": 6}
 
-    def stripped(report):
-        payload = {k: v for k, v in report.items() if k != "metadata"}
-        return json.dumps(payload, indent=2, sort_keys=True)
+    def dumped(obj):
+        return json.dumps(obj, indent=2, sort_keys=True)
 
-    first, code1 = run(cfg)
-    second, code2 = run(json.loads(json.dumps(cfg)), parallel=True)
-    assert code1 == code2 == 0
-    assert stripped(first) == stripped(second)
+    def stripped(report):
+        return dumped({k: v for k, v in report.items() if k != "metadata"})
+
+    first, code = run(cfg)
+    assert code == 0
     assert "generated_at" in first["metadata"]
     assert "wall_time" not in stripped(first)
+
+    # each check run alone, in reverse order, gives the payload it had
+    # in the multi-check run, which shared one level cache
+    for name, shared in reversed(list(zip(cfg["checks"], first["checks"]))):
+        alone, _ = run({**cfg, "checks": [name]})
+        assert dumped(alone["checks"]) == dumped([shared])
+
+
+def test_run_shares_levels_across_checks(tmp_path, monkeypatch):
+    calls = dict.fromkeys(
+        ("solve_smallest", "assemble_scalar", "refine", "triangulate"), 0
+    )
+    for name in calls:
+        original = getattr(verify, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, counted)
+    cfg = base_config(tmp_path)
+    cfg["metric"] = {
+        "family": "warped",
+        "params": {"phi": "exp(r)", "r_range": [-1.0, 0.0]},
+    }
+    cfg["distance_function"] = "r"
+    cfg["domain"] = {
+        "shape": "periodic_band", "extents": [-1.0, 0.0], "resolution": 8,
+    }
+    cfg["checks"] = ["inequality", "lemma", "convergence"]
+    cfg["check_params"] = {"convergence": {"bc": "neumann", "levels": 3}}
+    run(cfg)
+    # levels 0-2: Dirichlet k=1 and Neumann k=4 for the inequality (the
+    # lemma reuses the Dirichlet ground states), Neumann k=2 for convergence
+    assert calls == {
+        "solve_smallest": 9, "assemble_scalar": 3, "refine": 2, "triangulate": 1,
+    }
+
+
+def test_registry_report_names_have_recompute_rules():
+    assert {c.report for c in CHECKS.values()} == set(verify._RECOMPUTE)
 
 
 def test_run_csv_tables_round_trip(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from surfspec.geometry import DistanceFunction, builtin_metric
 from surfspec.mesh import DomainSpec, triangulate
 from surfspec.verify import (
+    LevelCache,
     VerifyError,
     convergence_study,
     cylinder_oracle,
@@ -119,6 +120,12 @@ def test_inequality_period_mismatch():
     domain = DomainSpec.periodic_band(0, math.pi, 4, theta_period=3.0)
     with pytest.raises(VerifyError, match="period"):
         verify_inequality(domain, metric, "r", levels=1)
+
+
+def test_inequality_needs_a_level():
+    domain = DomainSpec.rectangle(0, math.pi, 0, math.pi, 4)
+    with pytest.raises(VerifyError, match="at least 1 level"):
+        verify_inequality(domain, FLAT, "x", levels=0)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +253,15 @@ def test_convergence_validation():
         convergence_study(domain, FLAT, "dirichlet", levels=2)
     with pytest.raises(VerifyError, match="boundary condition"):
         convergence_study(domain, FLAT, "robin", levels=3)
+
+
+def test_level_cache_rejects_bad_requests():
+    domain = DomainSpec.rectangle(0, math.pi, 0, math.pi, 4)
+    cache = LevelCache(DomainSpec.rectangle(0, 1, 0, 1, 4), FLAT)
+    with pytest.raises(VerifyError, match="level cache"):
+        convergence_study(domain, FLAT, cache=cache)
+    with pytest.raises(VerifyError, match="negative"):
+        spectrum_union_check(domain, FLAT, level=-1)
 
 
 def test_non_monotone_reported_without_fit():
