@@ -640,7 +640,8 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_curvature(args) -> int:
     cfg = validate_config(load_config(args.config))
-    cfg["check_params"]["curvature"]["samples"] = args.samples
+    if args.samples is not None:
+        cfg["check_params"]["curvature"]["samples"] = args.samples
     report = _run_single(cfg, "curvature")
     print(_summary_line(report.to_dict()))
     _single_check_report(cfg, report, args.report)
@@ -719,7 +720,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="sample the unit-gradient and curvature conditions",
     )
     p.add_argument("config")
-    p.add_argument("--samples", type=int, default=64)
+    p.add_argument(
+        "--samples", type=int, help="grid samples per axis (overrides the config)"
+    )
     p.add_argument("--report", help="write a single-check JSON report")
     p.set_defaults(func=_cmd_curvature)
 

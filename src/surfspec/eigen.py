@@ -1,8 +1,18 @@
 """Generalized symmetric eigensolvers for the assembled pencils.
 
 ``solve_smallest`` handles K x = lambda M x for the scalar problems:
-dense reduction below a size cutoff, shift-invert Lanczos (ARPACK)
-above it, with a fixed-seed start vector so runs are reproducible.
+dense reduction below a size cutoff, shift-invert Lanczos (ARPACK) on
+K + sigma M above it.  The caller may give the shift sigma and the start
+vector; otherwise they come from the pencil alone: sigma = SIGMA_SCALE *
+mean(K_ii / M_ii), which grows as h^-2 under refinement, and a start
+vector drawn from ``options.seed``.  Nested iteration over a refinement
+chain (``verify.LevelCache``) passes the coarser level's answer instead:
+sigma = SIGMA_SCALE times the smallest positive coarse eigenvalue, which
+does not depend on h, and the prolongated sum of the coarse eigenvectors
+as the start.  Any sigma > 0 keeps K + sigma M definite for these
+positive semi-definite pencils, so either rule returns the k smallest
+pairs; every start vector is a pure function of the inputs, so runs are
+reproducible.
 
 ``solve_oneform`` computes the 1-form Hodge-Laplacian spectrum through
 its orthogonal decomposition.  A 1-form eigenfield is either
@@ -40,12 +50,13 @@ __all__ = [
     "SolverOptions",
     "SpectralResult",
     "solve_smallest",
+    "uses_dense_path",
     "solve_oneform",
     "cluster_multiplicities",
 ]
 
 ZERO_MODE_FACTOR = 1e-10  # eta below this times max(eta) counts as harmonic
-SIGMA_SCALE = 1e-3  # shift-invert shift = scale * mean diagonal ratio
+SIGMA_SCALE = 1e-3  # shift = scale * (mean diagonal ratio or coarse value)
 
 
 class EigenError(ValueError):
@@ -95,6 +106,11 @@ def _residuals(K, M, values, vectors) -> np.ndarray:
     return np.linalg.norm(resid, axis=0) / (1.0 + np.abs(values))
 
 
+def uses_dense_path(dim: int, k: int, options: SolverOptions) -> bool:
+    """Whether :func:`solve_smallest` reduces a dimension-``dim`` pencil densely."""
+    return dim <= options.dense_cutoff or k >= dim
+
+
 def solve_smallest(
     K,
     M,
@@ -102,14 +118,20 @@ def solve_smallest(
     tol: float = 1e-9,
     bc: str = "generic",
     options: Optional[SolverOptions] = None,
+    *,
+    shift: Optional[float] = None,
+    v0: Optional[np.ndarray] = None,
 ) -> SpectralResult:
     """k smallest eigenpairs of K x = lambda M x.
 
-    Dense reduction when the dimension is at most
-    ``options.dense_cutoff`` (default 2000) or when k reaches the
-    dimension; otherwise shift-invert Lanczos on (K + sigma M) with a
-    seeded start vector.  Non-convergence returns the partial result
-    with ``converged=False``; a factorization breakdown raises
+    Dense reduction when :func:`uses_dense_path` says so (dimension at
+    most ``options.dense_cutoff``, default 2000, or k reaching the
+    dimension); otherwise shift-invert Lanczos on (K + sigma M).  The
+    shift sigma is ``shift`` when given (it must be positive), else
+    ``SIGMA_SCALE * mean(K_ii / M_ii)``; the start vector is ``v0`` when
+    given, else a standard normal draw seeded with ``options.seed``.
+    The dense path ignores both.  Non-convergence returns the partial
+    result with ``converged=False``; a factorization breakdown raises
     :class:`EigenError` naming the shift.
     """
     options = options or SolverOptions()
@@ -120,20 +142,27 @@ def solve_smallest(
         raise EigenError("pencil matrices must be square and matched")
     if not 1 <= k <= dim:
         raise EigenError(f"requested {k} eigenpairs from dimension {dim}")
+    if shift is not None and not shift > 0:
+        raise EigenError(f"shift-invert shift {shift!r} is not positive")
+    if v0 is not None and np.shape(v0) != (dim,):
+        raise EigenError(
+            f"start vector of shape {np.shape(v0)} for dimension {dim}"
+        )
 
-    shift = None
     converged = True
-    if dim <= options.dense_cutoff or k >= dim:
+    if uses_dense_path(dim, k, options):
         method = "dense"
+        shift = None
         values, vectors = la.eigh(
             K.toarray(), M.toarray(), subset_by_index=(0, k - 1)
         )
     else:
         method = "shift-invert-lanczos"
-        diag_ratio = K.diagonal() / M.diagonal()
-        shift = float(SIGMA_SCALE * np.mean(diag_ratio))
-        rng = np.random.default_rng(options.seed)
-        v0 = rng.standard_normal(dim)
+        if shift is None:
+            diag_ratio = K.diagonal() / M.diagonal()
+            shift = float(SIGMA_SCALE * np.mean(diag_ratio))
+        if v0 is None:
+            v0 = np.random.default_rng(options.seed).standard_normal(dim)
         try:
             values, vectors = spla.eigsh(
                 K, k=k, M=M, sigma=-shift, which="LM", v0=v0

@@ -26,6 +26,8 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "MeshError",
@@ -33,6 +35,7 @@ __all__ = [
     "Mesh",
     "triangulate",
     "refine",
+    "prolongation",
     "betti1",
     "export_off",
 ]
@@ -199,20 +202,12 @@ class Mesh:
 
     def _check_connected(self):
         n = self.n_vertices
-        parent = np.arange(n)
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for a, b in self.edges:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        roots = {find(i) for i in range(n)}
-        if len(roots) != 1:
+        graph = sp.coo_matrix(
+            (np.ones(len(self.edges)), (self.edges[:, 0], self.edges[:, 1])),
+            shape=(n, n),
+        )
+        n_components, _ = connected_components(graph, directed=False)
+        if n_components != 1:
             raise MeshError("mesh is not connected")
 
 
@@ -393,15 +388,12 @@ def refine(mesh: Mesh) -> Mesh:
     midpoints = 0.5 * (verts[raw_edges[:, 0]] + verts[raw_edges[:, 1]])
     new_verts = np.concatenate([verts, midpoints], axis=0)
 
-    logical_edge_index = {
-        (int(a), int(b)): i for i, (a, b) in enumerate(mesh.edges)
-    }
+    # mesh.edges is sorted lexicographically, so the encoded keys a * V + b
+    # of its (a, b) pairs are ascending and searchsorted finds each one.
     V = mesh.n_vertices
-    mid_logical = np.empty(len(raw_edges), dtype=np.int64)
-    for i, (a, b) in enumerate(raw_edges):
-        la, lb = int(mesh.raw_to_logical[a]), int(mesh.raw_to_logical[b])
-        key = (la, lb) if la < lb else (lb, la)
-        mid_logical[i] = V + logical_edge_index[key]
+    logical = np.sort(mesh.raw_to_logical[raw_edges], axis=1)
+    edge_keys = mesh.edges[:, 0] * V + mesh.edges[:, 1]
+    mid_logical = V + np.searchsorted(edge_keys, logical[:, 0] * V + logical[:, 1])
     new_raw_to_logical = np.concatenate([mesh.raw_to_logical, mid_logical])
 
     m01 = len(verts) + tri_raw_edges[:, 0]
@@ -422,6 +414,26 @@ def refine(mesh: Mesh) -> Mesh:
     return Mesh.from_arrays(
         new_verts, children, compact, domain=mesh.domain, level=mesh.level + 1
     )
+
+
+def prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
+    """P1 interpolation from ``coarse`` onto ``fine = refine(coarse)``.
+
+    In the refined logical numbering vertex i < V is coarse vertex i and
+    vertex V + e is the midpoint of coarse edge e, so the matrix is
+    ``[I; 0.5 |d0|]`` with shape (V + E, V).  Raises :class:`MeshError`
+    when ``fine`` does not have that many vertices.
+    """
+    V, E = coarse.n_vertices, coarse.n_edges
+    if fine.n_vertices != V + E:
+        raise MeshError(
+            f"{fine.n_vertices} vertices do not refine a mesh with "
+            f"{V} vertices and {E} edges"
+        )
+    rows = np.concatenate([np.arange(V), V + np.repeat(np.arange(E), 2)])
+    cols = np.concatenate([np.arange(V), coarse.edges.ravel()])
+    vals = np.concatenate([np.ones(V), np.full(2 * E, 0.5)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(V + E, V))
 
 
 # ---------------------------------------------------------------------------

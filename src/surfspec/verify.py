@@ -2,8 +2,9 @@
 
 The checks on refinement levels take their meshes, scalar operators
 and spectra from a :class:`LevelCache`, their own or one shared by the
-checks of a run; spectra are keyed on ``(level, bc, k)``, so a check's
-numbers do not depend on which other checks ran.  Every check returns
+checks of a run; spectra are keyed on ``(level, bc, k)``, and a sparse
+solve above level 0 starts from the ``(level - 1, bc, k)`` solve, so a
+check's numbers do not depend on which other checks ran.  Every check returns
 a :class:`VerificationReport` whose pass flag is a pure function of
 the recorded numbers: given a report's dictionary form,
 :func:`recompute_pass` re-derives the flag without touching any solver
@@ -32,7 +33,14 @@ from .assembly import (
     assemble_scalar,
     dirichlet_form_quadrature,
 )
-from .eigen import ZERO_MODE_FACTOR, SolverOptions, solve_oneform, solve_smallest
+from .eigen import (
+    SIGMA_SCALE,
+    ZERO_MODE_FACTOR,
+    SolverOptions,
+    solve_oneform,
+    solve_smallest,
+    uses_dense_path,
+)
 from .geometry import (
     UNIT_GRADIENT_TOL,
     ChartMetric,
@@ -41,7 +49,7 @@ from .geometry import (
     check_unit_gradient,
     curvature_condition_check,
 )
-from .mesh import DomainSpec, Mesh, refine, triangulate
+from .mesh import DomainSpec, Mesh, prolongation, refine, triangulate
 
 __all__ = [
     "VerifyError",
@@ -222,20 +230,58 @@ class LevelCache:
             ("reduction", level), lambda: apply_dirichlet(self.operators(level))
         )
 
+    def pencil(self, level: int, bc: str):
+        """A level's Dirichlet (reduced) or Neumann (full) operators."""
+        return self.reduction(level) if bc == "dirichlet" else self.operators(level)
+
     def spectrum(self, level: int, bc: str, k: int):
-        """The k smallest eigenpairs of a level's ``bc`` pencil."""
+        """The k smallest eigenpairs of a level's ``bc`` pencil.
+
+        A solve on the sparse path above level 0 is a nested iteration:
+        it first takes ``spectrum(level - 1, bc, k)`` and starts from it
+        (see :meth:`_nested_start`).  So a level's solve always derives
+        from the same coarser solve, whichever checks asked for it.
+        """
 
         def solve():
-            pencil = (
-                self.reduction(level) if bc == "dirichlet"
-                else self.operators(level)
-            )
+            pencil = self.pencil(level, bc)
             return solve_smallest(
                 pencil.stiffness, pencil.mass, k,
                 tol=self.options.tol, bc=bc, options=self.options,
+                **self._nested_start(level, bc, k),
             )
 
         return self._get(("spectrum", level, bc, k), solve)
+
+    def _nested_start(self, level: int, bc: str, k: int) -> dict:
+        """Shift and start vector for a sparse solve, from the coarser level.
+
+        The shift is SIGMA_SCALE times the smallest positive coarser
+        eigenvalue, so unlike the diagonal-ratio rule it does not grow as
+        h^-2; the start vector is the sum of the coarser eigenvectors,
+        interpolated by :func:`prolongation`.  Empty (``solve_smallest``'s
+        own rules) at level 0, on the dense path, and when the coarser
+        pencil has fewer than k unknowns; no shift when a Neumann spectrum
+        holds only its constant mode.
+        """
+        fine_dim = self.pencil(level, bc).stiffness.shape[0]
+        if level == 0 or uses_dense_path(fine_dim, k, self.options):
+            return {}
+        if self.pencil(level - 1, bc).stiffness.shape[0] < k:
+            return {}
+        coarse = self.spectrum(level - 1, bc, k)
+        x = coarse.vectors.sum(axis=1)
+        if bc == "dirichlet":
+            full = np.zeros(self.mesh(level - 1).n_vertices)
+            full[self.reduction(level - 1).interior] = x
+            x = full
+        v0 = prolongation(self.mesh(level - 1), self.mesh(level)) @ x
+        if bc == "dirichlet":
+            v0 = v0[self.reduction(level).interior]
+        # the Neumann pencil of a connected mesh has one zero mode, the constant
+        positive = coarse.values[1:] if bc == "neumann" else coarse.values
+        shift = SIGMA_SCALE * float(positive[0]) if positive.size else None
+        return {"shift": shift, "v0": v0}
 
 
 def _level_cache(domain, metric, options, cache) -> LevelCache:

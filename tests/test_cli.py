@@ -310,6 +310,22 @@ def test_curvature_subcommand(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_curvature_subcommand_samples_from_config(tmp_path):
+    cfg = helicoid_config(tmp_path)
+    cfg["domain"]["extents"] = [-0.9, 0.9]
+    cfg["metric"]["params"]["r_range"] = [-0.9, 0.9]
+    cfg["check_params"] = {"curvature": {"samples": 512}}
+    path = write_config(tmp_path, cfg)
+    for flags, samples in (([], 512), (["--samples", "16"], 16)):
+        report_path = tmp_path / "curvature.json"
+        code = main(["curvature-check", path, "--report", str(report_path)] + flags)
+        assert code == 0
+        report = json.loads(report_path.read_text())
+        assert report["config"]["check_params"]["curvature"]["samples"] == samples
+        grid = report["checks"][0]["quantities"]["curvature"]["grid"]
+        assert (grid["nu"], grid["nv"]) == (samples, samples)
+
+
 def test_convergence_subcommand_csv(tmp_path, capsys):
     cfg = base_config(tmp_path)
     cfg["domain"]["resolution"] = 4

@@ -75,6 +75,21 @@ def test_gram_identity_and_rayleigh():
     assert np.all(res.residuals <= 1e-9)
 
 
+def test_given_shift_and_start_vector():
+    K, M = square_operators(16, "dirichlet")
+    options = SolverOptions(dense_cutoff=10)
+    seeded = solve_smallest(K, M, 3, options=options)
+    given = solve_smallest(
+        K, M, 3, options=options, shift=2e-3, v0=np.ones(K.shape[0])
+    )
+    assert given.shift == 2e-3 and seeded.shift > 100 * given.shift
+    assert np.allclose(given.values, seeded.values, rtol=1e-10)
+    with pytest.raises(EigenError, match="not positive"):
+        solve_smallest(K, M, 3, options=options, shift=0.0)
+    with pytest.raises(EigenError, match="start vector"):
+        solve_smallest(K, M, 3, options=options, v0=np.ones(3))
+
+
 def test_dense_and_iterative_paths_agree():
     K, M = square_operators(16, "dirichlet")
     dense = solve_smallest(K, M, 5)

@@ -10,6 +10,7 @@ from surfspec.mesh import (
     Mesh,
     MeshError,
     export_off,
+    prolongation,
     refine,
     triangulate,
 )
@@ -207,6 +208,54 @@ def test_refine_preserves_topology(domain):
     again = refine(fine)
     assert again.n_faces == 16 * mesh.n_faces
     assert again.euler_characteristic == mesh.euler_characteristic
+
+
+def logical_u(mesh):
+    """Chart u of each logical vertex (a band's seam copies share their u)."""
+    u = np.empty(mesh.n_vertices)
+    u[mesh.raw_to_logical] = mesh.verts[:, 0]
+    return u
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [DomainSpec.rectangle(0, 1, 1, math.e, 3), DomainSpec.periodic_band(-1, 0, 4)],
+    ids=["rectangle", "band"],
+)
+def test_prolongation_interpolates_chart_u(domain):
+    # u is linear on every triangle, so P1 interpolation reproduces it;
+    # on the band this pins the V + e midpoint numbering across the seam
+    coarse = triangulate(domain)
+    for _ in range(2):
+        fine = refine(coarse)
+        P = prolongation(coarse, fine)
+        assert P.shape == (fine.n_vertices, coarse.n_vertices)
+        assert np.array_equal(P @ logical_u(coarse), logical_u(fine))
+        coarse = fine
+
+
+def test_refine_numbers_midpoints_by_logical_edge():
+    # loop reference: a refined vertex V + e sits at the midpoint of raw
+    # copies of coarse logical edge e's endpoints, seam copies included
+    coarse = triangulate(DomainSpec.periodic_band(-1, 0, 4))
+    fine = refine(coarse)
+    V = coarse.n_vertices
+    copies = [coarse.verts[coarse.raw_to_logical == i] for i in range(V)]
+    for point, vertex in zip(fine.verts, fine.raw_to_logical):
+        if vertex < V:
+            assert any(np.array_equal(point, p) for p in copies[vertex])
+            continue
+        a, b = coarse.edges[vertex - V]
+        assert any(
+            np.array_equal(point, 0.5 * (pa + pb))
+            for pa in copies[a] for pb in copies[b]
+        )
+
+
+def test_prolongation_size_guard():
+    mesh = triangulate(DomainSpec.rectangle(0, 1, 0, 1, 3))
+    with pytest.raises(MeshError, match="do not refine"):
+        prolongation(mesh, mesh)
 
 
 def test_refine_keeps_boundary_on_disk():

@@ -3,8 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from surfspec.eigen import SolverOptions, solve_smallest
 from surfspec.geometry import DistanceFunction, builtin_metric
 from surfspec.mesh import DomainSpec, triangulate
 from surfspec.verify import (
@@ -262,6 +264,32 @@ def test_level_cache_rejects_bad_requests():
         convergence_study(domain, FLAT, cache=cache)
     with pytest.raises(VerifyError, match="negative"):
         spectrum_union_check(domain, FLAT, level=-1)
+
+
+def test_nested_spectra_match_cold_solves():
+    # every level sparse, so levels 1 and 2 start from the coarser solve
+    options = SolverOptions(dense_cutoff=10)
+    cache = LevelCache(DomainSpec.rectangle(0, 1, 1, math.e, 4), HALF_PLANE, options)
+    for bc, k in (("dirichlet", 2), ("neumann", 4)):
+        warm_shifts, cold_shifts = [], []
+        for level in range(3):
+            warm = cache.spectrum(level, bc, k)
+            pencil = cache.pencil(level, bc)
+            cold = solve_smallest(
+                pencil.stiffness, pencil.mass, k, tol=options.tol, bc=bc,
+                options=options,
+            )
+            assert warm.method == cold.method == "shift-invert-lanczos"
+            assert warm.converged
+            assert np.all(warm.residuals <= options.tol)
+            scale = float(np.max(cold.values))
+            assert np.max(np.abs(warm.values - cold.values)) <= 1e-9 * scale
+            warm_shifts.append(warm.shift)
+            cold_shifts.append(cold.shift)
+        # the diagonal-ratio shift grows about 4x per level, the nested one does not
+        assert warm_shifts[0] == cold_shifts[0]
+        assert cold_shifts[2] > 3 * cold_shifts[1]
+        assert 0.5 * warm_shifts[1] <= warm_shifts[2] <= 2 * warm_shifts[1]
 
 
 def test_non_monotone_reported_without_fit():
