@@ -266,7 +266,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "tolerance": {"type": "number", "exclusiveMinimum": 0},
                 "seed": {"type": "integer", "minimum": 0},
-                "dense_threshold": {"type": "integer", "minimum": 1},
                 "quadrature": {"enum": ["midpoint", "degree5"]},
             },
         },
@@ -303,7 +302,6 @@ CONFIG_SCHEMA = {
 _SOLVER_FIELDS = {
     "tolerance": "tol",
     "seed": "seed",
-    "dense_threshold": "dense_cutoff",
     "quadrature": "quad_rule",
 }
 _SOLVER_DEFAULTS = {

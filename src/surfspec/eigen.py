@@ -1,11 +1,11 @@
 """Generalized symmetric eigensolvers for the assembled pencils.
 
 ``solve_smallest`` handles K x = lambda M x for the scalar problems:
-dense reduction below a size cutoff, shift-invert Lanczos (ARPACK) on
-K + sigma M above it.  The caller may give the shift sigma and the start
-vector; otherwise they come from the pencil alone: sigma = SIGMA_SCALE *
-mean(K_ii / M_ii), which grows as h^-2 under refinement, and a start
-vector drawn from ``options.seed``.  Nested iteration over a refinement
+dense reduction up to DENSE_MAX_DIM unknowns, shift-invert Lanczos
+(ARPACK) on K + sigma M above.  The caller may give the shift sigma and
+the start vector; otherwise they come from the pencil alone: sigma =
+SIGMA_SCALE * mean(K_ii / M_ii), which grows as h^-2 under refinement,
+and a start vector drawn from ``options.seed``.  Nested iteration over a refinement
 chain (``verify.LevelCache``) passes the coarser level's answer instead:
 sigma = SIGMA_SCALE times the smallest positive coarse eigenvalue, which
 does not depend on h, and the prolongated sum of the coarse eigenvectors
@@ -57,6 +57,9 @@ __all__ = [
 
 ZERO_MODE_FACTOR = 1e-10  # eta below this times max(eta) counts as harmonic
 SIGMA_SCALE = 1e-3  # shift = scale * (mean diagonal ratio or coarse value)
+# largest pencil solved densely: the measured crossover (2 cores, hyperbolic
+# rectangle: dense = sparse at dim 220, 23.5 vs 8.2 ms at dim 476)
+DENSE_MAX_DIM = 250
 
 
 class EigenError(ValueError):
@@ -65,7 +68,6 @@ class EigenError(ValueError):
 
 @dataclass
 class SolverOptions:
-    dense_cutoff: int = 2000
     seed: int = 42
     tol: float = 1e-9  # residual acceptance used by the check drivers
     quad_rule: str = "midpoint"  # assembly rule used by the check drivers
@@ -106,9 +108,9 @@ def _residuals(K, M, values, vectors) -> np.ndarray:
     return np.linalg.norm(resid, axis=0) / (1.0 + np.abs(values))
 
 
-def uses_dense_path(dim: int, k: int, options: SolverOptions) -> bool:
+def uses_dense_path(dim: int, k: int) -> bool:
     """Whether :func:`solve_smallest` reduces a dimension-``dim`` pencil densely."""
-    return dim <= options.dense_cutoff or k >= dim
+    return dim <= DENSE_MAX_DIM or k >= dim
 
 
 def solve_smallest(
@@ -125,12 +127,12 @@ def solve_smallest(
     """k smallest eigenpairs of K x = lambda M x.
 
     Dense reduction when :func:`uses_dense_path` says so (dimension at
-    most ``options.dense_cutoff``, default 2000, or k reaching the
-    dimension); otherwise shift-invert Lanczos on (K + sigma M).  The
-    shift sigma is ``shift`` when given (it must be positive), else
-    ``SIGMA_SCALE * mean(K_ii / M_ii)``; the start vector is ``v0`` when
-    given, else a standard normal draw seeded with ``options.seed``.
-    The dense path ignores both.  Non-convergence returns the partial
+    most ``DENSE_MAX_DIM`` or k reaching the dimension); otherwise
+    shift-invert Lanczos on (K + sigma M).  The shift sigma is ``shift``
+    when given (it must be positive), else ``SIGMA_SCALE * mean(K_ii /
+    M_ii)``; the start vector is ``v0`` when given, else a standard
+    normal draw seeded with ``options.seed``.  The dense path ignores
+    both.  Non-convergence returns the partial
     result with ``converged=False``; a factorization breakdown raises
     :class:`EigenError` naming the shift.
     """
@@ -150,7 +152,7 @@ def solve_smallest(
         )
 
     converged = True
-    if uses_dense_path(dim, k, options):
+    if uses_dense_path(dim, k):
         method = "dense"
         shift = None
         values, vectors = la.eigh(
@@ -202,25 +204,22 @@ def solve_smallest(
 # 1-form spectrum through the Hodge decomposition
 
 
-def _natural_harmonics(ops, beta1: int, options: SolverOptions) -> np.ndarray:
-    """M1-orthonormal basis of curl-free, weakly div-free edge fields."""
+def _natural_harmonics(ops, stiff, beta1: int, seed: int) -> np.ndarray:
+    """M1-orthonormal basis of curl-free, weakly div-free edge fields.
+
+    ``beta1`` fields drawn from ``seed`` are projected onto ker d1 by one
+    d1 d1^T solve (definite: every face reaches the boundary), then lose
+    their exact part d0 psi by one Neumann solve of ``stiff = d0^T M1 d0``
+    pinned at vertex 0; random fields span the harmonic space left.
+    """
+    fields = np.random.default_rng(seed).standard_normal((ops.d1.shape[1], beta1))
     if beta1 == 0:
-        return np.zeros((ops.mass1.shape[0], 0))
-    E = ops.mass1.shape[0]
-    constraints = sp.vstack([ops.d1, (ops.mass1 @ ops.d0).T])
-    if E <= 2 * options.dense_cutoff:
-        basis = la.null_space(constraints.toarray())
-    else:
-        gram = (constraints.T @ constraints).tocsr()
-        scale = float(np.mean(gram.diagonal()))
-        vals, basis = spla.eigsh(gram, k=beta1, sigma=-1e-8 * scale, which="LM")
-        if np.max(np.abs(vals)) > 1e-10 * scale:
-            raise EigenError("harmonic space not resolved by sparse null solve")
-    if basis.shape[1] != beta1:
-        raise EigenError(
-            f"harmonic dimension {basis.shape[1]} != first Betti number {beta1}"
-        )
-    return _orthonormalize(basis, ops.mass1)
+        return fields
+    curl_gram = (ops.d1 @ ops.d1.T).tocsc()
+    fields -= ops.d1.T @ spla.splu(curl_gram).solve(ops.d1 @ fields)
+    div = (ops.d0.T @ (ops.mass1 @ fields))[1:]
+    fields -= ops.d0[:, 1:] @ spla.splu(stiff[1:, 1:].tocsc()).solve(div)
+    return _orthonormalize(fields, ops.mass1)
 
 
 def solve_oneform(
@@ -231,8 +230,9 @@ def solve_oneform(
     Assembles nothing new: the Neumann block solves
     ``(d0^T M1 d0) psi = eta M0 psi`` on all vertices, the Dirichlet
     block solves the same pencil restricted to interior vertices, and
-    harmonics come from the null space of ``(d1, d0^T M1)``.  Values
-    are the merged ascending union.  Vector layout and block sizes are
+    harmonics are seeded edge fields with their curl and exact parts
+    projected out (:func:`_natural_harmonics`).  Values are the merged
+    ascending union.  Vector layout and block sizes are
     recorded in ``meta``; the block mass (Neumann stiffness, interior
     stiffness, edge mass) makes the columns orthonormal.
     """
@@ -261,7 +261,7 @@ def solve_oneform(
             stiff_int, mass_int, min(k, n_int), tol,
             bc="dirichlet", options=options,
         )
-    harmonics = _natural_harmonics(ops, beta1, options)
+    harmonics = _natural_harmonics(ops, stiff, beta1, options.seed)
 
     # harmonic Rayleigh quotients: tiny but honest, not hard zeros
     h_values = []

@@ -269,25 +269,24 @@ def _check_positivity(m: ChartMetric):
         np.linspace(v0, v1, _POSITIVITY_SAMPLES),
         indexing="ij",
     )
-    if m.phi is not None:
-        w = m.evaluate(m.phi, upts, vpts)
-        bad = w <= 0
+    # an overflow is reported as such, not as the sign failure its inf or nan causes
+    with np.errstate(all="ignore"):
+        w = np.ones_like(upts) if m.phi is None else m.evaluate(m.phi, upts, vpts)
+        g11 = m.evaluate(m.g11, upts, vpts)
+        det = m.evaluate(det_expr(m), upts, vpts)
+    for bad, message in (
+        (~(np.isfinite(w) & np.isfinite(g11) & np.isfinite(det)),
+         "metric not finite on validity region at {}; "
+         "narrow metric/params/validity"),
+        (w <= 0, "warp expression not strictly positive on validity region: "
+                 "phi{} = {:.6g}"),
+        ((g11 <= 0) | (det <= 0),
+         "metric not positive definite on validity region at {}"),
+    ):
         if np.any(bad):
-            i = np.argwhere(bad)[0]
-            raise GeometryError(
-                "warp expression not strictly positive on validity region: "
-                f"phi({upts[tuple(i)]:.6g}, {vpts[tuple(i)]:.6g}) = "
-                f"{w[tuple(i)]:.6g}"
-            )
-    g11 = m.evaluate(m.g11, upts, vpts)
-    det = m.evaluate(det_expr(m), upts, vpts)
-    bad = (g11 <= 0) | (det <= 0)
-    if np.any(bad):
-        i = np.argwhere(bad)[0]
-        raise GeometryError(
-            "metric not positive definite on validity region at "
-            f"({upts[tuple(i)]:.6g}, {vpts[tuple(i)]:.6g})"
-        )
+            i = tuple(np.argwhere(bad)[0])
+            point = f"({upts[i]:.6g}, {vpts[i]:.6g})"
+            raise GeometryError(message.format(point, w[i]))
 
 
 # ---------------------------------------------------------------------------

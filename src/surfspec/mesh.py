@@ -36,7 +36,6 @@ __all__ = [
     "triangulate",
     "refine",
     "prolongation",
-    "betti1",
     "export_off",
 ]
 
@@ -179,7 +178,7 @@ class Mesh:
         )
         flipped = pairs[:, 0] > pairs[:, 1]
         sorted_pairs = np.where(flipped[:, None], pairs[:, ::-1], pairs)
-        self.edges, inverse = np.unique(sorted_pairs, axis=0, return_inverse=True)
+        self.edges, inverse = _unique_pairs(sorted_pairs, self.n_vertices)
         F = len(self.tris)
         self.tri_edges = inverse.reshape(3, F).T.copy()
         signs = np.where(flipped, -1, 1).astype(np.int8)
@@ -211,9 +210,11 @@ class Mesh:
             raise MeshError("mesh is not connected")
 
 
-def betti1(mesh: Mesh) -> int:
-    """First Betti number, 1 - (V - E + F) for these bordered surfaces."""
-    return mesh.betti1
+def _unique_pairs(pairs: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.unique(pairs, axis=0, return_inverse=True)`` for entries in [0, n),
+    from one sort of the keys a * n + b (their order is the rows' order)."""
+    keys, inverse = np.unique(pairs[:, 0] * n + pairs[:, 1], return_inverse=True)
+    return np.stack([keys // n, keys % n], axis=1), inverse
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +382,7 @@ def refine(mesh: Mesh) -> Mesh:
         [tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]], axis=0
     )
     raw_pairs.sort(axis=1)
-    raw_edges, inverse = np.unique(raw_pairs, axis=0, return_inverse=True)
+    raw_edges, inverse = _unique_pairs(raw_pairs, len(verts))
     F = len(tris)
     tri_raw_edges = inverse.reshape(3, F).T  # midpoint ids per local edge
 
@@ -451,7 +452,7 @@ def export_off(mesh: Mesh) -> str:
         [mesh.tris[:, [0, 1]], mesh.tris[:, [1, 2]], mesh.tris[:, [2, 0]]], axis=0
     )
     raw_pairs.sort(axis=1)
-    n_raw_edges = len(np.unique(raw_pairs, axis=0))
+    n_raw_edges = len(_unique_pairs(raw_pairs, len(mesh.verts))[0])
     lines = [f"{len(mesh.verts)} {n_raw_edges} {len(mesh.tris)}"]
     for x, y in mesh.verts:
         lines.append(f"{float(x)!r} {float(y)!r}")

@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .assembly import (
     apply_dirichlet,
@@ -68,7 +70,6 @@ __all__ = [
 UNION_RTOL = 1e-8
 LEMMA_SLACK = 0.05
 SHRINK_SLACK = 1e-12
-EDGE_DOF_CAP = 2000
 
 
 class VerifyError(ValueError):
@@ -265,7 +266,7 @@ class LevelCache:
         holds only its constant mode.
         """
         fine_dim = self.pencil(level, bc).stiffness.shape[0]
-        if level == 0 or uses_dense_path(fine_dim, k, self.options):
+        if level == 0 or uses_dense_path(fine_dim, k):
             return {}
         if self.pencil(level - 1, bc).stiffness.shape[0] < k:
             return {}
@@ -506,10 +507,6 @@ def spectrum_union_check(
     cache = _level_cache(domain, metric, options, cache)
     mesh = cache.mesh(level)
     desc = f"{domain.shape} n={domain.n}, {metric.family} metric"
-    if mesh.n_edges > EDGE_DOF_CAP:
-        raise VerifyError(
-            f"{mesh.n_edges} edge dofs exceed the dense-path cap {EDGE_DOF_CAP}"
-        )
 
     beta1 = mesh.betti1
     one_ops = assemble_oneform(
@@ -558,19 +555,22 @@ def hodge_dimension_check(mesh: Mesh) -> VerificationReport:
     """Rank bookkeeping of the incidence complex on one mesh.
 
     rank d0 + rank d1 + b1 must equal the number of logical edges; the
-    cohomology dimension E - rank d0 - rank d1 must equal b1.
+    cohomology dimension E - rank d0 - rank d1 must equal b1.  As every
+    edge borders one or two consistently oriented faces (``Mesh`` checks),
+    the ranks are exact graph counts: rank d0 = V - (components of the
+    edge graph), rank d1 = F - (components of the dual graph, faces joined
+    across interior edges, without a boundary edge).
     """
     start = time.perf_counter()
     V, E, F = mesh.n_vertices, mesh.n_edges, mesh.n_faces
-    d0 = np.zeros((E, V))
-    d0[np.arange(E), mesh.edges[:, 1]] = 1.0
-    d0[np.arange(E), mesh.edges[:, 0]] = -1.0
-    d1 = np.zeros((F, E))
-    d1[np.repeat(np.arange(F), 3), mesh.tri_edges.ravel()] = (
-        mesh.tri_edge_signs.ravel()
-    )
-    rank_d0 = int(np.linalg.matrix_rank(d0))
-    rank_d1 = int(np.linalg.matrix_rank(d1))
+    primal = sp.coo_matrix((np.ones(E), tuple(mesh.edges.T)), shape=(V, V))
+    rank_d0 = V - connected_components(primal, directed=False)[0]
+    faces = np.repeat(np.arange(F), 3)
+    edges = mesh.tri_edges.ravel()
+    edge_face = sp.csr_matrix((np.ones(3 * F), (edges, faces)), shape=(E, F))
+    n_dual, label = connected_components(edge_face.T @ edge_face, directed=False)
+    bordered = np.unique(label[faces[mesh.boundary_edge_mask[edges]]])
+    rank_d1 = F - (n_dual - len(bordered))
     beta1 = mesh.betti1
     harmonic = E - rank_d0 - rank_d1
     dom = mesh.domain.to_dict() if mesh.domain else {"shape": "custom"}

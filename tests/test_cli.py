@@ -2,6 +2,8 @@
 
 import json
 import math
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +99,29 @@ def test_nonpositive_warp_names_sample(tmp_path, capsys):
     assert "metric" in err and "phi(0" in err
 
 
+def test_dense_threshold_key_rejected(tmp_path, capsys):
+    cfg = base_config(tmp_path)
+    cfg["solver"] = {"dense_threshold": 2000}
+    code = main(["run", write_config(tmp_path, cfg)])
+    assert code == 2
+    assert "config field 'solver'" in capsys.readouterr().err
+
+
+def test_overflowing_metric_names_validity(tmp_path, capsys):
+    cfg = base_config(tmp_path)
+    cfg["metric"] = {
+        "family": "general",
+        "params": {"g11": "exp(2*y)", "g12": "0", "g22": "exp(2*y)",
+                   "vars": ["x", "y"]},
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", write_config(tmp_path, cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "not finite" in err and "metric/params/validity" in err
+
+
 def test_distance_function_required_by_lemma(tmp_path, capsys):
     cfg = base_config(tmp_path)
     del cfg["distance_function"]
@@ -163,6 +188,16 @@ def test_flat_square_run_passes(tmp_path, capsys):
     assert report["config"]["solver"]["seed"] == 42
     for check in report["checks"]:
         assert recompute_pass(check) == check["passed"]
+
+
+def test_readme_flagship_config_passes(tmp_path, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    cfg = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+    assert cfg["domain"]["resolution"] == 32 and len(cfg["checks"]) == 7
+    cfg["output"]["report"] = str(tmp_path / "report.json")
+    code = main(["run", write_config(tmp_path, cfg)])
+    assert code == 0
+    assert capsys.readouterr().out.count("PASS") == 7
 
 
 def test_helicoid_curvature_run_fails(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from surfspec import eigen
 from surfspec.assembly import apply_dirichlet, assemble_oneform, assemble_scalar
 from surfspec.eigen import (
     EigenError,
@@ -75,9 +76,10 @@ def test_gram_identity_and_rayleigh():
     assert np.all(res.residuals <= 1e-9)
 
 
-def test_given_shift_and_start_vector():
+def test_given_shift_and_start_vector(monkeypatch):
     K, M = square_operators(16, "dirichlet")
-    options = SolverOptions(dense_cutoff=10)
+    monkeypatch.setattr(eigen, "DENSE_MAX_DIM", 10)
+    options = SolverOptions()
     seeded = solve_smallest(K, M, 3, options=options)
     given = solve_smallest(
         K, M, 3, options=options, shift=2e-3, v0=np.ones(K.shape[0])
@@ -90,10 +92,11 @@ def test_given_shift_and_start_vector():
         solve_smallest(K, M, 3, options=options, v0=np.ones(3))
 
 
-def test_dense_and_iterative_paths_agree():
+def test_dense_and_iterative_paths_agree(monkeypatch):
     K, M = square_operators(16, "dirichlet")
     dense = solve_smallest(K, M, 5)
-    forced = SolverOptions(dense_cutoff=10)
+    monkeypatch.setattr(eigen, "DENSE_MAX_DIM", 10)
+    forced = SolverOptions()
     iterative = solve_smallest(K, M, 5, options=forced)
     assert dense.method == "dense"
     assert iterative.method == "shift-invert-lanczos"
@@ -101,9 +104,10 @@ def test_dense_and_iterative_paths_agree():
     assert np.all(iterative.residuals <= 1e-9)
 
 
-def test_iterative_path_deterministic():
+def test_iterative_path_deterministic(monkeypatch):
     K, M = square_operators(16, "dirichlet")
-    forced = SolverOptions(dense_cutoff=10)
+    monkeypatch.setattr(eigen, "DENSE_MAX_DIM", 10)
+    forced = SolverOptions()
     a = solve_smallest(K, M, 5, options=forced)
     b = solve_smallest(K, M, 5, options=forced)
     assert np.array_equal(a.values, b.values)
@@ -171,6 +175,29 @@ def test_oneform_band_has_one_harmonic_mode():
     assert res.values[0] <= 1e-10 * res.values[-1]
     assert res.meta["block_of"][0] == "harmonic"
     assert np.all(res.values[1:] > 1e-10 * res.values[-1])
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [DomainSpec.periodic_band(0, 1, 6), DomainSpec.annulus(0, 0, 1, 2, 6)],
+    ids=["band", "annulus"],
+)
+def test_harmonic_basis_matches_null_space(domain):
+    import scipy.linalg as la
+
+    mesh = triangulate(domain)
+    ops = assemble_oneform(mesh, FLAT)
+    res = solve_oneform(ops, 4)
+    harmonic = [j for j, b in enumerate(res.meta["block_of"]) if b == "harmonic"]
+    start = mesh.n_vertices + int(np.sum(~mesh.boundary_vertex_mask))
+    basis = res.vectors[start:, harmonic]
+    # reference: the dense null space of (d1; d0^T M1), M1-orthonormalized
+    constraints = sp.vstack([ops.d1, (ops.mass1 @ ops.d0).T]).toarray()
+    ref = la.null_space(constraints)
+    ref = ref @ np.linalg.inv(np.linalg.cholesky(ref.T @ (ops.mass1 @ ref))).T
+    assert basis.shape[1] == ref.shape[1] == mesh.betti1 == 1
+    cross = basis.T @ (ops.mass1 @ ref)
+    assert np.min(np.linalg.svd(cross, compute_uv=False)) >= 1 - 1e-10
 
 
 def test_oneform_gram_identity():

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -312,6 +313,17 @@ def test_general_requires_positive_definite():
             "general",
             {"g11": "1", "g12": "2", "g22": "1", "validity": (0, 1, 0, 1)},
         )
+
+
+def test_overflowing_metric_reported_as_not_finite():
+    # exp(2y) overflows at the default validity bound y = 1e6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryError, match="not finite.*validity"):
+            builtin_metric(
+                "general",
+                {"g11": "exp(2*v)", "g12": "0", "g22": "exp(2*v)"},
+            )
 
 
 def test_unrecognized_parameter_rejected():

@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from surfspec import eigen
 from surfspec.eigen import SolverOptions, solve_smallest
 from surfspec.geometry import DistanceFunction, builtin_metric
-from surfspec.mesh import DomainSpec, triangulate
+from surfspec.mesh import DomainSpec, refine, triangulate
 from surfspec.verify import (
     LevelCache,
     VerifyError,
@@ -183,10 +184,18 @@ def test_spectrum_union(domain, metric):
     assert recompute_pass(report)
 
 
-def test_spectrum_union_size_cap():
-    domain = DomainSpec.rectangle(0, math.pi, 0, math.pi, 32)
-    with pytest.raises(VerifyError, match="edge dofs"):
-        spectrum_union_check(domain, FLAT)
+def test_spectrum_union_band_above_old_edge_boundary():
+    # b1 = 1 at level 1 with more than 4,000 edges, where the harmonic
+    # fields once needed a different (unseeded) solver
+    domain = DomainSpec.periodic_band(0, math.pi, 20)
+    metric = flat_cylinder()
+    first = spectrum_union_check(domain, metric, level=1)
+    second = spectrum_union_check(domain, metric, level=1)
+    q = first.quantities
+    assert refine(triangulate(domain)).n_edges > 4000
+    assert first.passed and q["zero_modes"] == q["betti1"] == 1
+    assert recompute_pass(first)
+    assert json.dumps(first.to_dict()) == json.dumps(second.to_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +220,34 @@ def test_hodge_dimension_band_counts():
     assert (q["rank_d0"], q["rank_d1"]) == (19, 32)
     assert q["harmonic_dimension"] == 1
     assert q["n_edges"] == 52
+
+
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize(
+    "domain",
+    [
+        DomainSpec.rectangle(0, 2, 0, 1, 4),
+        DomainSpec.periodic_band(0, 1, 4),
+        DomainSpec.disk(0, 0, 1, 3),
+        DomainSpec.annulus(0, 0, 1, 2, 4),
+    ],
+    ids=["rectangle", "band", "disk", "annulus"],
+)
+def test_hodge_ranks_match_matrix_rank(domain, level):
+    mesh = triangulate(domain)
+    for _ in range(level):
+        mesh = refine(mesh)
+    V, E, F = mesh.n_vertices, mesh.n_edges, mesh.n_faces
+    d0 = np.zeros((E, V))
+    d0[np.arange(E), mesh.edges[:, 1]] = 1.0
+    d0[np.arange(E), mesh.edges[:, 0]] = -1.0
+    d1 = np.zeros((F, E))
+    d1[np.repeat(np.arange(F), 3), mesh.tri_edges.ravel()] = (
+        mesh.tri_edge_signs.ravel()
+    )
+    q = hodge_dimension_check(mesh).quantities
+    assert q["rank_d0"] == np.linalg.matrix_rank(d0)
+    assert q["rank_d1"] == np.linalg.matrix_rank(d1)
 
 
 @pytest.mark.parametrize(
@@ -266,9 +303,10 @@ def test_level_cache_rejects_bad_requests():
         spectrum_union_check(domain, FLAT, level=-1)
 
 
-def test_nested_spectra_match_cold_solves():
+def test_nested_spectra_match_cold_solves(monkeypatch):
     # every level sparse, so levels 1 and 2 start from the coarser solve
-    options = SolverOptions(dense_cutoff=10)
+    monkeypatch.setattr(eigen, "DENSE_MAX_DIM", 10)
+    options = SolverOptions()
     cache = LevelCache(DomainSpec.rectangle(0, 1, 1, math.e, 4), HALF_PLANE, options)
     for bc, k in (("dirichlet", 2), ("neumann", 4)):
         warm_shifts, cold_shifts = [], []
