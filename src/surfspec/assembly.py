@@ -366,7 +366,12 @@ def star_oneform(metric: ChartMetric, u, v, comp_u, comp_v):
 
 
 def _edge_representatives(mesh) -> Tuple[np.ndarray, np.ndarray]:
-    """One raw vertex pair per logical edge, oriented with the edge."""
+    """One raw vertex pair per logical edge, oriented with the edge.
+
+    Each logical edge takes its first raw pair, in ``_LOCAL_EDGES``-major
+    order, found by one ``np.unique`` of the keys ``a * V + b``, which
+    sort as the logical pairs do.
+    """
     tris = mesh.tris
     raw_pairs = np.concatenate(
         [tris[:, [a, b]] for a, b in _LOCAL_EDGES], axis=0
@@ -374,19 +379,20 @@ def _edge_representatives(mesh) -> Tuple[np.ndarray, np.ndarray]:
     logical = mesh.raw_to_logical[raw_pairs]
     flip = logical[:, 0] > logical[:, 1]
     raw_sorted = np.where(flip[:, None], raw_pairs[:, ::-1], raw_pairs)
-    logical_sorted = np.where(flip[:, None], logical[:, ::-1], logical)
-    _, first = np.unique(logical_sorted, axis=0, return_index=True)
+    lo, hi = logical.min(axis=1).astype(np.int64), logical.max(axis=1)
+    _, first = np.unique(lo * mesh.n_vertices + hi, return_index=True)
     return raw_sorted[first, 0], raw_sorted[first, 1]
 
 
-def _whitney_interpolate(mesh, phi_raw_ends, comp_fn) -> np.ndarray:
+def _whitney_interpolate(mesh, ends, phi_raw_ends, comp_fn) -> np.ndarray:
     """Edge degrees of freedom of ``phi * rho`` by 4-point Gauss lines.
 
+    ``ends`` are the raw endpoints from :func:`_edge_representatives`;
     ``comp_fn(u, v)`` returns the 1-form components of rho at chart
-    points; ``phi_raw_ends`` are the P1 values at the representative
-    edge endpoints, linear along each edge.
+    points; ``phi_raw_ends`` are the P1 values at those endpoints,
+    linear along each edge.
     """
-    a, b = _edge_representatives(mesh)
+    a, b = ends
     pa, pb = mesh.verts[a], mesh.verts[b]
     pts = pa[:, None, :] + _EDGE_T[None, :, None] * (pb - pa)[:, None, :]
     cu, cv = comp_fn(pts[..., 0], pts[..., 1])
@@ -493,8 +499,8 @@ def dirichlet_form_quadrature(
     dphi_norm2 = float(np.sum(dphi_norm2_q * dA))
 
     # discrete cross term
-    rep_a, rep_b = _edge_representatives(mesh)
-    phi_ends = (phi[mesh.raw_to_logical[rep_a]], phi[mesh.raw_to_logical[rep_b]])
+    ends = _edge_representatives(mesh)
+    phi_ends = tuple(phi[mesh.raw_to_logical[e]] for e in ends)
 
     def rho_df(uu, vv):
         return metric.evaluate(fu, uu, vv), metric.evaluate(fv, uu, vv)
@@ -502,8 +508,8 @@ def dirichlet_form_quadrature(
     def rho_star(uu, vv):
         return metric.evaluate(su_e, uu, vv), metric.evaluate(sv_e, uu, vv)
 
-    w_a = _whitney_interpolate(mesh, phi_ends, rho_df)
-    w_b = _whitney_interpolate(mesh, phi_ends, rho_star)
+    w_a = _whitney_interpolate(mesh, ends, phi_ends, rho_df)
+    w_b = _whitney_interpolate(mesh, ends, phi_ends, rho_star)
     curl_part = float((ops.d1 @ w_a) @ (ops.mass2 @ (ops.d1 @ w_b)))
     rhs_a = ops.d0.T @ (ops.mass1 @ w_a)
     rhs_b = ops.d0.T @ (ops.mass1 @ w_b)

@@ -551,6 +551,17 @@ def _cmd_run(args) -> int:
     return code
 
 
+def _config_with_flags(path, check: str, **flags) -> dict:
+    """Load and resolve a config with the given flags written into its
+    ``check_params/<check>``, so that the schema judges a flag as it judges
+    the config value it overrides.  Flags that are None are not given."""
+    raw = load_config(path)
+    validate_config(raw)  # the shape the flags are written into
+    params = raw.setdefault("check_params", {}).setdefault(check, {})
+    params.update({k: v for k, v in flags.items() if v is not None})
+    return validate_config(raw)
+
+
 def _run_single(cfg: dict, name: str) -> VerificationReport:
     """Run one check of a resolved config with its ``check_params``."""
     check = CHECKS[name]
@@ -572,9 +583,7 @@ def _single_check_report(cfg, report: VerificationReport, path) -> None:
 
 
 def _cmd_verify(args) -> int:
-    cfg = validate_config(load_config(args.config))
-    if args.levels is not None:
-        cfg["check_params"]["inequality"]["levels"] = args.levels
+    cfg = _config_with_flags(args.config, "inequality", levels=args.levels)
     if "inequality" not in cfg["checks"]:
         cfg["checks"] = ["inequality"]
     report = _run_single(cfg, "inequality")
@@ -601,7 +610,7 @@ def _spectrum_result(metric, domain, options, bc: str, count: int):
     if bc != "oneform":
         return cache.spectrum(0, bc, count)
     ops = assemble_oneform(cache.mesh(0), metric, quad_rule=options.quad_rule)
-    return solve_oneform(ops, count, tol=options.tol, options=options)
+    return solve_oneform(ops, count, options=options)
 
 
 def _spectrum_rows(result, rel_gap: float = 1e-3):
@@ -637,9 +646,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_curvature(args) -> int:
-    cfg = validate_config(load_config(args.config))
-    if args.samples is not None:
-        cfg["check_params"]["curvature"]["samples"] = args.samples
+    cfg = _config_with_flags(args.config, "curvature", samples=args.samples)
     report = _run_single(cfg, "curvature")
     print(_summary_line(report.to_dict()))
     _single_check_report(cfg, report, args.report)
@@ -647,10 +654,9 @@ def _cmd_curvature(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    cfg = validate_config(load_config(args.config))
-    p = cfg["check_params"]["convergence"]
-    p["bc"] = args.bc or p["bc"]
-    p["levels"] = args.levels or p["levels"]
+    cfg = _config_with_flags(
+        args.config, "convergence", bc=args.bc, levels=args.levels
+    )
     report = _run_single(cfg, "convergence")
     for lv in report.quantities["table"]:
         print(

@@ -69,7 +69,7 @@ class EigenError(ValueError):
 @dataclass
 class SolverOptions:
     seed: int = 42
-    tol: float = 1e-9  # residual acceptance used by the check drivers
+    tol: float = 1e-9  # residual above which a solve is not converged
     quad_rule: str = "midpoint"  # assembly rule used by the check drivers
 
 
@@ -117,7 +117,6 @@ def solve_smallest(
     K,
     M,
     k: int,
-    tol: float = 1e-9,
     bc: str = "generic",
     options: Optional[SolverOptions] = None,
     *,
@@ -132,8 +131,8 @@ def solve_smallest(
     when given (it must be positive), else ``SIGMA_SCALE * mean(K_ii /
     M_ii)``; the start vector is ``v0`` when given, else a standard
     normal draw seeded with ``options.seed``.  The dense path ignores
-    both.  Non-convergence returns the partial
-    result with ``converged=False``; a factorization breakdown raises
+    both.  Non-convergence, or a residual above ``options.tol``, returns
+    the result with ``converged=False``; a factorization breakdown raises
     :class:`EigenError` naming the shift.
     """
     options = options or SolverOptions()
@@ -186,7 +185,7 @@ def solve_smallest(
     vectors = np.asarray(vectors, dtype=float)[:, order]
     vectors = _orthonormalize(vectors, M)
     residuals = _residuals(K, M, values, vectors)
-    if converged and np.any(residuals > tol):
+    if converged and np.any(residuals > options.tol):
         converged = False
     return SpectralResult(
         values,
@@ -223,7 +222,7 @@ def _natural_harmonics(ops, stiff, beta1: int, seed: int) -> np.ndarray:
 
 
 def solve_oneform(
-    ops, k: int, tol: float = 1e-9, options: Optional[SolverOptions] = None
+    ops, k: int, options: Optional[SolverOptions] = None
 ) -> SpectralResult:
     """k smallest 1-form Hodge-Laplacian eigenvalues, zeros included.
 
@@ -253,13 +252,12 @@ def solve_oneform(
     mass_int = ops.mass0[interior][:, interior].tocsr()
 
     neu = solve_smallest(
-        stiff, ops.mass0, min(k + 1, V), tol, bc="neumann", options=options
+        stiff, ops.mass0, min(k + 1, V), bc="neumann", options=options
     )
     coex = None
     if n_int > 0:
         coex = solve_smallest(
-            stiff_int, mass_int, min(k, n_int), tol,
-            bc="dirichlet", options=options,
+            stiff_int, mass_int, min(k, n_int), bc="dirichlet", options=options,
         )
     harmonics = _natural_harmonics(ops, stiff, beta1, options.seed)
 

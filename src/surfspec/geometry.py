@@ -19,10 +19,13 @@ The distance-function condition under test is the pointwise margin
     m(p) = -(K + |Hess f|^2)(p)
 
 which must be nonnegative for the eigenvalue comparison to apply.  For
-warped and twisted products with f = r the margin reduces to the radial
-log-convexity of the warp, d^2/dr^2 log(phi), and that closed form is
-used; all other cases go through symbolic Christoffel symbols and the
-Brioschi curvature formula.
+a unit-gradient f, Hess f vanishes along grad f, so its one remaining
+eigenvalue is its trace and |Hess f|^2 = (Delta f)^2, the squared
+geodesic curvature of the level sets of f.  Every metric family
+therefore uses m = -(K + (Delta f)^2), with K from the Brioschi formula
+(or -phi_rr / phi for warped and twisted products) and Delta f the
+Laplacian expression shared with the trial-field quadrature.  The
+formula is exact only where |grad f| = 1; callers check that first.
 
 Sign conventions: the Laplacian is positive (Delta = d* d), so on the
 half-plane with f = -log(y) one gets Delta f = -1 identically.
@@ -36,7 +39,7 @@ from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
 
-from .expr import Const, Expr, Var, parse
+from .expr import Const, Expr, parse
 
 __all__ = [
     "GeometryError",
@@ -365,70 +368,6 @@ def gaussian_curvature_expr(m: ChartMetric) -> Expr:
     return m.cached("gauss_curvature", build)
 
 
-def christoffel_exprs(m: ChartMetric):
-    """Gamma[c][a][b] with indices 0 -> u, 1 -> v."""
-
-    def build():
-        g = [[m.g11, m.g12], [m.g12, m.g22]]
-        gi11, gi12, gi22 = inverse_exprs(m)
-        ginv = [[gi11, gi12], [gi12, gi22]]
-        names = (m.u, m.v)
-        dg = [
-            [[g[a][b].diff(names[c]) for c in range(2)] for b in range(2)]
-            for a in range(2)
-        ]
-        gamma = [[[None, None], [None, None]], [[None, None], [None, None]]]
-        for c in range(2):
-            for a in range(2):
-                for b in range(2):
-                    total = Const(0.0)
-                    for d in range(2):
-                        term = dg[d][b][a] + dg[d][a][b] - dg[a][b][d]
-                        total = total + ginv[c][d] * term
-                    gamma[c][a][b] = Const(0.5) * total
-        return gamma
-
-    return m.cached("christoffel", build)
-
-
-def hessian_exprs(m: ChartMetric, f) -> list:
-    fe = _f_expr(f)
-
-    def build():
-        names = (m.u, m.v)
-        df = [fe.diff(names[0]), fe.diff(names[1])]
-        gamma = christoffel_exprs(m)
-        hess = [[None, None], [None, None]]
-        for a in range(2):
-            for b in range(2):
-                second = df[a].diff(names[b])
-                correction = gamma[0][a][b] * df[0] + gamma[1][a][b] * df[1]
-                hess[a][b] = second - correction
-        return hess
-
-    return m.cached(("hessian", str(fe)), build)
-
-
-def hessian_norm2_expr(m: ChartMetric, f) -> Expr:
-    fe = _f_expr(f)
-
-    def build():
-        hess = hessian_exprs(m, fe)
-        gi11, gi12, gi22 = inverse_exprs(m)
-        ginv = [[gi11, gi12], [gi12, gi22]]
-        total = Const(0.0)
-        for a in range(2):
-            for b in range(2):
-                for c in range(2):
-                    for d in range(2):
-                        total = total + (
-                            ginv[a][c] * ginv[b][d] * hess[a][b] * hess[c][d]
-                        )
-        return total
-
-    return m.cached(("hess_norm2", str(fe)), build)
-
-
 def gradient_norm2_expr(m: ChartMetric, f) -> Expr:
     fe = _f_expr(f)
 
@@ -457,17 +396,19 @@ def laplacian_expr(m: ChartMetric, f) -> Expr:
 
 
 def margin_expr(m: ChartMetric, f) -> Expr:
-    """Pointwise curvature-condition margin -(K + |Hess f|^2)."""
+    """Pointwise curvature-condition margin -(K + (Delta f)^2).
+
+    This equals -(K + |Hess f|^2) only where |grad f| = 1 (see the
+    module docstring); elsewhere it is not the curvature condition, so
+    check the gradient first (:func:`check_unit_gradient`).
+    """
     fe = _f_expr(f)
 
     def build():
-        if m.phi is not None and fe == Var(m.u):
-            from .expr import Call
-
-            logphi = Call("log", m.phi)
-            return logphi.diff(m.u).diff(m.u)
+        # the deeper Laplacian tree is evaluated first, so K's temporaries
+        # never coexist with its own (a lower peak; the sum is the same)
         K = gaussian_curvature_expr(m)
-        return Const(0.0) - (K + hessian_norm2_expr(m, fe))
+        return Const(0.0) - (laplacian_expr(m, fe) ** 2 + K)
 
     return m.cached(("margin", str(fe)), build)
 
@@ -503,10 +444,12 @@ def check_unit_gradient(
 def curvature_condition_check(
     m: ChartMetric, f, grid: GridSpec, tol: float = MARGIN_TOL
 ) -> CurvatureReport:
-    """Sample the margin -(K + |Hess f|^2) on the grid.
+    """Sample the margin -(K + (Delta f)^2) on the grid.
 
     Passes when the minimum sampled margin is >= -tol.  The report
-    records the grid so a failure is reproducible.
+    records the grid so a failure is reproducible.  The margin is the
+    curvature condition only for unit-gradient f, which the caller
+    checks (:func:`check_unit_gradient`).
     """
     upts, vpts = grid.points()
     if not m.contains(upts, vpts):

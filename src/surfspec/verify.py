@@ -247,8 +247,7 @@ class LevelCache:
         def solve():
             pencil = self.pencil(level, bc)
             return solve_smallest(
-                pencil.stiffness, pencil.mass, k,
-                tol=self.options.tol, bc=bc, options=self.options,
+                pencil.stiffness, pencil.mass, k, bc=bc, options=self.options,
                 **self._nested_start(level, bc, k),
             )
 
@@ -501,6 +500,12 @@ def spectrum_union_check(
     discrete identity and must hold to solver tolerance (1e-8
     relative), not merely in the refinement limit.  Zero modes must
     number exactly b1.
+
+    The scalar pencils are solved twice on purpose: the 1-form side
+    (:func:`solve_oneform`) solves the pencils of ``d0^T M1 d0`` built
+    from the Whitney mass, the scalar side takes the cache's spectra of
+    the assembled P1 stiffness K.  That ``d0^T M1 d0 = K`` is the
+    identity under test, so neither side may reuse the other's solve.
     """
     start = time.perf_counter()
     _check_period(domain, metric)

@@ -9,8 +9,10 @@ import scipy.io
 import scipy.linalg
 
 from surfspec.assembly import (
+    _LOCAL_EDGES,
     AssemblyError,
     ScalarOperators,
+    _edge_representatives,
     apply_dirichlet,
     assemble_oneform,
     assemble_scalar,
@@ -19,7 +21,7 @@ from surfspec.assembly import (
     star_oneform,
 )
 from surfspec.geometry import DistanceFunction, builtin_metric
-from surfspec.mesh import DomainSpec, Mesh, triangulate
+from surfspec.mesh import DomainSpec, Mesh, refine, triangulate
 
 FLAT = builtin_metric("euclidean")
 HALF_PLANE = builtin_metric("hyperbolic_half_plane")
@@ -308,6 +310,31 @@ def test_dirichlet_form_rejects_non_unit_gradient():
     f = DistanceFunction.from_text(HALF_PLANE, "x")
     with pytest.raises(AssemblyError, match="unit-gradient"):
         dirichlet_form_quadrature(mesh, HALF_PLANE, f, phi, lam1)
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        DomainSpec.rectangle(0, 1, 1, 2, 5),
+        DomainSpec.periodic_band(-1, 1, 6),
+        DomainSpec.disk(0, 0, 1, 5),
+        DomainSpec.annulus(0, 0, 1, 2, 5),
+    ],
+    ids=["rectangle", "band", "disk", "annulus"],
+)
+def test_edge_representatives_match_row_unique(domain):
+    # reference: the first raw pair of each logical edge by a row-wise unique
+    for mesh in (triangulate(domain), refine(triangulate(domain))):
+        raw = np.concatenate([mesh.tris[:, [a, b]] for a, b in _LOCAL_EDGES])
+        logical = mesh.raw_to_logical[raw]
+        flip = logical[:, 0] > logical[:, 1]
+        raw = np.where(flip[:, None], raw[:, ::-1], raw)
+        logical = np.where(flip[:, None], logical[:, ::-1], logical)
+        edges, first = np.unique(logical, axis=0, return_index=True)
+        a, b = _edge_representatives(mesh)
+        assert np.array_equal(a, raw[first, 0])
+        assert np.array_equal(b, raw[first, 1])
+        assert np.array_equal(edges, mesh.edges)
 
 
 def test_dirichlet_form_rejects_unnormalized_phi():

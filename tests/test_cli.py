@@ -376,6 +376,24 @@ def test_convergence_subcommand_csv(tmp_path, capsys):
     assert values == sorted(values, reverse=True)
 
 
+@pytest.mark.parametrize(
+    "command,flags,field",
+    [
+        ("curvature-check", ["--samples", "0"], "check_params/curvature/samples"),
+        ("curvature-check", ["--samples", "1"], "check_params/curvature/samples"),
+        ("verify", ["--levels", "1"], "check_params/inequality/levels"),
+        ("convergence", ["--levels", "0"], "check_params/convergence/levels"),
+    ],
+)
+def test_flag_below_schema_minimum_rejected(tmp_path, capsys, command, flags, field):
+    cfg = base_config(tmp_path)
+    cfg["checks"] = ["inequality", "curvature", "convergence"]
+    code = main([command, write_config(tmp_path, cfg)] + flags)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"config field '{field}'" in err and "minimum" in err
+
+
 def test_oracle_lines(capsys):
     assert main(["oracle", "--max-index", "3"]) == 0
     out = capsys.readouterr().out.splitlines()

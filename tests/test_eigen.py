@@ -200,6 +200,14 @@ def test_harmonic_basis_matches_null_space(domain):
     assert np.min(np.linalg.svd(cross, compute_uv=False)) >= 1 - 1e-10
 
 
+def test_oneform_residuals_judged_by_options_tol():
+    mesh = triangulate(DomainSpec.rectangle(0, 2, 0, 1, 4))
+    ops = assemble_oneform(mesh, FLAT)
+    assert solve_oneform(ops, 5).converged
+    strict = solve_oneform(ops, 5, options=SolverOptions(tol=1e-30))
+    assert not strict.converged
+
+
 def test_oneform_gram_identity():
     mesh = triangulate(DomainSpec.periodic_band(0, 1, 5))
     ops = assemble_oneform(mesh, FLAT)

@@ -1,8 +1,10 @@
 """Geometry tests.
 
 The curvature oracle here is the Brioschi formula evaluated with
-central finite differences of the raw metric components (step 1e-4),
-fully independent of the symbolic differentiation path.
+central finite differences of the raw metric components, and the
+margin oracle adds the covariant Hessian of f built from differenced f
+and metric components; both are independent of the symbolic
+differentiation path.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
+from surfspec.expr import BinOp, Call, Neg, parse
 from surfspec.geometry import (
     ChartMetric,
     DistanceFunction,
@@ -87,6 +90,61 @@ def _fd_brioschi_step(m: ChartMetric, u: float, v: float, H: float) -> float:
         ]
     )
     return (np.linalg.det(m1) - np.linalg.det(m2)) / (e * g - f * f) ** 2
+
+
+def fd_margin(m: ChartMetric, f: str, u: float, v: float) -> float:
+    """-(K + |Hess f|^2) from finite differences of f, g11, g12, g22.
+
+    The covariant Hessian is d_a d_b f - Gamma^c_ab d_c f with the
+    Christoffel symbols of the differenced metric; K is
+    :func:`fd_brioschi`'s.  Richardson-extrapolated like it.
+    """
+    fe = parse(f)
+    coarse = _fd_margin_step(m, fe, u, v, 2e-3)
+    fine = _fd_margin_step(m, fe, u, v, 1e-3)
+    return (4.0 * fine - coarse) / 3.0
+
+
+def _fd_margin_step(m: ChartMetric, fe, u: float, v: float, H: float) -> float:
+    def comp(which, du=0.0, dv=0.0):
+        return float(m.evaluate(which, np.asarray(u + du), np.asarray(v + dv)))
+
+    def first(which):
+        return np.array([
+            (comp(which, H, 0) - comp(which, -H, 0)) / (2 * H),
+            (comp(which, 0, H) - comp(which, 0, -H)) / (2 * H),
+        ])
+
+    def second(which):
+        c = comp(which)
+        uu = (comp(which, H, 0) - 2 * c + comp(which, -H, 0)) / H**2
+        vv = (comp(which, 0, H) - 2 * c + comp(which, 0, -H)) / H**2
+        uv = (
+            comp(which, H, H) - comp(which, H, -H)
+            - comp(which, -H, H) + comp(which, -H, -H)
+        ) / (4 * H**2)
+        return np.array([[uu, uv], [uv, vv]])
+
+    comps = [[m.g11, m.g12], [m.g12, m.g22]]
+    g = np.array([[comp(e) for e in row] for row in comps])
+    # dg[a, b, c] = d_c g_ab
+    dg = np.array([[first(e) for e in row] for row in comps])
+    ginv = np.linalg.inv(g)
+    # Gamma^c_ab = 1/2 g^cd (d_a g_db + d_b g_da - d_d g_ab)
+    lowered = np.einsum("dba->dab", dg) + dg - np.einsum("abd->dab", dg)
+    gamma = 0.5 * np.einsum("cd,dab->cab", ginv, lowered)
+    hess = second(fe) - np.einsum("cab,c->ab", gamma, first(fe))
+    norm2 = np.einsum("ac,bd,ab,cd->", ginv, ginv, hess, hess)
+    return -(_fd_brioschi_step(m, u, v, H) + norm2)
+
+
+def tree_size(e) -> int:
+    """Nodes of an expression tree, repeated subtrees counted each time."""
+    if isinstance(e, (Neg, Call)):
+        return 1 + tree_size(e.operand)
+    if isinstance(e, BinOp):
+        return 1 + tree_size(e.lhs) + tree_size(e.rhs)
+    return 1
 
 
 def half_plane(**kw):
@@ -255,6 +313,8 @@ def test_general_family_brioschi_matches_warped_closed_form():
 
 
 def test_general_margin_path_matches_warped_closed_form():
+    # K from the Brioschi formula against K = -phi_rr / phi, under the same
+    # (Delta r)^2; the margin is the log-convexity (log phi)''
     phi = "sqrt(r^2+1)"
     warped = builtin_metric("warped", {"phi": phi, "r_range": (-1.5, 1.5)})
     general = builtin_metric(
@@ -275,7 +335,7 @@ def test_general_margin_path_matches_warped_closed_form():
 
 
 def test_half_plane_margin_via_general_route_is_zero():
-    # The half-plane goes through Christoffel symbols + Brioschi; the
+    # The half-plane takes K from the Brioschi formula, not a warp; the
     # Busemann margin must still vanish to tight tolerance.
     m = half_plane()
     f = DistanceFunction.from_text(m, "-log(y)")
@@ -286,6 +346,67 @@ def test_half_plane_margin_via_general_route_is_zero():
         assert float(m.evaluate(me, np.asarray(u), np.asarray(v))) == pytest.approx(
             0.0, abs=1e-10
         )
+
+
+SHEARED_HALF_PLANE = {
+    "g11": "1/y^2",
+    "g12": "a/y^2",
+    "g22": "(1+a^2)/y^2",
+    "constants": {"a": 0.5},
+    "vars": ("x", "y"),
+    "validity": (-10.0, 10.0, 0.05, 10.0),
+}
+
+# (family, params, f, u range, v range); every f is unit-gradient
+FD_MARGIN_CASES = {
+    "sheared-half-plane": (
+        "general", SHEARED_HALF_PLANE, "-log(y)", (-2.0, 2.0), (0.5, 3.0),
+    ),
+    "helicoid": (
+        "warped",
+        {"phi": "sqrt(r^2+c^2)", "constants": {"c": 1.0}, "r_range": (-2.0, 2.0)},
+        "r", (-1.8, 1.8), (0.5, 5.5),
+    ),
+    "collar": (
+        "warped",
+        {"phi": "l0*cosh(r)", "constants": {"l0": 0.25}, "r_range": (-2.0, 2.0)},
+        "r", (-1.8, 1.8), (0.5, 5.5),
+    ),
+    # dr^2 + phi(r)^2 (dx - a dr)^2 with r = y: a warped product in a
+    # sheared chart, so g12 != 0 and the margin (log phi)'' is not zero
+    "general-warped": (
+        "general",
+        {
+            "g11": "(2+sin(y))^2",
+            "g12": "-a*(2+sin(y))^2",
+            "g22": "1+a^2*(2+sin(y))^2",
+            "constants": {"a": 0.7},
+            "vars": ("x", "y"),
+            "validity": (-5.0, 5.0, -3.0, 3.0),
+        },
+        "y", (-2.0, 2.0), (-2.5, 2.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FD_MARGIN_CASES))
+def test_margin_against_fd_covariant_hessian(case):
+    family, params, f, u_range, v_range = FD_MARGIN_CASES[case]
+    m = builtin_metric(family, params)
+    me = margin_expr(m, f)
+    rng = random.Random(case)
+    for _ in range(25):
+        u, v = rng.uniform(*u_range), rng.uniform(*v_range)
+        got = float(m.evaluate(me, np.asarray(u), np.asarray(v)))
+        want = fd_margin(m, f, u, v)
+        # K and |Hess f|^2 are of order one, and second differences at step
+        # 1e-3 leave about 1e-9 of round-off, also where the margin is zero
+        assert abs(got - want) <= 1e-7
+
+
+def test_sheared_margin_tree_is_small():
+    m = builtin_metric("general", SHEARED_HALF_PLANE)
+    assert tree_size(margin_expr(m, "-log(y)")) < 1000
 
 
 # ---------------------------------------------------------------------------

@@ -314,8 +314,7 @@ def test_nested_spectra_match_cold_solves(monkeypatch):
             warm = cache.spectrum(level, bc, k)
             pencil = cache.pencil(level, bc)
             cold = solve_smallest(
-                pencil.stiffness, pencil.mass, k, tol=options.tol, bc=bc,
-                options=options,
+                pencil.stiffness, pencil.mass, k, bc=bc, options=options,
             )
             assert warm.method == cold.method == "shift-invert-lanczos"
             assert warm.converged
