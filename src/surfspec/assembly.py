@@ -226,7 +226,9 @@ def assemble_scalar(
 
     def chunk(sl):
         m_loc = np.einsum("qi,qj,fq->fij", lam, lam, dA[sl])
-        k_loc = np.einsum("fia,fqab,fjb,fq->fij", grads[sl], ginv[sl], grads[sl], dA[sl])
+        # sum the weighted inverse metric over the rule points first
+        weighted = np.einsum("fqab,fq->fab", ginv[sl], dA[sl])
+        k_loc = np.einsum("fia,fab,fjb->fij", grads[sl], weighted, grads[sl])
         m_loc = _symmetrize(m_loc)
         k_loc = _symmetrize(k_loc)
         idx = lt[sl]

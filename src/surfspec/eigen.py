@@ -1,18 +1,18 @@
 """Generalized symmetric eigensolvers for the assembled pencils.
 
 ``solve_smallest`` handles K x = lambda M x for the scalar problems:
-dense reduction up to DENSE_MAX_DIM unknowns, shift-invert Lanczos
-(ARPACK) on K + sigma M above.  The caller may give the shift sigma and
-the start vector; otherwise they come from the pencil alone: sigma =
-SIGMA_SCALE * mean(K_ii / M_ii), which grows as h^-2 under refinement,
-and a start vector drawn from ``options.seed``.  Nested iteration over a refinement
-chain (``verify.LevelCache``) passes the coarser level's answer instead:
-sigma = SIGMA_SCALE times the smallest positive coarse eigenvalue, which
-does not depend on h, and the prolongated sum of the coarse eigenvectors
-as the start.  Any sigma > 0 keeps K + sigma M definite for these
-positive semi-definite pencils, so either rule returns the k smallest
-pairs; every start vector is a pure function of the inputs, so runs are
-reproducible.
+dense reduction up to DENSE_MAX_DIM unknowns, and two sparse paths
+above.  A cold solve (level 0 of a refinement chain, and every direct
+caller) runs shift-invert Lanczos (ARPACK) on K + sigma M, with sigma =
+SIGMA_SCALE * mean(K_ii / M_ii) and a start vector drawn from
+``options.seed``; any sigma > 0 keeps K + sigma M definite for these
+positive semi-definite pencils, so it returns the k smallest pairs.  A
+nested solve (``verify.LevelCache`` above level 0) passes a start block,
+the coarser level's eigenvectors interpolated onto this one, and a
+preconditioner, a multigrid V-cycle for K + sigma M with sigma from the
+coarser spectrum; it runs LOBPCG (Knyazev, SIAM J. Sci. Comput. 23,
+2001) and factors nothing at this level.  Both start points are pure
+functions of the inputs, so runs are reproducible.
 
 ``solve_oneform`` computes the 1-form Hodge-Laplacian spectrum through
 its orthogonal decomposition.  A 1-form eigenfield is either
@@ -36,6 +36,7 @@ the block mass returned with the result.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -57,6 +58,7 @@ __all__ = [
 
 ZERO_MODE_FACTOR = 1e-10  # eta below this times max(eta) counts as harmonic
 SIGMA_SCALE = 1e-3  # shift = scale * (mean diagonal ratio or coarse value)
+LOBPCG_MAXITER = 100  # nested solves of the perfbench configs take 6-29 iterations
 # largest pencil solved densely: the measured crossover (2 cores, hyperbolic
 # rectangle: dense = sparse at dim 220, 23.5 vs 8.2 ms at dim 476)
 DENSE_MAX_DIM = 250
@@ -120,20 +122,20 @@ def solve_smallest(
     bc: str = "generic",
     options: Optional[SolverOptions] = None,
     *,
-    shift: Optional[float] = None,
-    v0: Optional[np.ndarray] = None,
+    start: Optional[np.ndarray] = None,
+    precond=None,
 ) -> SpectralResult:
     """k smallest eigenpairs of K x = lambda M x.
 
     Dense reduction when :func:`uses_dense_path` says so (dimension at
-    most ``DENSE_MAX_DIM`` or k reaching the dimension); otherwise
-    shift-invert Lanczos on (K + sigma M).  The shift sigma is ``shift``
-    when given (it must be positive), else ``SIGMA_SCALE * mean(K_ii /
-    M_ii)``; the start vector is ``v0`` when given, else a standard
-    normal draw seeded with ``options.seed``.  The dense path ignores
-    both.  Non-convergence, or a residual above ``options.tol``, returns
-    the result with ``converged=False``; a factorization breakdown raises
-    :class:`EigenError` naming the shift.
+    most ``DENSE_MAX_DIM`` or k reaching the dimension).  Otherwise, given
+    a ``start`` block of shape (dim, k), LOBPCG from that block with the
+    preconditioner ``precond`` (anything LOBPCG accepts as ``M``);
+    without one, shift-invert Lanczos on (K + sigma M) with sigma =
+    ``SIGMA_SCALE * mean(K_ii / M_ii)`` and a standard normal start
+    vector seeded with ``options.seed``.  Non-convergence, or a residual
+    above ``options.tol``, returns the result with ``converged=False``; a
+    factorization breakdown raises :class:`EigenError` naming the shift.
     """
     options = options or SolverOptions()
     K = sp.csr_matrix(K)
@@ -143,27 +145,34 @@ def solve_smallest(
         raise EigenError("pencil matrices must be square and matched")
     if not 1 <= k <= dim:
         raise EigenError(f"requested {k} eigenpairs from dimension {dim}")
-    if shift is not None and not shift > 0:
-        raise EigenError(f"shift-invert shift {shift!r} is not positive")
-    if v0 is not None and np.shape(v0) != (dim,):
+    if start is not None and np.shape(start) != (dim, k):
         raise EigenError(
-            f"start vector of shape {np.shape(v0)} for dimension {dim}"
+            f"start block of shape {np.shape(start)} for {k} eigenpairs "
+            f"of dimension {dim}"
         )
 
     converged = True
+    shift = None
     if uses_dense_path(dim, k):
         method = "dense"
-        shift = None
         values, vectors = la.eigh(
             K.toarray(), M.toarray(), subset_by_index=(0, k - 1)
         )
+    elif start is not None:
+        method = "lobpcg-multigrid"
+        with warnings.catch_warnings():
+            # an unconverged exit warns; the residual check below judges it
+            warnings.simplefilter("ignore", UserWarning)
+            # LOBPCG's residual is not divided by 1 + |lambda|: a tenth of
+            # options.tol keeps the check below clear of its stopping point
+            values, vectors = spla.lobpcg(
+                K, np.array(start, dtype=float), B=M, M=precond,
+                tol=0.1 * options.tol, maxiter=LOBPCG_MAXITER, largest=False,
+            )
     else:
         method = "shift-invert-lanczos"
-        if shift is None:
-            diag_ratio = K.diagonal() / M.diagonal()
-            shift = float(SIGMA_SCALE * np.mean(diag_ratio))
-        if v0 is None:
-            v0 = np.random.default_rng(options.seed).standard_normal(dim)
+        shift = float(SIGMA_SCALE * np.mean(K.diagonal() / M.diagonal()))
+        v0 = np.random.default_rng(options.seed).standard_normal(dim)
         try:
             values, vectors = spla.eigsh(
                 K, k=k, M=M, sigma=-shift, which="LM", v0=v0

@@ -447,7 +447,10 @@ def curvature_condition_check(
     """Sample the margin -(K + (Delta f)^2) on the grid.
 
     Passes when the minimum sampled margin is >= -tol.  The report
-    records the grid so a failure is reproducible.  The margin is the
+    records the grid so a failure is reproducible, and as ``min_point``
+    the first sample (C order) within ``tol`` of the minimum, so that in
+    an equality case, where the margin vanishes up to round-off, the
+    point does not move with the order of evaluation.  The margin is the
     curvature condition only for unit-gradient f, which the caller
     checks (:func:`check_unit_gradient`).
     """
@@ -455,8 +458,9 @@ def curvature_condition_check(
     if not m.contains(upts, vpts):
         raise GeometryError("sample grid leaves the metric validity region")
     margins = m.evaluate(margin_expr(m, f), upts, vpts)
-    idx = np.unravel_index(np.argmin(margins), margins.shape)
-    min_margin = float(margins[idx])
+    min_margin = float(margins.min())
+    first = np.argmax(margins <= min_margin + tol)
+    idx = np.unravel_index(first, margins.shape)
     return CurvatureReport(
         grid=grid,
         margins=margins,

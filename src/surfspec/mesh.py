@@ -295,10 +295,8 @@ def _triangulate_band(domain: DomainSpec) -> Mesh:
     def vid(i, j):
         return i * (ntheta + 1) + j
 
-    raw_to_logical = np.empty(len(verts), dtype=np.int64)
-    for i in range(nu + 1):
-        for j in range(ntheta + 1):
-            raw_to_logical[vid(i, j)] = i * ntheta + (j % ntheta)
+    i, j = np.meshgrid(np.arange(nu + 1), np.arange(ntheta + 1), indexing="ij")
+    raw_to_logical = (i * ntheta + j % ntheta).ravel()
 
     i, j = np.meshgrid(np.arange(nu), np.arange(ntheta), indexing="ij")
     i, j = i.ravel(), j.ravel()
@@ -315,6 +313,18 @@ def _polar_points(cx, cy, radius, ntheta):
     )
 
 
+def _ring_cells(rid, rings, ntheta) -> np.ndarray:
+    """Triangles (a, b, c), (a, c, d) of each cell between ring k and k + 1.
+
+    Cells run over k in ``rings`` and then angle j; a = rid(k, j), b =
+    rid(k + 1, j), c = rid(k + 1, j + 1), d = rid(k, j + 1).
+    """
+    k, j = np.meshgrid(rings, np.arange(ntheta), indexing="ij")
+    a, b = rid(k, j), rid(k + 1, j)
+    c, d = rid(k + 1, j + 1), rid(k, j + 1)
+    return np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+
+
 def _triangulate_disk(domain: DomainSpec) -> Mesh:
     cx, cy, radius = domain.extents
     if not radius > 0:
@@ -329,16 +339,10 @@ def _triangulate_disk(domain: DomainSpec) -> Mesh:
     def rid(k, j):  # ring k >= 1
         return 1 + (k - 1) * ntheta + (j % ntheta)
 
-    tris = []
-    for j in range(ntheta):
-        tris.append([0, rid(1, j), rid(1, j + 1)])
-    for k in range(1, n):
-        for j in range(ntheta):
-            a, b = rid(k, j), rid(k + 1, j)
-            c, d = rid(k + 1, j + 1), rid(k, j + 1)
-            tris.append([a, b, c])
-            tris.append([a, c, d])
-    return Mesh.from_arrays(verts, np.array(tris), domain=domain)
+    j = np.arange(ntheta)
+    fan = np.stack([np.zeros_like(j), rid(1, j), rid(1, j + 1)], axis=1)
+    tris = np.concatenate([fan, _ring_cells(rid, np.arange(1, n), ntheta)])
+    return Mesh.from_arrays(verts, tris, domain=domain)
 
 
 def _triangulate_annulus(domain: DomainSpec) -> Mesh:
@@ -356,14 +360,9 @@ def _triangulate_annulus(domain: DomainSpec) -> Mesh:
     def rid(k, j):
         return k * ntheta + (j % ntheta)
 
-    tris = []
-    for k in range(n):
-        for j in range(ntheta):
-            a, b = rid(k, j), rid(k + 1, j)
-            c, d = rid(k + 1, j + 1), rid(k, j + 1)
-            tris.append([a, b, c])
-            tris.append([a, c, d])
-    return Mesh.from_arrays(verts, np.array(tris), domain=domain)
+    return Mesh.from_arrays(
+        verts, _ring_cells(rid, np.arange(n), ntheta), domain=domain
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from .assembly import (
@@ -70,6 +71,9 @@ __all__ = [
 UNION_RTOL = 1e-8
 LEMMA_SLACK = 0.05
 SHRINK_SLACK = 1e-12
+# damped Jacobi smoothing of the nested-solve V-cycle: weight, steps each side
+VCYCLE_DAMPING = 0.6
+VCYCLE_SMOOTHING = 2
 
 
 class VerifyError(ValueError):
@@ -238,50 +242,106 @@ class LevelCache:
     def spectrum(self, level: int, bc: str, k: int):
         """The k smallest eigenpairs of a level's ``bc`` pencil.
 
-        A solve on the sparse path above level 0 is a nested iteration:
-        it first takes ``spectrum(level - 1, bc, k)`` and starts from it
-        (see :meth:`_nested_start`).  So a level's solve always derives
-        from the same coarser solve, whichever checks asked for it.
+        Level 0, and every level on the dense path, is a cold solve: ARPACK
+        or dense, as :func:`solve_smallest` decides alone.  A sparse solve
+        above level 0 is a nested iteration: it first takes
+        ``spectrum(level - 1, bc, k)`` and runs LOBPCG from it with a
+        V-cycle preconditioner (see :meth:`_nested_start`), so no level
+        above 0 is factored, and a level's solve always derives from the
+        same coarser solve, whichever checks asked for it.
         """
 
         def solve():
             pencil = self.pencil(level, bc)
-            return solve_smallest(
+            nested = self._nested_start(level, bc, k)
+            if nested is None:
+                return solve_smallest(
+                    pencil.stiffness, pencil.mass, k, bc=bc, options=self.options,
+                )
+            start, precond, shift = nested
+            result = solve_smallest(
                 pencil.stiffness, pencil.mass, k, bc=bc, options=self.options,
-                **self._nested_start(level, bc, k),
+                start=start, precond=precond,
             )
+            result.shift = shift
+            return result
 
         return self._get(("spectrum", level, bc, k), solve)
 
-    def _nested_start(self, level: int, bc: str, k: int) -> dict:
-        """Shift and start vector for a sparse solve, from the coarser level.
+    def _transfer(self, level: int, bc: str) -> sp.csr_matrix:
+        """Interpolation from level - 1 onto ``level`` in the ``bc`` unknowns.
 
-        The shift is SIGMA_SCALE times the smallest positive coarser
-        eigenvalue, so unlike the diagonal-ratio rule it does not grow as
-        h^-2; the start vector is the sum of the coarser eigenvectors,
-        interpolated by :func:`prolongation`.  Empty (``solve_smallest``'s
-        own rules) at level 0, on the dense path, and when the coarser
-        pencil has fewer than k unknowns; no shift when a Neumann spectrum
-        holds only its constant mode.
+        :func:`prolongation` for Neumann; for Dirichlet its rows and
+        columns restricted to interior vertices, which drops only the
+        (zero) boundary values.
+        """
+
+        def build():
+            P = prolongation(self.mesh(level - 1), self.mesh(level))
+            if bc != "dirichlet":
+                return P
+            fine = self.reduction(level).interior
+            return P[fine][:, self.reduction(level - 1).interior].tocsr()
+
+        return self._get(("transfer", level, bc), build)
+
+    def _nested_start(self, level: int, bc: str, k: int):
+        """Start block, preconditioner and shift for a nested sparse solve.
+
+        The start block is the coarser level's k eigenvectors, each
+        interpolated by :meth:`_transfer` (Knyazev & Neymeyr, ETNA 15,
+        2003).  The shift sigma is SIGMA_SCALE times the smallest positive
+        coarser eigenvalue, so unlike the diagonal-ratio rule it does not
+        grow as h^-2; the preconditioner is :meth:`_vcycle` for K + sigma
+        M.  None (a cold solve) at level 0, on the dense path, when the
+        coarser pencil has fewer than k unknowns, and when a Neumann
+        spectrum holds only its constant mode, which gives no shift.
         """
         fine_dim = self.pencil(level, bc).stiffness.shape[0]
         if level == 0 or uses_dense_path(fine_dim, k):
-            return {}
+            return None
         if self.pencil(level - 1, bc).stiffness.shape[0] < k:
-            return {}
+            return None
         coarse = self.spectrum(level - 1, bc, k)
-        x = coarse.vectors.sum(axis=1)
-        if bc == "dirichlet":
-            full = np.zeros(self.mesh(level - 1).n_vertices)
-            full[self.reduction(level - 1).interior] = x
-            x = full
-        v0 = prolongation(self.mesh(level - 1), self.mesh(level)) @ x
-        if bc == "dirichlet":
-            v0 = v0[self.reduction(level).interior]
         # the Neumann pencil of a connected mesh has one zero mode, the constant
         positive = coarse.values[1:] if bc == "neumann" else coarse.values
-        shift = SIGMA_SCALE * float(positive[0]) if positive.size else None
-        return {"shift": shift, "v0": v0}
+        if not positive.size:
+            return None
+        shift = SIGMA_SCALE * float(positive[0])
+        start = self._transfer(level, bc) @ coarse.vectors
+        return start, self._vcycle(level, bc, shift), shift
+
+    def _vcycle(self, level: int, bc: str, shift: float) -> Callable:
+        """One multigrid V-cycle for A_l = K_l + shift M_l over levels level..0.
+
+        Each level's A_l is the cache's own pencil, P_l is :meth:`_transfer`;
+        damped Jacobi (weight VCYCLE_DAMPING, VCYCLE_SMOOTHING steps before
+        and after the coarse correction) smooths, and level 0 is solved
+        exactly by one sparse LU.  Applies to a vector or a block.
+        """
+        A = [
+            (self.pencil(l, bc).stiffness + shift * self.pencil(l, bc).mass).tocsr()
+            for l in range(level + 1)
+        ]
+        jacobi = [VCYCLE_DAMPING / a.diagonal()[:, None] for a in A]
+        coarsest = spla.splu(A[0].tocsc())
+
+        def cycle(l, r):
+            if l == 0:
+                return coarsest.solve(r)
+            x = jacobi[l] * r
+            for _ in range(VCYCLE_SMOOTHING - 1):
+                x += jacobi[l] * (r - A[l] @ x)
+            P = self._transfer(l, bc)
+            x += P @ cycle(l - 1, P.T @ (r - A[l] @ x))
+            for _ in range(VCYCLE_SMOOTHING):
+                x += jacobi[l] * (r - A[l] @ x)
+            return x
+
+        def apply(r):
+            return cycle(level, r.reshape(r.shape[0], -1)).reshape(r.shape)
+
+        return apply
 
 
 def _level_cache(domain, metric, options, cache) -> LevelCache:

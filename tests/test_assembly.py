@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 import scipy.io
 import scipy.linalg
+import scipy.sparse as sp
 
 from surfspec.assembly import (
     _LOCAL_EDGES,
+    _chart_data,
     AssemblyError,
     ScalarOperators,
     _edge_representatives,
@@ -151,6 +153,32 @@ def test_incidence_composition_vanishes(domain):
     ops = assemble_oneform(mesh, metric)
     product = ops.d1 @ ops.d0
     assert product.nnz == 0 or np.max(np.abs(product.data)) == 0.0
+
+
+@pytest.mark.parametrize(
+    "mesh,metric,rule",
+    [
+        (triangulate(DomainSpec.rectangle(0, 1, 1, 2, 5)), HALF_PLANE, "degree5"),
+        (triangulate(DomainSpec.periodic_band(-1, 1, 5)), collar_metric(), "midpoint"),
+        (triangulate(DomainSpec.disk(0, 0, 1, 4)), FLAT, "midpoint"),
+    ],
+    ids=["rectangle", "band", "disk"],
+)
+def test_stiffness_matches_four_operand_contraction(mesh, metric, rule):
+    # reference: the metric weights contracted with both gradients at once
+    data = _chart_data(mesh, metric, rule)
+    grads = data["grads"]
+    local = np.einsum(
+        "fia,fqab,fjb,fq->fij", grads, data["ginv"], grads, data["dA"]
+    )
+    local = 0.5 * (local + np.swapaxes(local, 1, 2))
+    idx = mesh.logical_tris
+    rows = np.repeat(idx, 3, axis=1).ravel()
+    cols = np.tile(idx, (1, 3)).ravel()
+    V = mesh.n_vertices
+    want = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(V, V)).toarray()
+    got = assemble_scalar(mesh, metric, quad_rule=rule).stiffness.toarray()
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize(

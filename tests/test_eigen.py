@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from surfspec import eigen
 from surfspec.assembly import apply_dirichlet, assemble_oneform, assemble_scalar
@@ -76,20 +77,21 @@ def test_gram_identity_and_rayleigh():
     assert np.all(res.residuals <= 1e-9)
 
 
-def test_given_shift_and_start_vector(monkeypatch):
+def test_given_start_block_and_preconditioner(monkeypatch):
     K, M = square_operators(16, "dirichlet")
     monkeypatch.setattr(eigen, "DENSE_MAX_DIM", 10)
     options = SolverOptions()
-    seeded = solve_smallest(K, M, 3, options=options)
-    given = solve_smallest(
-        K, M, 3, options=options, shift=2e-3, v0=np.ones(K.shape[0])
-    )
-    assert given.shift == 2e-3 and seeded.shift > 100 * given.shift
-    assert np.allclose(given.values, seeded.values, rtol=1e-10)
-    with pytest.raises(EigenError, match="not positive"):
-        solve_smallest(K, M, 3, options=options, shift=0.0)
-    with pytest.raises(EigenError, match="start vector"):
-        solve_smallest(K, M, 3, options=options, v0=np.ones(3))
+    cold = solve_smallest(K, M, 3, options=options)
+    # a perturbed copy of the answer as the start, K + sigma M solved exactly
+    rng = np.random.default_rng(0)
+    start = cold.vectors + 1e-2 * rng.standard_normal(cold.vectors.shape)
+    precond = spla.splu((K + 2e-3 * M).tocsc()).solve
+    given = solve_smallest(K, M, 3, options=options, start=start, precond=precond)
+    assert given.method == "lobpcg-multigrid" and given.converged
+    assert np.all(given.residuals <= options.tol)
+    assert np.allclose(given.values, cold.values, rtol=1e-9, atol=0)
+    with pytest.raises(EigenError, match=r"start block of shape \(3, 3\)"):
+        solve_smallest(K, M, 3, options=options, start=np.ones((3, 3)), precond=precond)
 
 
 def test_dense_and_iterative_paths_agree(monkeypatch):

@@ -267,6 +267,50 @@ def test_catenoid_margin_sign():
     assert np.all(margins[~inside] < 0)
 
 
+@pytest.mark.parametrize(
+    "metric,f,grid",
+    [
+        (
+            builtin_metric("warped", {"phi": "exp(r)", "r_range": (-1.0, 0.0)}),
+            "r",
+            GridSpec((-1.0, 0.0), (0, 2 * math.pi), 33, 17),
+        ),
+        (
+            builtin_metric("warped", {"phi": "1", "r_range": (0.0, math.pi)}),
+            "r",
+            GridSpec((0.0, math.pi), (0, 2 * math.pi), 17, 17),
+        ),
+        (half_plane(), "-log(y)", GridSpec((0.0, 1.0), (1.0, math.e), 32, 32)),
+    ],
+    ids=["cusp", "flat-cylinder", "half-plane"],
+)
+def test_equality_case_min_point_is_first_sample(metric, f, grid):
+    # the margin vanishes analytically: every sample ties up to round-off
+    report = curvature_condition_check(metric, f, grid)
+    assert report.passed and abs(report.min_margin) <= 1e-12
+    assert report.min_point == (grid.u_range[0], grid.v_range[0])
+
+
+def _warped_margin_cases():
+    for c in (0.5, 1.0, 2.0):  # catenoid and helicoid profiles
+        yield f"sqrt(r^2+{c}^2)", lambda r, c=c: (c * c - r * r) / (r * r + c * c) ** 2
+    yield "cosh(r)", lambda r: 1.0 / np.cosh(r) ** 2  # funnel and collar
+    yield "exp(r)", lambda r: 0.0 * r  # cusp
+    yield "1", lambda r: 0.0 * r  # flat cylinder
+
+
+@pytest.mark.parametrize(
+    "phi,closed_form",
+    list(_warped_margin_cases()),
+    ids=["catenoid-0.5", "helicoid-1", "catenoid-2", "cosh", "cusp", "cylinder"],
+)
+def test_margin_closed_forms_of_paper_surfaces(phi, closed_form):
+    m = builtin_metric("warped", {"phi": phi, "r_range": (-2.0, 2.0)})
+    r = np.linspace(-2.0, 2.0, 41)
+    got = m.evaluate(margin_expr(m, "r"), r, np.full_like(r, 0.7))
+    assert np.max(np.abs(got - closed_form(r))) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # cross-validation of the two curvature routes
 

@@ -271,6 +271,56 @@ def test_refine_keeps_boundary_on_disk():
 # validation
 
 
+def loop_reference(domain):
+    """Triangles and raw-to-logical map built one index at a time."""
+    n = domain.n
+    ntheta = max(3, n)
+    tris = []
+    if domain.shape == "periodic_band":
+        raw_to_logical = [
+            i * ntheta + j % ntheta for i in range(n + 1) for j in range(ntheta + 1)
+        ]
+        return None, np.array(raw_to_logical, dtype=np.int64)
+    first = 1 if domain.shape == "disk" else 0  # the disk's ring 1 follows its center
+
+    def rid(k, j):
+        return first + (k - first) * ntheta + j % ntheta
+
+    if domain.shape == "disk":
+        tris = [[0, rid(1, j), rid(1, j + 1)] for j in range(ntheta)]
+    rings = range(first, n)
+    for k in rings:
+        for j in range(ntheta):
+            a, b = rid(k, j), rid(k + 1, j)
+            c, d = rid(k + 1, j + 1), rid(k, j + 1)
+            tris += [[a, b, c], [a, c, d]]
+    return np.array(tris), None
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        DomainSpec.periodic_band(-1, 0, 2),
+        DomainSpec.periodic_band(0, 1, 7),
+        DomainSpec.disk(0, 0, 1, 2),
+        DomainSpec.disk(0.5, -1, 2, 5),
+        DomainSpec.annulus(0, 0, 1, 2, 2),
+        DomainSpec.annulus(0, 0, 1, 3, 6),
+    ],
+    ids=["band-2", "band-7", "disk-2", "disk-5", "annulus-2", "annulus-6"],
+)
+def test_index_arrays_match_loop_reference(domain):
+    mesh = triangulate(domain)
+    tris, raw_to_logical = loop_reference(domain)
+    if tris is None:
+        got = mesh.raw_to_logical
+        assert got.dtype == raw_to_logical.dtype
+        assert np.array_equal(got, raw_to_logical)
+    else:
+        assert mesh.tris.dtype == tris.dtype
+        assert np.array_equal(mesh.tris, tris)
+
+
 def test_resolution_too_small():
     with pytest.raises(MeshError, match="at least 2"):
         triangulate(DomainSpec.rectangle(0, 1, 0, 1, 1))

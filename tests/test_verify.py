@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from surfspec import eigen
+from surfspec import eigen, verify
 from surfspec.eigen import SolverOptions, solve_smallest
 from surfspec.geometry import DistanceFunction, builtin_metric
 from surfspec.mesh import DomainSpec, refine, triangulate
@@ -316,7 +316,10 @@ def test_nested_spectra_match_cold_solves(monkeypatch):
             cold = solve_smallest(
                 pencil.stiffness, pencil.mass, k, bc=bc, options=options,
             )
-            assert warm.method == cold.method == "shift-invert-lanczos"
+            assert cold.method == "shift-invert-lanczos"
+            assert warm.method == (
+                "shift-invert-lanczos" if level == 0 else "lobpcg-multigrid"
+            )
             assert warm.converged
             assert np.all(warm.residuals <= options.tol)
             scale = float(np.max(cold.values))
@@ -327,6 +330,37 @@ def test_nested_spectra_match_cold_solves(monkeypatch):
         assert warm_shifts[0] == cold_shifts[0]
         assert cold_shifts[2] > 3 * cold_shifts[1]
         assert 0.5 * warm_shifts[1] <= warm_shifts[2] <= 2 * warm_shifts[1]
+
+
+def test_nested_spectra_deterministic(monkeypatch):
+    monkeypatch.setattr(eigen, "DENSE_MAX_DIM", 10)
+    domain = DomainSpec.rectangle(0, 1, 1, math.e, 4)
+    first, second = LevelCache(domain, HALF_PLANE), LevelCache(domain, HALF_PLANE)
+    for bc, k in (("dirichlet", 2), ("neumann", 4)):
+        a, b = first.spectrum(2, bc, k), second.spectrum(2, bc, k)
+        assert a.method == "lobpcg-multigrid"
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.vectors, b.vectors)
+
+
+def test_nested_solves_factor_only_level_zero(monkeypatch):
+    # the V-cycle's coarsest solve is the one sparse LU of a nested solve
+    monkeypatch.setattr(eigen, "DENSE_MAX_DIM", 10)
+    cache = LevelCache(DomainSpec.rectangle(0, 1, 1, math.e, 4), HALF_PLANE)
+    for level in range(2):
+        cache.spectrum(level, "neumann", 4)
+    level0_dim = cache.pencil(0, "neumann").stiffness.shape[0]
+    factored = []
+    original = verify.spla.splu
+
+    def counted(A, *args, **kwargs):
+        factored.append(A.shape[0])
+        return original(A, *args, **kwargs)
+
+    monkeypatch.setattr(verify.spla, "splu", counted)
+    monkeypatch.setattr(eigen.spla, "eigsh", None)
+    assert cache.spectrum(2, "neumann", 4).converged
+    assert factored == [level0_dim]
 
 
 def test_non_monotone_reported_without_fit():
