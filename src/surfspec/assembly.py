@@ -265,12 +265,16 @@ def assemble_oneform(
     metric: ChartMetric,
     quad_rule: str = "midpoint",
     scalar: Optional[ScalarOperators] = None,
+    *,
+    _chart: Optional[dict] = None,
 ) -> OneFormOperators:
     """Edge-element mass, incidence operators, and face mass.
 
     The vertex mass comes from ``scalar``, the P1 operators of the same
     mesh, metric and rule when the caller has them, and is assembled
-    here otherwise.
+    here otherwise.  ``_chart`` is private: the ``_chart_data`` of the
+    same mesh, metric and rule, from a caller in this module that built
+    it already.
 
     The Whitney form of edge (a, b) on a triangle is
     ``lambda_a d lambda_b - lambda_b d lambda_a`` times the sign
@@ -279,8 +283,7 @@ def assemble_oneform(
     face, giving the diagonal weight
     ``area^{-2} \\int du dv / sqrt(det g)``.
     """
-    data = _chart_data(mesh, metric, quad_rule)
-    lt = mesh.logical_tris
+    data = _chart_data(mesh, metric, quad_rule) if _chart is None else _chart
     E, V, F = mesh.n_edges, mesh.n_vertices, mesh.n_faces
     lam, grads, ginv, dA = data["lam"], data["grads"], data["ginv"], data["dA"]
     signs = mesh.tri_edge_signs.astype(float)
@@ -435,7 +438,8 @@ def dirichlet_form_quadrature(
 
     ``lambda_ref`` is the eigenvalue of phi; it is echoed in the
     diagnostic when the normalization check fails.  ``scalar`` is
-    passed on to :func:`assemble_oneform`.
+    passed on to :func:`assemble_oneform`, which reuses this function's
+    chart data.
     """
     fe = _f_expr(f)
     data = _chart_data(mesh, metric, quad_rule)
@@ -449,7 +453,7 @@ def dirichlet_form_quadrature(
             f"distance function is not unit-gradient (max deviation {dev:.3e})"
         )
 
-    ops = assemble_oneform(mesh, metric, quad_rule, scalar)
+    ops = assemble_oneform(mesh, metric, quad_rule, scalar, _chart=data)
     norm = float(phi @ (ops.mass0 @ phi))
     if abs(norm - 1.0) > M_NORMALIZATION_TOL:
         raise AssemblyError(

@@ -687,6 +687,17 @@ def _cmd_oracle(args) -> int:
 # argument parsing
 
 
+def _eigenpair_count(text: str) -> int:
+    """``--count``: a whole number of eigenpairs, at least one."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="surfspec",
@@ -715,7 +726,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--bc", choices=("dirichlet", "neumann", "oneform"),
         default="dirichlet",
     )
-    p.add_argument("-k", "--count", type=int, default=8)
+    p.add_argument("-k", "--count", type=_eigenpair_count, default=8)
     p.add_argument("--csv", help="CSV output path")
     p.set_defaults(func=_cmd_spectrum)
 

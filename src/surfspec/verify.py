@@ -2,13 +2,16 @@
 
 The checks on refinement levels take their meshes, scalar operators
 and spectra from a :class:`LevelCache`, their own or one shared by the
-checks of a run; spectra are keyed on ``(level, bc, k)``, and a sparse
-solve above level 0 starts from the ``(level - 1, bc, k)`` solve, so a
-check's numbers do not depend on which other checks ran.  Every check returns
-a :class:`VerificationReport` whose pass flag is a pure function of
-the recorded numbers: given a report's dictionary form,
-:func:`recompute_pass` re-derives the flag without touching any solver
-state.
+checks of a run.  Spectra are keyed on ``(level, bc, k)``, except that
+every Neumann request of k <= NEUMANN_BLOCK reads the first k pairs of
+one solve of the block max(k, min(NEUMANN_BLOCK, dim)), the inequality's
+four Neumann pairs; a sparse solve above level 0 starts from the coarser
+level's solve of the same block.  The block depends only on ``(bc, k,
+dim)``, so a check's numbers do not depend on which other checks ran.
+Every check returns a :class:`VerificationReport` whose pass flag is a
+pure function of the recorded numbers: given a report's dictionary
+form, :func:`recompute_pass` re-derives the flag without touching any
+solver state.
 
 The main inequality check compares the first Dirichlet eigenvalue
 against the Neumann eigenvalue of order 3 - b1 (b1 the first Betti
@@ -39,7 +42,9 @@ from .assembly import (
 from .eigen import (
     SIGMA_SCALE,
     ZERO_MODE_FACTOR,
+    EigenError,
     SolverOptions,
+    SpectralResult,
     solve_oneform,
     solve_smallest,
     uses_dense_path,
@@ -71,6 +76,9 @@ __all__ = [
 UNION_RTOL = 1e-8
 LEMMA_SLACK = 0.05
 SHRINK_SLACK = 1e-12
+# Neumann pairs solved per level: mu_1..mu_4, the inequality's mu_{3-b1} for
+# b1 <= 2 plus the constant mode; smaller Neumann requests read its prefix
+NEUMANN_BLOCK = 4
 # damped Jacobi smoothing of the nested-solve V-cycle: weight, steps each side
 VCYCLE_DAMPING = 0.6
 VCYCLE_SMOOTHING = 2
@@ -197,8 +205,11 @@ class LevelCache:
 
     Level 0 is ``triangulate(domain)`` and level L + 1 refines level L.
     Each item is built on first request and kept; spectra are keyed on
-    ``(level, bc, k)`` with ``bc`` either "dirichlet" or "neumann".
-    Every caller gets the same objects, which nothing may modify.
+    ``(level, bc, k)`` with ``bc`` either "dirichlet" or "neumann".  A
+    Neumann pencil of dimension dim is solved for the block
+    max(k, min(NEUMANN_BLOCK, dim)), so every Neumann request of k <=
+    NEUMANN_BLOCK is the first k pairs of one solve per level.  Every
+    caller gets the same objects, which nothing may modify.
     """
 
     def __init__(
@@ -239,20 +250,34 @@ class LevelCache:
         """A level's Dirichlet (reduced) or Neumann (full) operators."""
         return self.reduction(level) if bc == "dirichlet" else self.operators(level)
 
-    def spectrum(self, level: int, bc: str, k: int):
+    def spectrum(self, level: int, bc: str, k: int) -> SpectralResult:
         """The k smallest eigenpairs of a level's ``bc`` pencil.
+
+        k outside [1, dim] raises :class:`EigenError`.  A Neumann request
+        of k below its block (see the class) is the block's first k
+        values, vectors and residuals, bit for bit, with the block's
+        method, shift and convergence flag.
 
         Level 0, and every level on the dense path, is a cold solve: ARPACK
         or dense, as :func:`solve_smallest` decides alone.  A sparse solve
-        above level 0 is a nested iteration: it first takes
-        ``spectrum(level - 1, bc, k)`` and runs LOBPCG from it with a
+        above level 0 is a nested iteration: it first takes the coarser
+        level's solve of the same block and runs LOBPCG from it with a
         V-cycle preconditioner (see :meth:`_nested_start`), so no level
         above 0 is factored, and a level's solve always derives from the
         same coarser solve, whichever checks asked for it.
         """
+        pencil = self.pencil(level, bc)
+        dim = pencil.stiffness.shape[0]
+        if not 1 <= k <= dim:
+            raise EigenError(f"requested {k} eigenpairs from dimension {dim}")
+        block = max(k, min(NEUMANN_BLOCK, dim)) if bc == "neumann" else k
+        if k < block:
+            return self._get(
+                ("spectrum", level, bc, k),
+                lambda: _leading(self.spectrum(level, bc, block), k),
+            )
 
         def solve():
-            pencil = self.pencil(level, bc)
             nested = self._nested_start(level, bc, k)
             if nested is None:
                 return solve_smallest(
@@ -344,6 +369,14 @@ class LevelCache:
         return apply
 
 
+def _leading(block: SpectralResult, k: int) -> SpectralResult:
+    """The first k pairs of a solved block; everything else is the block's."""
+    return SpectralResult(
+        block.values[:k], block.vectors[:, :k], block.residuals[:k], block.bc,
+        block.mass, block.method, shift=block.shift, converged=block.converged,
+    )
+
+
 def _level_cache(domain, metric, options, cache) -> LevelCache:
     """The caller's cache, or a new one; refuses a cache for other inputs."""
     if cache is None:
@@ -408,7 +441,9 @@ def verify_inequality(
     for lvl in range(levels):
         mesh = cache.mesh(lvl)
         lam1 = float(cache.spectrum(lvl, "dirichlet", 1).values[0])
-        mu = [float(x) for x in cache.spectrum(lvl, "neumann", 4).values]
+        mu = [
+            float(x) for x in cache.spectrum(lvl, "neumann", NEUMANN_BLOCK).values
+        ]
         target = mu[mu_order - 1]
         h = mesh.h_max
         tol_h = 2.0 * lam1 * h * h

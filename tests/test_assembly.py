@@ -9,6 +9,7 @@ import scipy.io
 import scipy.linalg
 import scipy.sparse as sp
 
+from surfspec import assembly
 from surfspec.assembly import (
     _LOCAL_EDGES,
     _chart_data,
@@ -363,6 +364,44 @@ def test_edge_representatives_match_row_unique(domain):
         assert np.array_equal(a, raw[first, 0])
         assert np.array_equal(b, raw[first, 1])
         assert np.array_equal(edges, mesh.edges)
+
+
+@pytest.mark.parametrize(
+    "domain,metric,f",
+    [
+        (DomainSpec.rectangle(0, 1, 1, 2, 6), HALF_PLANE, "-log(y)"),
+        (DomainSpec.periodic_band(-1, 1, 6), collar_metric(), "r"),
+    ],
+    ids=["rectangle", "band"],
+)
+def test_dirichlet_form_builds_chart_data_once(domain, metric, f, monkeypatch):
+    mesh = triangulate(domain)
+    phi, lam1 = first_dirichlet_mode(mesh, metric)
+    f = DistanceFunction.from_text(metric, f)
+    scalar = assemble_scalar(mesh, metric)
+    original = assembly._chart_data
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(assembly, "_chart_data", counted)
+    got = dirichlet_form_quadrature(mesh, metric, f, phi, lam1, scalar=scalar)
+    assert calls == [mesh]
+
+    # reference: the one-form operators assembled from chart data of their own
+    monkeypatch.setattr(
+        assembly, "assemble_oneform",
+        lambda mesh, metric, rule, scalar, _chart: assemble_oneform(
+            mesh, metric, rule, scalar
+        ),
+    )
+    want = dirichlet_form_quadrature(mesh, metric, f, phi, lam1, scalar=scalar)
+    assert len(calls) == 3
+    assert set(got) == {"alpha_nu", "alpha_star_nu", "cross", "dphi_norm2"}
+    for key in got:
+        assert got[key] == want[key]
 
 
 def test_dirichlet_form_rejects_unnormalized_phi():

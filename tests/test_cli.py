@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from surfspec import verify
+from surfspec import eigen, verify
 from surfspec.cli import (
     CHECKS,
     ConfigError,
@@ -17,6 +17,7 @@ from surfspec.cli import (
     run,
     validate_config,
 )
+from surfspec.eigen import EigenError
 from surfspec.verify import recompute_pass
 
 
@@ -233,6 +234,36 @@ def test_reports_byte_identical_excluding_metadata(tmp_path):
         assert dumped(alone["checks"]) == dumped([shared])
 
 
+def test_neumann_block_reports_byte_identical_alone(tmp_path, monkeypatch):
+    # levels 1-2 sparse, so both checks' Neumann solves are nested
+    monkeypatch.setattr(eigen, "DENSE_MAX_DIM", 10)
+    cfg = base_config(tmp_path)
+    cfg["metric"] = {
+        "family": "warped",
+        "params": {"phi": "exp(r)", "r_range": [-1.0, 0.0]},
+    }
+    cfg["distance_function"] = "r"
+    cfg["domain"] = {
+        "shape": "periodic_band", "extents": [-1.0, 0.0], "resolution": 6,
+    }
+    cfg["checks"] = ["inequality", "convergence"]
+    cfg["check_params"] = {
+        "inequality": {"levels": 3},
+        "convergence": {"bc": "neumann", "levels": 3},
+    }
+
+    def dumped(obj):
+        return json.dumps(obj, indent=2, sort_keys=True)
+
+    shared, code = run(cfg)
+    assert code == 0
+    # convergence reads the inequality's Neumann block when they share a
+    # cache and solves that block itself when alone: the same numbers
+    for name, payload in reversed(list(zip(cfg["checks"], shared["checks"]))):
+        alone, _ = run({**cfg, "checks": [name]})
+        assert dumped(alone["checks"]) == dumped([payload])
+
+
 def test_run_shares_levels_across_checks(tmp_path, monkeypatch):
     calls = dict.fromkeys(
         ("solve_smallest", "assemble_scalar", "refine", "triangulate"), 0
@@ -257,10 +288,11 @@ def test_run_shares_levels_across_checks(tmp_path, monkeypatch):
     cfg["checks"] = ["inequality", "lemma", "convergence"]
     cfg["check_params"] = {"convergence": {"bc": "neumann", "levels": 3}}
     run(cfg)
-    # levels 0-2: Dirichlet k=1 and Neumann k=4 for the inequality (the
-    # lemma reuses the Dirichlet ground states), Neumann k=2 for convergence
+    # levels 0-2: Dirichlet k=1 and Neumann k=4 for the inequality; the
+    # lemma reuses the Dirichlet ground states and convergence (Neumann k=2)
+    # reads the first two pairs of the inequality's Neumann block
     assert calls == {
-        "solve_smallest": 9, "assemble_scalar": 3, "refine": 2, "triangulate": 1,
+        "solve_smallest": 6, "assemble_scalar": 3, "refine": 2, "triangulate": 1,
     }
 
 
@@ -327,6 +359,24 @@ def test_spectrum_csv(tmp_path, capsys):
         assert repr(float(r[1])) == r[1]
         assert repr(float(r[3])) == r[3]
         assert float(r[3]) < 1e-9
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_spectrum_count_below_one_names_flag(tmp_path, capsys, count):
+    path = write_config(tmp_path, base_config(tmp_path))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["spectrum", path, "--bc", "neumann", "-k", count])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--count" in err and f"must be at least 1, got {count}" in err
+    # the level cache checks k against [1, dim] before its Neumann block rule
+    cfg = validate_config(load_config(path))
+    metric, domain, _, options = build_objects(cfg)
+    cache = verify.LevelCache(domain, metric, options)
+    dim = cache.pencil(0, "neumann").stiffness.shape[0]
+    for k in (0, -1, dim + 1):
+        with pytest.raises(EigenError, match=f"requested {k} eigenpairs"):
+            cache.spectrum(0, "neumann", k)
 
 
 def test_spectrum_oneform(tmp_path, capsys):

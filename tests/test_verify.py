@@ -343,6 +343,27 @@ def test_nested_spectra_deterministic(monkeypatch):
         assert np.array_equal(a.vectors, b.vectors)
 
 
+def test_neumann_requests_read_the_block(monkeypatch):
+    # levels 1-2 sparse, so their block solves are nested
+    monkeypatch.setattr(eigen, "DENSE_MAX_DIM", 10)
+    cache = LevelCache(DomainSpec.periodic_band(-1, 0, 6), cusp_metric())
+    for level in range(3):
+        pair = cache.spectrum(level, "neumann", 2)
+        block = cache.spectrum(level, "neumann", verify.NEUMANN_BLOCK)
+        assert block.values.shape == (4,) and block.vectors.shape[1] == 4
+        assert block.method == (
+            "shift-invert-lanczos" if level == 0 else "lobpcg-multigrid"
+        )
+        assert np.array_equal(pair.values, block.values[:2])
+        assert np.array_equal(pair.vectors, block.vectors[:, :2])
+        assert np.array_equal(pair.residuals, block.residuals[:2])
+        assert (pair.bc, pair.method, pair.shift, pair.converged) == (
+            block.bc, block.method, block.shift, block.converged,
+        )
+        assert pair.mass is block.mass
+        assert cache.spectrum(level, "neumann", 2) is pair
+
+
 def test_nested_solves_factor_only_level_zero(monkeypatch):
     # the V-cycle's coarsest solve is the one sparse LU of a nested solve
     monkeypatch.setattr(eigen, "DENSE_MAX_DIM", 10)
