@@ -4,8 +4,12 @@ A run config (``spec_version`` 1) names a metric family with its
 parameters, a chart domain with its resolution, an optional distance
 function expression, solver knobs, and a nonempty list of checks to
 execute.  ``run`` executes every listed check in order and writes one
-JSON report; the other subcommands expose individual checks and table
-dumps for quick inspection.
+JSON report; it is the only code that executes checks.  The check
+subcommands (``verify``, ``curvature-check``, ``convergence``) are
+``run`` narrowed to one check: they set the config's ``checks`` to that
+check, write their flags into its ``check_params``, call ``run`` and
+print the check's lines; their ``--report`` is ``run``'s report.
+``spectrum`` and ``oracle`` dump tables for quick inspection.
 
 Exit codes: 0 when every executed check passes, 1 when any check
 fails, 2 for invalid input (unreadable file, schema violation,
@@ -131,6 +135,28 @@ def _convergence_summary(q):
     return f"order {order:.3f}, limit {q['extrapolated']:.8g}"
 
 
+def _inequality_lines(q):
+    if q.get("refused"):
+        return [f"refused: {q['reason']}"]
+    lines = [
+        f"level {lv['level']}: lambda1 {lv['lambda1']:.8g}, "
+        f"mu_{q['mu_order']} {lv['mu_target']:.8g}, "
+        f"margin {lv['margin']:.6g} (tol {lv['tol_h']:.3g})"
+        for lv in q["levels"]
+    ]
+    lines.append(f"extrapolated margin {q['extrapolated_margin']:.8g}")
+    if q.get("strictness_note"):
+        lines.append(q["strictness_note"])
+    return lines
+
+
+def _convergence_lines(q):
+    return [
+        f"level {lv['level']}: h {lv['h']:.6g}, value {lv['value']!r}"
+        for lv in q["table"]
+    ]
+
+
 @dataclass(frozen=True)
 class _Check:
     """Everything the front end knows about one check."""
@@ -144,6 +170,8 @@ class _Check:
     needs_distance: bool = False
     # quantities -> (file name, header, rows) of its CSV table
     table: Optional[Callable[[dict], tuple]] = None
+    # quantities -> the lines its subcommand prints above the summary line
+    lines: Optional[Callable[[dict], List[str]]] = None
 
     def defaults(self) -> dict:
         return {key: default for key, (_, default) in self.params.items()}
@@ -159,7 +187,7 @@ CHECKS: Dict[str, _Check] = {c.name: c for c in (
             c.domain, c.metric, f, levels=p["levels"], cache=c
         ),
         lambda q: f"extrapolated margin {q['extrapolated_margin']:.6g}",
-        needs_distance=True, table=_inequality_table,
+        needs_distance=True, table=_inequality_table, lines=_inequality_lines,
     ),
     _Check(
         "lemma", "lemma",
@@ -205,7 +233,7 @@ CHECKS: Dict[str, _Check] = {c.name: c for c in (
         lambda p, f, c: convergence_study(
             c.domain, c.metric, bc=p["bc"], levels=p["levels"], cache=c
         ),
-        _convergence_summary, table=_convergence_table,
+        _convergence_summary, table=_convergence_table, lines=_convergence_lines,
     ),
     _Check(
         "oracle", "oracle",
@@ -551,62 +579,53 @@ def _cmd_run(args) -> int:
     return code
 
 
-def _config_with_flags(path, check: str, **flags) -> dict:
-    """Load and resolve a config with the given flags written into its
-    ``check_params/<check>``, so that the schema judges a flag as it judges
-    the config value it overrides.  Flags that are None are not given."""
-    raw = load_config(path)
-    validate_config(raw)  # the shape the flags are written into
-    params = raw.setdefault("check_params", {}).setdefault(check, {})
-    params.update({k: v for k, v in flags.items() if v is not None})
-    return validate_config(raw)
-
-
-def _run_single(cfg: dict, name: str) -> VerificationReport:
-    """Run one check of a resolved config with its ``check_params``."""
-    check = CHECKS[name]
-    if check.needs_distance and not cfg["distance_function"]:
-        raise ConfigError(
-            f"config field 'distance_function': required by the {name} check"
-        )
-    metric, domain, distance, options = build_objects(cfg)
-    cache = LevelCache(domain, metric, options)
-    return check.run(cfg["check_params"][name], distance, cache)
-
-
-def _single_check_report(cfg, report: VerificationReport, path) -> None:
-    if path:
-        write_report(
-            _envelope(cfg, [report], report.wall_time_seconds), path
-        )
-        print(f"report written to {path}")
-
-
-def _cmd_verify(args) -> int:
-    cfg = _config_with_flags(args.config, "inequality", levels=args.levels)
-    if "inequality" not in cfg["checks"]:
-        cfg["checks"] = ["inequality"]
-    report = _run_single(cfg, "inequality")
-    q = report.quantities
-    if q.get("refused"):
-        print(f"refused: {q['reason']}")
-    else:
-        for lv in q["levels"]:
-            print(
-                f"level {lv['level']}: lambda1 {lv['lambda1']:.8g}, "
-                f"mu_{q['mu_order']} {lv['mu_target']:.8g}, "
-                f"margin {lv['margin']:.6g} (tol {lv['tol_h']:.3g})"
-            )
-        print(f"extrapolated margin {q['extrapolated_margin']:.8g}")
-        if q.get("strictness_note"):
-            print(q["strictness_note"])
-    print(_summary_line(report.to_dict()))
-    _single_check_report(cfg, report, args.report)
-    return 0 if report.passed else 1
+def _cmd_check(args) -> int:
+    """``run`` narrowed to ``args.check``, with the subcommand's flags
+    written into its ``check_params``, so that the schema judges a flag as
+    it judges the config value it overrides.  Flags that are None are not
+    given."""
+    name, check = args.check, CHECKS[args.check]
+    raw = load_config(args.config)
+    validate_config(raw)  # refuse a config that is invalid as written
+    raw["checks"] = [name]
+    params = raw.setdefault("check_params", {}).setdefault(name, {})
+    params.update({
+        key: getattr(args, key) for key in check.params
+        if getattr(args, key) is not None
+    })
+    report, code = run(raw)
+    result = report["checks"][0]
+    q = result["quantities"]
+    for line in check.lines(q) if check.lines else ():
+        print(line)
+    print(_summary_line(result))
+    csv_path = getattr(args, "csv", None)
+    if csv_path:
+        _, header, rows = check.table(q)
+        write_csv(csv_path, header, rows)
+        print(f"csv written to {csv_path}")
+    if args.report:
+        write_report(report, args.report)
+        print(f"report written to {args.report}")
+    return code
 
 
 def _spectrum_result(metric, domain, options, bc: str, count: int):
     cache = LevelCache(domain, metric, options)
+    mesh = cache.mesh(0)
+    interior = mesh.n_vertices - int(mesh.boundary_vertex_mask.sum())
+    # the 1-form spectrum is the positive Neumann and the Dirichlet modes
+    # plus b1 harmonics
+    limit = {
+        "dirichlet": interior,
+        "neumann": mesh.n_vertices,
+        "oneform": mesh.n_vertices - 1 + interior + mesh.betti1,
+    }[bc]
+    if count > limit:
+        raise ConfigError(
+            f"-k/--count: requested {count} {bc} eigenpairs, "
+            f"level 0 has {limit}"
+        )
     if bc != "oneform":
         return cache.spectrum(0, bc, count)
     ops = assemble_oneform(cache.mesh(0), metric, quad_rule=options.quad_rule)
@@ -643,32 +662,6 @@ def _cmd_spectrum(args) -> int:
         )
         print(f"csv written to {args.csv}")
     return 0 if result.converged else 1
-
-
-def _cmd_curvature(args) -> int:
-    cfg = _config_with_flags(args.config, "curvature", samples=args.samples)
-    report = _run_single(cfg, "curvature")
-    print(_summary_line(report.to_dict()))
-    _single_check_report(cfg, report, args.report)
-    return 0 if report.passed else 1
-
-
-def _cmd_convergence(args) -> int:
-    cfg = _config_with_flags(
-        args.config, "convergence", bc=args.bc, levels=args.levels
-    )
-    report = _run_single(cfg, "convergence")
-    for lv in report.quantities["table"]:
-        print(
-            f"level {lv['level']}: h {lv['h']:.6g}, value {lv['value']!r}"
-        )
-    print(_summary_line(report.to_dict()))
-    if args.csv:
-        _, header, rows = _convergence_table(report.quantities)
-        write_csv(args.csv, header, rows)
-        print(f"csv written to {args.csv}")
-    _single_check_report(cfg, report, args.report)
-    return 0 if report.passed else 1
 
 
 def _cmd_oracle(args) -> int:
@@ -718,7 +711,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--levels", type=int, help="refinement levels to use")
     p.add_argument("--report", help="write a single-check JSON report")
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_check, check="inequality")
 
     p = sub.add_parser("spectrum", help="dump an eigenvalue table")
     p.add_argument("config")
@@ -739,7 +732,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--samples", type=int, help="grid samples per axis (overrides the config)"
     )
     p.add_argument("--report", help="write a single-check JSON report")
-    p.set_defaults(func=_cmd_curvature)
+    p.set_defaults(func=_cmd_check, check="curvature")
 
     p = sub.add_parser(
         "convergence", help="eigenvalue refinement study with a rate fit"
@@ -749,7 +742,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int)
     p.add_argument("--csv", help="CSV output path")
     p.add_argument("--report", help="write a single-check JSON report")
-    p.set_defaults(func=_cmd_convergence)
+    p.set_defaults(func=_cmd_check, check="convergence")
 
     p = sub.add_parser(
         "oracle",

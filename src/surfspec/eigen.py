@@ -94,9 +94,6 @@ class SpectralResult:
     converged: bool = True
     meta: dict = field(default_factory=dict)
 
-    def multiplicities(self, rel_gap: float = 1e-6) -> List[Tuple[float, int]]:
-        return cluster_multiplicities(self.values, rel_gap)
-
 
 def _orthonormalize(vectors: np.ndarray, mass) -> np.ndarray:
     gram = vectors.T @ (mass @ vectors)

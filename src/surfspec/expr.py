@@ -12,7 +12,9 @@ Conventions that callers rely on:
   nodes; a non-integer exponent ``b`` rewrites ``a^b`` to
   ``exp(b*log(a))`` at construction time, so differentiation needs a
   single power rule.  The rewrite restricts the domain to ``a > 0``,
-  which is documented rather than checked symbolically.
+  which is documented rather than checked symbolically.  A constant
+  that overflows a float while a ``^`` is folded is a :class:`ParseError`
+  at that ``^``.
 * ``differentiate`` returns an exact symbolic derivative with constant
   subtrees folded.  No other simplification is attempted.
 * ``str()`` emits a canonical form: ``parse(str(e))`` reproduces an
@@ -43,8 +45,6 @@ __all__ = [
     "EvalError",
     "parse",
     "differentiate",
-    "constant",
-    "variable",
 ]
 
 Number = Union[float, np.ndarray]
@@ -186,14 +186,6 @@ class BinOp(Expr):
     rhs: Expr
 
     __slots__ = ("op", "lhs", "rhs")
-
-
-def constant(value: float) -> Const:
-    return Const(float(value))
-
-
-def variable(name: str) -> Var:
-    return Var(name)
 
 
 def _coerce(obj) -> Expr:
@@ -430,13 +422,15 @@ def _parse_power(tok: _Tokenizer) -> Expr:
         caret = tok.pos
         tok.pos += 1
         exponent = _parse_factor(tok)
-        folded = _try_fold(exponent)
-        if folded is None:
-            raise ParseError("exponent must be a constant", caret)
         try:
+            folded = _try_fold(exponent)
+            if folded is None:
+                raise ExprError("exponent must be a constant")
             return _pow(base, Const(folded))
         except ExprError as exc:
             raise ParseError(str(exc), caret) from None
+        except OverflowError:
+            raise ParseError("constant overflows a float", caret) from None
     return base
 
 

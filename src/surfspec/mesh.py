@@ -22,7 +22,7 @@ order; the orientation of an edge (a, b) with a < b is a -> b, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -72,12 +72,6 @@ class DomainSpec:
         return cls(
             "annulus", int(n), (float(cx), float(cy), float(r_in), float(r_out))
         )
-
-    def with_period(self, period: float) -> "DomainSpec":
-        return replace(self, theta_period=float(period))
-
-    def scaled(self, factor: int) -> "DomainSpec":
-        return replace(self, n=self.n * int(factor))
 
     def to_dict(self) -> dict:
         return {

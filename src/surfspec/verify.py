@@ -8,10 +8,11 @@ one solve of the block max(k, min(NEUMANN_BLOCK, dim)), the inequality's
 four Neumann pairs; a sparse solve above level 0 starts from the coarser
 level's solve of the same block.  The block depends only on ``(bc, k,
 dim)``, so a check's numbers do not depend on which other checks ran.
-Every check returns a :class:`VerificationReport` whose pass flag is a
-pure function of the recorded numbers: given a report's dictionary
-form, :func:`recompute_pass` re-derives the flag without touching any
-solver state.
+Every check returns a :class:`VerificationReport` built by one
+constructor that sets the pass flag by the check's :func:`recompute_pass`
+rule, so the flag is by construction a pure function of the recorded
+numbers: given a report's dictionary form, :func:`recompute_pass`
+re-derives it without touching any solver state.
 
 The main inequality check compares the first Dirichlet eigenvalue
 against the Neumann eigenvalue of order 3 - b1 (b1 the first Betti
@@ -79,6 +80,8 @@ SHRINK_SLACK = 1e-12
 # Neumann pairs solved per level: mu_1..mu_4, the inequality's mu_{3-b1} for
 # b1 <= 2 plus the constant mode; smaller Neumann requests read its prefix
 NEUMANN_BLOCK = 4
+# the tolerance of a report refused at the unit-gradient or curvature screening
+REFUSAL_TOLERANCE = "preconditions: unit gradient 1e-10, margin >= -1e-9"
 # damped Jacobi smoothing of the nested-solve V-cycle: weight, steps each side
 VCYCLE_DAMPING = 0.6
 VCYCLE_SMOOTHING = 2
@@ -130,6 +133,15 @@ class VerificationReport:
             "tolerance": self.tolerance,
             "passed": bool(self.passed),
         }
+
+
+def _report(check, desc, levels, quantities, tolerance, start) -> VerificationReport:
+    """A check's report; its flag is the check's recompute rule, its wall
+    time the seconds since ``start``."""
+    return VerificationReport(
+        check, desc, levels, quantities, tolerance,
+        _RECOMPUTE[check](quantities), time.perf_counter() - start,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +440,7 @@ def verify_inequality(
     )
     refusal = _precondition_failure(domain, metric, f)
     if refusal is not None:
-        return VerificationReport(
-            "inequality", desc, [], refusal,
-            "preconditions: unit gradient 1e-10, margin >= -1e-9",
-            False, time.perf_counter() - start,
-        )
+        return _report("inequality", desc, [], refusal, REFUSAL_TOLERANCE, start)
 
     cache = _level_cache(domain, metric, options, cache)
     beta1 = cache.mesh(0).betti1
@@ -482,11 +490,9 @@ def verify_inequality(
         quantities["strictness_note"] = (
             "positive margin is numerical evidence, not a certification"
         )
-    passed = all(r["passed"] for r in rows)
-    return VerificationReport(
+    return _report(
         "inequality", desc, list(range(levels)), quantities,
-        "margin >= -2*lambda1*h^2 at every level",
-        passed, time.perf_counter() - start,
+        "margin >= -2*lambda1*h^2 at every level", start,
     )
 
 
@@ -518,11 +524,7 @@ def lemma_check(
     )
     refusal = _precondition_failure(domain, metric, f)
     if refusal is not None:
-        return VerificationReport(
-            "lemma", desc, [], refusal,
-            "preconditions: unit gradient 1e-10, margin >= -1e-9",
-            False, time.perf_counter() - start,
-        )
+        return _report("lemma", desc, [], refusal, REFUSAL_TOLERANCE, start)
 
     cache = _level_cache(domain, metric, options, cache)
 
@@ -550,12 +552,10 @@ def lemma_check(
     coarse = stage(level)
     fine = stage(level + 1)
     quantities = {"coarse": coarse, "fine": fine, "slack": LEMMA_SLACK}
-    passed = _lemma_pass(quantities)
-    return VerificationReport(
+    return _report(
         "lemma", desc, [level, level + 1], quantities,
         "alpha <= 1.05*lambda1, |cross| <= 0.05*lambda1, "
-        "excesses shrink under refinement",
-        passed, time.perf_counter() - start,
+        "excesses shrink under refinement", start,
     )
 
 
@@ -632,11 +632,9 @@ def spectrum_union_check(
             np.max(np.abs(np.array(positive) - union) / union)
         ),
     }
-    passed = _union_pass(quantities)
-    return VerificationReport(
+    return _report(
         "spectrum-union", desc, [level], quantities,
-        f"relative difference <= {UNION_RTOL}, zero modes == betti1",
-        passed, time.perf_counter() - start,
+        f"relative difference <= {UNION_RTOL}, zero modes == betti1", start,
     )
 
 
@@ -684,13 +682,11 @@ def hodge_dimension_check(mesh: Mesh) -> VerificationReport:
         "rank_d1": rank_d1,
         "harmonic_dimension": harmonic,
     }
-    passed = _hodge_pass(quantities)
-    return VerificationReport(
+    return _report(
         "hodge-dimension",
         f"{dom.get('shape')} mesh, {V} vertices / {E} edges / {F} faces",
         [mesh.level], quantities,
-        "rank d0 + rank d1 + betti1 == n_edges (exact integers)",
-        passed, time.perf_counter() - start,
+        "rank d0 + rank d1 + betti1 == n_edges (exact integers)", start,
     )
 
 
@@ -733,13 +729,11 @@ def curvature_check(
         "gradient_tol": UNIT_GRADIENT_TOL,
         "curvature": report.to_dict(),
     }
-    passed = _curvature_pass(quantities)
-    return VerificationReport(
+    return _report(
         "curvature",
         f"{domain.shape}, {metric.family} metric, f = {f.expr}",
         [], quantities,
-        "|grad f| within 1e-10 of 1 and margin >= -1e-9 on the grid",
-        passed, time.perf_counter() - start,
+        "|grad f| within 1e-10 of 1 and margin >= -1e-9 on the grid", start,
     )
 
 
@@ -796,13 +790,11 @@ def oracle_check(max_index: int = 10) -> VerificationReport:
         "compared_pairs": int(limit),
         "interlacing_violations": int(violations),
     }
-    passed = _oracle_pass(quantities)
-    return VerificationReport(
+    return _report(
         "oracle",
         f"flat cylinder band closed form, max_index={max_index}",
         [], quantities,
-        "mu_{m+1} <= lambda_m on the reliable prefix (exact integers)",
-        passed, time.perf_counter() - start,
+        "mu_{m+1} <= lambda_m on the reliable prefix (exact integers)", start,
     )
 
 
@@ -864,13 +856,11 @@ def convergence_study(
         "monotone": monotone,
         "fitted_order": fitted,
     }
-    passed = _convergence_pass(quantities)
-    return VerificationReport(
+    return _report(
         "convergence",
         f"{domain.shape} n={domain.n}, {metric.family} metric, {bc}",
         list(range(levels)), quantities,
-        "monotone from above with fitted order in [1.8, 2.2]",
-        passed, time.perf_counter() - start,
+        "monotone from above with fitted order in [1.8, 2.2]", start,
     )
 
 

@@ -123,6 +123,23 @@ def test_overflowing_metric_names_validity(tmp_path, capsys):
     assert "not finite" in err and "metric/params/validity" in err
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("distance_function", "2^10000*x"),
+        ("metric", {"family": "general",
+                    "params": {"g11": "1", "g12": "0", "g22": "2^10000"}}),
+    ],
+)
+def test_overflowing_constant_names_field(tmp_path, capsys, field, value):
+    cfg = base_config(tmp_path)
+    cfg[field] = value
+    code = main(["run", write_config(tmp_path, cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"config field '{field}'" in err and "overflows" in err
+
+
 def test_distance_function_required_by_lemma(tmp_path, capsys):
     cfg = base_config(tmp_path)
     del cfg["distance_function"]
@@ -379,6 +396,17 @@ def test_spectrum_count_below_one_names_flag(tmp_path, capsys, count):
             cache.spectrum(0, "neumann", k)
 
 
+@pytest.mark.parametrize(
+    "bc,limit", [("dirichlet", 49), ("neumann", 81), ("oneform", 129)]
+)
+def test_spectrum_count_above_level_zero_names_flag(tmp_path, capsys, bc, limit):
+    path = write_config(tmp_path, base_config(tmp_path))  # 9 x 9 vertices
+    assert main(["spectrum", path, "--bc", bc, "-k", str(limit + 1)]) == 2
+    err = capsys.readouterr().err
+    assert f"-k/--count: requested {limit + 1} {bc}" in err
+    assert f"level 0 has {limit}" in err
+
+
 def test_spectrum_oneform(tmp_path, capsys):
     cfg = base_config(tmp_path)
     code = main(["spectrum", write_config(tmp_path, cfg), "--bc", "oneform"])
@@ -424,6 +452,36 @@ def test_convergence_subcommand_csv(tmp_path, capsys):
     assert len(lines) == 4
     values = [float(line.split(",")[2]) for line in lines[1:]]
     assert values == sorted(values, reverse=True)
+
+
+@pytest.mark.parametrize(
+    "command,name,flags,params",
+    [
+        ("verify", "inequality", [], {}),
+        ("curvature-check", "curvature", ["--samples", "16"], {"samples": 16}),
+        ("convergence", "convergence", ["--bc", "neumann", "--levels", "3"],
+         {"bc": "neumann", "levels": 3}),
+    ],
+)
+def test_check_subcommand_report_is_run_of_that_check(
+    tmp_path, command, name, flags, params
+):
+    # the config lists three other checks; the subcommand runs only its own
+    cfg = base_config(tmp_path)
+    cfg["checks"] = ["hodge-dims", "oracle", "union"]
+    report_path = tmp_path / "single.json"
+    main([command, write_config(tmp_path, cfg), "--report", str(report_path)] + flags)
+    single = json.loads(report_path.read_text())
+    assert single["config"]["checks"] == [name]
+
+    cfg["check_params"].setdefault(name, {}).update(params)
+    expected, _ = run({**cfg, "checks": [name]})
+
+    def stripped(report):
+        rest = {k: v for k, v in report.items() if k != "metadata"}
+        return json.dumps(rest, indent=2, sort_keys=True)
+
+    assert stripped(single) == stripped(expected)
 
 
 @pytest.mark.parametrize(

@@ -95,6 +95,15 @@ def test_parse_errors_carry_offset():
         parse("x^y")  # exponent must be constant
 
 
+@pytest.mark.parametrize(
+    "text,caret", [("2^10000*x", 1), ("x^exp(1000)", 1), ("1000^1000.5*x", 4)]
+)
+def test_overflowing_constant_is_parse_error(text, caret):
+    with pytest.raises(ParseError, match="overflows") as err:
+        parse(text)
+    assert err.value.position == caret
+
+
 def test_scientific_notation():
     assert parse("1e-3").eval({}) == 1e-3
     assert parse("2.5e2").eval({}) == 250.0

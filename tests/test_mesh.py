@@ -417,8 +417,6 @@ def test_export_off_round_trips_floats():
 
 def test_domain_spec_helpers():
     dom = DomainSpec.periodic_band(0, 1, 4)
-    assert dom.scaled(2).n == 8
-    assert dom.with_period(3.0).theta_period == 3.0
     d = dom.to_dict()
     assert d["shape"] == "periodic_band"
     assert d["n"] == 4
