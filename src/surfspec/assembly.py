@@ -165,9 +165,7 @@ def _chart_data(mesh, metric: ChartMetric, rule: str):
     u, v = qpts[..., 0], qpts[..., 1]
     if not metric.contains(u, v):
         raise AssemblyError("mesh leaves the metric validity region")
-    g11 = metric.evaluate(metric.g11, u, v)
-    g12 = metric.evaluate(metric.g12, u, v)
-    g22 = metric.evaluate(metric.g22, u, v)
+    g11, g12, g22 = metric.evaluate((metric.g11, metric.g12, metric.g22), u, v)
     det = g11 * g22 - g12 * g12
     if np.any(det <= 0) or np.any(g11 <= 0):
         raise AssemblyError("metric not positive definite at a quadrature point")
@@ -359,8 +357,9 @@ def star_oneform(metric: ChartMetric, u, v, comp_u, comp_v):
     covector components there.  Returns the starred component pair.
     The rotation is a pointwise isometry of the metric inner product.
     """
-    iu, im, iv = (metric.evaluate(e, u, v) for e in inverse_exprs(metric))
-    sq = metric.evaluate(sqrt_det_expr(metric), u, v)
+    iu, im, iv, sq = metric.evaluate(
+        inverse_exprs(metric) + (sqrt_det_expr(metric),), u, v
+    )
     su = -sq * (im * comp_u + iv * comp_v)
     sv = sq * (iu * comp_u + im * comp_v)
     return su, sv
@@ -468,7 +467,7 @@ def dirichlet_form_quadrature(
 
     du, dv = metric.u, metric.v
     fu, fv = fe.diff(du), fe.diff(dv)
-    df_u, df_v = metric.evaluate(fu, u, v), metric.evaluate(fv, u, v)
+    df_u, df_v = metric.evaluate((fu, fv), u, v)
 
     def pair(au, av, bu, bv):
         return (
@@ -494,8 +493,7 @@ def dirichlet_form_quadrature(
     curl_s = sv_e.diff(du) - su_e.diff(dv)  # d(*df) coefficient on du^dv
     sqrtdet = data["sqrtdet"]
     dstar_q = metric.evaluate(curl_s, u, v) / sqrtdet  # equals -Lap f
-    sdf_u = metric.evaluate(su_e, u, v)
-    sdf_v = metric.evaluate(sv_e, u, v)
+    sdf_u, sdf_v = metric.evaluate((su_e, sv_e), u, v)
     wedge_q = (dphi_u * sdf_v - dphi_v * sdf_u) / sqrtdet
     c_q = pair(dphi_u, dphi_v, sdf_u, sdf_v)
     alpha_star_nu = float(
@@ -509,10 +507,10 @@ def dirichlet_form_quadrature(
     phi_ends = tuple(phi[mesh.raw_to_logical[e]] for e in ends)
 
     def rho_df(uu, vv):
-        return metric.evaluate(fu, uu, vv), metric.evaluate(fv, uu, vv)
+        return metric.evaluate((fu, fv), uu, vv)
 
     def rho_star(uu, vv):
-        return metric.evaluate(su_e, uu, vv), metric.evaluate(sv_e, uu, vv)
+        return metric.evaluate((su_e, sv_e), uu, vv)
 
     w_a = _whitney_interpolate(mesh, ends, phi_ends, rho_df)
     w_b = _whitney_interpolate(mesh, ends, phi_ends, rho_star)

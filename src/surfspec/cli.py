@@ -325,6 +325,9 @@ CONFIG_SCHEMA = {
         },
     },
 }
+# built once: jsonschema.validate would meta-validate the constant schema on
+# every call (a test checks it once)
+_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 # solver config key -> SolverOptions field, whose default is the config default
 _SOLVER_FIELDS = {
@@ -375,11 +378,11 @@ def validate_config(raw: dict) -> dict:
     Returns the fully resolved config that reports embed.  Error
     messages name the offending field as a slash-joined path.
     """
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    # the error jsonschema.validate would raise
+    exc = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(raw))
+    if exc is not None:
         where = "/".join(str(p) for p in exc.absolute_path) or "config root"
-        raise ConfigError(f"config field '{where}': {exc.message}") from None
+        raise ConfigError(f"config field '{where}': {exc.message}")
 
     cfg = copy.deepcopy(raw)
     cfg["metric"].setdefault("params", {})

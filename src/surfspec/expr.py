@@ -14,22 +14,38 @@ Conventions that callers rely on:
   single power rule.  The rewrite restricts the domain to ``a > 0``,
   which is documented rather than checked symbolically.  A constant
   that overflows a float while a ``^`` is folded is a :class:`ParseError`
-  at that ``^``.
+  at that ``^``.  So is a function of a constant that overflows, such
+  as ``exp(1000)``, at the function's name (at the ``^`` when it sits
+  in an exponent); the tree keeps the call as written.
 * ``differentiate`` returns an exact symbolic derivative with constant
   subtrees folded.  No other simplification is attempted.
 * ``str()`` emits a canonical form: ``parse(str(e))`` reproduces an
   equal tree and re-serializes to the same text.
 
 Evaluation accepts plain floats or numpy arrays as variable bindings so
-assembly loops can evaluate one expression over a whole batch of
-quadrature points.
+assembly loops can evaluate expressions over a whole batch of
+quadrature points.  :func:`evaluate` plans one or several expressions
+as a single DAG: structurally equal subtrees share one node, computed
+once per call.  Array bindings are broadcast together and walked in
+chunks of ``_CHUNK`` points, and each intermediate is dropped after its
+last use, so memory stays near the size of the results.  Every node
+applies the same numpy operation to the same operands as a node-by-node
+walk over whole arrays, so the values are bit-identical to it.
+
+Domain errors (log of a non-positive value, sqrt of a negative value,
+division by zero, zero to a negative power) are checked once per unique
+node and chunk.  An unbound variable is reported before anything is
+computed.  When several nodes would fail, the error raised is that of
+the first failing node in post-order within the first chunk that holds
+a failing point; a node that depends on no array binding belongs to the
+first chunk.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,6 +60,7 @@ __all__ = [
     "ParseError",
     "EvalError",
     "parse",
+    "evaluate",
     "differentiate",
 ]
 
@@ -77,6 +94,10 @@ class ParseError(ExprError):
 
 class EvalError(ExprError):
     """Unbound variable or domain violation during evaluation."""
+
+
+class _CallOverflow(ParseError):
+    """A function of a constant overflows; in an exponent it is the ``^``'s error."""
 
 
 # ---------------------------------------------------------------------------
@@ -120,14 +141,15 @@ class Expr:
         return _pow(self, _coerce(other))
 
     def eval(self, bindings: Mapping[str, Number]) -> Number:
-        """Evaluate with the given variable bindings.
+        """Evaluate with the given variable bindings; see :func:`evaluate`.
 
-        Values may be floats or numpy arrays (broadcast together).
-        Raises :class:`EvalError` on unbound variables, log of a
+        Values may be floats or numpy arrays (broadcast together).  The
+        result is a float when the expression depends on no array
+        binding.  Raises :class:`EvalError` on unbound variables, log of a
         non-positive value, sqrt of a negative value, division by zero,
         or a negative-power of zero.
         """
-        out = _eval(self, bindings)
+        out = evaluate((self,), bindings)[0]
         if np.ndim(out) == 0:
             return float(out)
         return out
@@ -421,7 +443,10 @@ def _parse_power(tok: _Tokenizer) -> Expr:
     if tok.peek() == "^":
         caret = tok.pos
         tok.pos += 1
-        exponent = _parse_factor(tok)
+        try:
+            exponent = _parse_factor(tok)
+        except _CallOverflow:
+            raise ParseError("constant overflows a float", caret) from None
         try:
             folded = _try_fold(exponent)
             if folded is None:
@@ -454,6 +479,14 @@ def _parse_atom(tok: _Tokenizer) -> Expr:
             tok.pos += 1
             arg = _parse_sum(tok)
             tok.expect(")")
+            value = _try_fold(arg)
+            if value is not None and math.isfinite(value):
+                try:
+                    getattr(math, name)(value)
+                except OverflowError:
+                    raise _CallOverflow("constant overflows a float", start) from None
+                except ValueError:
+                    pass  # a domain error surfaces at evaluation
             return Call(name, arg)
         return Var(name)
     raise ParseError(f"unexpected character {ch!r}", tok.pos)
@@ -501,43 +534,145 @@ def _try_fold(e: Expr):
 # Evaluation
 
 
-def _eval(e: Expr, env: Mapping[str, Number]) -> Number:
+_CHUNK = 16384  # points per chunk: each float64 intermediate is 128 KB
+
+
+def _plan(roots) -> Tuple[list, list, list]:
+    """Intern the nodes of ``roots`` into one DAG.
+
+    Returns ``(nodes, children, root_slots)``: the unique nodes in
+    first-visit post-order, the child slots of each, and the slot of
+    each root.  Two nodes share a slot when they have the same type, the
+    same op, function, value or name, and the same child slots, so the
+    interning never hashes a whole subtree.
+    """
+    nodes: list = []
+    children: list = []
+    slot_of: dict = {}
+    slots = [_intern(r, nodes, children, slot_of) for r in roots]
+    return nodes, children, slots
+
+
+def _intern(e: Expr, nodes: list, children: list, slot_of: dict) -> int:
+    """Slot of ``e``, interning its children first.  A module function, as
+    a recursive closure would be a reference cycle left for the collector."""
     if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise EvalError(f"unbound variable '{e.name}'") from None
+        kids, key = (), ("const", e.value.hex())  # keeps -0.0 apart from 0.0
+    elif isinstance(e, Var):
+        kids, key = (), ("var", e.name)
+    elif isinstance(e, Neg):
+        kids = (_intern(e.operand, nodes, children, slot_of),)
+        key = ("neg", kids)
+    elif isinstance(e, Call):
+        kids = (_intern(e.operand, nodes, children, slot_of),)
+        key = (e.func, kids)
+    elif isinstance(e, BinOp):
+        kids = (
+            _intern(e.lhs, nodes, children, slot_of),
+            _intern(e.rhs, nodes, children, slot_of),
+        )
+        key = (e.op, kids)
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    slot = slot_of.get(key)
+    if slot is None:
+        slot = slot_of[key] = len(nodes)
+        nodes.append(e)
+        children.append(kids)
+    return slot
+
+
+def _apply(e: Expr, args: list) -> Number:
+    """One node's value from its children's values, domain checks first."""
     if isinstance(e, Neg):
-        return -_eval(e.operand, env)
+        return -args[0]
     if isinstance(e, Call):
-        arg = _eval(e.operand, env)
+        arg = args[0]
         if e.func == "log" and not np.all(np.asarray(arg) > 0):
             raise EvalError("log of a non-positive value")
         if e.func == "sqrt" and not np.all(np.asarray(arg) >= 0):
             raise EvalError("sqrt of a negative value")
         return _NUMPY_FN[e.func](arg)
-    if isinstance(e, BinOp):
-        a = _eval(e.lhs, env)
-        b = _eval(e.rhs, env)
-        op = e.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            if not np.all(np.asarray(b) != 0):
-                raise EvalError("division by zero")
-            return a / b
-        if op == "^":
-            n = b  # constant, integral by construction
-            if n < 0 and not np.all(np.asarray(a) != 0):
-                raise EvalError("zero raised to a negative power")
-            return a ** n
-    raise TypeError(f"not an expression node: {e!r}")
+    a, b = args
+    op = e.op
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if op == "/":
+        if not np.all(np.asarray(b) != 0):
+            raise EvalError("division by zero")
+        return a / b
+    n = b  # "^": constant, integral by construction
+    if n < 0 and not np.all(np.asarray(a) != 0):
+        raise EvalError("zero raised to a negative power")
+    return a ** n
+
+
+def evaluate(exprs: Sequence[Expr], bindings: Mapping[str, Number]) -> tuple:
+    """Evaluate several expressions on the same bindings in one pass.
+
+    Subtrees shared across ``exprs`` are computed once per chunk, and
+    nodes that depend on no array binding once (see the module
+    docstring).  Returns one value per expression: an array of the
+    broadcast shape of the array bindings if the expression depends on
+    one, else its scalar value.
+    """
+    nodes, children, roots = _plan(exprs)
+    arrays = {}
+    for e in nodes:
+        if isinstance(e, Var):
+            if e.name not in bindings:
+                raise EvalError(f"unbound variable '{e.name}'")
+            if isinstance(bindings[e.name], np.ndarray):
+                arrays[e.name] = bindings[e.name]
+    shape = np.broadcast_shapes(*(a.shape for a in arrays.values()))
+    flat = {k: np.broadcast_to(a, shape).reshape(-1) for k, a in arrays.items()}
+    size = math.prod(shape)
+
+    depends = []
+    for e, kids in zip(nodes, children):
+        depends.append(
+            e.name in arrays if isinstance(e, Var) else any(depends[k] for k in kids)
+        )
+    keep = set(roots)
+    last_use = {}
+    for i, kids in enumerate(children):
+        for k in kids:
+            last_use[k] = i
+    drops = [[] for _ in nodes]
+    for k, i in last_use.items():
+        if depends[k] and k not in keep:
+            drops[i].append(k)
+    varying = [i for i in range(len(nodes)) if depends[i]]
+
+    vals: list = [None] * len(nodes)
+    outs = {}
+    # one pass even when size is 0, so scalar nodes and empty results exist
+    for start in range(0, max(size, 1), _CHUNK):
+        stop = start + _CHUNK
+        for i in varying if start else range(len(nodes)):
+            e = nodes[i]
+            if isinstance(e, Const):
+                vals[i] = e.value
+            elif isinstance(e, Var):
+                vals[i] = flat[e.name][start:stop] if depends[i] else bindings[e.name]
+            else:
+                vals[i] = _apply(e, [vals[k] for k in children[i]])
+            for k in drops[i]:
+                vals[k] = None
+        for r in roots:
+            if not depends[r]:
+                continue
+            if size <= _CHUNK:
+                outs[r] = vals[r]
+                continue
+            if r not in outs:
+                outs[r] = np.empty(size, dtype=vals[r].dtype)
+            outs[r][start:stop] = vals[r]
+    return tuple(outs[r].reshape(shape) if depends[r] else vals[r] for r in roots)
 
 
 def _collect_vars(e: Expr, acc: set):

@@ -39,7 +39,7 @@ from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
 
-from .expr import Const, Expr, parse
+from .expr import Const, Expr, evaluate, parse
 
 __all__ = [
     "GeometryError",
@@ -98,12 +98,16 @@ class ChartMetric:
         env.update(self.constants)
         return env
 
-    def evaluate(self, e: Expr, upts, vpts):
-        """Evaluate an expression on arrays of chart points."""
-        out = e.eval(self.bindings(upts, vpts))
-        if np.ndim(out) == 0:
-            return np.full(np.shape(upts), float(out))
-        return np.asarray(out, dtype=float)
+    def evaluate(self, e: Union[Expr, Tuple[Expr, ...]], upts, vpts):
+        """Evaluate an expression, or a tuple of them in one pass, on
+        arrays of chart points; a tuple gives a tuple of arrays."""
+        exprs = e if isinstance(e, tuple) else (e,)
+        outs = tuple(
+            np.full(np.shape(upts), float(out)) if np.ndim(out) == 0
+            else np.asarray(out, dtype=float)
+            for out in evaluate(exprs, self.bindings(upts, vpts))
+        )
+        return outs if isinstance(e, tuple) else outs[0]
 
     def cached(self, key, builder):
         if key not in self._cache:

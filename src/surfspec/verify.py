@@ -363,20 +363,26 @@ class LevelCache:
         jacobi = [VCYCLE_DAMPING / a.diagonal()[:, None] for a in A]
         coarsest = spla.splu(A[0].tocsc())
 
-        def cycle(l, r):
-            if l == 0:
-                return coarsest.solve(r)
-            x = jacobi[l] * r
-            for _ in range(VCYCLE_SMOOTHING - 1):
-                x += jacobi[l] * (r - A[l] @ x)
-            P = self._transfer(l, bc)
-            x += P @ cycle(l - 1, P.T @ (r - A[l] @ x))
-            for _ in range(VCYCLE_SMOOTHING):
-                x += jacobi[l] * (r - A[l] @ x)
-            return x
-
-        def apply(r):
-            return cycle(level, r.reshape(r.shape[0], -1)).reshape(r.shape)
+        # a loop, not a recursive closure: that closure would be a reference
+        # cycle, which keeps A, jacobi and the factor alive after the solve
+        # until the cyclic garbage collector happens to run
+        def apply(block):
+            r = block.reshape(block.shape[0], -1)
+            down = []
+            for l in range(level, 0, -1):
+                x = jacobi[l] * r
+                for _ in range(VCYCLE_SMOOTHING - 1):
+                    x += jacobi[l] * (r - A[l] @ x)
+                P = self._transfer(l, bc)
+                down.append((l, r, x, P))
+                r = P.T @ (r - A[l] @ x)
+            x = coarsest.solve(r)
+            for l, r, fine, P in reversed(down):
+                fine += P @ x
+                for _ in range(VCYCLE_SMOOTHING):
+                    fine += jacobi[l] * (r - A[l] @ fine)
+                x = fine
+            return x.reshape(block.shape)
 
         return apply
 

@@ -5,11 +5,13 @@ import math
 import warnings
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from surfspec import eigen, verify
 from surfspec.cli import (
     CHECKS,
+    CONFIG_SCHEMA,
     ConfigError,
     build_objects,
     load_config,
@@ -140,6 +142,25 @@ def test_overflowing_constant_names_field(tmp_path, capsys, field, value):
     assert f"config field '{field}'" in err and "overflows" in err
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("distance_function", "exp(1000)*x"),
+        ("metric", {"family": "general",
+                    "params": {"g11": "1", "g12": "0", "g22": "exp(1000)"}}),
+    ],
+)
+def test_overflowing_constant_call_names_field(tmp_path, capsys, field, value):
+    cfg = base_config(tmp_path)
+    cfg[field] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", write_config(tmp_path, cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"config field '{field}'" in err and "overflows" in err
+
+
 def test_distance_function_required_by_lemma(tmp_path, capsys):
     cfg = base_config(tmp_path)
     del cfg["distance_function"]
@@ -176,6 +197,10 @@ def test_unknown_distance_variable_rejected(tmp_path):
     cfg["distance_function"] = "z"
     with pytest.raises(ConfigError, match="distance_function"):
         build_objects(cfg)
+
+
+def test_config_schema_is_a_valid_schema():
+    jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
 
 
 def test_resolved_config_revalidates(tmp_path):

@@ -2,7 +2,10 @@
 
 The derivative oracle is a central finite difference with step 1e-5,
 computed here from eval() alone so it cannot share a code path with
-differentiate().
+differentiate().  The evaluation oracle is :func:`reference_eval`, a
+recursive walk of the tree over whole arrays that applies each node's
+numpy operation in the same operand order as the planned, chunked
+evaluator, so the two must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -14,6 +17,9 @@ import numpy as np
 import pytest
 
 from surfspec.expr import (
+    _CHUNK,
+    _NUMPY_FN,
+    _plan,
     BinOp,
     Call,
     Const,
@@ -22,11 +28,47 @@ from surfspec.expr import (
     ParseError,
     Var,
     differentiate,
+    evaluate,
     parse,
 )
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-6
+
+
+def reference_eval(e, env):
+    """Evaluate ``e`` by walking the tree, every node over whole arrays."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        try:
+            return env[e.name]
+        except KeyError:
+            raise EvalError(f"unbound variable '{e.name}'") from None
+    if isinstance(e, Neg):
+        return -reference_eval(e.operand, env)
+    if isinstance(e, Call):
+        arg = reference_eval(e.operand, env)
+        if e.func == "log" and not np.all(np.asarray(arg) > 0):
+            raise EvalError("log of a non-positive value")
+        if e.func == "sqrt" and not np.all(np.asarray(arg) >= 0):
+            raise EvalError("sqrt of a negative value")
+        return _NUMPY_FN[e.func](arg)
+    a = reference_eval(e.lhs, env)
+    b = reference_eval(e.rhs, env)
+    if e.op == "+":
+        return a + b
+    if e.op == "-":
+        return a - b
+    if e.op == "*":
+        return a * b
+    if e.op == "/":
+        if not np.all(np.asarray(b) != 0):
+            raise EvalError("division by zero")
+        return a / b
+    if b < 0 and not np.all(np.asarray(a) != 0):
+        raise EvalError("zero raised to a negative power")
+    return a ** b
 
 
 def fd_derivative(e, var, point):
@@ -104,6 +146,24 @@ def test_overflowing_constant_is_parse_error(text, caret):
     assert err.value.position == caret
 
 
+@pytest.mark.parametrize(
+    "text,name_at",
+    [("exp(1000)*x", 0), ("x*cosh(800)", 2), ("sinh(1e3)+y", 0), ("exp(exp(10))*x", 0)],
+)
+def test_overflowing_constant_call_is_parse_error(text, name_at):
+    with pytest.raises(ParseError, match="overflows") as err:
+        parse(text)
+    assert err.value.position == name_at
+
+
+@pytest.mark.parametrize("func,arg", [("sqrt", 2.0), ("exp", 1.0)])
+def test_finite_constant_call_keeps_its_tree(func, arg):
+    text = f"{func}({arg:g})*x"
+    e = parse(text)
+    assert e == BinOp("*", Call(func, Const(arg)), Var("x"))
+    assert str(e) == text
+
+
 def test_scientific_notation():
     assert parse("1e-3").eval({}) == 1e-3
     assert parse("2.5e2").eval({}) == 250.0
@@ -151,6 +211,87 @@ def test_eval_array_bindings():
 def test_eval_returns_python_float():
     out = parse("2*x").eval({"x": 3.0})
     assert isinstance(out, float) and out == 6.0
+
+
+# every function, "/" and "^" (integer and exp-log), with shared subtrees
+EVERY_OP = (
+    "exp(x/3)*log(y+2) - sqrt(x*x+1)/sin(y+0.5)^2"
+    " + cos(x)*sinh(y/4) - cosh(x/5)/tanh(y+1.5)"
+    " + (x+c)^-2*y^3 - x^2.5 + -(sqrt(x*x+1)*c)"
+)
+
+
+def _points(n):
+    rng = np.random.default_rng(n)
+    return {
+        "x": rng.uniform(0.5, 2.0, n),
+        "y": rng.uniform(0.1, 1.3, n),
+        "c": 0.75,
+    }
+
+
+@pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+def test_planned_evaluation_is_bit_equal_to_tree_walk(n):
+    e = parse(EVERY_OP)
+    roots = (e, e.diff("x"), e.diff("y"), parse("x*c"), parse("c^2"))
+    env = _points(n)
+    got = evaluate(roots, env)
+    assert len(got) == len(roots)
+    for root, value in zip(roots, got):
+        want = reference_eval(root, env)
+        assert np.shape(value) == np.shape(want)
+        assert np.array_equal(value, want), str(root)
+    assert np.array_equal(e.eval(env), reference_eval(e, env))
+
+
+def test_domain_error_in_last_chunk_only():
+    x = np.ones(3 * _CHUNK + 5)
+    x[-1] = -1.0
+    with pytest.raises(EvalError, match="^log of a non-positive value$"):
+        parse("x + log(x)").eval({"x": x})
+    with pytest.raises(EvalError, match="^log of a non-positive value$"):
+        reference_eval(parse("x + log(x)"), {"x": x})
+
+
+def test_constant_root_with_array_bindings_is_float():
+    env = {"x": np.linspace(0.0, 1.0, 5), "c": 2.0}
+    out = parse("3").eval(env)
+    assert isinstance(out, float) and out == 3.0
+    out = parse("c*4").eval(env)
+    assert isinstance(out, float) and out == 8.0
+    const, varying = evaluate((parse("c*4"), parse("x*c")), env)
+    assert const == 8.0 and np.array_equal(varying, env["x"] * 2.0)
+
+
+def test_zero_size_binding_gives_empty_array():
+    out = parse("x*y + log(c)").eval({"x": np.empty((0, 3)), "y": 1.0, "c": 2.0})
+    assert isinstance(out, np.ndarray) and out.shape == (0, 3)
+
+
+def test_shared_subtree_runs_once_per_chunk(monkeypatch):
+    calls = []
+
+    def counting_sqrt(a):
+        calls.append(np.size(a))
+        return np.sqrt(a)
+
+    monkeypatch.setitem(_NUMPY_FN, "sqrt", counting_sqrt)
+    n = 3 * _CHUNK + 5
+    x = np.linspace(0.0, 1.0, n)
+    s = "sqrt(x+1)"
+    roots = (parse(f"{s}*{s} + {s}/(x+1)"), parse(f"{s}*x"))
+    evaluate(roots, {"x": x})
+    assert calls == [_CHUNK, _CHUNK, _CHUNK, 5]
+
+
+def test_plan_interns_structurally_equal_subtrees():
+    nodes, _, roots = _plan(
+        (parse("sin(x)*sin(x) + 0*x - -0*x"), parse("sin(x)"))
+    )
+    assert [str(n) for n in nodes].count("sin(x)") == 1
+    assert roots[1] == [str(n) for n in nodes].index("sin(x)")
+    # 0.0 and -0.0 compare equal but are different constants
+    assert sum(isinstance(n, Const) for n in nodes) == 2
 
 
 # ---------------------------------------------------------------------------

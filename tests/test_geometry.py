@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from surfspec.expr import BinOp, Call, Neg, parse
+from surfspec.expr import BinOp, Call, Const, Neg, parse
 from surfspec.geometry import (
     ChartMetric,
     DistanceFunction,
@@ -26,6 +27,8 @@ from surfspec.geometry import (
     check_unit_gradient,
     curvature_condition_check,
     gaussian_curvature,
+    gaussian_curvature_expr,
+    gradient_norm2_expr,
     laplacian_of,
     margin_expr,
 )
@@ -451,6 +454,35 @@ def test_margin_against_fd_covariant_hessian(case):
 def test_sheared_margin_tree_is_small():
     m = builtin_metric("general", SHEARED_HALF_PLANE)
     assert tree_size(margin_expr(m, "-log(y)")) < 1000
+
+
+def test_sheared_screen_memory_stays_at_chunk_scale():
+    # the margin and |grad f|^2 on the 512 x 512 screening grid; walking
+    # the tree over whole arrays peaks at about 21 MB, the two results
+    # alone take 4.2 MB
+    m = builtin_metric("general", SHEARED_HALF_PLANE)
+    roots = (margin_expr(m, "-log(y)"), gradient_norm2_expr(m, "-log(y)"))
+    upts, vpts = GridSpec((0.0, 1.0), (1.0, math.e), 512, 512).points()
+    tracemalloc.start()
+    try:
+        margin, grad2 = m.evaluate(roots, upts, vpts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert np.max(np.abs(grad2 - 1.0)) < 1e-12
+    assert np.max(np.abs(margin)) < 1e-9
+
+
+def test_evaluating_a_tuple_matches_one_call_each():
+    m = builtin_metric("general", SHEARED_HALF_PLANE)
+    exprs = (m.g11, m.g12, Const(2.0), gaussian_curvature_expr(m))
+    upts, vpts = GridSpec((0.0, 1.0), (1.0, 2.0), 9, 7).points()
+    together = m.evaluate(exprs, upts, vpts)
+    assert isinstance(together, tuple) and len(together) == len(exprs)
+    for e, got in zip(exprs, together):
+        want = m.evaluate(e, upts, vpts)
+        assert got.shape == upts.shape and np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Theorem-level checks on the built-in example domains."""
 
+import gc
 import json
 import math
 
@@ -382,6 +383,26 @@ def test_nested_solves_factor_only_level_zero(monkeypatch):
     monkeypatch.setattr(eigen.spla, "eigsh", None)
     assert cache.spectrum(2, "neumann", 4).converged
     assert factored == [level0_dim]
+
+
+def test_vcycle_leaves_no_reference_cycle():
+    # the preconditioner holds every level's operators and the level-0
+    # factor; they must go when it goes, not when the cyclic collector runs
+    cache = LevelCache(DomainSpec.rectangle(0, 1, 1, math.e, 4), HALF_PLANE)
+    for level in range(3):
+        cache.pencil(level, "neumann")
+        if level:
+            cache._transfer(level, "neumann")
+    gc.collect()
+    gc.disable()
+    try:
+        apply = cache._vcycle(2, "neumann", 1.0)
+        n = cache.pencil(2, "neumann").stiffness.shape[0]
+        assert apply(np.ones((n, 2))).shape == (n, 2)
+        del apply
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_non_monotone_reported_without_fit():
