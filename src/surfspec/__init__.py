@@ -32,7 +32,6 @@ from .eigen import (
 from .expr import Expr, ExprError, ParseError, differentiate, parse
 from .geometry import (
     ChartMetric,
-    DistanceFunction,
     GeometryError,
     GridSpec,
     builtin_metric,
@@ -63,7 +62,6 @@ __all__ = [
     "__version__",
     "AssemblyError",
     "ChartMetric",
-    "DistanceFunction",
     "DomainSpec",
     "EigenError",
     "Expr",

@@ -36,7 +36,7 @@ from .expr import Expr
 from .geometry import (
     UNIT_GRADIENT_TOL,
     ChartMetric,
-    _f_expr,
+    _as_expr,
     gradient_norm2_expr,
     inverse_exprs,
     laplacian_expr,
@@ -440,7 +440,7 @@ def dirichlet_form_quadrature(
     passed on to :func:`assemble_oneform`, which reuses this function's
     chart data.
     """
-    fe = _f_expr(f)
+    fe = _as_expr(f)
     data = _chart_data(mesh, metric, quad_rule)
     u, v = data["qpts"][..., 0], data["qpts"][..., 1]
     ginv, dA, lam = data["ginv"], data["dA"], data["lam"]

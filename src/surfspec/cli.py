@@ -4,12 +4,15 @@ A run config (``spec_version`` 1) names a metric family with its
 parameters, a chart domain with its resolution, an optional distance
 function expression, solver knobs, and a nonempty list of checks to
 execute.  ``run`` executes every listed check in order and writes one
-JSON report; it is the only code that executes checks.  The check
-subcommands (``verify``, ``curvature-check``, ``convergence``) are
-``run`` narrowed to one check: they set the config's ``checks`` to that
-check, write their flags into its ``check_params``, call ``run`` and
-print the check's lines; their ``--report`` is ``run``'s report.
-``spectrum`` and ``oracle`` dump tables for quick inspection.
+JSON report; it is the only code that executes checks.  ``CHECKS``
+holds one row per check: its config name, the :mod:`surfspec.verify`
+function it runs, the schema of its ``check_params`` and how its results
+are printed; a parameter's default is that function's keyword default.
+The check subcommands (``verify``, ``curvature-check``, ``convergence``)
+are ``run`` narrowed to one check: their flags are the check's
+``check_params`` schema, written into the config before ``run``, and
+their ``--report`` is ``run``'s report.  ``spectrum`` and ``oracle``
+dump tables for quick inspection.
 
 Exit codes: 0 when every executed check passes, 1 when any check
 fails, 2 for invalid input (unreadable file, schema violation,
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import inspect
 import json
 import sys
 import time
@@ -39,13 +43,8 @@ import jsonschema
 
 from .assembly import AssemblyError, assemble_oneform
 from .eigen import EigenError, SolverOptions, cluster_multiplicities, solve_oneform
-from .expr import ExprError
-from .geometry import (
-    ChartMetric,
-    DistanceFunction,
-    GeometryError,
-    builtin_metric,
-)
+from .expr import Expr, ExprError, parse
+from .geometry import ChartMetric, GeometryError, builtin_metric
 from .mesh import DomainSpec, MeshError
 from .mesh import triangulate  # noqa: F401  (perfbench/tracer.py wraps cli.triangulate)
 from .verify import (
@@ -159,51 +158,60 @@ def _convergence_lines(q):
 
 @dataclass(frozen=True)
 class _Check:
-    """Everything the front end knows about one check."""
+    """Everything the front end knows about one check.
+
+    A parameter's default is the default of the keyword of the same name
+    in ``function``'s signature, and the check needs ``distance_function``
+    when ``function`` takes an ``f``.
+    """
 
     name: str  # config name: ``checks`` entries and ``check_params`` keys
-    report: str  # the ``check`` field of its report
-    params: Dict[str, Tuple[dict, object]]  # parameter -> (schema, default)
-    # (params, distance, cache) -> report; looks the check up at call time
-    run: Callable[..., VerificationReport]
+    function: Callable[..., VerificationReport]  # the verify function it runs
+    params: Dict[str, dict]  # parameter -> schema
+    # (function, params, f, cache) -> report
+    call: Callable[..., VerificationReport]
     summary: Callable[[dict], str]  # quantities -> summary detail
-    needs_distance: bool = False
     # quantities -> (file name, header, rows) of its CSV table
     table: Optional[Callable[[dict], tuple]] = None
     # quantities -> the lines its subcommand prints above the summary line
     lines: Optional[Callable[[dict], List[str]]] = None
 
     def defaults(self) -> dict:
-        return {key: default for key, (_, default) in self.params.items()}
+        signature = inspect.signature(self.function).parameters
+        return {key: signature[key].default for key in self.params}
+
+    @property
+    def needs_distance(self) -> bool:
+        return "f" in inspect.signature(self.function).parameters
+
+    def run(
+        self, params: dict, f: Optional[Expr], cache: LevelCache
+    ) -> VerificationReport:
+        # looked up in this module at call time, where perfbench/tracer.py
+        # wraps the check functions
+        return self.call(globals()[self.function.__name__], params, f, cache)
 
 
 _INT = {"type": "integer"}
 
 CHECKS: Dict[str, _Check] = {c.name: c for c in (
     _Check(
-        "inequality", "inequality",
-        {"levels": ({**_INT, "minimum": 2}, 3)},
-        lambda p, f, c: verify_inequality(
-            c.domain, c.metric, f, levels=p["levels"], cache=c
-        ),
+        "inequality", verify_inequality,
+        {"levels": {**_INT, "minimum": 2}},
+        lambda fn, p, f, c: fn(c.domain, c.metric, f, **p, cache=c),
         lambda q: f"extrapolated margin {q['extrapolated_margin']:.6g}",
-        needs_distance=True, table=_inequality_table, lines=_inequality_lines,
+        table=_inequality_table, lines=_inequality_lines,
     ),
     _Check(
-        "lemma", "lemma",
-        {"level": ({**_INT, "minimum": 0}, 0)},
-        lambda p, f, c: lemma_check(
-            c.domain, c.metric, f, level=p["level"], cache=c
-        ),
-        _lemma_summary, needs_distance=True,
+        "lemma", lemma_check,
+        {"level": {**_INT, "minimum": 0}},
+        lambda fn, p, f, c: fn(c.domain, c.metric, f, **p, cache=c),
+        _lemma_summary,
     ),
     _Check(
-        "union", "spectrum-union",
-        {"level": ({**_INT, "minimum": 0}, 0),
-         "count": ({**_INT, "minimum": 1}, 10)},
-        lambda p, f, c: spectrum_union_check(
-            c.domain, c.metric, level=p["level"], count=p["count"], cache=c
-        ),
+        "union", spectrum_union_check,
+        {"level": {**_INT, "minimum": 0}, "count": {**_INT, "minimum": 1}},
+        lambda fn, p, f, c: fn(c.domain, c.metric, **p, cache=c),
         lambda q: (
             f"max rel diff {q['max_rel_difference']:.3g}, "
             f"zero modes {q['zero_modes']}/{q['betti1']}"
@@ -211,39 +219,34 @@ CHECKS: Dict[str, _Check] = {c.name: c for c in (
         table=_union_table,
     ),
     _Check(
-        "hodge-dims", "hodge-dimension", {},
-        lambda p, f, c: hodge_dimension_check(c.mesh(0)),
+        "hodge-dims", hodge_dimension_check, {},
+        lambda fn, p, f, c: fn(c.mesh(0)),
         lambda q: (
             f"rank d0 {q['rank_d0']} + rank d1 {q['rank_d1']} + "
             f"b1 {q['betti1']} == E {q['n_edges']}"
         ),
     ),
     _Check(
-        "curvature", "curvature",
-        {"samples": ({**_INT, "minimum": 2}, 64)},
-        lambda p, f, c: curvature_check(
-            c.domain, c.metric, f, samples=p["samples"]
-        ),
-        _curvature_summary, needs_distance=True,
+        "curvature", curvature_check,
+        {"samples": {**_INT, "minimum": 2}},
+        lambda fn, p, f, c: fn(c.domain, c.metric, f, **p),
+        _curvature_summary,
     ),
     _Check(
-        "convergence", "convergence",
-        {"bc": ({"enum": ["dirichlet", "neumann"]}, "dirichlet"),
-         "levels": ({**_INT, "minimum": 3}, 3)},
-        lambda p, f, c: convergence_study(
-            c.domain, c.metric, bc=p["bc"], levels=p["levels"], cache=c
-        ),
+        "convergence", convergence_study,
+        {"bc": {"enum": ["dirichlet", "neumann"]},
+         "levels": {**_INT, "minimum": 3}},
+        lambda fn, p, f, c: fn(c.domain, c.metric, **p, cache=c),
         _convergence_summary, table=_convergence_table, lines=_convergence_lines,
     ),
     _Check(
-        "oracle", "oracle",
-        {"max_index": ({**_INT, "minimum": 1}, 10)},
-        lambda p, f, c: oracle_check(p["max_index"]),
+        "oracle", oracle_check,
+        {"max_index": {**_INT, "minimum": 1}},
+        lambda fn, p, f, c: fn(**p),
         lambda q: f"{q['compared_pairs']} interlacing pairs checked",
         table=_oracle_table,
     ),
 )}
-_BY_REPORT = {c.report: c for c in CHECKS.values()}
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -310,7 +313,7 @@ CONFIG_SCHEMA = {
                 c.name: {
                     "type": "object",
                     "additionalProperties": False,
-                    "properties": {k: sch for k, (sch, _) in c.params.items()},
+                    "properties": c.params,
                 }
                 for c in CHECKS.values()
             },
@@ -415,7 +418,7 @@ _EXTENT_COUNT = {"rectangle": 4, "periodic_band": 2, "disk": 3, "annulus": 4}
 
 def build_objects(
     cfg: dict,
-) -> Tuple[ChartMetric, DomainSpec, Optional[DistanceFunction], SolverOptions]:
+) -> Tuple[ChartMetric, DomainSpec, Optional[Expr], SolverOptions]:
     """Construct the metric, domain, distance function, and options.
 
     Construction failures surface as :class:`ConfigError` naming the
@@ -437,36 +440,26 @@ def build_objects(
             f"config field 'domain/extents': shape '{shape}' takes "
             f"{want} numbers, got {len(extents)}"
         )
+    # a band closes with its metric's angular period, when the metric has one
+    glued = shape == "periodic_band" and metric.theta_period is not None
+    period = {"theta_period": metric.theta_period} if glued else {}
     try:
-        if shape == "rectangle":
-            domain = DomainSpec.rectangle(*extents, n)
-        elif shape == "periodic_band":
-            period = metric.theta_period
-            if period is None:
-                domain = DomainSpec.periodic_band(*extents, n)
-            else:
-                domain = DomainSpec.periodic_band(
-                    *extents, n, theta_period=period
-                )
-        elif shape == "disk":
-            domain = DomainSpec.disk(*extents, n)
-        else:
-            domain = DomainSpec.annulus(*extents, n)
+        domain = DomainSpec(
+            shape, int(n), tuple(float(x) for x in extents), **period
+        )
     except MeshError as exc:
         raise ConfigError(f"config field 'domain': {exc}") from None
 
     distance = None
     if cfg["distance_function"]:
         try:
-            distance = DistanceFunction.from_text(
-                metric, cfg["distance_function"]
-            )
+            distance = parse(cfg["distance_function"])
         except ExprError as exc:
             raise ConfigError(
                 f"config field 'distance_function': {exc}"
             ) from None
         allowed = {metric.u, metric.v} | set(metric.constants)
-        extra = distance.expr.variables() - allowed
+        extra = distance.variables() - allowed
         if extra:
             raise ConfigError(
                 "config field 'distance_function': unknown variables "
@@ -546,21 +539,22 @@ def write_csv(path, header: Sequence[str], rows) -> None:
 def _emit_csv_tables(report: dict, csv_dir) -> None:
     directory = Path(csv_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    for check in report["checks"]:
-        table, q = _BY_REPORT[check["check"]].table, check["quantities"]
+    for name, check in zip(report["config"]["checks"], report["checks"]):
+        table, q = CHECKS[name].table, check["quantities"]
         if table is not None and not q.get("refused"):
-            name, header, rows = table(q)
-            write_csv(directory / name, header, rows)
+            file_name, header, rows = table(q)
+            write_csv(directory / file_name, header, rows)
 
 
-def _summary_line(check: dict) -> str:
-    name, q = check["check"], check["quantities"]
+def _summary_line(name: str, check: dict) -> str:
+    """The line of config check ``name``, labelled with its report's name."""
+    q = check["quantities"]
     status = "PASS" if check["passed"] else "FAIL"
     if q.get("refused"):
         detail = f"refused: {q['reason']}"
     else:
-        detail = _BY_REPORT[name].summary(q)
-    return f"{name:<12} {status}  {detail}"
+        detail = CHECKS[name].summary(q)
+    return f"{check['check']:<12} {status}  {detail}"
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +564,8 @@ def _summary_line(check: dict) -> str:
 def _cmd_run(args) -> int:
     cfg = validate_config(load_config(args.config))
     report, code = run(cfg)
-    for check in report["checks"]:
-        print(_summary_line(check))
+    for name, check in zip(cfg["checks"], report["checks"]):
+        print(_summary_line(name, check))
     report_path = args.report or cfg["output"]["report"]
     write_report(report, report_path)
     print(f"report written to {report_path}")
@@ -601,7 +595,7 @@ def _cmd_check(args) -> int:
     q = result["quantities"]
     for line in check.lines(q) if check.lines else ():
         print(line)
-    print(_summary_line(result))
+    print(_summary_line(name, result))
     csv_path = getattr(args, "csv", None)
     if csv_path:
         _, header, rows = check.table(q)
@@ -694,6 +688,19 @@ def _eigenpair_count(text: str) -> int:
     return count
 
 
+# subcommand -> (check, help, whether it takes --csv); its other flags are the
+# check's parameters, each overriding the config's check_params
+_CHECK_COMMANDS = {
+    "verify": ("inequality", "run the eigenvalue comparison only", False),
+    "curvature-check": (
+        "curvature", "sample the unit-gradient and curvature conditions", False
+    ),
+    "convergence": (
+        "convergence", "eigenvalue refinement study with a rate fit", True
+    ),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="surfspec",
@@ -710,11 +717,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv-dir", help="table directory (overrides the config)")
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("verify", help="run the eigenvalue comparison only")
-    p.add_argument("config")
-    p.add_argument("--levels", type=int, help="refinement levels to use")
-    p.add_argument("--report", help="write a single-check JSON report")
-    p.set_defaults(func=_cmd_check, check="inequality")
+    for command, (name, text, csv) in _CHECK_COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        p.add_argument("config")
+        for key, schema in CHECKS[name].params.items():
+            p.add_argument(
+                f"--{key}",
+                type=int if schema.get("type") == "integer" else None,
+                choices=schema.get("enum"),
+                help=f"overrides check_params/{name}/{key}",
+            )
+        if csv:
+            p.add_argument("--csv", help="CSV output path")
+        p.add_argument("--report", help="write a single-check JSON report")
+        p.set_defaults(func=_cmd_check, check=name)
 
     p = sub.add_parser("spectrum", help="dump an eigenvalue table")
     p.add_argument("config")
@@ -725,27 +741,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", "--count", type=_eigenpair_count, default=8)
     p.add_argument("--csv", help="CSV output path")
     p.set_defaults(func=_cmd_spectrum)
-
-    p = sub.add_parser(
-        "curvature-check",
-        help="sample the unit-gradient and curvature conditions",
-    )
-    p.add_argument("config")
-    p.add_argument(
-        "--samples", type=int, help="grid samples per axis (overrides the config)"
-    )
-    p.add_argument("--report", help="write a single-check JSON report")
-    p.set_defaults(func=_cmd_check, check="curvature")
-
-    p = sub.add_parser(
-        "convergence", help="eigenvalue refinement study with a rate fit"
-    )
-    p.add_argument("config")
-    p.add_argument("--bc", choices=("dirichlet", "neumann"))
-    p.add_argument("--levels", type=int)
-    p.add_argument("--csv", help="CSV output path")
-    p.add_argument("--report", help="write a single-check JSON report")
-    p.set_defaults(func=_cmd_check, check="convergence")
 
     p = sub.add_parser(
         "oracle",

@@ -12,9 +12,10 @@ Conventions that callers rely on:
   nodes; a non-integer exponent ``b`` rewrites ``a^b`` to
   ``exp(b*log(a))`` at construction time, so differentiation needs a
   single power rule.  The rewrite restricts the domain to ``a > 0``,
-  which is documented rather than checked symbolically.  A constant
-  that overflows a float while a ``^`` is folded is a :class:`ParseError`
-  at that ``^``.  So is a function of a constant that overflows, such
+  which is documented rather than checked symbolically.  A literal that
+  overflows a float, such as ``1e400``, is a :class:`ParseError` at the
+  literal; a constant that overflows while a ``^`` is folded is one at
+  that ``^``.  So is a function of a constant that overflows, such
   as ``exp(1000)``, at the function's name (at the ``^`` when it sits
   in an exponent); the tree keeps the call as written.
 * ``differentiate`` returns an exact symbolic derivative with constant
@@ -367,6 +368,8 @@ class _Tokenizer:
             value = float(token)
         except ValueError:
             raise ParseError("malformed number", start) from None
+        if math.isinf(value):
+            raise ParseError("constant overflows a float", start)
         self.pos = i
         return value
 

@@ -44,7 +44,6 @@ from .expr import Const, Expr, evaluate, parse
 __all__ = [
     "GeometryError",
     "ChartMetric",
-    "DistanceFunction",
     "GridSpec",
     "CurvatureReport",
     "builtin_metric",
@@ -64,6 +63,7 @@ class GeometryError(ValueError):
 
 
 def _as_expr(obj: Union[str, Expr, float]) -> Expr:
+    """An expression given as text, a number or an :class:`Expr`."""
     if isinstance(obj, Expr):
         return obj
     if isinstance(obj, (int, float)):
@@ -124,22 +124,6 @@ class ChartMetric:
             and np.all(vpts >= v0 - eps_v)
             and np.all(vpts <= v1 + eps_v)
         )
-
-
-@dataclass
-class DistanceFunction:
-    """A scalar chart function expected to have unit gradient."""
-
-    metric: ChartMetric
-    expr: Expr
-
-    @classmethod
-    def from_text(cls, metric: ChartMetric, text: str) -> "DistanceFunction":
-        return cls(metric, _as_expr(text))
-
-
-def _f_expr(f) -> Expr:
-    return f.expr if isinstance(f, DistanceFunction) else _as_expr(f)
 
 
 @dataclass
@@ -373,7 +357,7 @@ def gaussian_curvature_expr(m: ChartMetric) -> Expr:
 
 
 def gradient_norm2_expr(m: ChartMetric, f) -> Expr:
-    fe = _f_expr(f)
+    fe = _as_expr(f)
 
     def build():
         fu, fv = fe.diff(m.u), fe.diff(m.v)
@@ -385,7 +369,7 @@ def gradient_norm2_expr(m: ChartMetric, f) -> Expr:
 
 def laplacian_expr(m: ChartMetric, f) -> Expr:
     """Positive-spectrum Laplacian: Delta f = -div(grad f)."""
-    fe = _f_expr(f)
+    fe = _as_expr(f)
 
     def build():
         fu, fv = fe.diff(m.u), fe.diff(m.v)
@@ -406,7 +390,7 @@ def margin_expr(m: ChartMetric, f) -> Expr:
     module docstring); elsewhere it is not the curvature condition, so
     check the gradient first (:func:`check_unit_gradient`).
     """
-    fe = _f_expr(f)
+    fe = _as_expr(f)
 
     def build():
         # the deeper Laplacian tree is evaluated first, so K's temporaries

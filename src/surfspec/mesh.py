@@ -46,12 +46,40 @@ class MeshError(ValueError):
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Shape + resolution.  ``n`` subdivides the shortest side."""
+    """Shape + resolution.  ``n`` subdivides the shortest side.
+
+    Construction raises :class:`MeshError` for an unknown shape, ``n < 2``
+    or degenerate extents, so a spec that exists can be meshed.
+    """
 
     shape: str
     n: int
     extents: Tuple[float, ...]
     theta_period: float = 2.0 * math.pi
+
+    def __post_init__(self):
+        if self.shape not in _TRIANGULATORS:
+            raise MeshError(f"unknown domain shape '{self.shape}'")
+        if self.n < 2:
+            raise MeshError("resolution must be at least 2")
+        if self.shape == "rectangle":
+            u0, u1, v0, v1 = self.extents
+            if not (u1 > u0 and v1 > v0):
+                raise MeshError("rectangle extents are degenerate")
+        elif self.shape == "periodic_band":
+            u0, u1 = self.extents
+            if not u1 > u0:
+                raise MeshError("band extents are degenerate")
+            if not self.theta_period > 0:
+                raise MeshError("band requires a positive theta period")
+        elif self.shape == "disk":
+            _, _, radius = self.extents
+            if not radius > 0:
+                raise MeshError("disk radius must be positive")
+        else:
+            _, _, r_in, r_out = self.extents
+            if not (0 < r_in < r_out):
+                raise MeshError("annulus radii must satisfy 0 < r_in < r_out")
 
     @classmethod
     def rectangle(cls, u0, u1, v0, v1, n) -> "DomainSpec":
@@ -234,27 +262,12 @@ def _split_cells(cell_ids: np.ndarray) -> np.ndarray:
 
 
 def triangulate(domain: DomainSpec) -> Mesh:
-    """Build the structured mesh for a domain spec.
-
-    Raises :class:`MeshError` for degenerate extents or ``n < 2``.
-    """
-    if domain.n < 2:
-        raise MeshError("resolution must be at least 2")
-    if domain.shape == "rectangle":
-        return _triangulate_rectangle(domain)
-    if domain.shape == "periodic_band":
-        return _triangulate_band(domain)
-    if domain.shape == "disk":
-        return _triangulate_disk(domain)
-    if domain.shape == "annulus":
-        return _triangulate_annulus(domain)
-    raise MeshError(f"unknown domain shape '{domain.shape}'")
+    """Build the structured mesh for a domain spec."""
+    return _TRIANGULATORS[domain.shape](domain)
 
 
 def _triangulate_rectangle(domain: DomainSpec) -> Mesh:
     u0, u1, v0, v1 = domain.extents
-    if not (u1 > u0 and v1 > v0):
-        raise MeshError("rectangle extents are degenerate")
     nu, nv = _grid_counts(domain.n, u1 - u0, v1 - v0)
     upts = np.linspace(u0, u1, nu + 1)
     vpts = np.linspace(v0, v1, nv + 1)
@@ -274,11 +287,7 @@ def _triangulate_rectangle(domain: DomainSpec) -> Mesh:
 
 def _triangulate_band(domain: DomainSpec) -> Mesh:
     u0, u1 = domain.extents
-    if not u1 > u0:
-        raise MeshError("band extents are degenerate")
     period = domain.theta_period
-    if not period > 0:
-        raise MeshError("band requires a positive theta period")
     nu = domain.n
     ntheta = max(3, domain.n)  # below 3 the glued mesh is not edge-manifold
     upts = np.linspace(u0, u1, nu + 1)
@@ -321,8 +330,6 @@ def _ring_cells(rid, rings, ntheta) -> np.ndarray:
 
 def _triangulate_disk(domain: DomainSpec) -> Mesh:
     cx, cy, radius = domain.extents
-    if not radius > 0:
-        raise MeshError("disk radius must be positive")
     n = domain.n
     ntheta = max(3, n)
     verts = [np.array([[cx, cy]])]
@@ -341,8 +348,6 @@ def _triangulate_disk(domain: DomainSpec) -> Mesh:
 
 def _triangulate_annulus(domain: DomainSpec) -> Mesh:
     cx, cy, r_in, r_out = domain.extents
-    if not (0 < r_in < r_out):
-        raise MeshError("annulus radii must satisfy 0 < r_in < r_out")
     n = domain.n
     ntheta = max(3, n)
     rows = [
@@ -357,6 +362,14 @@ def _triangulate_annulus(domain: DomainSpec) -> Mesh:
     return Mesh.from_arrays(
         verts, _ring_cells(rid, np.arange(n), ntheta), domain=domain
     )
+
+
+_TRIANGULATORS = {
+    "rectangle": _triangulate_rectangle,
+    "periodic_band": _triangulate_band,
+    "disk": _triangulate_disk,
+    "annulus": _triangulate_annulus,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,14 @@ rule, so the flag is by construction a pure function of the recorded
 numbers: given a report's dictionary form, :func:`recompute_pass`
 re-derives it without touching any solver state.
 
+A check's keyword defaults are also the defaults of its ``check_params``
+in a run config (:mod:`surfspec.cli` reads them from the signatures).
+A distance function ``f`` is given as text or as an expression.  The
+inequality and lemma checks first screen it, |grad f| = 1 and the
+curvature margin on a SCREEN_SAMPLES grid over the domain widened by
+SCREEN_ENLARGE on each side, and return a refusal report when either
+fails.
+
 The main inequality check compares the first Dirichlet eigenvalue
 against the Neumann eigenvalue of order 3 - b1 (b1 the first Betti
 number).  Conforming P1 elements approach eigenvalues from above at
@@ -50,11 +58,12 @@ from .eigen import (
     solve_smallest,
     uses_dense_path,
 )
+from .expr import Expr
 from .geometry import (
     UNIT_GRADIENT_TOL,
     ChartMetric,
-    DistanceFunction,
     GridSpec,
+    _as_expr,
     check_unit_gradient,
     curvature_condition_check,
 )
@@ -82,6 +91,10 @@ SHRINK_SLACK = 1e-12
 NEUMANN_BLOCK = 4
 # the tolerance of a report refused at the unit-gradient or curvature screening
 REFUSAL_TOLERANCE = "preconditions: unit gradient 1e-10, margin >= -1e-9"
+# the screening grid of the checks on f: samples per axis, and the share of
+# the domain's bounding box added on each side
+SCREEN_SAMPLES = 48
+SCREEN_ENLARGE = 0.05
 # damped Jacobi smoothing of the nested-solve V-cycle: weight, steps each side
 VCYCLE_DAMPING = 0.6
 VCYCLE_SMOOTHING = 2
@@ -148,25 +161,28 @@ def _report(check, desc, levels, quantities, tolerance, start) -> VerificationRe
 # helpers
 
 
-def _as_distance(metric: ChartMetric, f) -> DistanceFunction:
-    if isinstance(f, DistanceFunction):
-        return f
-    return DistanceFunction.from_text(metric, str(f))
-
-
-def _domain_bbox(domain: DomainSpec) -> Tuple[float, float, float, float]:
+def _grid(
+    domain: DomainSpec, metric: ChartMetric, samples: int, enlarge: float = 0.0
+) -> GridSpec:
+    """A samples x samples grid over the domain's bounding box, widened by
+    ``enlarge`` times its size on each side and clipped to the metric's
+    validity rectangle."""
     ext = domain.extents
     if domain.shape == "rectangle":
-        return ext
-    if domain.shape == "periodic_band":
-        return (ext[0], ext[1], 0.0, domain.theta_period)
-    if domain.shape == "disk":
-        cx, cy, r = ext
-        return (cx - r, cx + r, cy - r, cy + r)
-    if domain.shape == "annulus":
-        cx, cy, _, r = ext
-        return (cx - r, cx + r, cy - r, cy + r)
-    raise VerifyError(f"unknown domain shape '{domain.shape}'")
+        u0, u1, v0, v1 = ext
+    elif domain.shape == "periodic_band":
+        u0, u1, v0, v1 = ext[0], ext[1], 0.0, domain.theta_period
+    else:  # disk or annulus: the outer circle's box
+        cx, cy, r = ext[0], ext[1], ext[-1]
+        u0, u1, v0, v1 = cx - r, cx + r, cy - r, cy + r
+    du, dv = enlarge * (u1 - u0), enlarge * (v1 - v0)
+    w0, w1, z0, z1 = metric.validity
+    return GridSpec(
+        (max(u0 - du, w0), min(u1 + du, w1)),
+        (max(v0 - dv, z0), min(v1 + dv, z1)),
+        samples,
+        samples,
+    )
 
 
 def _check_period(domain: DomainSpec, metric: ChartMetric):
@@ -178,38 +194,34 @@ def _check_period(domain: DomainSpec, metric: ChartMetric):
         )
 
 
-def _precondition_failure(domain, metric, f, samples=48, enlarge=0.05):
-    """Curvature and gradient screening on a slightly enlarged region.
-
-    Returns None when the preconditions hold, otherwise the quantities
-    of a refusal report.  The enlargement is clipped to the metric's
-    validity rectangle.
-    """
-    u0, u1, v0, v1 = _domain_bbox(domain)
-    du, dv = enlarge * (u1 - u0), enlarge * (v1 - v0)
-    w0, w1, z0, z1 = metric.validity
-    grid = GridSpec(
-        (max(u0 - du, w0), min(u1 + du, w1)),
-        (max(v0 - dv, z0), min(v1 + dv, z1)),
-        samples,
-        samples,
-    )
+def _screen(
+    check: str, domain: DomainSpec, metric: ChartMetric, f, start: float
+) -> Tuple[Expr, str, Optional[VerificationReport]]:
+    """The start of a check on f: the period check, f as an expression,
+    the report description and the screening (see the module docstring).
+    Returns f, the description and the refusal report, None if none."""
+    _check_period(domain, metric)
+    f = _as_expr(f)
+    desc = f"{domain.shape} n={domain.n}, {metric.family} metric, f = {f}"
+    grid = _grid(domain, metric, SCREEN_SAMPLES, SCREEN_ENLARGE)
     ok, deviation = check_unit_gradient(metric, f, grid)
     if not ok:
-        return {
+        refusal = {
             "refused": True,
             "reason": "distance function is not unit-gradient",
             "max_gradient_deviation": float(deviation),
             "grid": grid.to_dict(),
         }
-    report = curvature_condition_check(metric, f, grid)
-    if not report.passed:
-        return {
+    else:
+        curvature = curvature_condition_check(metric, f, grid)
+        if curvature.passed:
+            return f, desc, None
+        refusal = {
             "refused": True,
             "reason": "curvature condition fails on the enlarged region",
-            "curvature": report.to_dict(),
+            "curvature": curvature.to_dict(),
         }
-    return None
+    return f, desc, _report(check, desc, [], refusal, REFUSAL_TOLERANCE, start)
 
 
 class LevelCache:
@@ -437,16 +449,11 @@ def verify_inequality(
     unit-gradient or curvature screening fails around the domain.
     """
     start = time.perf_counter()
-    _check_period(domain, metric)
     if levels < 1:
         raise VerifyError("inequality check needs at least 1 level")
-    f = _as_distance(metric, f)
-    desc = (
-        f"{domain.shape} n={domain.n}, {metric.family} metric, f = {f.expr}"
-    )
-    refusal = _precondition_failure(domain, metric, f)
-    if refusal is not None:
-        return _report("inequality", desc, [], refusal, REFUSAL_TOLERANCE, start)
+    f, desc, refused = _screen("inequality", domain, metric, f, start)
+    if refused is not None:
+        return refused
 
     cache = _level_cache(domain, metric, options, cache)
     beta1 = cache.mesh(0).betti1
@@ -523,14 +530,9 @@ def lemma_check(
     after one refinement.
     """
     start = time.perf_counter()
-    _check_period(domain, metric)
-    f = _as_distance(metric, f)
-    desc = (
-        f"{domain.shape} n={domain.n}, {metric.family} metric, f = {f.expr}"
-    )
-    refusal = _precondition_failure(domain, metric, f)
-    if refusal is not None:
-        return _report("lemma", desc, [], refusal, REFUSAL_TOLERANCE, start)
+    f, desc, refused = _screen("lemma", domain, metric, f, start)
+    if refused is not None:
+        return refused
 
     cache = _level_cache(domain, metric, options, cache)
 
@@ -722,12 +724,8 @@ def curvature_check(
     """
     start = time.perf_counter()
     _check_period(domain, metric)
-    f = _as_distance(metric, f)
-    u0, u1, v0, v1 = _domain_bbox(domain)
-    w0, w1, z0, z1 = metric.validity
-    grid = GridSpec(
-        (max(u0, w0), min(u1, w1)), (max(v0, z0), min(v1, z1)), samples, samples
-    )
+    f = _as_expr(f)
+    grid = _grid(domain, metric, samples)
     _, deviation = check_unit_gradient(metric, f, grid)
     report = curvature_condition_check(metric, f, grid)
     quantities = {
@@ -737,7 +735,7 @@ def curvature_check(
     }
     return _report(
         "curvature",
-        f"{domain.shape}, {metric.family} metric, f = {f.expr}",
+        f"{domain.shape}, {metric.family} metric, f = {f}",
         [], quantities,
         "|grad f| within 1e-10 of 1 and margin >= -1e-9 on the grid", start,
     )

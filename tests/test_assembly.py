@@ -23,7 +23,8 @@ from surfspec.assembly import (
     export_matrix_market,
     star_oneform,
 )
-from surfspec.geometry import DistanceFunction, builtin_metric
+from surfspec.expr import parse
+from surfspec.geometry import builtin_metric
 from surfspec.mesh import DomainSpec, Mesh, refine, triangulate
 
 FLAT = builtin_metric("euclidean")
@@ -311,7 +312,7 @@ def test_star_is_pointwise_isometry_and_involution():
 def test_dirichlet_form_flat_square():
     mesh = triangulate(DomainSpec.rectangle(0, math.pi, 0, math.pi, 32))
     phi, lam1 = first_dirichlet_mode(mesh, FLAT)
-    f = DistanceFunction.from_text(FLAT, "x")
+    f = parse("x")
     out = dirichlet_form_quadrature(mesh, FLAT, f, phi, lam1)
     assert lam1 == pytest.approx(2.0, rel=0.02)
     # Lap f = 0, so the energy collapses to the gradient norm
@@ -324,7 +325,7 @@ def test_dirichlet_form_flat_square():
 def test_dirichlet_form_hyperbolic_rectangle():
     mesh = triangulate(DomainSpec.rectangle(0, 1, 1, 2, 32))
     phi, lam1 = first_dirichlet_mode(mesh, HALF_PLANE)
-    f = DistanceFunction.from_text(HALF_PLANE, "-log(y)")
+    f = parse("-log(y)")
     out = dirichlet_form_quadrature(mesh, HALF_PLANE, f, phi, lam1)
     assert out["alpha_nu"] <= 1.05 * lam1
     assert out["alpha_star_nu"] <= 1.05 * lam1
@@ -336,7 +337,7 @@ def test_dirichlet_form_hyperbolic_rectangle():
 def test_dirichlet_form_rejects_non_unit_gradient():
     mesh = triangulate(DomainSpec.rectangle(0, 1, 1, 2, 4))
     phi, lam1 = first_dirichlet_mode(mesh, HALF_PLANE)
-    f = DistanceFunction.from_text(HALF_PLANE, "x")
+    f = parse("x")
     with pytest.raises(AssemblyError, match="unit-gradient"):
         dirichlet_form_quadrature(mesh, HALF_PLANE, f, phi, lam1)
 
@@ -377,7 +378,7 @@ def test_edge_representatives_match_row_unique(domain):
 def test_dirichlet_form_builds_chart_data_once(domain, metric, f, monkeypatch):
     mesh = triangulate(domain)
     phi, lam1 = first_dirichlet_mode(mesh, metric)
-    f = DistanceFunction.from_text(metric, f)
+    f = parse(f)
     scalar = assemble_scalar(mesh, metric)
     original = assembly._chart_data
     calls = []
@@ -407,7 +408,7 @@ def test_dirichlet_form_builds_chart_data_once(domain, metric, f, monkeypatch):
 def test_dirichlet_form_rejects_unnormalized_phi():
     mesh = triangulate(DomainSpec.rectangle(0, 1, 1, 2, 4))
     phi, lam1 = first_dirichlet_mode(mesh, HALF_PLANE)
-    f = DistanceFunction.from_text(HALF_PLANE, "-log(y)")
+    f = parse("-log(y)")
     with pytest.raises(AssemblyError, match="normalized"):
         dirichlet_form_quadrature(mesh, HALF_PLANE, f, 3.0 * phi, lam1)
 

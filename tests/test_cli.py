@@ -1,5 +1,7 @@
 """End-to-end tests of the command line front end."""
 
+import argparse
+import importlib
 import json
 import math
 import warnings
@@ -8,7 +10,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from surfspec import eigen, verify
+from surfspec import cli, eigen, verify
 from surfspec.cli import (
     CHECKS,
     CONFIG_SCHEMA,
@@ -131,6 +133,9 @@ def test_overflowing_metric_names_validity(tmp_path, capsys):
         ("distance_function", "2^10000*x"),
         ("metric", {"family": "general",
                     "params": {"g11": "1", "g12": "0", "g22": "2^10000"}}),
+        ("distance_function", "1e400*x+x"),
+        ("metric", {"family": "general",
+                    "params": {"g11": "1", "g12": "0", "g22": "1e400"}}),
     ],
 )
 def test_overflowing_constant_names_field(tmp_path, capsys, field, value):
@@ -179,6 +184,24 @@ def test_extent_count_mismatch(tmp_path, capsys):
     assert "domain/extents" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "domain,message",
+    [
+        ({"shape": "rectangle", "extents": [1.0, 0.0, 0.0, 1.0]}, "degenerate"),
+        ({"shape": "annulus", "extents": [0.0, 0.0, 2.0, 1.0]}, "radii"),
+    ],
+)
+def test_degenerate_domain_names_field(tmp_path, capsys, domain, message):
+    # refused when the domain is built, also by a check that meshes nothing
+    cfg = base_config(tmp_path)
+    cfg["domain"] = {**domain, "resolution": 4}
+    cfg["checks"] = ["curvature"]
+    code = main(["run", write_config(tmp_path, cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config field 'domain'" in err and message in err
+
+
 def test_unreadable_config(capsys):
     assert main(["run", "/nonexistent/config.json"]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -201,6 +224,21 @@ def test_unknown_distance_variable_rejected(tmp_path):
 
 def test_config_schema_is_a_valid_schema():
     jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+
+
+def test_resolved_check_params_defaults(tmp_path):
+    # the defaults are the keyword defaults of the verify functions
+    cfg = base_config(tmp_path)
+    del cfg["check_params"]
+    assert validate_config(cfg)["check_params"] == {
+        "inequality": {"levels": 3},
+        "lemma": {"level": 0},
+        "union": {"level": 0, "count": 10},
+        "hodge-dims": {},
+        "curvature": {"samples": 64},
+        "convergence": {"bc": "dirichlet", "levels": 3},
+        "oracle": {"max_index": 10},
+    }
 
 
 def test_resolved_config_revalidates(tmp_path):
@@ -338,8 +376,37 @@ def test_run_shares_levels_across_checks(tmp_path, monkeypatch):
     }
 
 
-def test_registry_report_names_have_recompute_rules():
-    assert {c.report for c in CHECKS.values()} == set(verify._RECOMPUTE)
+def test_every_registered_check_recomputes_its_flag(tmp_path):
+    cfg = base_config(tmp_path)
+    cfg["checks"] = list(CHECKS)
+    cfg["check_params"]["union"] = {"count": 4}
+    report, _ = run(cfg)
+    names = [check["check"] for check in report["checks"]]
+    assert set(names) == set(verify._RECOMPUTE) and len(names) == len(CHECKS)
+    for check in report["checks"]:
+        assert recompute_pass(check) == check["passed"]
+
+
+def test_perfbench_tracer_hooks_resolve(tmp_path, monkeypatch):
+    # the benchmark's tracer wraps functions at their names in cli, verify,
+    # assembly and eigen; installing it looks every name up, and a run must
+    # reach the checks through the wrapped names
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    import surfspec
+
+    original = cli.verify_inequality
+    spans = tracer.Tracer("t")
+    uninstall = tracer.install(spans, surfspec)
+    try:
+        cfg = base_config(tmp_path)
+        cfg["checks"] = ["hodge-dims", "oracle"]
+        run(cfg)
+    finally:
+        uninstall()
+    assert cli.verify_inequality is original
+    names = {span.name for span in spans.spans}
+    assert {"verify.hodge_dims", "verify.oracle", "mesh.triangulate"} <= names
 
 
 def test_run_csv_tables_round_trip(tmp_path):
@@ -525,6 +592,32 @@ def test_flag_below_schema_minimum_rejected(tmp_path, capsys, command, flags, fi
     assert code == 2
     err = capsys.readouterr().err
     assert f"config field '{field}'" in err and "minimum" in err
+
+
+def test_check_subcommand_flags():
+    sub = next(
+        action for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+
+    def flags(command):
+        return {
+            action.option_strings[-1]: (
+                action.type, action.choices and tuple(action.choices)
+            )
+            for action in sub.choices[command]._actions
+            if action.option_strings and action.dest != "help"
+        }
+
+    report = {"--report": (None, None)}
+    assert flags("verify") == {"--levels": (int, None), **report}
+    assert flags("curvature-check") == {"--samples": (int, None), **report}
+    assert flags("convergence") == {
+        "--bc": (None, ("dirichlet", "neumann")),
+        "--levels": (int, None),
+        "--csv": (None, None),
+        **report,
+    }
 
 
 def test_oracle_lines(capsys):

@@ -138,7 +138,10 @@ def test_parse_errors_carry_offset():
 
 
 @pytest.mark.parametrize(
-    "text,caret", [("2^10000*x", 1), ("x^exp(1000)", 1), ("1000^1000.5*x", 4)]
+    "text,caret",
+    [("2^10000*x", 1), ("x^exp(1000)", 1), ("1000^1000.5*x", 4),
+     # an overflowing literal is refused at the literal, in an exponent too
+     ("1e400*x+x", 0), ("x+2*1e400", 4), ("x^1e400", 2), ("-1e400*x", 1)],
 )
 def test_overflowing_constant_is_parse_error(text, caret):
     with pytest.raises(ParseError, match="overflows") as err:

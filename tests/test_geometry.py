@@ -20,7 +20,6 @@ import pytest
 from surfspec.expr import BinOp, Call, Const, Neg, parse
 from surfspec.geometry import (
     ChartMetric,
-    DistanceFunction,
     GeometryError,
     GridSpec,
     builtin_metric,
@@ -169,7 +168,7 @@ def test_half_plane_curvature_is_minus_one():
 def test_half_plane_busemann_laplacian():
     # Delta(-log y) = -1 in the positive-spectrum convention.
     m = half_plane()
-    f = DistanceFunction.from_text(m, "-log(y)")
+    f = parse("-log(y)")
     rng = random.Random(4)
     for _ in range(25):
         p = (rng.uniform(-4, 4), rng.uniform(0.3, 4.5))
@@ -178,7 +177,7 @@ def test_half_plane_busemann_laplacian():
 
 def test_half_plane_busemann_unit_gradient_and_margin():
     m = half_plane()
-    f = DistanceFunction.from_text(m, "-log(y)")
+    f = parse("-log(y)")
     grid = GridSpec((-2.0, 2.0), (0.5, 4.0), 32, 32)
     ok, dev = check_unit_gradient(m, f, grid)
     assert ok and dev <= 1e-10
@@ -385,7 +384,7 @@ def test_half_plane_margin_via_general_route_is_zero():
     # The half-plane takes K from the Brioschi formula, not a warp; the
     # Busemann margin must still vanish to tight tolerance.
     m = half_plane()
-    f = DistanceFunction.from_text(m, "-log(y)")
+    f = parse("-log(y)")
     me = margin_expr(m, f)
     rng = random.Random(5)
     for _ in range(50):

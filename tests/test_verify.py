@@ -9,7 +9,7 @@ import pytest
 
 from surfspec import eigen, verify
 from surfspec.eigen import SolverOptions, solve_smallest
-from surfspec.geometry import DistanceFunction, builtin_metric
+from surfspec.geometry import builtin_metric
 from surfspec.mesh import DomainSpec, refine, triangulate
 from surfspec.verify import (
     LevelCache,
