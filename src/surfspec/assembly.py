@@ -9,16 +9,16 @@ in the coefficients.
 Conventions:
 
 * the Laplacian is positive (stiffness = Dirichlet energy);
-* an edge (a, b) with a < b is oriented a -> b, matching the incidence
-  sign convention of :mod:`surfspec.mesh`;
+* an edge (a, b) with a < b is oriented a -> b; :mod:`surfspec.mesh`
+  owns that convention and the incidence matrices ``d0``/``d1``;
 * orientation of the chart is du ^ dv, so the Hodge star rotates
   ``*(p du + q dv) = -sqrt(g)(g^{12}p + g^{22}q) du
   + sqrt(g)(g^{11}p + g^{12}q) dv``.
 
 Default quadrature is the 3-point edge-midpoint rule (degree-2 exact
 in the chart).  A 7-point degree-5 rule is available for strongly
-varying metrics.  Element contributions are computed in fixed chunks
-of faces, which bounds the size of the quadrature temporaries.
+varying metrics.  Each operator computes its (F, 3, 3) element blocks
+for all faces in one vectorised pass and sums them in one scatter.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ __all__ = [
 ]
 
 M_NORMALIZATION_TOL = 1e-8
-_CHUNK = 4096
 
 # reference-triangle quadrature: points in (xi, eta), weights sum to 1/2
 _RULES = {
@@ -188,19 +187,16 @@ def _chart_data(mesh, metric: ChartMetric, rule: str):
     }
 
 
-def _symmetrize(local):
-    return 0.5 * (local + np.swapaxes(local, -1, -2))
+def _scatter(local, idx, n: int) -> sp.csr_matrix:
+    """Sum the (F, 3, 3) element blocks ``local`` into an n x n matrix.
 
-
-def _run_chunks(fn, n_items: int):
-    return [fn(slice(s, s + _CHUNK)) for s in range(0, n_items, _CHUNK)]
-
-
-def _scatter(parts, shape) -> sp.csr_matrix:
-    rows = np.concatenate([p[0] for p in parts])
-    cols = np.concatenate([p[1] for p in parts])
-    data = np.concatenate([p[2] for p in parts])
-    return sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
+    ``idx`` (F, 3) gives each block's global rows and columns.  Blocks
+    are symmetrized first, so the sum is symmetric to bit equality.
+    """
+    local = 0.5 * (local + np.swapaxes(local, -1, -2))
+    rows = np.repeat(idx, 3, axis=1).ravel()
+    cols = np.tile(idx, (1, 3)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -218,25 +214,12 @@ def assemble_scalar(
     the assembled matrices symmetric to bit equality.
     """
     data = _chart_data(mesh, metric, quad_rule)
-    lt = mesh.logical_tris
-    V = mesh.n_vertices
+    lt, V = mesh.logical_tris, mesh.n_vertices
     lam, grads, ginv, dA = data["lam"], data["grads"], data["ginv"], data["dA"]
-
-    def chunk(sl):
-        m_loc = np.einsum("qi,qj,fq->fij", lam, lam, dA[sl])
-        # sum the weighted inverse metric over the rule points first
-        weighted = np.einsum("fqab,fq->fab", ginv[sl], dA[sl])
-        k_loc = np.einsum("fia,fab,fjb->fij", grads[sl], weighted, grads[sl])
-        m_loc = _symmetrize(m_loc)
-        k_loc = _symmetrize(k_loc)
-        idx = lt[sl]
-        rows = np.repeat(idx, 3, axis=1).ravel()
-        cols = np.tile(idx, (1, 3)).ravel()
-        return rows, cols, m_loc.ravel(), k_loc.ravel()
-
-    parts = _run_chunks(chunk, mesh.n_faces)
-    mass = _scatter([(p[0], p[1], p[2]) for p in parts], (V, V))
-    stiff = _scatter([(p[0], p[1], p[3]) for p in parts], (V, V))
+    mass = _scatter(np.einsum("qi,qj,fq->fij", lam, lam, dA), lt, V)
+    # sum the weighted inverse metric over the rule points first
+    weighted = np.einsum("fqab,fq->fab", ginv, dA)
+    stiff = _scatter(np.einsum("fia,fab,fjb->fij", grads, weighted, grads), lt, V)
     boundary = np.nonzero(mesh.boundary_vertex_mask)[0]
     return ScalarOperators(mass, stiff, boundary, mesh, metric)
 
@@ -266,7 +249,7 @@ def assemble_oneform(
     *,
     _chart: Optional[dict] = None,
 ) -> OneFormOperators:
-    """Edge-element mass, incidence operators, and face mass.
+    """Edge-element mass, the mesh's incidence operators, and face mass.
 
     The vertex mass comes from ``scalar``, the P1 operators of the same
     mesh, metric and rule when the caller has them, and is assembled
@@ -282,46 +265,16 @@ def assemble_oneform(
     ``area^{-2} \\int du dv / sqrt(det g)``.
     """
     data = _chart_data(mesh, metric, quad_rule) if _chart is None else _chart
-    E, V, F = mesh.n_edges, mesh.n_vertices, mesh.n_faces
     lam, grads, ginv, dA = data["lam"], data["grads"], data["ginv"], data["dA"]
-    signs = mesh.tri_edge_signs.astype(float)
-
-    def chunk(sl):
-        g = grads[sl]
-        vec = np.empty((g.shape[0], lam.shape[0], 3, 2))
-        for k, (a, b) in enumerate(_LOCAL_EDGES):
-            vec[:, :, k, :] = (
-                lam[None, :, a, None] * g[:, None, b, :]
-                - lam[None, :, b, None] * g[:, None, a, :]
-            )
-        vec *= signs[sl][:, None, :, None]
-        local = np.einsum("fqka,fqab,fqlb,fq->fkl", vec, ginv[sl], vec, dA[sl])
-        local = _symmetrize(local)
-        idx = mesh.tri_edges[sl]
-        rows = np.repeat(idx, 3, axis=1).ravel()
-        cols = np.tile(idx, (1, 3)).ravel()
-        return rows, cols, local.ravel()
-
-    mass1 = _scatter(_run_chunks(chunk, F), (E, E))
-
-    rows = np.arange(E)
-    d0 = sp.coo_matrix(
-        (
-            np.concatenate([np.ones(E), -np.ones(E)]),
-            (
-                np.concatenate([rows, rows]),
-                np.concatenate([mesh.edges[:, 1], mesh.edges[:, 0]]),
-            ),
-        ),
-        shape=(E, V),
-    ).tocsr()
-    d1 = sp.coo_matrix(
-        (
-            mesh.tri_edge_signs.ravel().astype(float),
-            (np.repeat(np.arange(F), 3), mesh.tri_edges.ravel()),
-        ),
-        shape=(F, E),
-    ).tocsr()
+    vec = np.empty((mesh.n_faces, lam.shape[0], 3, 2))
+    for k, (a, b) in enumerate(_LOCAL_EDGES):
+        vec[:, :, k, :] = (
+            lam[None, :, a, None] * grads[:, None, b, :]
+            - lam[None, :, b, None] * grads[:, None, a, :]
+        )
+    vec *= mesh.tri_edge_signs[:, None, :, None]
+    local = np.einsum("fqka,fqab,fqlb,fq->fkl", vec, ginv, vec, dA)
+    mass1 = _scatter(local, mesh.tri_edges, mesh.n_edges)
 
     if scalar is None:
         scalar = assemble_scalar(mesh, metric, quad_rule)
@@ -333,7 +286,7 @@ def assemble_oneform(
 
     boundary_edges = np.nonzero(mesh.boundary_edge_mask)[0]
     return OneFormOperators(
-        mass1, d0, d1, scalar.mass, mass2, boundary_edges, mesh, metric
+        mass1, mesh.d0, mesh.d1, scalar.mass, mass2, boundary_edges, mesh, metric
     )
 
 

@@ -45,7 +45,7 @@ from .assembly import AssemblyError, assemble_oneform
 from .eigen import EigenError, SolverOptions, cluster_multiplicities, solve_oneform
 from .expr import Expr, ExprError, parse
 from .geometry import ChartMetric, GeometryError, builtin_metric
-from .mesh import DomainSpec, MeshError
+from .mesh import EXTENT_COUNT, DomainSpec, MeshError
 from .mesh import triangulate  # noqa: F401  (perfbench/tracer.py wraps cli.triangulate)
 from .verify import (
     LevelCache,
@@ -160,36 +160,45 @@ def _convergence_lines(q):
 class _Check:
     """Everything the front end knows about one check.
 
-    A parameter's default is the default of the keyword of the same name
-    in ``function``'s signature, and the check needs ``distance_function``
-    when ``function`` takes an ``f``.
+    ``function``'s signature says the rest: a parameter's default is the
+    default of the keyword of the same name, the check needs
+    ``distance_function`` when ``function`` takes an ``f``, and :meth:`run`
+    passes it the run's ``domain``, ``metric``, ``f``, ``cache`` and
+    level-0 ``mesh`` under those of the names that it takes.
     """
 
     name: str  # config name: ``checks`` entries and ``check_params`` keys
     function: Callable[..., VerificationReport]  # the verify function it runs
     params: Dict[str, dict]  # parameter -> schema
-    # (function, params, f, cache) -> report
-    call: Callable[..., VerificationReport]
     summary: Callable[[dict], str]  # quantities -> summary detail
     # quantities -> (file name, header, rows) of its CSV table
     table: Optional[Callable[[dict], tuple]] = None
     # quantities -> the lines its subcommand prints above the summary line
     lines: Optional[Callable[[dict], List[str]]] = None
 
+    @property
+    def _keywords(self):
+        return inspect.signature(self.function).parameters
+
     def defaults(self) -> dict:
-        signature = inspect.signature(self.function).parameters
-        return {key: signature[key].default for key in self.params}
+        return {key: self._keywords[key].default for key in self.params}
 
     @property
     def needs_distance(self) -> bool:
-        return "f" in inspect.signature(self.function).parameters
+        return "f" in self._keywords
 
     def run(
         self, params: dict, f: Optional[Expr], cache: LevelCache
     ) -> VerificationReport:
+        keywords = self._keywords
+        inputs = {"domain": cache.domain, "metric": cache.metric, "f": f, "cache": cache}
+        if "mesh" in keywords:  # built only for a check that takes it
+            inputs["mesh"] = cache.mesh(0)
         # looked up in this module at call time, where perfbench/tracer.py
         # wraps the check functions
-        return self.call(globals()[self.function.__name__], params, f, cache)
+        return globals()[self.function.__name__](
+            **{key: inputs[key] for key in inputs if key in keywords}, **params
+        )
 
 
 _INT = {"type": "integer"}
@@ -198,20 +207,17 @@ CHECKS: Dict[str, _Check] = {c.name: c for c in (
     _Check(
         "inequality", verify_inequality,
         {"levels": {**_INT, "minimum": 2}},
-        lambda fn, p, f, c: fn(c.domain, c.metric, f, **p, cache=c),
         lambda q: f"extrapolated margin {q['extrapolated_margin']:.6g}",
         table=_inequality_table, lines=_inequality_lines,
     ),
     _Check(
         "lemma", lemma_check,
         {"level": {**_INT, "minimum": 0}},
-        lambda fn, p, f, c: fn(c.domain, c.metric, f, **p, cache=c),
         _lemma_summary,
     ),
     _Check(
         "union", spectrum_union_check,
         {"level": {**_INT, "minimum": 0}, "count": {**_INT, "minimum": 1}},
-        lambda fn, p, f, c: fn(c.domain, c.metric, **p, cache=c),
         lambda q: (
             f"max rel diff {q['max_rel_difference']:.3g}, "
             f"zero modes {q['zero_modes']}/{q['betti1']}"
@@ -220,7 +226,6 @@ CHECKS: Dict[str, _Check] = {c.name: c for c in (
     ),
     _Check(
         "hodge-dims", hodge_dimension_check, {},
-        lambda fn, p, f, c: fn(c.mesh(0)),
         lambda q: (
             f"rank d0 {q['rank_d0']} + rank d1 {q['rank_d1']} + "
             f"b1 {q['betti1']} == E {q['n_edges']}"
@@ -229,20 +234,17 @@ CHECKS: Dict[str, _Check] = {c.name: c for c in (
     _Check(
         "curvature", curvature_check,
         {"samples": {**_INT, "minimum": 2}},
-        lambda fn, p, f, c: fn(c.domain, c.metric, f, **p),
         _curvature_summary,
     ),
     _Check(
         "convergence", convergence_study,
         {"bc": {"enum": ["dirichlet", "neumann"]},
          "levels": {**_INT, "minimum": 3}},
-        lambda fn, p, f, c: fn(c.domain, c.metric, **p, cache=c),
         _convergence_summary, table=_convergence_table, lines=_convergence_lines,
     ),
     _Check(
         "oracle", oracle_check,
         {"max_index": {**_INT, "minimum": 1}},
-        lambda fn, p, f, c: fn(**p),
         lambda q: f"{q['compared_pairs']} interlacing pairs checked",
         table=_oracle_table,
     ),
@@ -413,9 +415,6 @@ def validate_config(raw: dict) -> dict:
     return cfg
 
 
-_EXTENT_COUNT = {"rectangle": 4, "periodic_band": 2, "disk": 3, "annulus": 4}
-
-
 def build_objects(
     cfg: dict,
 ) -> Tuple[ChartMetric, DomainSpec, Optional[Expr], SolverOptions]:
@@ -434,12 +433,6 @@ def build_objects(
 
     dom = cfg["domain"]
     shape, extents, n = dom["shape"], dom["extents"], dom["resolution"]
-    want = _EXTENT_COUNT[shape]
-    if len(extents) != want:
-        raise ConfigError(
-            f"config field 'domain/extents': shape '{shape}' takes "
-            f"{want} numbers, got {len(extents)}"
-        )
     # a band closes with its metric's angular period, when the metric has one
     glued = shape == "periodic_band" and metric.theta_period is not None
     period = {"theta_period": metric.theta_period} if glued else {}
@@ -448,7 +441,8 @@ def build_objects(
             shape, int(n), tuple(float(x) for x in extents), **period
         )
     except MeshError as exc:
-        raise ConfigError(f"config field 'domain': {exc}") from None
+        where = "domain/extents" if len(extents) != EXTENT_COUNT[shape] else "domain"
+        raise ConfigError(f"config field '{where}': {exc}") from None
 
     distance = None
     if cfg["distance_function"]:
@@ -629,10 +623,10 @@ def _spectrum_result(metric, domain, options, bc: str, count: int):
     return solve_oneform(ops, count, options=options)
 
 
-def _spectrum_rows(result, rel_gap: float = 1e-3):
+def _spectrum_rows(result):
     rows = []
     index = 0
-    for _, count in cluster_multiplicities(result.values, rel_gap=rel_gap):
+    for _, count in cluster_multiplicities(result.values, rel_gap=1e-3):
         for _ in range(count):
             rows.append(
                 (

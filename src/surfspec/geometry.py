@@ -114,10 +114,10 @@ class ChartMetric:
             self._cache[key] = builder()
         return self._cache[key]
 
-    def contains(self, upts, vpts, pad: float = 1e-12) -> bool:
+    def contains(self, upts, vpts) -> bool:
         u0, u1, v0, v1 = self.validity
-        eps_u = pad * max(1.0, abs(u0), abs(u1))
-        eps_v = pad * max(1.0, abs(v0), abs(v1))
+        eps_u = 1e-12 * max(1.0, abs(u0), abs(u1))
+        eps_v = 1e-12 * max(1.0, abs(v0), abs(v1))
         return bool(
             np.all(upts >= u0 - eps_u)
             and np.all(upts <= u1 + eps_u)
@@ -417,26 +417,23 @@ def laplacian_of(m: ChartMetric, f, p) -> float:
     return float(out)
 
 
-def check_unit_gradient(
-    m: ChartMetric, f, grid: GridSpec, tol: float = UNIT_GRADIENT_TOL
-) -> Tuple[bool, float]:
-    """Check |grad f|_g == 1 on the grid; returns (ok, max deviation)."""
+def check_unit_gradient(m: ChartMetric, f, grid: GridSpec) -> Tuple[bool, float]:
+    """Check |grad f|_g == 1 within UNIT_GRADIENT_TOL on the grid; returns
+    (ok, max deviation)."""
     upts, vpts = grid.points()
     if not m.contains(upts, vpts):
         raise GeometryError("sample grid leaves the metric validity region")
     vals = m.evaluate(gradient_norm2_expr(m, f), upts, vpts)
     dev = float(np.max(np.abs(vals - 1.0)))
-    return dev <= tol, dev
+    return dev <= UNIT_GRADIENT_TOL, dev
 
 
-def curvature_condition_check(
-    m: ChartMetric, f, grid: GridSpec, tol: float = MARGIN_TOL
-) -> CurvatureReport:
+def curvature_condition_check(m: ChartMetric, f, grid: GridSpec) -> CurvatureReport:
     """Sample the margin -(K + (Delta f)^2) on the grid.
 
-    Passes when the minimum sampled margin is >= -tol.  The report
+    Passes when the minimum sampled margin is >= -MARGIN_TOL.  The report
     records the grid so a failure is reproducible, and as ``min_point``
-    the first sample (C order) within ``tol`` of the minimum, so that in
+    the first sample (C order) within MARGIN_TOL of the minimum, so that in
     an equality case, where the margin vanishes up to round-off, the
     point does not move with the order of evaluation.  The margin is the
     curvature condition only for unit-gradient f, which the caller
@@ -447,13 +444,13 @@ def curvature_condition_check(
         raise GeometryError("sample grid leaves the metric validity region")
     margins = m.evaluate(margin_expr(m, f), upts, vpts)
     min_margin = float(margins.min())
-    first = np.argmax(margins <= min_margin + tol)
+    first = np.argmax(margins <= min_margin + MARGIN_TOL)
     idx = np.unravel_index(first, margins.shape)
     return CurvatureReport(
         grid=grid,
         margins=margins,
         min_margin=min_margin,
         min_point=(float(upts[idx]), float(vpts[idx])),
-        tol=tol,
-        passed=min_margin >= -tol,
+        tol=MARGIN_TOL,
+        passed=min_margin >= -MARGIN_TOL,
     )

@@ -17,12 +17,18 @@ maps the first onto the second.
 Edges are stored as sorted logical vertex pairs in lexicographic
 order; the orientation of an edge (a, b) with a < b is a -> b, and
 ``tri_edge_signs`` records whether each face traversal agrees with it.
+The signed incidence matrices of that convention, ``Mesh.d0``
+(vertices to edges, -1 at a and +1 at b) and ``Mesh.d1`` (edges to
+faces, the traversal signs), are built here on first use, from the
+topology alone; assembly, refinement transfer and the Hodge rank check
+read them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -31,6 +37,7 @@ from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "MeshError",
+    "EXTENT_COUNT",
     "DomainSpec",
     "Mesh",
     "triangulate",
@@ -44,12 +51,18 @@ class MeshError(ValueError):
     """Degenerate domain spec or broken mesh invariant."""
 
 
+# shape -> number of extents: (u0, u1, v0, v1), (u0, u1), (cx, cy, radius)
+# and (cx, cy, r_in, r_out)
+EXTENT_COUNT = {"rectangle": 4, "periodic_band": 2, "disk": 3, "annulus": 4}
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """Shape + resolution.  ``n`` subdivides the shortest side.
 
-    Construction raises :class:`MeshError` for an unknown shape, ``n < 2``
-    or degenerate extents, so a spec that exists can be meshed.
+    Construction raises :class:`MeshError` for an unknown shape, a wrong
+    number of extents, ``n < 2`` or degenerate extents, so a spec that
+    exists can be meshed.
     """
 
     shape: str
@@ -58,8 +71,14 @@ class DomainSpec:
     theta_period: float = 2.0 * math.pi
 
     def __post_init__(self):
-        if self.shape not in _TRIANGULATORS:
+        if self.shape not in EXTENT_COUNT:
             raise MeshError(f"unknown domain shape '{self.shape}'")
+        want = EXTENT_COUNT[self.shape]
+        if len(self.extents) != want:
+            raise MeshError(
+                f"shape '{self.shape}' takes {want} extents, "
+                f"got {len(self.extents)}"
+            )
         if self.n < 2:
             raise MeshError("resolution must be at least 2")
         if self.shape == "rectangle":
@@ -170,6 +189,33 @@ class Mesh:
             np.linalg.norm(p[:, 0] - p[:, 2], axis=1),
         ]
         return float(np.max(lengths))
+
+    @cached_property
+    def d0(self) -> sp.csr_matrix:
+        """Signed incidence, vertices to edges: edge (a, b) is -1 at a, +1 at b."""
+        E, rows = self.n_edges, np.arange(self.n_edges)
+        return sp.coo_matrix(
+            (
+                np.concatenate([np.ones(E), -np.ones(E)]),
+                (
+                    np.concatenate([rows, rows]),
+                    np.concatenate([self.edges[:, 1], self.edges[:, 0]]),
+                ),
+            ),
+            shape=(E, self.n_vertices),
+        ).tocsr()
+
+    @cached_property
+    def d1(self) -> sp.csr_matrix:
+        """Signed incidence, edges to faces: ``tri_edge_signs`` in face rows."""
+        F = self.n_faces
+        return sp.coo_matrix(
+            (
+                self.tri_edge_signs.ravel().astype(float),
+                (np.repeat(np.arange(F), 3), self.tri_edges.ravel()),
+            ),
+            shape=(F, self.n_edges),
+        ).tocsr()
 
     def chart_areas(self) -> np.ndarray:
         p = self.verts[self.tris]
@@ -437,10 +483,7 @@ def prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
             f"{fine.n_vertices} vertices do not refine a mesh with "
             f"{V} vertices and {E} edges"
         )
-    rows = np.concatenate([np.arange(V), V + np.repeat(np.arange(E), 2)])
-    cols = np.concatenate([np.arange(V), coarse.edges.ravel()])
-    vals = np.concatenate([np.ones(V), np.full(2 * E, 0.5)])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(V + E, V))
+    return sp.vstack([sp.identity(V), 0.5 * abs(coarse.d0)], format="csr")
 
 
 # ---------------------------------------------------------------------------

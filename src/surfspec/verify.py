@@ -342,9 +342,8 @@ class LevelCache:
         2003).  The shift sigma is SIGMA_SCALE times the smallest positive
         coarser eigenvalue, so unlike the diagonal-ratio rule it does not
         grow as h^-2; the preconditioner is :meth:`_vcycle` for K + sigma
-        M.  None (a cold solve) at level 0, on the dense path, when the
-        coarser pencil has fewer than k unknowns, and when a Neumann
-        spectrum holds only its constant mode, which gives no shift.
+        M.  None (a cold solve) at level 0, on the dense path, and when the
+        coarser pencil has fewer than k unknowns.
         """
         fine_dim = self.pencil(level, bc).stiffness.shape[0]
         if level == 0 or uses_dense_path(fine_dim, k):
@@ -352,10 +351,10 @@ class LevelCache:
         if self.pencil(level - 1, bc).stiffness.shape[0] < k:
             return None
         coarse = self.spectrum(level - 1, bc, k)
-        # the Neumann pencil of a connected mesh has one zero mode, the constant
+        # the Neumann pencil of a connected mesh has one zero mode, the
+        # constant; a sparse Neumann solve is a block of at least
+        # NEUMANN_BLOCK pairs, so a positive value follows it
         positive = coarse.values[1:] if bc == "neumann" else coarse.values
-        if not positive.size:
-            return None
         shift = SIGMA_SCALE * float(positive[0])
         start = self._transfer(level, bc) @ coarse.vectors
         return start, self._vcycle(level, bc, shift), shift
@@ -663,19 +662,17 @@ def hodge_dimension_check(mesh: Mesh) -> VerificationReport:
     rank d0 + rank d1 + b1 must equal the number of logical edges; the
     cohomology dimension E - rank d0 - rank d1 must equal b1.  As every
     edge borders one or two consistently oriented faces (``Mesh`` checks),
-    the ranks are exact graph counts: rank d0 = V - (components of the
-    edge graph), rank d1 = F - (components of the dual graph, faces joined
-    across interior edges, without a boundary edge).
+    the ranks are exact graph counts on the mesh's incidence matrices:
+    rank d0 = V - (components of the edge graph d0^T d0), rank d1 = F -
+    (components of the dual graph |d1| |d1|^T, faces joined across
+    interior edges, without a boundary edge).
     """
     start = time.perf_counter()
     V, E, F = mesh.n_vertices, mesh.n_edges, mesh.n_faces
-    primal = sp.coo_matrix((np.ones(E), tuple(mesh.edges.T)), shape=(V, V))
-    rank_d0 = V - connected_components(primal, directed=False)[0]
-    faces = np.repeat(np.arange(F), 3)
-    edges = mesh.tri_edges.ravel()
-    edge_face = sp.csr_matrix((np.ones(3 * F), (edges, faces)), shape=(E, F))
-    n_dual, label = connected_components(edge_face.T @ edge_face, directed=False)
-    bordered = np.unique(label[faces[mesh.boundary_edge_mask[edges]]])
+    rank_d0 = V - connected_components(mesh.d0.T @ mesh.d0, directed=False)[0]
+    face_edge = abs(mesh.d1)
+    n_dual, label = connected_components(face_edge @ face_edge.T, directed=False)
+    bordered = np.unique(label[face_edge @ mesh.boundary_edge_mask > 0])
     rank_d1 = F - (n_dual - len(bordered))
     beta1 = mesh.betti1
     harmonic = E - rank_d0 - rank_d1

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,6 +199,21 @@ def test_stiffness_equals_gradient_image_energy(mesh, metric):
     one = assemble_oneform(mesh, metric)
     diff = (one.d0.T @ one.mass1 @ one.d0 - scal.stiffness).toarray()
     assert np.max(np.abs(diff)) < 1e-12
+
+
+def test_scalar_assembly_peak_memory():
+    # one pass over all faces, one scatter per matrix: 6.2 MB at 7,872
+    # faces, where the face-chunk loop with its list of parts took 8.2 MB
+    mesh = refine(triangulate(DomainSpec.rectangle(0, 1, 1, math.e, 24)))
+    assert mesh.n_faces == 7872
+    assemble_scalar(mesh, HALF_PLANE)  # compiles the metric's expressions
+    tracemalloc.start()
+    try:
+        assemble_scalar(mesh, HALF_PLANE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 2**20
 
 
 def test_oneform_bookkeeping():

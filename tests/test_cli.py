@@ -400,13 +400,17 @@ def test_perfbench_tracer_hooks_resolve(tmp_path, monkeypatch):
     uninstall = tracer.install(spans, surfspec)
     try:
         cfg = base_config(tmp_path)
-        cfg["checks"] = ["hodge-dims", "oracle"]
+        cfg["checks"] = ["hodge-dims", "oracle", "union", "lemma"]
         run(cfg)
     finally:
         uninstall()
     assert cli.verify_inequality is original
     names = {span.name for span in spans.spans}
-    assert {"verify.hodge_dims", "verify.oracle", "mesh.triangulate"} <= names
+    assert {
+        "verify.hodge_dims", "verify.oracle", "verify.union", "verify.lemma",
+        "mesh.triangulate", "assembly.scalar", "assembly.oneform",
+        "assembly.trial_quadrature", "eigen.oneform",
+    } <= names
 
 
 def test_run_csv_tables_round_trip(tmp_path):

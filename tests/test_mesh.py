@@ -153,6 +153,24 @@ def test_edges_sorted_and_consistent():
             assert mesh.tri_edge_signs[f, k] == want
 
 
+@pytest.mark.parametrize(
+    "domain",
+    [
+        DomainSpec.rectangle(0, 1, 1, 2, 3),
+        DomainSpec.periodic_band(-1, 1, 4),
+        DomainSpec.disk(0, 0, 1, 3),
+        DomainSpec.annulus(0, 0, 1, 2, 3),
+    ],
+    ids=["rectangle", "band", "disk", "annulus"],
+)
+def test_incidence_product_is_exactly_zero(domain):
+    # d1 d0 = 0 is topology alone; on the band it also checks the seam
+    for mesh in (triangulate(domain), refine(triangulate(domain))):
+        assert mesh.d0.shape == (mesh.n_edges, mesh.n_vertices)
+        assert mesh.d1.shape == (mesh.n_faces, mesh.n_edges)
+        assert (mesh.d1 @ mesh.d0).count_nonzero() == 0
+
+
 def test_interior_edges_have_two_faces():
     mesh = triangulate(DomainSpec.rectangle(0, 1, 0, 1, 3))
     counts = np.bincount(mesh.tri_edges.ravel(), minlength=mesh.n_edges)
@@ -334,6 +352,21 @@ def test_degenerate_rectangle():
 def test_bad_annulus_radii():
     with pytest.raises(MeshError, match="radii"):
         triangulate(DomainSpec.annulus(0, 0, 2, 1, 4))
+
+
+@pytest.mark.parametrize(
+    "shape,extents",
+    [
+        ("rectangle", (0.0, 1.0)),
+        ("periodic_band", (0.0, 1.0, 2.0)),
+        ("disk", (0.0, 1.0, 0.0, 1.0)),
+        ("annulus", (0.0, 0.0, 1.0)),
+    ],
+)
+def test_wrong_extent_count(shape, extents):
+    # refused before the extents are unpacked, naming the shape and the count
+    with pytest.raises(MeshError, match=f"'{shape}' takes .* got {len(extents)}"):
+        DomainSpec(shape, 4, extents)
 
 
 def test_unknown_shape():
