@@ -8,7 +8,25 @@ screening (:mod:`surfspec.geometry`), periodic-aware triangulations
 (:mod:`surfspec.eigen`), the named verification checks
 (:mod:`surfspec.verify`), and a JSON-config command line front end
 (:mod:`surfspec.cli`).
+
+Importing the package sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
+and ``MKL_NUM_THREADS`` to 1 unless they are already set.  Every dense
+product here is small or tall and skinny (LOBPCG block Gram matrices,
+Lanczos bases, dense solves up to 250 unknowns), where a second BLAS
+thread only spins, and one thread makes the nested solves' round-off
+independent of the core count.  The default applies only when surfspec
+is imported before numpy; child processes inherit the variables.
+``THREAD_SETTINGS`` records the values seen here, and reports carry it
+under ``metadata``.
 """
+
+import os
+import sys
+
+# before the imports below load numpy, so that its BLAS reads them
+THREAD_SETTINGS = {"numpy_imported_first": "numpy" in sys.modules}
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    THREAD_SETTINGS[_name] = os.environ.setdefault(_name, "1")
 
 from .assembly import (
     AssemblyError,
@@ -60,6 +78,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
+    "THREAD_SETTINGS",
     "AssemblyError",
     "ChartMetric",
     "DomainSpec",

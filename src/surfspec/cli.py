@@ -20,7 +20,8 @@ unparseable expression, metric or domain construction failure).
 Invalid-input messages name the offending config field.
 
 Reports embed the fully resolved config, and every timestamp or wall
-time lives under the ``metadata`` key, so two runs with the same
+time lives under the ``metadata`` key, beside the BLAS thread settings
+(``surfspec.THREAD_SETTINGS``), so two runs with the same
 config and seed produce byte-identical files once that key is
 dropped.  CSV floats are written with ``repr`` and therefore
 round-trip through ``float`` exactly.
@@ -32,6 +33,7 @@ import argparse
 import copy
 import inspect
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -41,11 +43,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import jsonschema
 
+from . import THREAD_SETTINGS
 from .assembly import AssemblyError, assemble_oneform
 from .eigen import EigenError, SolverOptions, cluster_multiplicities, solve_oneform
 from .expr import Expr, ExprError, parse
 from .geometry import ChartMetric, GeometryError, builtin_metric
-from .mesh import EXTENT_COUNT, DomainSpec, MeshError
+from .mesh import EXTENT_COUNT, DomainSpec, MeshError, MeshSizeError
 from .mesh import triangulate  # noqa: F401  (perfbench/tracer.py wraps cli.triangulate)
 from .verify import (
     LevelCache,
@@ -377,12 +380,30 @@ def load_config(path) -> dict:
     return raw
 
 
+def _refuse_non_finite(value, path: Tuple) -> None:
+    if isinstance(value, dict):
+        for key, child in value.items():
+            _refuse_non_finite(child, (*path, key))
+    elif isinstance(value, list):
+        for index, child in enumerate(value):
+            _refuse_non_finite(child, (*path, index))
+    elif isinstance(value, float) and not math.isfinite(value):
+        where = "/".join(str(p) for p in path) or "config root"
+        raise ConfigError(
+            f"config field '{where}': {json.dumps(value)} is not a finite number"
+        )
+
+
 def validate_config(raw: dict) -> dict:
     """Schema-validate a raw config and fill in every default.
 
     Returns the fully resolved config that reports embed.  Error
-    messages name the offending field as a slash-joined path.
+    messages name the offending field as a slash-joined path.  A
+    non-finite number (Python's ``json`` reads ``NaN``, ``Infinity``
+    and literals that overflow a float) is refused before the schema,
+    which would let it through.
     """
+    _refuse_non_finite(raw, ())
     # the error jsonschema.validate would raise
     exc = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(raw))
     if exc is not None:
@@ -440,6 +461,8 @@ def build_objects(
         domain = DomainSpec(
             shape, int(n), tuple(float(x) for x in extents), **period
         )
+    except MeshSizeError as exc:
+        raise ConfigError(f"config field 'domain/{exc.cause}': {exc}") from None
     except MeshError as exc:
         where = "domain/extents" if len(extents) != EXTENT_COUNT[shape] else "domain"
         raise ConfigError(f"config field '{where}': {exc}") from None
@@ -482,6 +505,7 @@ def _envelope(cfg: dict, reports: List[VerificationReport], total: float) -> dic
                 {"check": r.check, "seconds": r.wall_time_seconds}
                 for r in reports
             ],
+            "blas_threads": dict(THREAD_SETTINGS),
         },
     }
 

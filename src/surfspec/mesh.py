@@ -37,7 +37,9 @@ from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "MeshError",
+    "MeshSizeError",
     "EXTENT_COUNT",
+    "MAX_VERTICES",
     "DomainSpec",
     "Mesh",
     "triangulate",
@@ -51,9 +53,25 @@ class MeshError(ValueError):
     """Degenerate domain spec or broken mesh invariant."""
 
 
+class MeshSizeError(MeshError):
+    """A domain spec whose mesh would have more than ``MAX_VERTICES``
+    vertices.  ``cause`` is ``"extents"`` when no resolution makes the
+    extents meshable (a rectangle's aspect ratio alone is too large) and
+    ``"resolution"`` otherwise."""
+
+    def __init__(self, cause: str, message: str):
+        super().__init__(message)
+        self.cause = cause
+
+
 # shape -> number of extents: (u0, u1, v0, v1), (u0, u1), (cx, cy, radius)
 # and (cx, cy, r_in, r_out)
 EXTENT_COUNT = {"rectangle": 4, "periodic_band": 2, "disk": 3, "annulus": 4}
+
+# a level-0 mesh predicted to have more raw vertices than this is refused
+# before any array is allocated: its vertex, triangle, edge and incidence
+# arrays alone take about 340 bytes a vertex, 34 GB at this count
+MAX_VERTICES = 10**8
 
 
 @dataclass(frozen=True)
@@ -61,8 +79,9 @@ class DomainSpec:
     """Shape + resolution.  ``n`` subdivides the shortest side.
 
     Construction raises :class:`MeshError` for an unknown shape, a wrong
-    number of extents, ``n < 2`` or degenerate extents, so a spec that
-    exists can be meshed.
+    number of extents, ``n < 2``, non-finite or degenerate extents, and
+    :class:`MeshSizeError` for a mesh predicted to exceed
+    ``MAX_VERTICES``, so a spec that exists can be meshed.
     """
 
     shape: str
@@ -81,6 +100,8 @@ class DomainSpec:
             )
         if self.n < 2:
             raise MeshError("resolution must be at least 2")
+        if not all(map(math.isfinite, (*self.extents, self.theta_period))):
+            raise MeshError("extents and theta period must be finite")
         if self.shape == "rectangle":
             u0, u1, v0, v1 = self.extents
             if not (u1 > u0 and v1 > v0):
@@ -99,6 +120,20 @@ class DomainSpec:
             _, _, r_in, r_out = self.extents
             if not (0 < r_in < r_out):
                 raise MeshError("annulus radii must satisfy 0 < r_in < r_out")
+        if self.n > MAX_VERTICES:  # every shape has more vertices than n
+            raise MeshSizeError(
+                "resolution",
+                f"resolution {self.n} exceeds the vertex limit {MAX_VERTICES:.0e}",
+            )
+        count = _vertex_count(self.shape, self.n, self.extents)
+        if count > MAX_VERTICES:
+            at_two = _vertex_count(self.shape, 2, self.extents)
+            raise MeshSizeError(
+                "extents" if at_two > MAX_VERTICES else "resolution",
+                f"a {self.shape} on extents {list(self.extents)} at resolution "
+                f"{self.n} would have {count:.3g} vertices, above the limit "
+                f"{MAX_VERTICES:.0e}",
+            )
 
     @classmethod
     def rectangle(cls, u0, u1, v0, v1, n) -> "DomainSpec":
@@ -297,6 +332,24 @@ def _grid_counts(n: int, len_u: float, len_v: float) -> Tuple[int, int]:
         nv = n
         nu = max(2, int(round(n * len_u / len_v)))
     return nu, nv
+
+
+def _vertex_count(shape: str, n: int, extents) -> float:
+    """The number of raw vertices ``triangulate`` makes, without making
+    them; inf when a rectangle's aspect ratio times ``n`` overflows."""
+    if shape == "rectangle":
+        u0, u1, v0, v1 = extents
+        len_u, len_v = u1 - u0, v1 - v0
+        if not math.isfinite(n * max(len_u, len_v) / min(len_u, len_v)):
+            return math.inf
+        nu, nv = _grid_counts(n, len_u, len_v)
+        return (nu + 1.0) * (nv + 1.0)
+    ntheta = max(3, n)
+    return float({
+        "periodic_band": (n + 1) * (ntheta + 1),
+        "disk": 1 + n * ntheta,
+        "annulus": (n + 1) * ntheta,
+    }[shape])
 
 
 def _split_cells(cell_ids: np.ndarray) -> np.ndarray:

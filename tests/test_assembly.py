@@ -140,25 +140,6 @@ def test_matrices_bit_symmetric():
 
 
 @pytest.mark.parametrize(
-    "domain",
-    [
-        DomainSpec.rectangle(0, 1, 1, 2, 3),
-        DomainSpec.periodic_band(-1, 1, 4),
-        DomainSpec.annulus(0, 0, 1, 2, 3),
-    ],
-    ids=["rectangle", "band", "annulus"],
-)
-def test_incidence_composition_vanishes(domain):
-    mesh = triangulate(domain)
-    metric = HALF_PLANE if domain.shape == "rectangle" else FLAT
-    if domain.shape == "periodic_band":
-        metric = collar_metric()
-    ops = assemble_oneform(mesh, metric)
-    product = ops.d1 @ ops.d0
-    assert product.nnz == 0 or np.max(np.abs(product.data)) == 0.0
-
-
-@pytest.mark.parametrize(
     "mesh,metric,rule",
     [
         (triangulate(DomainSpec.rectangle(0, 1, 1, 2, 5)), HALF_PLANE, "degree5"),
@@ -220,6 +201,8 @@ def test_oneform_bookkeeping():
     mesh = triangulate(DomainSpec.periodic_band(0, 1, 4))
     ops = assemble_oneform(mesh, FLAT)
     assert ops.mass1.shape == (52, 52)
+    # the incidences are the mesh's own; test_mesh pins d1 d0 = 0
+    assert ops.d0 is mesh.d0 and ops.d1 is mesh.d1
     assert ops.d0.shape == (52, 20)
     assert ops.d1.shape == (32, 52)
     assert len(ops.boundary_edges) == 8

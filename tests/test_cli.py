@@ -4,6 +4,9 @@ import argparse
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -200,6 +203,44 @@ def test_degenerate_domain_names_field(tmp_path, capsys, domain, message):
     assert code == 2
     err = capsys.readouterr().err
     assert "config field 'domain'" in err and message in err
+
+
+@pytest.mark.parametrize(
+    "key,value,field",
+    [
+        ("solver", {"tolerance": math.inf}, "solver/tolerance"),
+        ("domain", {"shape": "rectangle", "extents": [0.0, math.inf, 0.0, 1.0],
+                    "resolution": 4}, "domain/extents/1"),
+        ("domain", {"shape": "rectangle", "extents": [0.0, 1.0, math.nan, 1.0],
+                    "resolution": 4}, "domain/extents/2"),
+    ],
+)
+def test_non_finite_number_names_field(tmp_path, capsys, key, value, field):
+    # json.dumps writes Infinity and NaN, which Python's json reads back
+    cfg = base_config(tmp_path)
+    cfg[key] = value
+    code = main(["run", write_config(tmp_path, cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"config field '{field}'" in err and "not a finite number" in err
+
+
+@pytest.mark.parametrize(
+    "extents,resolution,field",
+    [
+        ([0.0, 1e300, 0.0, 1.0], 4, "domain/extents"),
+        ([0.0, math.pi, 0.0, math.pi], 100_000, "domain/resolution"),
+    ],
+)
+def test_oversized_mesh_names_field(tmp_path, capsys, extents, resolution, field):
+    # refused by the predicted vertex count; no array is allocated
+    cfg = base_config(tmp_path)
+    cfg["domain"] = {"shape": "rectangle", "extents": extents,
+                     "resolution": resolution}
+    code = main(["run", write_config(tmp_path, cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"config field '{field}'" in err and "vertices" in err
 
 
 def test_unreadable_config(capsys):
@@ -654,3 +695,62 @@ def test_load_config_rejects_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(path)
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread defaults (surfspec/__init__.py), in fresh interpreters
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def child_env(**threads):
+    """This environment without the thread variables, plus ``threads``,
+    with the package's source directory on PYTHONPATH."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return {**env, **threads}
+
+
+def test_reports_identical_with_threads_unset_and_one(tmp_path):
+    # level 1 has 493 Neumann and 405 Dirichlet unknowns, above the dense
+    # cap, so its solves take the nested LOBPCG path
+    cfg = {
+        "spec_version": 1,
+        "metric": {"family": "hyperbolic_half_plane"},
+        "distance_function": "-log(y)",
+        "domain": {"shape": "rectangle", "extents": [0.0, 1.0, 1.0, math.e],
+                   "resolution": 8},
+        "checks": ["inequality"],
+        "check_params": {"inequality": {"levels": 2}},
+        "output": {"report": str(tmp_path / "report.json")},
+    }
+    path = write_config(tmp_path, cfg)
+    payloads = []
+    for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        subprocess.run(
+            [sys.executable, "-m", "surfspec.cli", "run", path],
+            env=child_env(**threads), check=True, capture_output=True,
+        )
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report.pop("metadata")["blas_threads"] == {
+            **dict.fromkeys(THREAD_VARS, "1"), "numpy_imported_first": False,
+        }
+        assert report["checks"][0]["passed"]
+        payloads.append(json.dumps(report, indent=2, sort_keys=True))
+    assert payloads[0] == payloads[1]
+
+
+def test_import_keeps_a_thread_count_the_user_set():
+    # the environment after import, then what reports record
+    code = (
+        "import os, surfspec; "
+        f"print(*(os.environ[name] for name in {THREAD_VARS!r}), "
+        f"*(surfspec.THREAD_SETTINGS[name] for name in {THREAD_VARS!r}))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=child_env(OPENBLAS_NUM_THREADS="2"), check=True,
+        capture_output=True, text=True,
+    ).stdout
+    assert out.split() == ["2", "1", "1"] * 2

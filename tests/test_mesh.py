@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from surfspec.mesh import (
+    MAX_VERTICES,
     DomainSpec,
     Mesh,
     MeshError,
+    MeshSizeError,
+    _vertex_count,
     export_off,
     prolongation,
     refine,
@@ -367,6 +370,58 @@ def test_wrong_extent_count(shape, extents):
     # refused before the extents are unpacked, naming the shape and the count
     with pytest.raises(MeshError, match=f"'{shape}' takes .* got {len(extents)}"):
         DomainSpec(shape, 4, extents)
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        DomainSpec.rectangle(0, 1, 1, 2.5, 5),
+        DomainSpec.rectangle(0, 3, 0, 1, 2),
+        DomainSpec.periodic_band(-1, 1, 2),
+        DomainSpec.periodic_band(-1, 1, 5),
+        DomainSpec.disk(0, 0, 1, 2),
+        DomainSpec.disk(0, 0, 1, 4),
+        DomainSpec.annulus(0, 0, 1, 2, 2),
+        DomainSpec.annulus(0, 0, 1, 2, 4),
+    ],
+)
+def test_vertex_count_predicts_triangulate(domain):
+    predicted = _vertex_count(domain.shape, domain.n, domain.extents)
+    assert predicted == len(triangulate(domain).verts)
+
+
+@pytest.mark.parametrize(
+    "shape,n,extents,cause",
+    [
+        ("rectangle", 4, (0.0, 1e300, 0.0, 1.0), "extents"),
+        ("rectangle", 2, (0.0, 5e-324, 0.0, 1.0), "extents"),  # ratio overflows
+        ("rectangle", 2, (-1e308, 1e308, 0.0, 1.0), "extents"),  # width overflows
+        ("rectangle", 100_000, (0.0, 1.0, 0.0, 1.0), "resolution"),
+        ("rectangle", 10**400, (0.0, 1.0, 0.0, 1.0), "resolution"),
+        ("periodic_band", 10_001, (0.0, 1.0), "resolution"),
+        ("disk", 10**5, (0.0, 0.0, 1.0), "resolution"),
+        ("annulus", 10**5, (0.0, 0.0, 1.0, 2.0), "resolution"),
+    ],
+)
+def test_oversized_spec_refused_by_prediction(shape, n, extents, cause):
+    # the spec is refused before triangulate could allocate anything
+    with pytest.raises(MeshSizeError, match="limit 1e\\+08") as info:
+        DomainSpec(shape, n, extents)
+    assert info.value.cause == cause
+
+
+def test_largest_band_below_the_limit_is_accepted():
+    # (n + 1)^2 raw vertices at n = 9999 is exactly 1e8
+    assert _vertex_count("periodic_band", 9_999, (0.0, 1.0)) == MAX_VERTICES
+    DomainSpec.periodic_band(0, 1, 9_999)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_extents_rejected(bad):
+    with pytest.raises(MeshError, match="finite"):
+        DomainSpec.rectangle(0, bad, 0, 1, 4)
+    with pytest.raises(MeshError, match="finite"):
+        DomainSpec.periodic_band(0, 1, 4, theta_period=bad)
 
 
 def test_unknown_shape():
