@@ -140,6 +140,25 @@ def test_matrices_bit_symmetric():
 
 
 @pytest.mark.parametrize(
+    "domain",
+    [
+        DomainSpec.rectangle(0, 1, 1, 2, 3),
+        DomainSpec.periodic_band(-1, 1, 4),
+        DomainSpec.annulus(0, 0, 1, 2, 3),
+    ],
+    ids=["rectangle", "band", "annulus"],
+)
+def test_incidence_composition_vanishes(domain):
+    mesh = triangulate(domain)
+    metric = HALF_PLANE if domain.shape == "rectangle" else FLAT
+    if domain.shape == "periodic_band":
+        metric = collar_metric()
+    ops = assemble_oneform(mesh, metric)
+    product = ops.d1 @ ops.d0
+    assert product.nnz == 0 or np.max(np.abs(product.data)) == 0.0
+
+
+@pytest.mark.parametrize(
     "mesh,metric,rule",
     [
         (triangulate(DomainSpec.rectangle(0, 1, 1, 2, 5)), HALF_PLANE, "degree5"),
