@@ -10,7 +10,8 @@ Conventions:
 
 * the Laplacian is positive (stiffness = Dirichlet energy);
 * an edge (a, b) with a < b is oriented a -> b; :mod:`surfspec.mesh`
-  owns that convention and the incidence matrices ``d0``/``d1``;
+  owns that convention, the face-edge order, the edge numbering, the
+  interior vertex set and the incidence matrices ``d0``/``d1``;
 * orientation of the chart is du ^ dv, so the Hodge star rotates
   ``*(p du + q dv) = -sqrt(g)(g^{12}p + g^{22}q) du
   + sqrt(g)(g^{11}p + g^{12}q) dv``.
@@ -42,6 +43,7 @@ from .geometry import (
     laplacian_expr,
     sqrt_det_expr,
 )
+from .mesh import LOCAL_EDGES, face_edges
 
 __all__ = [
     "AssemblyError",
@@ -93,7 +95,6 @@ _EDGE_W = 0.5 * np.array(
 )
 
 _REF_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-_LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
 
 
 class AssemblyError(ValueError):
@@ -106,7 +107,6 @@ class ScalarOperators:
 
     mass: sp.csr_matrix
     stiffness: sp.csr_matrix
-    boundary: np.ndarray  # logical vertex ids on the boundary
     mesh: object
     metric: ChartMetric
 
@@ -129,7 +129,6 @@ class OneFormOperators:
     d1: sp.csr_matrix  # signed incidence, edges to faces
     mass0: sp.csr_matrix  # P1 vertex mass
     mass2: sp.dia_matrix  # face mass, weight 1/sqrt(det g)
-    boundary_edges: np.ndarray
     mesh: object
     metric: ChartMetric
 
@@ -220,16 +219,14 @@ def assemble_scalar(
     # sum the weighted inverse metric over the rule points first
     weighted = np.einsum("fqab,fq->fab", ginv, dA)
     stiff = _scatter(np.einsum("fia,fab,fjb->fij", grads, weighted, grads), lt, V)
-    boundary = np.nonzero(mesh.boundary_vertex_mask)[0]
-    return ScalarOperators(mass, stiff, boundary, mesh, metric)
+    return ScalarOperators(mass, stiff, mesh, metric)
 
 
 def apply_dirichlet(ops: ScalarOperators) -> DirichletReduction:
-    """Restrict mass and stiffness to interior vertices."""
-    if len(ops.boundary) == 0:
+    """Restrict mass and stiffness to the mesh's interior vertices."""
+    if not ops.mesh.boundary_vertex_mask.any():
         raise AssemblyError("mesh has no boundary vertices to eliminate")
-    V = ops.mass.shape[0]
-    interior = np.setdiff1d(np.arange(V), ops.boundary)
+    interior = ops.mesh.interior
     if len(interior) == 0:
         raise AssemblyError("every vertex is on the boundary")
     mass = ops.mass[interior][:, interior].tocsr()
@@ -267,7 +264,7 @@ def assemble_oneform(
     data = _chart_data(mesh, metric, quad_rule) if _chart is None else _chart
     lam, grads, ginv, dA = data["lam"], data["grads"], data["ginv"], data["dA"]
     vec = np.empty((mesh.n_faces, lam.shape[0], 3, 2))
-    for k, (a, b) in enumerate(_LOCAL_EDGES):
+    for k, (a, b) in enumerate(LOCAL_EDGES):
         vec[:, :, k, :] = (
             lam[None, :, a, None] * grads[:, None, b, :]
             - lam[None, :, b, None] * grads[:, None, a, :]
@@ -283,11 +280,7 @@ def assemble_oneform(
     area = 0.5 * data["detJ"]
     inv_sqrt = np.sum(data["wts"][None, :] / data["sqrtdet"], axis=1) * data["detJ"]
     mass2 = sp.diags(inv_sqrt / area**2)
-
-    boundary_edges = np.nonzero(mesh.boundary_edge_mask)[0]
-    return OneFormOperators(
-        mass1, mesh.d0, mesh.d1, scalar.mass, mass2, boundary_edges, mesh, metric
-    )
+    return OneFormOperators(mass1, mesh.d0, mesh.d1, scalar.mass, mass2, mesh, metric)
 
 
 # ---------------------------------------------------------------------------
@@ -323,43 +316,40 @@ def star_oneform(metric: ChartMetric, u, v, comp_u, comp_v):
 
 
 def _edge_representatives(mesh) -> Tuple[np.ndarray, np.ndarray]:
-    """One raw vertex pair per logical edge, oriented with the edge.
-
-    Each logical edge takes its first raw pair, in ``_LOCAL_EDGES``-major
-    order, found by one ``np.unique`` of the keys ``a * V + b``, which
-    sort as the logical pairs do.
-    """
-    tris = mesh.tris
-    raw_pairs = np.concatenate(
-        [tris[:, [a, b]] for a, b in _LOCAL_EDGES], axis=0
-    )
-    logical = mesh.raw_to_logical[raw_pairs]
-    flip = logical[:, 0] > logical[:, 1]
-    raw_sorted = np.where(flip[:, None], raw_pairs[:, ::-1], raw_pairs)
-    lo, hi = logical.min(axis=1).astype(np.int64), logical.max(axis=1)
-    _, first = np.unique(lo * mesh.n_vertices + hi, return_index=True)
-    return raw_sorted[first, 0], raw_sorted[first, 1]
+    """One raw vertex pair per logical edge, oriented with the edge: its
+    first face edge in :func:`surfspec.mesh.face_edges` order, reversed
+    where ``tri_edge_signs`` says the face runs against the edge."""
+    _, first = np.unique(mesh.tri_edges.T, return_index=True)
+    raw = face_edges(mesh.tris)[first]
+    flip = mesh.tri_edge_signs.T.ravel()[first] < 0
+    raw = np.where(flip[:, None], raw[:, ::-1], raw)
+    return raw[:, 0], raw[:, 1]
 
 
-def _whitney_interpolate(mesh, ends, phi_raw_ends, comp_fn) -> np.ndarray:
+def _whitney_interpolate(mesh, metric: ChartMetric, forms, phi) -> list:
     """Edge degrees of freedom of ``phi * rho`` by 4-point Gauss lines.
 
-    ``ends`` are the raw endpoints from :func:`_edge_representatives`;
-    ``comp_fn(u, v)`` returns the 1-form components of rho at chart
-    points; ``phi_raw_ends`` are the P1 values at those endpoints,
-    linear along each edge.
+    ``forms`` are pairs of expressions, the du and dv components of each
+    1-form rho, all evaluated in one plan at the Gauss points of every
+    logical edge's :func:`_edge_representatives` pair; ``phi`` holds P1
+    values on logical vertices, linear along each edge.  Returns one
+    array of edge values per form.
     """
-    a, b = ends
+    a, b = _edge_representatives(mesh)
     pa, pb = mesh.verts[a], mesh.verts[b]
-    pts = pa[:, None, :] + _EDGE_T[None, :, None] * (pb - pa)[:, None, :]
-    cu, cv = comp_fn(pts[..., 0], pts[..., 1])
-    phi_line = (
-        phi_raw_ends[0][:, None] * (1 - _EDGE_T)[None, :]
-        + phi_raw_ends[1][:, None] * _EDGE_T[None, :]
-    )
     delta = pb - pa
-    integrand = phi_line * (cu * delta[:, None, 0] + cv * delta[:, None, 1])
-    return integrand @ _EDGE_W
+    pts = pa[:, None, :] + _EDGE_T[None, :, None] * delta[:, None, :]
+    comps = metric.evaluate(
+        tuple(c for form in forms for c in form), pts[..., 0], pts[..., 1]
+    )
+    phi_line = (
+        phi[mesh.raw_to_logical[a]][:, None] * (1 - _EDGE_T)[None, :]
+        + phi[mesh.raw_to_logical[b]][:, None] * _EDGE_T[None, :]
+    )
+    return [
+        (phi_line * (cu * delta[:, None, 0] + cv * delta[:, None, 1])) @ _EDGE_W
+        for cu, cv in zip(comps[::2], comps[1::2])
+    ]
 
 
 def dirichlet_form_quadrature(
@@ -418,9 +408,15 @@ def dirichlet_form_quadrature(
     dphi = np.einsum("fi,fia->fa", phi_nodes, data["grads"])  # constant per face
     phi_q = phi_nodes @ lam.T  # (F, nq)
 
+    # df, Lap f (analytic, in flux-divergence form), the curl of *df
+    # (its d(*df) coefficient on du^dv) and *df, in one plan
     du, dv = metric.u, metric.v
     fu, fv = fe.diff(du), fe.diff(dv)
-    df_u, df_v = metric.evaluate((fu, fv), u, v)
+    su_e, sv_e = star_exprs(metric, fu, fv)
+    curl_s = sv_e.diff(du) - su_e.diff(dv)
+    df_u, df_v, lap_q, curl_q, sdf_u, sdf_v = metric.evaluate(
+        (fu, fv, laplacian_expr(metric, fe), curl_s, su_e, sv_e), u, v
+    )
 
     def pair(au, av, bu, bv):
         return (
@@ -433,20 +429,15 @@ def dirichlet_form_quadrature(
     dphi_norm2_q = pair(dphi_u, dphi_v, dphi_u, dphi_v)
     b2_q = np.maximum(dphi_norm2_q - a_q**2, 0.0)
 
-    # route 1: exterior part b^2, codifferential part (a - phi Lap f)^2,
-    # with Lap f analytic in flux-divergence form
-    lap_q = metric.evaluate(laplacian_expr(metric, fe), u, v)
+    # route 1: exterior part b^2, codifferential part (a - phi Lap f)^2
     alpha_nu = float(np.sum((b2_q + (a_q - phi_q * lap_q) ** 2) * dA))
 
     # route 2: same energy through the starred field phi (*df); its
     # exterior part is the wedge dphi ^ *df plus phi d(*df) with the
     # latter taken as the curl of the starred components, and its
     # codifferential part is -<dphi, *df>
-    su_e, sv_e = star_exprs(metric, fu, fv)
-    curl_s = sv_e.diff(du) - su_e.diff(dv)  # d(*df) coefficient on du^dv
     sqrtdet = data["sqrtdet"]
-    dstar_q = metric.evaluate(curl_s, u, v) / sqrtdet  # equals -Lap f
-    sdf_u, sdf_v = metric.evaluate((su_e, sv_e), u, v)
+    dstar_q = curl_q / sqrtdet  # equals -Lap f
     wedge_q = (dphi_u * sdf_v - dphi_v * sdf_u) / sqrtdet
     c_q = pair(dphi_u, dphi_v, sdf_u, sdf_v)
     alpha_star_nu = float(
@@ -456,17 +447,7 @@ def dirichlet_form_quadrature(
     dphi_norm2 = float(np.sum(dphi_norm2_q * dA))
 
     # discrete cross term
-    ends = _edge_representatives(mesh)
-    phi_ends = tuple(phi[mesh.raw_to_logical[e]] for e in ends)
-
-    def rho_df(uu, vv):
-        return metric.evaluate((fu, fv), uu, vv)
-
-    def rho_star(uu, vv):
-        return metric.evaluate((su_e, sv_e), uu, vv)
-
-    w_a = _whitney_interpolate(mesh, ends, phi_ends, rho_df)
-    w_b = _whitney_interpolate(mesh, ends, phi_ends, rho_star)
+    w_a, w_b = _whitney_interpolate(mesh, metric, ((fu, fv), (su_e, sv_e)), phi)
     curl_part = float((ops.d1 @ w_a) @ (ops.mass2 @ (ops.d1 @ w_b)))
     rhs_a = ops.d0.T @ (ops.mass1 @ w_a)
     rhs_b = ops.d0.T @ (ops.mass1 @ w_b)

@@ -628,7 +628,7 @@ def _cmd_check(args) -> int:
 def _spectrum_result(metric, domain, options, bc: str, count: int):
     cache = LevelCache(domain, metric, options)
     mesh = cache.mesh(0)
-    interior = mesh.n_vertices - int(mesh.boundary_vertex_mask.sum())
+    interior = len(mesh.interior)
     # the 1-form spectrum is the positive Neumann and the Dirichlet modes
     # plus b1 harmonics
     limit = {

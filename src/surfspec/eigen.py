@@ -245,7 +245,7 @@ def solve_oneform(
     mesh = ops.mesh
     V = ops.mass0.shape[0]
     E = ops.mass1.shape[0]
-    interior = np.nonzero(~mesh.boundary_vertex_mask)[0]
+    interior = mesh.interior
     n_int = len(interior)
     beta1 = mesh.betti1
     total = (V - 1) + n_int + beta1

@@ -15,8 +15,10 @@ For non-periodic shapes the two layers coincide.  ``raw_to_logical``
 maps the first onto the second.
 
 Edges are stored as sorted logical vertex pairs in lexicographic
-order; the orientation of an edge (a, b) with a < b is a -> b, and
-``tri_edge_signs`` records whether each face traversal agrees with it.
+order; the orientation of an edge (a, b) with a < b is a -> b.  Column
+k of ``tri_edges`` is each face's corner pair ``LOCAL_EDGES[k]``, and
+``tri_edge_signs`` records whether it runs with the edge.  Other modules
+read this order, the edge numbering and ``Mesh.interior`` from here.
 The signed incidence matrices of that convention, ``Mesh.d0``
 (vertices to edges, -1 at a and +1 at b) and ``Mesh.d1`` (edges to
 faces, the traversal signs), are built here on first use, from the
@@ -40,6 +42,7 @@ __all__ = [
     "MeshSizeError",
     "EXTENT_COUNT",
     "MAX_VERTICES",
+    "LOCAL_EDGES",
     "DomainSpec",
     "Mesh",
     "triangulate",
@@ -72,6 +75,9 @@ EXTENT_COUNT = {"rectangle": 4, "periodic_band": 2, "disk": 3, "annulus": 4}
 # before any array is allocated: its vertex, triangle, edge and incidence
 # arrays alone take about 340 bytes a vertex, 34 GB at this count
 MAX_VERTICES = 10**8
+
+# a face's corner pairs, in the order of the tri_edges and tri_edge_signs columns
+LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
 
 
 @dataclass(frozen=True)
@@ -218,12 +224,14 @@ class Mesh:
     @property
     def h_max(self) -> float:
         p = self.verts[self.tris]
-        lengths = [
-            np.linalg.norm(p[:, 1] - p[:, 0], axis=1),
-            np.linalg.norm(p[:, 2] - p[:, 1], axis=1),
-            np.linalg.norm(p[:, 0] - p[:, 2], axis=1),
-        ]
-        return float(np.max(lengths))
+        return float(max(
+            np.max(np.linalg.norm(p[:, b] - p[:, a], axis=1)) for a, b in LOCAL_EDGES
+        ))
+
+    @cached_property
+    def interior(self) -> np.ndarray:
+        """Ascending logical ids of the vertices off the boundary."""
+        return np.nonzero(~self.boundary_vertex_mask)[0]
 
     @cached_property
     def d0(self) -> sp.csr_matrix:
@@ -276,9 +284,7 @@ class Mesh:
         ):
             raise MeshError("triangle collapses under seam identification")
 
-        pairs = np.concatenate(
-            [lt[:, [0, 1]], lt[:, [1, 2]], lt[:, [2, 0]]], axis=0
-        )
+        pairs = face_edges(lt)
         flipped = pairs[:, 0] > pairs[:, 1]
         sorted_pairs = np.where(flipped[:, None], pairs[:, ::-1], pairs)
         self.edges, inverse = _unique_pairs(sorted_pairs, self.n_vertices)
@@ -311,6 +317,20 @@ class Mesh:
         n_components, _ = connected_components(graph, directed=False)
         if n_components != 1:
             raise MeshError("mesh is not connected")
+
+
+def face_edges(tris: np.ndarray) -> np.ndarray:
+    """The (3F, 2) corner pairs of every face edge of ``tris`` (F, 3),
+    ``LOCAL_EDGES``-major: row k * F + f is edge k of face f."""
+    return np.concatenate([tris[:, [a, b]] for a, b in LOCAL_EDGES], axis=0)
+
+
+def _raw_edges(mesh: "Mesh") -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct raw edges as sorted pairs, and each face edge's id (F, 3)."""
+    pairs = face_edges(mesh.tris)
+    pairs.sort(axis=1)
+    edges, inverse = _unique_pairs(pairs, len(mesh.verts))
+    return edges, inverse.reshape(3, -1).T
 
 
 def _unique_pairs(pairs: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -478,28 +498,17 @@ _TRIANGULATORS = {
 def refine(mesh: Mesh) -> Mesh:
     """Uniform red refinement: every triangle splits into four.
 
-    Midpoints of raw edges become new raw vertices; a midpoint's logical
-    identity is keyed by the logical edge, so seam identifications carry
-    over to the refined mesh.  The Euler characteristic is unchanged.
+    Midpoints of raw edges become new raw vertices; the midpoint of logical
+    edge e is logical vertex V + e (as :func:`prolongation` reads it), so
+    seam identifications carry over.  The Euler characteristic is unchanged.
     """
     verts, tris = mesh.verts, mesh.tris
-    raw_pairs = np.concatenate(
-        [tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]], axis=0
-    )
-    raw_pairs.sort(axis=1)
-    raw_edges, inverse = _unique_pairs(raw_pairs, len(verts))
-    F = len(tris)
-    tri_raw_edges = inverse.reshape(3, F).T  # midpoint ids per local edge
-
+    raw_edges, tri_raw_edges = _raw_edges(mesh)  # midpoint ids per face edge
     midpoints = 0.5 * (verts[raw_edges[:, 0]] + verts[raw_edges[:, 1]])
     new_verts = np.concatenate([verts, midpoints], axis=0)
 
-    # mesh.edges is sorted lexicographically, so the encoded keys a * V + b
-    # of its (a, b) pairs are ascending and searchsorted finds each one.
-    V = mesh.n_vertices
-    logical = np.sort(mesh.raw_to_logical[raw_edges], axis=1)
-    edge_keys = mesh.edges[:, 0] * V + mesh.edges[:, 1]
-    mid_logical = V + np.searchsorted(edge_keys, logical[:, 0] * V + logical[:, 1])
+    mid_logical = np.empty(len(raw_edges), dtype=np.int64)
+    mid_logical[tri_raw_edges] = mesh.n_vertices + mesh.tri_edges
     new_raw_to_logical = np.concatenate([mesh.raw_to_logical, mid_logical])
 
     m01 = len(verts) + tri_raw_edges[:, 0]
@@ -515,10 +524,8 @@ def refine(mesh: Mesh) -> Mesh:
         ],
         axis=0,
     )
-    # Compact logical ids (identified midpoints leave gaps otherwise).
-    _, compact = np.unique(new_raw_to_logical, return_inverse=True)
     return Mesh.from_arrays(
-        new_verts, children, compact, domain=mesh.domain, level=mesh.level + 1
+        new_verts, children, new_raw_to_logical, mesh.domain, mesh.level + 1
     )
 
 
@@ -550,11 +557,7 @@ def export_off(mesh: Mesh) -> str:
     duplicated so viewers see honest coordinates), then V vertex lines
     and F face lines.  Deterministic ordering.
     """
-    raw_pairs = np.concatenate(
-        [mesh.tris[:, [0, 1]], mesh.tris[:, [1, 2]], mesh.tris[:, [2, 0]]], axis=0
-    )
-    raw_pairs.sort(axis=1)
-    n_raw_edges = len(_unique_pairs(raw_pairs, len(mesh.verts))[0])
+    n_raw_edges = len(_raw_edges(mesh)[0])
     lines = [f"{len(mesh.verts)} {n_raw_edges} {len(mesh.tris)}"]
     for x, y in mesh.verts:
         lines.append(f"{float(x)!r} {float(y)!r}")
