@@ -38,6 +38,7 @@ from .geometry import (
     UNIT_GRADIENT_TOL,
     ChartMetric,
     _as_expr,
+    evaluate_on_f,
     gradient_norm2_expr,
     inverse_exprs,
     laplacian_expr,
@@ -326,21 +327,21 @@ def _edge_representatives(mesh) -> Tuple[np.ndarray, np.ndarray]:
     return raw[:, 0], raw[:, 1]
 
 
-def _whitney_interpolate(mesh, metric: ChartMetric, forms, phi) -> list:
+def _whitney_interpolate(mesh, metric: ChartMetric, f, forms, phi) -> list:
     """Edge degrees of freedom of ``phi * rho`` by 4-point Gauss lines.
 
-    ``forms`` are pairs of expressions, the du and dv components of each
-    1-form rho, all evaluated in one plan at the Gauss points of every
-    logical edge's :func:`_edge_representatives` pair; ``phi`` holds P1
-    values on logical vertices, linear along each edge.  Returns one
-    array of edge values per form.
+    ``forms`` are pairs of expressions built from f, the du and dv
+    components of each 1-form rho, all evaluated in one plan at the Gauss
+    points of every logical edge's :func:`_edge_representatives` pair;
+    ``phi`` holds P1 values on logical vertices, linear along each edge.
+    Returns one array of edge values per form.
     """
     a, b = _edge_representatives(mesh)
     pa, pb = mesh.verts[a], mesh.verts[b]
     delta = pb - pa
     pts = pa[:, None, :] + _EDGE_T[None, :, None] * delta[:, None, :]
-    comps = metric.evaluate(
-        tuple(c for form in forms for c in form), pts[..., 0], pts[..., 1]
+    comps = evaluate_on_f(
+        metric, tuple(c for form in forms for c in form), f, pts[..., 0], pts[..., 1]
     )
     phi_line = (
         phi[mesh.raw_to_logical[a]][:, None] * (1 - _EDGE_T)[None, :]
@@ -388,7 +389,7 @@ def dirichlet_form_quadrature(
     u, v = data["qpts"][..., 0], data["qpts"][..., 1]
     ginv, dA, lam = data["ginv"], data["dA"], data["lam"]
 
-    gn2 = metric.evaluate(gradient_norm2_expr(metric, fe), u, v)
+    gn2 = evaluate_on_f(metric, gradient_norm2_expr(metric, fe), fe, u, v)
     dev = float(np.max(np.abs(gn2 - 1.0)))
     if dev > UNIT_GRADIENT_TOL:
         raise AssemblyError(
@@ -414,8 +415,8 @@ def dirichlet_form_quadrature(
     fu, fv = fe.diff(du), fe.diff(dv)
     su_e, sv_e = star_exprs(metric, fu, fv)
     curl_s = sv_e.diff(du) - su_e.diff(dv)
-    df_u, df_v, lap_q, curl_q, sdf_u, sdf_v = metric.evaluate(
-        (fu, fv, laplacian_expr(metric, fe), curl_s, su_e, sv_e), u, v
+    df_u, df_v, lap_q, curl_q, sdf_u, sdf_v = evaluate_on_f(
+        metric, (fu, fv, laplacian_expr(metric, fe), curl_s, su_e, sv_e), fe, u, v
     )
 
     def pair(au, av, bu, bv):
@@ -447,7 +448,9 @@ def dirichlet_form_quadrature(
     dphi_norm2 = float(np.sum(dphi_norm2_q * dA))
 
     # discrete cross term
-    w_a, w_b = _whitney_interpolate(mesh, metric, ((fu, fv), (su_e, sv_e)), phi)
+    w_a, w_b = _whitney_interpolate(
+        mesh, metric, fe, ((fu, fv), (su_e, sv_e)), phi
+    )
     curl_part = float((ops.d1 @ w_a) @ (ops.mass2 @ (ops.d1 @ w_b)))
     rhs_a = ops.d0.T @ (ops.mass1 @ w_a)
     rhs_b = ops.d0.T @ (ops.mass1 @ w_b)

@@ -16,8 +16,11 @@ dump tables for quick inspection.
 
 Exit codes: 0 when every executed check passes, 1 when any check
 fails, 2 for invalid input (unreadable file, schema violation,
-unparseable expression, metric or domain construction failure).
-Invalid-input messages name the offending config field.
+unparseable expression, metric or domain construction failure, a
+domain outside the metric's validity region, a distance function with
+a domain error, a check parameter out of range or predicted to need
+more than its limit).  Invalid-input messages name the offending
+config field.
 
 Reports embed the fully resolved config, and every timestamp or wall
 time lives under the ``metadata`` key, beside the BLAS thread settings
@@ -42,16 +45,23 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import jsonschema
+import numpy as np
 
 from . import THREAD_SETTINGS
 from .assembly import AssemblyError, assemble_oneform
 from .eigen import EigenError, SolverOptions, cluster_multiplicities, solve_oneform
 from .expr import Expr, ExprError, parse
-from .geometry import ChartMetric, GeometryError, builtin_metric
+from .geometry import (
+    ChartMetric,
+    ChartEvalError,
+    GeometryError,
+    builtin_metric,
+)
 from .mesh import EXTENT_COUNT, DomainSpec, MeshError, MeshSizeError
 from .mesh import triangulate  # noqa: F401  (perfbench/tracer.py wraps cli.triangulate)
 from .verify import (
     LevelCache,
+    ParameterError,
     VerificationReport,
     VerifyError,
     convergence_study,
@@ -197,11 +207,17 @@ class _Check:
         inputs = {"domain": cache.domain, "metric": cache.metric, "f": f, "cache": cache}
         if "mesh" in keywords:  # built only for a check that takes it
             inputs["mesh"] = cache.mesh(0)
-        # looked up in this module at call time, where perfbench/tracer.py
-        # wraps the check functions
-        return globals()[self.function.__name__](
-            **{key: inputs[key] for key in inputs if key in keywords}, **params
-        )
+        try:
+            # looked up in this module at call time, where perfbench/tracer.py
+            # wraps the check functions
+            return globals()[self.function.__name__](
+                **{key: inputs[key] for key in inputs if key in keywords}, **params
+            )
+        except ParameterError as exc:
+            where = f"check_params/{self.name}/{exc.param}"
+            raise ConfigError(f"config field '{where}': {exc}") from None
+        except ChartEvalError as exc:
+            raise ConfigError(f"config field '{exc.source}': {exc}") from None
 
 
 _INT = {"type": "integer"}
@@ -334,8 +350,15 @@ CONFIG_SCHEMA = {
     },
 }
 # built once: jsonschema.validate would meta-validate the constant schema on
-# every call (a test checks it once)
-_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+# every call (a test checks it once); "integer" means a JSON integer, where
+# the default type checker also takes an integral float such as 3.0
+_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+_CONFIG_VALIDATOR = jsonschema.validators.extend(
+    _VALIDATOR,
+    type_checker=_VALIDATOR.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: type(value) is int
+    ),
+)(CONFIG_SCHEMA)
 
 # solver config key -> SolverOptions field, whose default is the config default
 _SOLVER_FIELDS = {
@@ -375,7 +398,7 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config file: {exc}") from None
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to read
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     return raw
 
@@ -392,6 +415,12 @@ def _refuse_non_finite(value, path: Tuple) -> None:
         raise ConfigError(
             f"config field '{where}': {json.dumps(value)} is not a finite number"
         )
+    elif isinstance(value, int) and abs(value) > sys.float_info.max:
+        where = "/".join(str(p) for p in path)
+        raise ConfigError(
+            f"config field '{where}': an integer of {len(str(abs(value)))} "
+            "digits is beyond the float range"
+        )
 
 
 def validate_config(raw: dict) -> dict:
@@ -400,8 +429,8 @@ def validate_config(raw: dict) -> dict:
     Returns the fully resolved config that reports embed.  Error
     messages name the offending field as a slash-joined path.  A
     non-finite number (Python's ``json`` reads ``NaN``, ``Infinity``
-    and literals that overflow a float) is refused before the schema,
-    which would let it through.
+    and literals that overflow a float), or an integer beyond the float
+    range, is refused before the schema, which would let it through.
     """
     _refuse_non_finite(raw, ())
     # the error jsonschema.validate would raise
@@ -466,6 +495,12 @@ def build_objects(
     except MeshError as exc:
         where = "domain/extents" if len(extents) != EXTENT_COUNT[shape] else "domain"
         raise ConfigError(f"config field '{where}': {exc}") from None
+    box = domain.chart_box
+    if not metric.contains(np.array(box[:2]), np.array(box[2:])):
+        raise ConfigError(
+            f"config field 'domain/extents': the domain's chart box {list(box)} "
+            f"leaves the metric validity region {list(metric.validity)}"
+        )
 
     distance = None
     if cfg["distance_function"]:
@@ -680,7 +715,10 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    dirichlet, neumann = cylinder_oracle(args.max_index)
+    try:
+        dirichlet, neumann = cylinder_oracle(args.max_index)
+    except ParameterError as exc:
+        raise ConfigError(f"--max-index: {exc}") from None
     print(",".join(str(v) for v in dirichlet))
     print(",".join(str(v) for v in neumann))
     if args.csv:

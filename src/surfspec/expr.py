@@ -611,7 +611,10 @@ def _apply(e: Expr, args: list) -> Number:
     n = b  # "^": constant, integral by construction
     if n < 0 and not np.all(np.asarray(a) != 0):
         raise EvalError("zero raised to a negative power")
-    return a ** n
+    try:
+        return a ** n
+    except OverflowError:  # a float base; an array base gives inf instead
+        raise EvalError("power overflows a float") from None
 
 
 def evaluate(exprs: Sequence[Expr], bindings: Mapping[str, Number]) -> tuple:

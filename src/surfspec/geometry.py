@@ -39,10 +39,11 @@ from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
 
-from .expr import Const, Expr, evaluate, parse
+from .expr import Const, EvalError, Expr, evaluate, parse
 
 __all__ = [
     "GeometryError",
+    "ChartEvalError",
     "ChartMetric",
     "GridSpec",
     "CurvatureReport",
@@ -54,12 +55,25 @@ __all__ = [
 ]
 
 UNIT_GRADIENT_TOL = 1e-10
+# the largest magnitude of a validity bound, r_range end or theta period:
+# squared chart lengths stay below the float limit 1.8e308
+MAX_CHART_COORDINATE = 1e150
 MARGIN_TOL = 1e-9
 _POSITIVITY_SAMPLES = 33
 
 
 class GeometryError(ValueError):
     """Invalid metric data or parameters."""
+
+
+class ChartEvalError(GeometryError):
+    """A domain error in expressions built from a distance function f.
+    ``source`` is ``"distance_function"`` when f or one of its partial
+    derivatives fails on the same points, else ``"metric"``."""
+
+    def __init__(self, source: str, message: str):
+        super().__init__(message)
+        self.source = source
 
 
 def _as_expr(obj: Union[str, Expr, float]) -> Expr:
@@ -115,14 +129,18 @@ class ChartMetric:
         return self._cache[key]
 
     def contains(self, upts, vpts) -> bool:
+        """Whether every point is in ``validity``, each bound widened by
+        1e-12 times its own magnitude (at least 1e-12): the half-plane's
+        bound y = 1e-6 must not take y = 0 in."""
+        def slack(bound):
+            return 1e-12 * max(1.0, abs(bound))
+
         u0, u1, v0, v1 = self.validity
-        eps_u = 1e-12 * max(1.0, abs(u0), abs(u1))
-        eps_v = 1e-12 * max(1.0, abs(v0), abs(v1))
         return bool(
-            np.all(upts >= u0 - eps_u)
-            and np.all(upts <= u1 + eps_u)
-            and np.all(vpts >= v0 - eps_v)
-            and np.all(vpts <= v1 + eps_v)
+            np.all(upts >= u0 - slack(u0))
+            and np.all(upts <= u1 + slack(u1))
+            and np.all(vpts >= v0 - slack(v0))
+            and np.all(vpts <= v1 + slack(v1))
         )
 
 
@@ -175,27 +193,85 @@ class CurvatureReport:
 # construction
 
 
+def _finite(value) -> Optional[float]:
+    """``value`` as a finite float; None for a non-number (a bool is not
+    one), an infinity, a NaN, or an integer too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _intervals(params: dict, key: str, default=None) -> tuple:
+    """Parameter ``key``: one (lo, hi) pair per two numbers, lo < hi
+    (``r_range`` has one pair, ``validity`` two)."""
+    value = params.pop(key, default)
+    want = 2 if key == "r_range" else 4
+    nums = [_finite(x) for x in value] if isinstance(value, (list, tuple)) else []
+    if len(nums) != want or None in nums or not all(
+        nums[i] < nums[i + 1] for i in range(0, want, 2)
+    ) or max(map(abs, nums)) > MAX_CHART_COORDINATE:
+        raise GeometryError(
+            f"parameter '{key}' must be {want} numbers of magnitude at most "
+            f"{MAX_CHART_COORDINATE:.0e}, each pair increasing, got {value!r}"
+        )
+    return tuple(nums)
+
+
+def _expr_param(params: dict, key: str) -> Expr:
+    """Parameter ``key``, an expression as text or a number."""
+    value = params.pop(key)
+    if not isinstance(value, str) and _finite(value) is None:
+        raise GeometryError(
+            f"parameter '{key}' must be an expression string or a finite "
+            f"number, got {value!r}"
+        )
+    return _as_expr(value)
+
+
+def _period(params: dict, default):
+    """Parameter ``theta_period``: a positive number, or ``default``."""
+    value = params.pop("theta_period", default)
+    if value is None:
+        return None
+    period = _finite(value)
+    if period is None or not 0 < period <= MAX_CHART_COORDINATE:
+        raise GeometryError(
+            "parameter 'theta_period' must be a positive number at most "
+            f"{MAX_CHART_COORDINATE:.0e}, got {value!r}"
+        )
+    return period
+
+
 def builtin_metric(family: str, params: Optional[dict] = None) -> ChartMetric:
     """Build one of the metric families from a parameter dict.
 
-    Raises :class:`GeometryError` on unknown families, missing
-    parameters, or a warp/metric that fails the sampled positivity
-    check (the error names the failing sample point).
+    Raises :class:`GeometryError` on unknown families, missing or
+    malformed parameters (the error names the parameter), or a
+    warp/metric that fails the sampled positivity check (the error
+    names the failing sample point).
     """
     params = dict(params or {})
-    constants = dict(params.pop("constants", {}))
+    constants = params.pop("constants", {})
+    if not isinstance(constants, dict):
+        raise GeometryError(
+            f"parameter 'constants' must be an object, got {constants!r}"
+        )
     for name, value in constants.items():
-        if not isinstance(value, (int, float)):
-            raise GeometryError(f"constant '{name}' must be a number")
+        if _finite(value) is None:
+            raise GeometryError(f"constant '{name}' must be a finite number")
 
     if family == "euclidean":
-        validity = tuple(params.pop("validity", (-1e6, 1e6, -1e6, 1e6)))
+        validity = _intervals(params, "validity", (-1e6, 1e6, -1e6, 1e6))
         m = ChartMetric(
             family, Const(1.0), Const(0.0), Const(1.0),
             u="x", v="y", validity=validity, constants=constants,
         )
     elif family == "hyperbolic_half_plane":
-        validity = tuple(params.pop("validity", (-1e6, 1e6, 1e-6, 1e6)))
+        validity = _intervals(params, "validity", (-1e6, 1e6, 1e-6, 1e6))
         if validity[2] <= 0:
             raise GeometryError("half-plane validity requires y > 0")
         y2 = parse("1/(y*y)")
@@ -206,15 +282,12 @@ def builtin_metric(family: str, params: Optional[dict] = None) -> ChartMetric:
     elif family in ("warped", "twisted"):
         if "phi" not in params:
             raise GeometryError(f"{family} family requires a 'phi' expression")
-        phi = _as_expr(params.pop("phi"))
-        period = float(params.pop("theta_period", 2.0 * math.pi))
-        if period <= 0:
-            raise GeometryError("theta_period must be positive")
-        r_range = params.pop("r_range", None)
-        if r_range is None and "validity" in params:
-            validity = tuple(params.pop("validity"))
-        elif r_range is not None:
-            validity = (float(r_range[0]), float(r_range[1]), 0.0, period)
+        phi = _expr_param(params, "phi")
+        period = _period(params, 2.0 * math.pi)
+        if "r_range" in params:
+            validity = (*_intervals(params, "r_range"), 0.0, period)
+        elif "validity" in params:
+            validity = _intervals(params, "validity")
         else:
             raise GeometryError(f"{family} family requires 'r_range'")
         allowed = {"r"} if family == "warped" else {"r", "theta"}
@@ -229,20 +302,23 @@ def builtin_metric(family: str, params: Optional[dict] = None) -> ChartMetric:
             theta_period=period, constants=constants, phi=phi,
         )
     elif family == "general":
-        try:
-            g11 = _as_expr(params.pop("g11"))
-            g12 = _as_expr(params.pop("g12"))
-            g22 = _as_expr(params.pop("g22"))
-        except KeyError as exc:
-            raise GeometryError(f"general family requires {exc}") from None
-        uname, vname = params.pop("vars", ("u", "v"))
-        validity = tuple(params.pop("validity", (-1e6, 1e6, -1e6, 1e6)))
-        period = params.pop("theta_period", None)
+        missing = [key for key in ("g11", "g12", "g22") if key not in params]
+        if missing:
+            raise GeometryError(f"general family requires {missing}")
+        g11, g12, g22 = (_expr_param(params, key) for key in ("g11", "g12", "g22"))
+        names = params.pop("vars", ("u", "v"))
+        if not (
+            isinstance(names, (list, tuple)) and len(names) == 2
+            and all(isinstance(n, str) and n.isidentifier() for n in names)
+            and names[0] != names[1]
+        ):
+            raise GeometryError(
+                f"parameter 'vars' must be two distinct names, got {names!r}"
+            )
         m = ChartMetric(
-            family, g11, g12, g22, u=uname, v=vname,
-            validity=validity,
-            theta_period=None if period is None else float(period),
-            constants=constants,
+            family, g11, g12, g22, u=names[0], v=names[1],
+            validity=_intervals(params, "validity", (-1e6, 1e6, -1e6, 1e6)),
+            theta_period=_period(params, None), constants=constants,
         )
     else:
         raise GeometryError(f"unknown metric family '{family}'")
@@ -260,13 +336,16 @@ def _check_positivity(m: ChartMetric):
         np.linspace(v0, v1, _POSITIVITY_SAMPLES),
         indexing="ij",
     )
-    # an overflow is reported as such, not as the sign failure its inf or nan causes
+    # an overflow is reported as such, not as the sign failure its inf or nan
+    # causes; det^2 must be finite too, as the derivatives of the inverse
+    # metric in the curvature and the Laplacian divide by it
     with np.errstate(all="ignore"):
         w = np.ones_like(upts) if m.phi is None else m.evaluate(m.phi, upts, vpts)
         g11 = m.evaluate(m.g11, upts, vpts)
         det = m.evaluate(det_expr(m), upts, vpts)
+        det2 = det * det
     for bad, message in (
-        (~(np.isfinite(w) & np.isfinite(g11) & np.isfinite(det)),
+        (~(np.isfinite(w) & np.isfinite(g11) & np.isfinite(det2)),
          "metric not finite on validity region at {}; "
          "narrow metric/params/validity"),
         (w <= 0, "warp expression not strictly positive on validity region: "
@@ -405,6 +484,28 @@ def margin_expr(m: ChartMetric, f) -> Expr:
 # point and grid operations
 
 
+def evaluate_on_f(m: ChartMetric, exprs, f, upts, vpts):
+    """``m.evaluate(exprs, upts, vpts)`` for expressions built from f.
+
+    A domain error raises :class:`ChartEvalError`: f's when f or one of
+    its first or second partial derivatives fails on the same points
+    too, the metric's otherwise.
+    """
+    try:
+        return m.evaluate(exprs, upts, vpts)
+    except EvalError as exc:
+        fe = _as_expr(f)
+        first = (fe.diff(m.u), fe.diff(m.v))
+        second = tuple(d.diff(x) for d in first for x in (m.u, m.v))
+        try:
+            m.evaluate((fe, *first, *second), upts, vpts)
+        except EvalError as own:
+            raise ChartEvalError("distance_function", f"f = {fe}: {own}") from None
+        raise ChartEvalError(
+            "metric", f"{exc} in the metric's terms, where f is defined"
+        ) from None
+
+
 def gaussian_curvature(m: ChartMetric, p) -> float:
     """Gaussian curvature at chart point ``p = (u, v)``."""
     out = m.evaluate(gaussian_curvature_expr(m), np.asarray(p[0]), np.asarray(p[1]))
@@ -423,7 +524,7 @@ def check_unit_gradient(m: ChartMetric, f, grid: GridSpec) -> Tuple[bool, float]
     upts, vpts = grid.points()
     if not m.contains(upts, vpts):
         raise GeometryError("sample grid leaves the metric validity region")
-    vals = m.evaluate(gradient_norm2_expr(m, f), upts, vpts)
+    vals = evaluate_on_f(m, gradient_norm2_expr(m, f), f, upts, vpts)
     dev = float(np.max(np.abs(vals - 1.0)))
     return dev <= UNIT_GRADIENT_TOL, dev
 
@@ -442,7 +543,7 @@ def curvature_condition_check(m: ChartMetric, f, grid: GridSpec) -> CurvatureRep
     upts, vpts = grid.points()
     if not m.contains(upts, vpts):
         raise GeometryError("sample grid leaves the metric validity region")
-    margins = m.evaluate(margin_expr(m, f), upts, vpts)
+    margins = evaluate_on_f(m, margin_expr(m, f), f, upts, vpts)
     min_margin = float(margins.min())
     first = np.argmax(margins <= min_margin + MARGIN_TOL)
     idx = np.unravel_index(first, margins.shape)

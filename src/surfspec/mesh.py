@@ -141,6 +141,28 @@ class DomainSpec:
                 f"{MAX_VERTICES:.0e}",
             )
 
+    def vertex_bound(self, level: int) -> float:
+        """An upper bound on the raw vertices of this domain's mesh refined
+        ``level`` times, without building it.  Refinement adds one vertex
+        per raw edge, and a raw mesh is planar, with at most three edges
+        per vertex, so each level at most quadruples the count.  Levels
+        above 64 count as 64, whose bound is already far above
+        ``MAX_VERTICES``."""
+        count = _vertex_count(self.shape, self.n, self.extents)
+        return count * 4.0 ** min(level, 64)
+
+    @property
+    def chart_box(self) -> Tuple[float, float, float, float]:
+        """(u_min, u_max, v_min, v_max): a band's extents by [0, theta
+        period], the outer circle's box for a disk or annulus."""
+        ext = self.extents
+        if self.shape == "rectangle":
+            return ext
+        if self.shape == "periodic_band":
+            return (ext[0], ext[1], 0.0, self.theta_period)
+        cx, cy, r = ext[0], ext[1], ext[-1]
+        return (cx - r, cx + r, cy - r, cy + r)
+
     @classmethod
     def rectangle(cls, u0, u1, v0, v1, n) -> "DomainSpec":
         return cls("rectangle", int(n), (float(u0), float(u1), float(v0), float(v1)))

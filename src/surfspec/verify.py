@@ -67,10 +67,11 @@ from .geometry import (
     check_unit_gradient,
     curvature_condition_check,
 )
-from .mesh import DomainSpec, Mesh, prolongation, refine, triangulate
+from .mesh import MAX_VERTICES, DomainSpec, Mesh, prolongation, refine, triangulate
 
 __all__ = [
     "VerifyError",
+    "ParameterError",
     "VerificationReport",
     "verify_inequality",
     "lemma_check",
@@ -95,6 +96,12 @@ REFUSAL_TOLERANCE = "preconditions: unit gradient 1e-10, margin >= -1e-9"
 # the domain's bounding box added on each side
 SCREEN_SAMPLES = 48
 SCREEN_ENLARGE = 0.05
+# the most points a curvature check samples: it holds about 40 bytes a point
+# (coordinates, values and margins), 0.7 GB at this count
+MAX_GRID_POINTS = 4096**2
+# the most values the cylinder oracle lists: each takes about 130 bytes in the
+# lists and the report, and 13 bytes of report text, 0.15 GB at this count
+MAX_ORACLE_VALUES = 10**6
 # damped Jacobi smoothing of the nested-solve V-cycle: weight, steps each side
 VCYCLE_DAMPING = 0.6
 VCYCLE_SMOOTHING = 2
@@ -102,6 +109,27 @@ VCYCLE_SMOOTHING = 2
 
 class VerifyError(ValueError):
     """Check preconditions violated (sizes, levels, period mismatch)."""
+
+
+class ParameterError(VerifyError):
+    """A check parameter out of range for the domain, or predicted to
+    need more than its limit; ``param`` is its keyword."""
+
+    def __init__(self, param: str, message: str):
+        super().__init__(message)
+        self.param = param
+
+
+def _refuse_depth(domain: DomainSpec, finest: int, param: str) -> None:
+    """Refuse a check that refines to level ``finest`` when that mesh could
+    exceed ``MAX_VERTICES`` (``DomainSpec.vertex_bound``); builds nothing."""
+    bound = domain.vertex_bound(finest)
+    if bound > MAX_VERTICES:
+        raise ParameterError(
+            param,
+            f"refining this far could make a mesh of {bound:.3g} vertices, "
+            f"above the limit {MAX_VERTICES:.0e}",
+        )
 
 
 def _jsonify(obj):
@@ -167,14 +195,7 @@ def _grid(
     """A samples x samples grid over the domain's bounding box, widened by
     ``enlarge`` times its size on each side and clipped to the metric's
     validity rectangle."""
-    ext = domain.extents
-    if domain.shape == "rectangle":
-        u0, u1, v0, v1 = ext
-    elif domain.shape == "periodic_band":
-        u0, u1, v0, v1 = ext[0], ext[1], 0.0, domain.theta_period
-    else:  # disk or annulus: the outer circle's box
-        cx, cy, r = ext[0], ext[1], ext[-1]
-        u0, u1, v0, v1 = cx - r, cx + r, cy - r, cy + r
+    u0, u1, v0, v1 = domain.chart_box
     du, dv = enlarge * (u1 - u0), enlarge * (v1 - v0)
     w0, w1, z0, z1 = metric.validity
     return GridSpec(
@@ -450,6 +471,7 @@ def verify_inequality(
     start = time.perf_counter()
     if levels < 1:
         raise VerifyError("inequality check needs at least 1 level")
+    _refuse_depth(domain, levels - 1, "levels")
     f, desc, refused = _screen("inequality", domain, metric, f, start)
     if refused is not None:
         return refused
@@ -529,6 +551,7 @@ def lemma_check(
     after one refinement.
     """
     start = time.perf_counter()
+    _refuse_depth(domain, level + 1, "level")
     f, desc, refused = _screen("lemma", domain, metric, f, start)
     if refused is not None:
         return refused
@@ -611,9 +634,16 @@ def spectrum_union_check(
     """
     start = time.perf_counter()
     _check_period(domain, metric)
+    _refuse_depth(domain, level, "level")
     cache = _level_cache(domain, metric, options, cache)
     mesh = cache.mesh(level)
     desc = f"{domain.shape} n={domain.n}, {metric.family} metric"
+    if count > len(mesh.interior):
+        raise ParameterError(
+            "count",
+            f"more eigenvalues requested than the {len(mesh.interior)} of "
+            f"the Dirichlet problem at level {level}",
+        )
 
     beta1 = mesh.betti1
     one_ops = assemble_oneform(
@@ -721,6 +751,10 @@ def curvature_check(
     """
     start = time.perf_counter()
     _check_period(domain, metric)
+    if samples * samples > MAX_GRID_POINTS:
+        raise ParameterError(
+            "samples", f"samples^2 grid points exceed the limit {MAX_GRID_POINTS}"
+        )
     f = _as_expr(f)
     grid = _grid(domain, metric, samples)
     _, deviation = check_unit_gradient(metric, f, grid)
@@ -758,6 +792,11 @@ def cylinder_oracle(max_index: int) -> Tuple[List[int], List[int]]:
     """
     if max_index < 1:
         raise VerifyError("max_index must be at least 1")
+    if (2 * max_index + 1) ** 2 > MAX_ORACLE_VALUES:
+        raise ParameterError(
+            "max_index", f"(2 max_index + 1)^2 oracle values exceed the limit "
+            f"{MAX_ORACLE_VALUES}",
+        )
     m = max_index
     dirichlet = sorted(
         i * i + j * j for i in range(-m, m + 1) for j in range(1, m + 1)
@@ -826,6 +865,7 @@ def convergence_study(
     _check_period(domain, metric)
     if levels < 3:
         raise VerifyError("convergence study needs at least 3 levels")
+    _refuse_depth(domain, levels - 1, "levels")
     if bc not in ("dirichlet", "neumann"):
         raise VerifyError(f"unknown boundary condition tag '{bc}'")
 

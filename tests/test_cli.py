@@ -226,6 +226,22 @@ def test_non_finite_number_names_field(tmp_path, capsys, key, value, field):
 
 
 @pytest.mark.parametrize(
+    "key,value,field",
+    [
+        ("solver", {"tolerance": 10**400}, "solver/tolerance"),
+        ("domain", {"shape": "rectangle", "extents": [0, 10**400, 0, 1],
+                    "resolution": 4}, "domain/extents/1"),
+    ],
+)
+def test_integer_beyond_float_range_names_field(tmp_path, capsys, key, value, field):
+    cfg = base_config(tmp_path)
+    cfg[key] = value
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"config field '{field}': an integer of 401 digits" in err
+
+
+@pytest.mark.parametrize(
     "extents,resolution,field",
     [
         ([0.0, 1e300, 0.0, 1.0], 4, "domain/extents"),
@@ -241,6 +257,168 @@ def test_oversized_mesh_names_field(tmp_path, capsys, extents, resolution, field
     assert code == 2
     err = capsys.readouterr().err
     assert f"config field '{field}'" in err and "vertices" in err
+
+
+@pytest.mark.parametrize("checks", [["curvature"], ["lemma"]])
+def test_distance_function_domain_error_names_field(tmp_path, capsys, checks):
+    # f = |x| has no derivative at x = 0, on the boundary of the unit square
+    cfg = base_config(tmp_path)
+    cfg["distance_function"] = "sqrt(x^2)"
+    cfg["domain"]["extents"] = [0.0, 1.0, 0.0, 1.0]
+    cfg["checks"] = checks
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config field 'distance_function': f = sqrt(x^2)" in err
+    assert "division by zero" in err
+
+
+def test_metric_domain_error_is_not_attributed_to_f(tmp_path, capsys):
+    # the metric's derivatives fail at x = 0, a sample point; f = x is defined
+    cfg = base_config(tmp_path)
+    cfg["metric"] = {
+        "family": "general",
+        "params": {"g11": "1", "g12": "0", "g22": "1 + sqrt(x^2)",
+                   "vars": ["x", "y"], "validity": [-1.0, 1.0, 0.0, 1.0]},
+    }
+    cfg["domain"]["extents"] = [-1.0, 1.0, 0.0, 1.0]
+    cfg["checks"] = ["curvature"]
+    cfg["check_params"] = {"curvature": {"samples": 65}}
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config field 'metric': division by zero" in err
+
+
+@pytest.mark.parametrize(
+    "where,value",
+    [
+        (("check_params", "inequality", "levels"), 3.0),
+        (("check_params", "lemma", "level"), 1e300),
+        (("check_params", "union", "level"), 1e300),
+        (("check_params", "union", "count"), 1e300),
+        (("domain", "resolution"), 8.0),
+    ],
+)
+def test_integral_float_refused_for_integer_field(tmp_path, capsys, where, value):
+    cfg = base_config(tmp_path)
+    node = cfg
+    for key in where[:-1]:
+        node = node.setdefault(key, {})
+    node[where[-1]] = value
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"config field '{'/'.join(where)}'" in err
+    assert "is not of type 'integer'" in err
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("a refused size was allocated")
+
+
+@pytest.mark.parametrize(
+    "check,param,value",
+    [
+        ("inequality", "levels", 20),
+        ("convergence", "levels", 20),
+        ("lemma", "level", 12),
+        ("union", "level", 10**300),
+        ("curvature", "samples", 4097),
+        ("oracle", "max_index", 500),
+    ],
+)
+def test_oversized_check_parameter_refused_before_allocating(
+    tmp_path, capsys, monkeypatch, check, param, value
+):
+    # every builder of the sizes at stake fails if called: refinement, the
+    # level-0 mesh, the sample grid and the oracle's sorted lists
+    monkeypatch.setattr(verify, "refine", _must_not_run)
+    monkeypatch.setattr(verify, "triangulate", _must_not_run)
+    monkeypatch.setattr(verify.GridSpec, "points", _must_not_run)
+    monkeypatch.setattr(verify, "sorted", _must_not_run, raising=False)
+    cfg = base_config(tmp_path)
+    cfg["checks"] = [check]
+    cfg["check_params"] = {check: {param: value}}
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"config field 'check_params/{check}/{param}'" in err
+    assert "limit" in err
+
+
+def test_union_count_above_the_dirichlet_dimension_names_field(tmp_path, capsys):
+    cfg = base_config(tmp_path)  # 7 x 7 interior vertices at level 0
+    cfg["checks"] = ["union"]
+    cfg["check_params"] = {"union": {"count": 50}}
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config field 'check_params/union/count'" in err and "49" in err
+
+
+def test_oracle_subcommand_refuses_oversized_index(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "sorted", _must_not_run, raising=False)
+    assert main(["oracle", "--max-index", "500"]) == 2
+    assert "--max-index" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "params,message",
+    [
+        ({"phi": [1], "r_range": [-1.0, 0.0]}, "parameter 'phi'"),
+        ({"phi": "exp(r)", "r_range": [0.0, -1.0]}, "parameter 'r_range'"),
+        ({"phi": "exp(r)", "r_range": [-1.0, "0"]}, "parameter 'r_range'"),
+        ({"phi": "exp(r)", "r_range": [-1.0, 0.0], "theta_period": "6"},
+         "parameter 'theta_period'"),
+        ({"phi": "exp(r)", "r_range": [-1.0, 0.0], "theta_period": 1e300},
+         "parameter 'theta_period'"),
+        ({"phi": "c*exp(r)", "r_range": [-1.0, 0.0], "constants": [1]},
+         "parameter 'constants'"),
+        ({"phi": "c*exp(r)", "r_range": [-1.0, 0.0], "constants": {"c": True}},
+         "constant 'c'"),
+    ],
+)
+def test_bad_warped_parameter_names_it(tmp_path, capsys, params, message):
+    cfg = helicoid_config(tmp_path)
+    cfg["metric"] = {"family": "warped", "params": params}
+    cfg["domain"]["extents"] = [-1.0, 0.0]
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config field 'metric'" in err and message in err
+
+
+@pytest.mark.parametrize(
+    "params,message",
+    [
+        ({"g11": {}}, "parameter 'g11'"),
+        ({"vars": "xy"}, "parameter 'vars'"),
+        ({"vars": ["x", "x"]}, "parameter 'vars'"),
+        ({"validity": [0.0, 1.0, 1.0]}, "parameter 'validity'"),
+        ({"validity": [0.0, 1.0, 2.0, 1.0]}, "parameter 'validity'"),
+        ({"g11": "1e300"}, "not finite"),  # its square, det^2, overflows
+        ({"constants": {"a": 1e300}}, "power overflows"),
+    ],
+)
+def test_bad_general_parameter_names_it(tmp_path, capsys, params, message):
+    cfg = base_config(tmp_path)
+    cfg["metric"] = {
+        "family": "general",
+        "params": {"g11": "1", "g12": "0", "g22": "1+a^2", "constants": {"a": 0.5},
+                   "vars": ["x", "y"], "validity": [-10.0, 10.0, -10.0, 10.0],
+                   **params},
+    }
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config field 'metric'" in err and message in err
+
+
+def test_domain_outside_validity_names_extents(tmp_path, capsys):
+    # y = 0 is outside the half-plane's validity bound y = 1e-6, even though
+    # that bound is within 1e-12 of the largest bound's magnitude 1e6
+    cfg = base_config(tmp_path)
+    cfg["metric"] = {"family": "hyperbolic_half_plane"}
+    cfg["distance_function"] = "-log(y)"
+    cfg["domain"]["extents"] = [0.0, 1.0, 0.0, 1.0]
+    cfg["checks"] = ["hodge-dims"]
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config field 'domain/extents'" in err and "validity region" in err
 
 
 def test_unreadable_config(capsys):
@@ -693,6 +871,10 @@ def test_oracle_invalid_index(capsys):
 def test_load_config_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config(path)
+    # Python's json refuses an integer literal of more than 4300 digits
+    path.write_text('{"spec_version": 1' + "0" * 5000 + "}")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(path)
 

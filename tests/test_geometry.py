@@ -527,6 +527,14 @@ def test_unrecognized_parameter_rejected():
         builtin_metric("euclidean", {"warp": "1"})
 
 
+def test_validity_slack_scales_with_each_bound():
+    m = builtin_metric("hyperbolic_half_plane")  # validity (-1e6, 1e6, 1e-6, 1e6)
+    assert not m.contains(np.array([0.5]), np.array([0.0]))
+    assert m.contains(np.array([0.5]), np.array([1e-6 - 1e-19]))
+    assert m.contains(np.array([1e6 + 1e-7]), np.array([1e6 + 1e-7]))
+    assert not m.contains(np.array([1e6 + 1e-5]), np.array([1.0]))
+
+
 def test_grid_outside_validity_rejected():
     m = half_plane(validity=(-1, 1, 0.5, 2))
     with pytest.raises(GeometryError, match="validity"):

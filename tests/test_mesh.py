@@ -273,6 +273,44 @@ def test_refine_numbers_midpoints_by_logical_edge():
         )
 
 
+@pytest.mark.parametrize(
+    "domain",
+    [
+        DomainSpec.rectangle(0, 2, 0, 1, 3),
+        DomainSpec.periodic_band(-1, 0, 3),
+        DomainSpec.disk(0, 0, 1, 3),
+        DomainSpec.annulus(0, 0, 1, 2, 3),
+    ],
+    ids=["rectangle", "band", "disk", "annulus"],
+)
+def test_vertex_bound_holds_under_refinement(domain):
+    mesh = triangulate(domain)
+    for level in range(4):
+        assert len(mesh.verts) <= domain.vertex_bound(level)
+        mesh = refine(mesh)
+    assert domain.vertex_bound(10**300) > MAX_VERTICES
+
+
+def test_interior_is_the_complement_of_the_boundary():
+    for domain in (
+        DomainSpec.rectangle(0, math.pi, 0, math.pi, 4),
+        DomainSpec.periodic_band(0, 1, 4),
+    ):
+        mesh = triangulate(domain)
+        boundary = np.nonzero(mesh.boundary_vertex_mask)[0]
+        want = np.setdiff1d(np.arange(mesh.n_vertices), boundary)
+        assert np.array_equal(mesh.interior, want)
+    assert len(mesh.interior) == 12  # three interior circles of four
+
+
+def test_chart_box():
+    assert DomainSpec.rectangle(0, 2, -1, 1, 3).chart_box == (0.0, 2.0, -1.0, 1.0)
+    band = DomainSpec.periodic_band(-1, 0, 3, theta_period=3.0)
+    assert band.chart_box == (-1.0, 0.0, 0.0, 3.0)
+    assert DomainSpec.disk(1, 2, 0.5, 3).chart_box == (0.5, 1.5, 1.5, 2.5)
+    assert DomainSpec.annulus(0, 0, 1, 2, 3).chart_box == (-2.0, 2.0, -2.0, 2.0)
+
+
 def test_prolongation_size_guard():
     mesh = triangulate(DomainSpec.rectangle(0, 1, 0, 1, 3))
     with pytest.raises(MeshError, match="do not refine"):
