@@ -51,12 +51,7 @@ from . import THREAD_SETTINGS
 from .assembly import AssemblyError, assemble_oneform
 from .eigen import EigenError, SolverOptions, cluster_multiplicities, solve_oneform
 from .expr import Expr, ExprError, parse
-from .geometry import (
-    ChartMetric,
-    ChartEvalError,
-    GeometryError,
-    builtin_metric,
-)
+from .geometry import ChartEvalError, ChartMetric, GeometryError, builtin_metric
 from .mesh import EXTENT_COUNT, DomainSpec, MeshError, MeshSizeError
 from .mesh import triangulate  # noqa: F401  (perfbench/tracer.py wraps cli.triangulate)
 from .verify import (
@@ -416,7 +411,7 @@ def _refuse_non_finite(value, path: Tuple) -> None:
             f"config field '{where}': {json.dumps(value)} is not a finite number"
         )
     elif isinstance(value, int) and abs(value) > sys.float_info.max:
-        where = "/".join(str(p) for p in path)
+        where = "/".join(str(p) for p in path) or "config root"
         raise ConfigError(
             f"config field '{where}': an integer of {len(str(abs(value)))} "
             "digits is beyond the float range"

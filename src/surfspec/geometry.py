@@ -325,6 +325,9 @@ def builtin_metric(family: str, params: Optional[dict] = None) -> ChartMetric:
 
     if params:
         raise GeometryError(f"unrecognized parameters {sorted(params)}")
+    shadowed = sorted({m.u, m.v} & set(constants))
+    if shadowed:  # a constant would replace the variable in every expression
+        raise GeometryError(f"constants {shadowed} are named like chart variables")
     _check_positivity(m)
     return m
 

@@ -393,6 +393,7 @@ def test_bad_warped_parameter_names_it(tmp_path, capsys, params, message):
         ({"validity": [0.0, 1.0, 2.0, 1.0]}, "parameter 'validity'"),
         ({"g11": "1e300"}, "not finite"),  # its square, det^2, overflows
         ({"constants": {"a": 1e300}}, "power overflows"),
+        ({"constants": {"a": 0.5, "x": 2.0}}, "named like chart variables"),
     ],
 )
 def test_bad_general_parameter_names_it(tmp_path, capsys, params, message):
