@@ -36,8 +36,6 @@ from .assembly import (
     assemble_oneform,
     assemble_scalar,
     dirichlet_form_quadrature,
-    export_matrix_market,
-    star_oneform,
 )
 from .eigen import (
     EigenError,
@@ -108,7 +106,6 @@ __all__ = [
     "cylinder_oracle",
     "differentiate",
     "dirichlet_form_quadrature",
-    "export_matrix_market",
     "export_off",
     "gaussian_curvature_expr",
     "hodge_dimension_check",
@@ -122,7 +119,6 @@ __all__ = [
     "solve_oneform",
     "solve_smallest",
     "spectrum_union_check",
-    "star_oneform",
     "triangulate",
     "verify_inequality",
 ]

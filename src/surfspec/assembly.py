@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -55,9 +54,7 @@ __all__ = [
     "apply_dirichlet",
     "assemble_oneform",
     "dirichlet_form_quadrature",
-    "star_oneform",
     "star_exprs",
-    "export_matrix_market",
 ]
 
 M_NORMALIZATION_TOL = 1e-8
@@ -114,11 +111,11 @@ class ScalarOperators:
 
 @dataclass
 class DirichletReduction:
-    """Interior-vertex restriction of a scalar operator pair."""
+    """Interior-vertex restriction of a scalar operator pair; unknown i is
+    the logical vertex ``mesh.interior[i]``."""
 
     mass: sp.csr_matrix
     stiffness: sp.csr_matrix
-    interior: np.ndarray  # interior index -> logical vertex id
 
 
 @dataclass
@@ -232,7 +229,7 @@ def apply_dirichlet(ops: ScalarOperators) -> DirichletReduction:
         raise AssemblyError("every vertex is on the boundary")
     mass = ops.mass[interior][:, interior].tocsr()
     stiff = ops.stiffness[interior][:, interior].tocsr()
-    return DirichletReduction(mass, stiff, interior)
+    return DirichletReduction(mass, stiff)
 
 
 # ---------------------------------------------------------------------------
@@ -293,21 +290,6 @@ def star_exprs(metric: ChartMetric, comp_u, comp_v) -> Tuple[Expr, Expr]:
     iu, im, iv = inverse_exprs(metric)
     sq = sqrt_det_expr(metric)
     su = -(sq * (im * comp_u + iv * comp_v))
-    sv = sq * (iu * comp_u + im * comp_v)
-    return su, sv
-
-
-def star_oneform(metric: ChartMetric, u, v, comp_u, comp_v):
-    """Rotate pointwise 1-form components by the Hodge star.
-
-    ``u, v`` are chart coordinate arrays; ``comp_u, comp_v`` the
-    covector components there.  Returns the starred component pair.
-    The rotation is a pointwise isometry of the metric inner product.
-    """
-    iu, im, iv, sq = metric.evaluate(
-        inverse_exprs(metric) + (sqrt_det_expr(metric),), u, v
-    )
-    su = -sq * (im * comp_u + iv * comp_v)
     sv = sq * (iu * comp_u + im * comp_v)
     return su, sv
 
@@ -463,12 +445,3 @@ def dirichlet_form_quadrature(
         "cross": cross,
         "dphi_norm2": dphi_norm2,
     }
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def export_matrix_market(matrix, target) -> None:
-    """Write a matrix in MatrixMarket coordinate format."""
-    scipy.io.mmwrite(target, sp.coo_matrix(matrix))

@@ -610,8 +610,8 @@ def _summary_line(name: str, check: dict) -> str:
 
 
 def _cmd_run(args) -> int:
-    cfg = validate_config(load_config(args.config))
-    report, code = run(cfg)
+    report, code = run(load_config(args.config))
+    cfg = report["config"]
     for name, check in zip(cfg["checks"], report["checks"]):
         print(_summary_line(name, check))
     report_path = args.report or cfg["output"]["report"]

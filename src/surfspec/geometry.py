@@ -39,7 +39,8 @@ from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
 
-from .expr import Const, EvalError, Expr, evaluate, parse
+from .expr import Call, Const, EvalError, Expr, evaluate, parse
+from .mesh import MAX_CHART_COORDINATE
 
 __all__ = [
     "GeometryError",
@@ -48,16 +49,14 @@ __all__ = [
     "GridSpec",
     "CurvatureReport",
     "builtin_metric",
-    "gaussian_curvature",
-    "laplacian_of",
     "check_unit_gradient",
     "curvature_condition_check",
+    "gaussian_curvature_expr",
+    "laplacian_expr",
+    "margin_expr",
 ]
 
 UNIT_GRADIENT_TOL = 1e-10
-# the largest magnitude of a validity bound, r_range end or theta period:
-# squared chart lengths stay below the float limit 1.8e308
-MAX_CHART_COORDINATE = 1e150
 MARGIN_TOL = 1e-9
 _POSITIVITY_SAMPLES = 33
 
@@ -105,7 +104,6 @@ class ChartMetric:
     theta_period: Optional[float] = None
     constants: dict = field(default_factory=dict)
     phi: Optional[Expr] = None  # warp expression for warped/twisted
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def bindings(self, upts, vpts) -> dict:
         env = {self.u: upts, self.v: vpts}
@@ -122,11 +120,6 @@ class ChartMetric:
             for out in evaluate(exprs, self.bindings(upts, vpts))
         )
         return outs if isinstance(e, tuple) else outs[0]
-
-    def cached(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
 
     def contains(self, upts, vpts) -> bool:
         """Whether every point is in ``validity``, each bound widened by
@@ -367,21 +360,16 @@ def _check_positivity(m: ChartMetric):
 
 
 def det_expr(m: ChartMetric) -> Expr:
-    return m.cached("det", lambda: m.g11 * m.g22 - m.g12 * m.g12)
+    return m.g11 * m.g22 - m.g12 * m.g12
 
 
 def sqrt_det_expr(m: ChartMetric) -> Expr:
-    from .expr import Call
-
-    return m.cached("sqrt_det", lambda: Call("sqrt", det_expr(m)))
+    return Call("sqrt", det_expr(m))
 
 
 def inverse_exprs(m: ChartMetric) -> Tuple[Expr, Expr, Expr]:
-    def build():
-        det = det_expr(m)
-        return (m.g22 / det, Const(0.0) - m.g12 / det, m.g11 / det)
-
-    return m.cached("inverse", build)
+    det = det_expr(m)
+    return (m.g22 / det, Const(0.0) - m.g12 / det, m.g11 / det)
 
 
 def _det3(rows) -> Expr:
@@ -400,69 +388,57 @@ def gaussian_curvature_expr(m: ChartMetric) -> Expr:
     goes through the Brioschi formula assembled from symbolic first and
     second derivatives of the metric components.
     """
-
-    def build():
-        if m.phi is not None:
-            phi_rr = m.phi.diff(m.u).diff(m.u)
-            return Const(0.0) - phi_rr / m.phi
-        E, F, G = m.g11, m.g12, m.g22
-        u, v = m.u, m.v
-        Eu, Ev = E.diff(u), E.diff(v)
-        Fu, Fv = F.diff(u), F.diff(v)
-        Gu, Gv = G.diff(u), G.diff(v)
-        Evv = Ev.diff(v)
-        Guu = Gu.diff(u)
-        Fuv = Fu.diff(v)
-        half = Const(0.5)
-        m1 = _det3(
+    if m.phi is not None:
+        phi_rr = m.phi.diff(m.u).diff(m.u)
+        return Const(0.0) - phi_rr / m.phi
+    E, F, G = m.g11, m.g12, m.g22
+    u, v = m.u, m.v
+    Eu, Ev = E.diff(u), E.diff(v)
+    Fu, Fv = F.diff(u), F.diff(v)
+    Gu, Gv = G.diff(u), G.diff(v)
+    Evv = Ev.diff(v)
+    Guu = Gu.diff(u)
+    Fuv = Fu.diff(v)
+    half = Const(0.5)
+    m1 = _det3(
+        [
             [
-                [
-                    Const(-0.5) * Evv + Fuv - half * Guu,
-                    half * Eu,
-                    Fu - half * Ev,
-                ],
-                [Fv - half * Gu, E, F],
-                [half * Gv, F, G],
-            ]
-        )
-        m2 = _det3(
-            [
-                [Const(0.0), half * Ev, half * Gu],
-                [half * Ev, E, F],
-                [half * Gu, F, G],
-            ]
-        )
-        det = det_expr(m)
-        return (m1 - m2) / (det * det)
-
-    return m.cached("gauss_curvature", build)
+                Const(-0.5) * Evv + Fuv - half * Guu,
+                half * Eu,
+                Fu - half * Ev,
+            ],
+            [Fv - half * Gu, E, F],
+            [half * Gv, F, G],
+        ]
+    )
+    m2 = _det3(
+        [
+            [Const(0.0), half * Ev, half * Gu],
+            [half * Ev, E, F],
+            [half * Gu, F, G],
+        ]
+    )
+    det = det_expr(m)
+    return (m1 - m2) / (det * det)
 
 
 def gradient_norm2_expr(m: ChartMetric, f) -> Expr:
     fe = _as_expr(f)
-
-    def build():
-        fu, fv = fe.diff(m.u), fe.diff(m.v)
-        gi11, gi12, gi22 = inverse_exprs(m)
-        return gi11 * fu * fu + 2.0 * gi12 * fu * fv + gi22 * fv * fv
-
-    return m.cached(("grad_norm2", str(fe)), build)
+    fu, fv = fe.diff(m.u), fe.diff(m.v)
+    gi11, gi12, gi22 = inverse_exprs(m)
+    return gi11 * fu * fu + 2.0 * gi12 * fu * fv + gi22 * fv * fv
 
 
 def laplacian_expr(m: ChartMetric, f) -> Expr:
     """Positive-spectrum Laplacian: Delta f = -div(grad f)."""
     fe = _as_expr(f)
-
-    def build():
-        fu, fv = fe.diff(m.u), fe.diff(m.v)
-        gi11, gi12, gi22 = inverse_exprs(m)
-        sdet = sqrt_det_expr(m)
-        flux_u = sdet * (gi11 * fu + gi12 * fv)
-        flux_v = sdet * (gi12 * fu + gi22 * fv)
-        divergence = flux_u.diff(m.u) + flux_v.diff(m.v)
-        return Const(0.0) - divergence / sdet
-
-    return m.cached(("laplacian", str(fe)), build)
+    fu, fv = fe.diff(m.u), fe.diff(m.v)
+    gi11, gi12, gi22 = inverse_exprs(m)
+    sdet = sqrt_det_expr(m)
+    flux_u = sdet * (gi11 * fu + gi12 * fv)
+    flux_v = sdet * (gi12 * fu + gi22 * fv)
+    divergence = flux_u.diff(m.u) + flux_v.diff(m.v)
+    return Const(0.0) - divergence / sdet
 
 
 def margin_expr(m: ChartMetric, f) -> Expr:
@@ -472,15 +448,10 @@ def margin_expr(m: ChartMetric, f) -> Expr:
     module docstring); elsewhere it is not the curvature condition, so
     check the gradient first (:func:`check_unit_gradient`).
     """
-    fe = _as_expr(f)
-
-    def build():
-        # the deeper Laplacian tree is evaluated first, so K's temporaries
-        # never coexist with its own (a lower peak; the sum is the same)
-        K = gaussian_curvature_expr(m)
-        return Const(0.0) - (laplacian_expr(m, fe) ** 2 + K)
-
-    return m.cached(("margin", str(fe)), build)
+    # the deeper Laplacian tree is evaluated first, so K's temporaries
+    # never coexist with its own (a lower peak; the sum is the same)
+    K = gaussian_curvature_expr(m)
+    return Const(0.0) - (laplacian_expr(m, f) ** 2 + K)
 
 
 # ---------------------------------------------------------------------------
@@ -507,18 +478,6 @@ def evaluate_on_f(m: ChartMetric, exprs, f, upts, vpts):
         raise ChartEvalError(
             "metric", f"{exc} in the metric's terms, where f is defined"
         ) from None
-
-
-def gaussian_curvature(m: ChartMetric, p) -> float:
-    """Gaussian curvature at chart point ``p = (u, v)``."""
-    out = m.evaluate(gaussian_curvature_expr(m), np.asarray(p[0]), np.asarray(p[1]))
-    return float(out)
-
-
-def laplacian_of(m: ChartMetric, f, p) -> float:
-    """Positive-spectrum Laplacian of ``f`` at chart point ``p``."""
-    out = m.evaluate(laplacian_expr(m, f), np.asarray(p[0]), np.asarray(p[1]))
-    return float(out)
 
 
 def check_unit_gradient(m: ChartMetric, f, grid: GridSpec) -> Tuple[bool, float]:

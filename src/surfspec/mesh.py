@@ -42,6 +42,7 @@ __all__ = [
     "MeshSizeError",
     "EXTENT_COUNT",
     "MAX_VERTICES",
+    "MAX_CHART_COORDINATE",
     "LOCAL_EDGES",
     "DomainSpec",
     "Mesh",
@@ -57,10 +58,11 @@ class MeshError(ValueError):
 
 
 class MeshSizeError(MeshError):
-    """A domain spec whose mesh would have more than ``MAX_VERTICES``
+    """A domain spec too large to mesh: an extent above
+    ``MAX_CHART_COORDINATE``, or a mesh of more than ``MAX_VERTICES``
     vertices.  ``cause`` is ``"extents"`` when no resolution makes the
-    extents meshable (a rectangle's aspect ratio alone is too large) and
-    ``"resolution"`` otherwise."""
+    extents meshable (an extent too large, or a rectangle's aspect ratio
+    alone too large) and ``"resolution"`` otherwise."""
 
     def __init__(self, cause: str, message: str):
         super().__init__(message)
@@ -76,6 +78,11 @@ EXTENT_COUNT = {"rectangle": 4, "periodic_band": 2, "disk": 3, "annulus": 4}
 # arrays alone take about 340 bytes a vertex, 34 GB at this count
 MAX_VERTICES = 10**8
 
+# the largest magnitude of a domain extent or theta period, and of a metric's
+# validity bound or r_range end: squared chart lengths stay below the float
+# limit 1.8e308
+MAX_CHART_COORDINATE = 1e150
+
 # a face's corner pairs, in the order of the tri_edges and tri_edge_signs columns
 LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
 
@@ -85,9 +92,10 @@ class DomainSpec:
     """Shape + resolution.  ``n`` subdivides the shortest side.
 
     Construction raises :class:`MeshError` for an unknown shape, a wrong
-    number of extents, ``n < 2``, non-finite or degenerate extents, and
-    :class:`MeshSizeError` for a mesh predicted to exceed
-    ``MAX_VERTICES``, so a spec that exists can be meshed.
+    number of extents, ``n < 2``, non-finite or degenerate extents, a
+    theta period above ``MAX_CHART_COORDINATE``, and
+    :class:`MeshSizeError` for an extent above it or a mesh predicted to
+    exceed ``MAX_VERTICES``, so a spec that exists can be meshed.
     """
 
     shape: str
@@ -139,6 +147,18 @@ class DomainSpec:
                 f"a {self.shape} on extents {list(self.extents)} at resolution "
                 f"{self.n} would have {count:.3g} vertices, above the limit "
                 f"{MAX_VERTICES:.0e}",
+            )
+        # a mesh within the vertex limit can still have squared lengths that overflow
+        if max(map(abs, self.extents)) > MAX_CHART_COORDINATE:
+            raise MeshSizeError(
+                "extents",
+                f"extents {list(self.extents)} exceed the magnitude limit "
+                f"{MAX_CHART_COORDINATE:.0e}",
+            )
+        if self.theta_period > MAX_CHART_COORDINATE:
+            raise MeshError(
+                f"theta period {self.theta_period:g} exceeds the limit "
+                f"{MAX_CHART_COORDINATE:.0e}"
             )
 
     def vertex_bound(self, level: int) -> float:

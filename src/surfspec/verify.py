@@ -350,8 +350,8 @@ class LevelCache:
             P = prolongation(self.mesh(level - 1), self.mesh(level))
             if bc != "dirichlet":
                 return P
-            fine = self.reduction(level).interior
-            return P[fine][:, self.reduction(level - 1).interior].tocsr()
+            fine = self.mesh(level).interior
+            return P[fine][:, self.mesh(level - 1).interior].tocsr()
 
         return self._get(("transfer", level, bc), build)
 
@@ -563,7 +563,7 @@ def lemma_check(
         ground = cache.spectrum(lvl, "dirichlet", 1)
         lam1 = float(ground.values[0])
         phi = np.zeros(mesh.n_vertices)
-        phi[cache.reduction(lvl).interior] = ground.vectors[:, 0]
+        phi[mesh.interior] = ground.vectors[:, 0]
         out = dirichlet_form_quadrature(
             mesh, metric, f, phi, lam1, quad_rule=cache.options.quad_rule,
             scalar=cache.operators(lvl),

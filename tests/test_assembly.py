@@ -6,7 +6,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.io
 import scipy.linalg
 import scipy.sparse as sp
 
@@ -19,10 +18,9 @@ from surfspec.assembly import (
     assemble_oneform,
     assemble_scalar,
     dirichlet_form_quadrature,
-    export_matrix_market,
-    star_oneform,
+    star_exprs,
 )
-from surfspec.expr import parse
+from surfspec.expr import Var, evaluate, parse
 from surfspec.geometry import builtin_metric
 from surfspec.mesh import DomainSpec, Mesh, refine, triangulate
 
@@ -48,7 +46,7 @@ def first_dirichlet_mode(mesh, metric):
     vec = vecs[:, 0]
     vec /= math.sqrt(vec @ (red.mass @ vec))
     full = np.zeros(mesh.n_vertices)
-    full[red.interior] = vec
+    full[mesh.interior] = vec
     return full, float(w[0])
 
 
@@ -259,19 +257,21 @@ def test_dirichlet_reduction_rectangle():
     mesh = triangulate(DomainSpec.rectangle(0, math.pi, 0, math.pi, 4))
     red = apply_dirichlet(assemble_scalar(mesh, FLAT))
     assert red.mass.shape == (9, 9)
-    assert len(red.interior) == 9
+    assert len(mesh.interior) == 9
 
 
 def test_dirichlet_reduction_band():
     mesh = triangulate(DomainSpec.periodic_band(0, 1, 4))
     red = apply_dirichlet(assemble_scalar(mesh, FLAT))
-    assert len(red.interior) == 12  # three interior circles of four
+    assert red.mass.shape == (12, 12)
+    assert len(mesh.interior) == 12  # three interior circles of four
 
 
 def test_dirichlet_reduction_disk_keeps_center():
     mesh = triangulate(DomainSpec.disk(0, 0, 1, 3))
     red = apply_dirichlet(assemble_scalar(mesh, FLAT))
-    assert 0 in red.interior
+    assert red.mass.shape == (len(mesh.interior),) * 2
+    assert 0 in mesh.interior
 
 
 def test_dirichlet_reduction_errors():
@@ -296,15 +296,23 @@ def test_dirichlet_reduction_errors():
 # Hodge star
 
 
+def star_values(metric, u, v, p, q):
+    """``star_exprs`` of the symbolic components p du + q dv, evaluated
+    at the chart points with p and q bound to the component arrays."""
+    env = metric.bindings(u, v)
+    env.update(p=p, q=q)
+    return evaluate(star_exprs(metric, Var("p"), Var("q")), env)
+
+
 def test_star_of_warped_frame():
     metric = collar_metric()
     r = np.linspace(-0.9, 0.9, 7)
     theta = np.linspace(0.1, 6.0, 7)
     phi = 0.25 * np.cosh(r)
-    su, sv = star_oneform(metric, r, theta, np.ones_like(r), np.zeros_like(r))
+    su, sv = star_values(metric, r, theta, np.ones_like(r), np.zeros_like(r))
     assert np.max(np.abs(su)) < 1e-14
     assert np.allclose(sv, phi, rtol=1e-14)  # *dr = phi dtheta
-    su, sv = star_oneform(metric, r, theta, np.zeros_like(r), np.ones_like(r))
+    su, sv = star_values(metric, r, theta, np.zeros_like(r), np.ones_like(r))
     assert np.allclose(su, -1.0 / phi, rtol=1e-14)  # *dtheta = -dr/phi
     assert np.max(np.abs(sv)) < 1e-14
 
@@ -316,13 +324,13 @@ def test_star_is_pointwise_isometry_and_involution():
     y = rng.uniform(0.5, 3.0, 50)
     cu = rng.normal(size=50)
     cv = rng.normal(size=50)
-    su, sv = star_oneform(metric, x, y, cu, cv)
+    su, sv = star_values(metric, x, y, cu, cv)
 
     def norm2(a, b):
         return y * y * (a * a + b * b)  # inverse metric is y^2 I
 
     assert np.allclose(norm2(su, sv), norm2(cu, cv), rtol=1e-12)
-    uu, vv = star_oneform(metric, x, y, su, sv)
+    uu, vv = star_values(metric, x, y, su, sv)
     assert np.allclose(uu, -cu, rtol=1e-12)
     assert np.allclose(vv, -cv, rtol=1e-12)
 
@@ -435,16 +443,3 @@ def test_dirichlet_form_rejects_unnormalized_phi():
     f = parse("-log(y)")
     with pytest.raises(AssemblyError, match="normalized"):
         dirichlet_form_quadrature(mesh, HALF_PLANE, f, 3.0 * phi, lam1)
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def test_matrix_market_round_trip(tmp_path):
-    mesh = triangulate(DomainSpec.rectangle(0, 1, 1, 2, 3))
-    ops = assemble_scalar(mesh, HALF_PLANE)
-    path = tmp_path / "mass.mtx"
-    export_matrix_market(ops.mass, str(path))
-    back = scipy.io.mmread(str(path))
-    assert np.max(np.abs((back - ops.mass).toarray())) < 1e-15

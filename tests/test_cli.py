@@ -259,6 +259,15 @@ def test_oversized_mesh_names_field(tmp_path, capsys, extents, resolution, field
     assert f"config field '{field}'" in err and "vertices" in err
 
 
+def test_overflowing_extents_name_field(tmp_path, capsys):
+    # a square mesh of few vertices, whose squared lengths would overflow
+    cfg = base_config(tmp_path)
+    cfg["domain"]["extents"] = [0.0, 1e300, 0.0, 1e300]
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config field 'domain/extents'" in err and "magnitude limit" in err
+
+
 @pytest.mark.parametrize("checks", [["curvature"], ["lemma"]])
 def test_distance_function_domain_error_names_field(tmp_path, capsys, checks):
     # f = |x| has no derivative at x = 0, on the boundary of the unit square
@@ -937,3 +946,14 @@ def test_import_keeps_a_thread_count_the_user_set():
         capture_output=True, text=True,
     ).stdout
     assert out.split() == ["2", "1", "1"] * 2
+
+
+def test_import_leaves_scipy_io_out():
+    # scipy.io adds 38 modules and about 0.04 s to every run's import, and
+    # nothing here reads it
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, surfspec.cli; print('scipy.io' in sys.modules)"],
+        env=child_env(), check=True, capture_output=True, text=True,
+    ).stdout
+    assert out.split() == ["False"]

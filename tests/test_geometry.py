@@ -25,10 +25,9 @@ from surfspec.geometry import (
     builtin_metric,
     check_unit_gradient,
     curvature_condition_check,
-    gaussian_curvature,
     gaussian_curvature_expr,
     gradient_norm2_expr,
-    laplacian_of,
+    laplacian_expr,
     margin_expr,
 )
 
@@ -149,6 +148,11 @@ def tree_size(e) -> int:
     return 1
 
 
+def at_point(m: ChartMetric, expr, p) -> float:
+    """``expr`` evaluated at the chart point ``p = (u, v)``."""
+    return float(m.evaluate(expr, np.asarray(p[0]), np.asarray(p[1])))
+
+
 def half_plane(**kw):
     return builtin_metric("hyperbolic_half_plane", kw or {"validity": (-5, 5, 0.2, 5)})
 
@@ -162,7 +166,8 @@ def test_half_plane_curvature_is_minus_one():
     rng = random.Random(3)
     for _ in range(50):
         p = (rng.uniform(-4, 4), rng.uniform(0.3, 4.5))
-        assert gaussian_curvature(m, p) == pytest.approx(-1.0, abs=1e-10)
+        K = at_point(m, gaussian_curvature_expr(m), p)
+        assert K == pytest.approx(-1.0, abs=1e-10)
 
 
 def test_half_plane_busemann_laplacian():
@@ -172,7 +177,8 @@ def test_half_plane_busemann_laplacian():
     rng = random.Random(4)
     for _ in range(25):
         p = (rng.uniform(-4, 4), rng.uniform(0.3, 4.5))
-        assert laplacian_of(m, f, p) == pytest.approx(-1.0, abs=1e-10)
+        lap = at_point(m, laplacian_expr(m, f), p)
+        assert lap == pytest.approx(-1.0, abs=1e-10)
 
 
 def test_half_plane_busemann_unit_gradient_and_margin():
@@ -196,7 +202,8 @@ def test_half_plane_horizontal_coordinate_is_not_distance():
 
 def test_euclidean_flat():
     m = builtin_metric("euclidean", {"validity": (0, math.pi, 0, math.pi)})
-    assert gaussian_curvature(m, (1.0, 2.0)) == pytest.approx(0.0, abs=1e-14)
+    K = at_point(m, gaussian_curvature_expr(m), (1.0, 2.0))
+    assert K == pytest.approx(0.0, abs=1e-14)
     grid = GridSpec((0, math.pi), (0, math.pi), 16, 16)
     ok, dev = check_unit_gradient(m, "x", grid)
     assert ok and dev == 0.0
@@ -213,7 +220,8 @@ def test_cusp_curvature_and_margin():
     assert report.passed
     assert abs(report.min_margin) <= 1e-10
     # Delta r = -phi'/phi = -1 on the cusp
-    assert laplacian_of(m, "r", (-1.0, 1.0)) == pytest.approx(-1.0, abs=1e-10)
+    lap = at_point(m, laplacian_expr(m, "r"), (-1.0, 1.0))
+    assert lap == pytest.approx(-1.0, abs=1e-10)
 
 
 def test_collar_curvature_and_margin():
@@ -332,7 +340,7 @@ def test_warped_curvature_against_fd_brioschi(phi, rng_r):
     for _ in range(100):
         u = rng.uniform(rng_r[0] + 0.1, rng_r[1] - 0.1)
         v = rng.uniform(0.5, 5.5)
-        got = gaussian_curvature(m, (u, v))
+        got = at_point(m, gaussian_curvature_expr(m), (u, v))
         want = fd_brioschi(m, u, v)
         assert abs(got - want) <= 1e-6 * max(abs(got), abs(want), 1e-3)
 
@@ -353,8 +361,8 @@ def test_general_family_brioschi_matches_warped_closed_form():
     rng = random.Random(11)
     for _ in range(40):
         p = (rng.uniform(-1.4, 1.4), rng.uniform(0, 6))
-        assert gaussian_curvature(general, p) == pytest.approx(
-            gaussian_curvature(warped, p), rel=1e-9, abs=1e-12
+        assert at_point(general, gaussian_curvature_expr(general), p) == pytest.approx(
+            at_point(warped, gaussian_curvature_expr(warped), p), rel=1e-9, abs=1e-12
         )
 
 

@@ -454,6 +454,20 @@ def test_largest_band_below_the_limit_is_accepted():
     DomainSpec.periodic_band(0, 1, 9_999)
 
 
+def test_coordinates_whose_squares_overflow_refused():
+    with pytest.raises(MeshError, match="theta period 1e\\+300 exceeds"):
+        DomainSpec.periodic_band(-1, 0, 4, theta_period=1e300)
+    with pytest.raises(MeshSizeError, match="magnitude limit") as info:
+        DomainSpec.rectangle(0, 1e300, 0, 1e300, 4)
+    assert info.value.cause == "extents"
+    # at the limit, the squared lengths stay finite (an overflow warning fails)
+    for domain in (
+        DomainSpec.rectangle(-1e150, 1e150, -1e150, 1e150, 4),
+        DomainSpec.periodic_band(-1, 0, 4, theta_period=1e150),
+    ):
+        assert math.isfinite(triangulate(domain).h_max)
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_non_finite_extents_rejected(bad):
     with pytest.raises(MeshError, match="finite"):
