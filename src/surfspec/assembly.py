@@ -18,13 +18,17 @@ Conventions:
 
 Default quadrature is the 3-point edge-midpoint rule (degree-2 exact
 in the chart).  A 7-point degree-5 rule is available for strongly
-varying metrics.  Each operator computes its (F, 3, 3) element blocks
-for all faces in one vectorised pass and sums them in one scatter.
+varying metrics.  Each operator computes the entries of all faces in one
+vectorised pass of array arithmetic: three diagonal entries and three
+corner (or edge) pairs per face, as the element blocks are symmetric.
+One scatter sums them by ``np.bincount`` onto a fixed pattern, the
+diagonal plus both orientations of each pair; for P1 the pairs are the
+mesh's edges, so the pattern is the vertex-edge graph (nnz = V + 2E),
+and for the Whitney mass they are the pairs of edges sharing a face.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -43,7 +47,7 @@ from .geometry import (
     laplacian_expr,
     sqrt_det_expr,
 )
-from .mesh import LOCAL_EDGES, face_edges
+from .mesh import LOCAL_EDGES, _unique_pairs, face_edges
 
 __all__ = [
     "AssemblyError",
@@ -92,7 +96,9 @@ _EDGE_W = 0.5 * np.array(
     [0.3478548451374538, 0.6521451548625461, 0.6521451548625461, 0.3478548451374538]
 )
 
-_REF_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+# LOCAL_EDGES[k] is the corner pair (k, _NEXT[k]); a face's pairs of local
+# edges are taken the same way
+_NEXT = [b for _, b in LOCAL_EDGES]
 
 
 class AssemblyError(ValueError):
@@ -143,57 +149,73 @@ def _rule(name: str):
 
 
 def _chart_data(mesh, metric: ChartMetric, rule: str):
-    """Geometry and metric samples for every face at the rule points."""
-    pts, wts = _rule(rule)
-    p = mesh.verts[mesh.tris]  # (F, 3, 2)
-    e1 = p[:, 1] - p[:, 0]
-    e2 = p[:, 2] - p[:, 0]
-    detJ = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]  # positive, validated
-    inv_t = np.empty((len(p), 2, 2))
-    inv_t[:, 0, 0] = e2[:, 1]
-    inv_t[:, 1, 0] = -e2[:, 0]
-    inv_t[:, 0, 1] = -e1[:, 1]
-    inv_t[:, 1, 1] = e1[:, 0]
-    inv_t /= detJ[:, None, None]
-    grads = np.einsum("fab,ib->fia", inv_t, _REF_GRADS)  # (F, 3, 2)
+    """Geometry and metric samples for every face at the rule points.
 
-    qpts = p[:, None, 0, :] + np.einsum("qk,fkx->fqx", pts, np.stack([e1, e2], 1))
-    u, v = qpts[..., 0], qpts[..., 1]
+    Gradients and inverse-metric entries are kept as component arrays:
+    ``grads`` is (du, dv) of the three corner hats, each (F, 3), and
+    ``ginv`` is (g^11, g^12, g^22), each (F, nq).
+    """
+    pts, wts = _rule(rule)
+    x, y = mesh.verts[:, 0][mesh.tris], mesh.verts[:, 1][mesh.tris]  # (F, 3)
+    e1u, e1v = x[:, 1] - x[:, 0], y[:, 1] - y[:, 0]
+    e2u, e2v = x[:, 2] - x[:, 0], y[:, 2] - y[:, 0]
+    detJ = e1u * e2v - e1v * e2u  # positive, validated
+    # corner 1 and 2 gradients are the columns of J^{-T}; corner 0 closes the sum
+    gu, gv = np.empty_like(x), np.empty_like(y)
+    gu[:, 1], gv[:, 1] = e2v / detJ, -e2u / detJ
+    gu[:, 2], gv[:, 2] = -e1v / detJ, e1u / detJ
+    gu[:, 0] = -(gu[:, 1] + gu[:, 2])
+    gv[:, 0] = -(gv[:, 1] + gv[:, 2])
+
+    lam = np.column_stack([1 - pts[:, 0] - pts[:, 1], pts[:, 0], pts[:, 1]])
+    u, v = x @ lam.T, y @ lam.T  # (F, nq)
     if not metric.contains(u, v):
         raise AssemblyError("mesh leaves the metric validity region")
     g11, g12, g22 = metric.evaluate((metric.g11, metric.g12, metric.g22), u, v)
     det = g11 * g22 - g12 * g12
     if np.any(det <= 0) or np.any(g11 <= 0):
         raise AssemblyError("metric not positive definite at a quadrature point")
-    ginv = np.empty(det.shape + (2, 2))
-    ginv[..., 0, 0] = g22 / det
-    ginv[..., 0, 1] = -g12 / det
-    ginv[..., 1, 0] = -g12 / det
-    ginv[..., 1, 1] = g11 / det
-    lam = np.column_stack([1 - pts[:, 0] - pts[:, 1], pts[:, 0], pts[:, 1]])
+    sqrtdet = np.sqrt(det)
     return {
         "wts": wts,
         "lam": lam,  # (nq, 3) hat values at rule points
-        "grads": grads,
+        "grads": (gu, gv),
         "detJ": detJ,
-        "qpts": qpts,
-        "sqrtdet": np.sqrt(det),
-        "ginv": ginv,
+        "u": u,
+        "v": v,
+        "sqrtdet": sqrtdet,
+        "ginv": (g22 / det, -g12 / det, g11 / det),
         # Riemannian measure weight per (face, point)
-        "dA": wts[None, :] * np.sqrt(det) * detJ[:, None],
+        "dA": wts * sqrtdet * detJ[:, None],
     }
 
 
-def _scatter(local, idx, n: int) -> sp.csr_matrix:
-    """Sum the (F, 3, 3) element blocks ``local`` into an n x n matrix.
+def _scatter(diag_idx, pair_ids, pairs, n: int, *blocks) -> list:
+    """Sum per-face entries into n x n symmetric CSR matrices.
 
-    ``idx`` (F, 3) gives each block's global rows and columns.  Blocks
-    are symmetrized first, so the sum is symmetric to bit equality.
+    Each block is a pair of (F, 3) arrays: ``diag`` holds entries (i, i)
+    with i from ``diag_idx`` (F, 3), and ``off`` holds entries of the
+    unordered index pairs ``pairs[pair_ids]`` (``pairs`` is (P, 2), each
+    pair distinct).  Diagonal entries are summed by index and
+    off-diagonal ones by pair id, and each pair's sum is written to both
+    (a, b) and (b, a), so every matrix is symmetric to bit equality.
+    The CSR layout, the diagonal plus both orientations of every pair, is
+    built once and shared by all blocks.
     """
-    local = 0.5 * (local + np.swapaxes(local, -1, -2))
-    rows = np.repeat(idx, 3, axis=1).ravel()
-    cols = np.tile(idx, (1, 3)).ravel()
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    ids = np.arange(n)
+    rows = np.concatenate([ids, pairs[:, 0], pairs[:, 1]])
+    cols = np.concatenate([ids, pairs[:, 1], pairs[:, 0]])
+    order = np.argsort(rows * n + cols, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    indices = cols[order]
+    out = []
+    for diag, off in blocks:
+        d = np.bincount(diag_idx.ravel(), weights=diag.ravel(), minlength=n)
+        o = np.bincount(pair_ids.ravel(), weights=off.ravel(), minlength=len(pairs))
+        data = np.concatenate([d, o, o])[order]
+        out.append(sp.csr_matrix((data, indices, indptr), shape=(n, n)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -207,16 +229,23 @@ def assemble_scalar(
 
     Periodic identifications are inherited from the mesh: seam copies
     scatter into one shared row, so no extra constraint handling is
-    needed.  Element blocks are symmetrized before scatter, which makes
-    the assembled matrices symmetric to bit equality.
+    needed.  The off-diagonal entries of a face are those of its
+    ``LOCAL_EDGES`` corner pairs, summed by ``mesh.tri_edges`` onto the
+    mesh's edges, so the pattern is the vertex-edge graph.
     """
     data = _chart_data(mesh, metric, quad_rule)
-    lt, V = mesh.logical_tris, mesh.n_vertices
-    lam, grads, ginv, dA = data["lam"], data["grads"], data["ginv"], data["dA"]
-    mass = _scatter(np.einsum("qi,qj,fq->fij", lam, lam, dA), lt, V)
-    # sum the weighted inverse metric over the rule points first
-    weighted = np.einsum("fqab,fq->fab", ginv, dA)
-    stiff = _scatter(np.einsum("fia,fab,fjb->fij", grads, weighted, grads), lt, V)
+    lam = data["lam"]
+    # hat products at the rule points: the three diagonal, then the three pairs
+    local = data["dA"] @ np.hstack([lam * lam, lam * lam[:, _NEXT]])  # (F, 6)
+    # the dA-weighted inverse metric, summed over the rule points
+    w11, w12, w22 = (np.sum(g * data["dA"], axis=1)[:, None] for g in data["ginv"])
+    gu, gv = data["grads"]
+    tu, tv = w11 * gu + w12 * gv, w12 * gu + w22 * gv
+    mass, stiff = _scatter(
+        mesh.logical_tris, mesh.tri_edges, mesh.edges, mesh.n_vertices,
+        (local[:, :3], local[:, 3:]),
+        (gu * tu + gv * tv, gu[:, _NEXT] * tu + gv[:, _NEXT] * tv),
+    )
     return ScalarOperators(mass, stiff, mesh, metric)
 
 
@@ -234,6 +263,28 @@ def apply_dirichlet(ops: ScalarOperators) -> DirichletReduction:
 
 # ---------------------------------------------------------------------------
 # Whitney one-form operators
+
+
+def _whitney_entries(data) -> Tuple[np.ndarray, np.ndarray]:
+    """The Whitney mass entries of every face before the edge orientation
+    signs: (F, 3) diagonal ones, and (F, 3) ones of the local edge pairs
+    (k, ``_NEXT[k]``)."""
+    lam, nq = data["lam"], len(data["lam"])
+    # the Whitney form of local edge k = (a, b), lam_a grad_b - lam_b grad_a,
+    # is the corner gradients times basis: (F, 3) @ (3, 3 nq) per component
+    basis = np.zeros((3, 3, nq))
+    for k, (a, b) in enumerate(LOCAL_EDGES):
+        basis[b, k], basis[a, k] = lam[:, a], -lam[:, b]
+    gu, gv = data["grads"]
+    wu = (gu @ basis.reshape(3, -1)).reshape(-1, 3, nq)
+    wv = (gv @ basis.reshape(3, -1)).reshape(-1, 3, nq)
+    # each form's dA-weighted inverse-metric image, (F, 3, nq)
+    c11, c12, c22 = ((g * data["dA"])[:, None, :] for g in data["ginv"])
+    pu, pv = c11 * wu + c12 * wv, c12 * wu + c22 * wv
+    return (
+        np.sum(wu * pu + wv * pv, axis=2),
+        np.sum(wu[:, _NEXT] * pu + wv[:, _NEXT] * pv, axis=2),
+    )
 
 
 def assemble_oneform(
@@ -260,16 +311,15 @@ def assemble_oneform(
     ``area^{-2} \\int du dv / sqrt(det g)``.
     """
     data = _chart_data(mesh, metric, quad_rule) if _chart is None else _chart
-    lam, grads, ginv, dA = data["lam"], data["grads"], data["ginv"], data["dA"]
-    vec = np.empty((mesh.n_faces, lam.shape[0], 3, 2))
-    for k, (a, b) in enumerate(LOCAL_EDGES):
-        vec[:, :, k, :] = (
-            lam[None, :, a, None] * grads[:, None, b, :]
-            - lam[None, :, b, None] * grads[:, None, a, :]
-        )
-    vec *= mesh.tri_edge_signs[:, None, :, None]
-    local = np.einsum("fqka,fqab,fqlb,fq->fkl", vec, ginv, vec, dA)
-    mass1 = _scatter(local, mesh.tri_edges, mesh.n_edges)
+    diag, off = _whitney_entries(data)
+    off *= mesh.tri_edge_signs * mesh.tri_edge_signs[:, _NEXT]
+    # the face-local edge pairs as sorted pairs of edge ids, numbered
+    edge_pairs = face_edges(mesh.tri_edges)
+    edge_pairs.sort(axis=1)
+    pairs, pair_ids = _unique_pairs(edge_pairs, mesh.n_edges)
+    (mass1,) = _scatter(
+        mesh.tri_edges, pair_ids.reshape(3, -1).T, pairs, mesh.n_edges, (diag, off)
+    )
 
     if scalar is None:
         scalar = assemble_scalar(mesh, metric, quad_rule)
@@ -368,8 +418,7 @@ def dirichlet_form_quadrature(
     """
     fe = _as_expr(f)
     data = _chart_data(mesh, metric, quad_rule)
-    u, v = data["qpts"][..., 0], data["qpts"][..., 1]
-    ginv, dA, lam = data["ginv"], data["dA"], data["lam"]
+    u, v, dA, lam = data["u"], data["v"], data["dA"], data["lam"]
 
     gn2 = evaluate_on_f(metric, gradient_norm2_expr(metric, fe), fe, u, v)
     dev = float(np.max(np.abs(gn2 - 1.0)))
@@ -388,7 +437,8 @@ def dirichlet_form_quadrature(
 
     lt = mesh.logical_tris
     phi_nodes = phi[lt]  # (F, 3)
-    dphi = np.einsum("fi,fia->fa", phi_nodes, data["grads"])  # constant per face
+    # dphi is constant per face
+    dphi_u, dphi_v = (np.sum(phi_nodes * g, axis=1)[:, None] for g in data["grads"])
     phi_q = phi_nodes @ lam.T  # (F, nq)
 
     # df, Lap f (analytic, in flux-divergence form), the curl of *df
@@ -401,13 +451,11 @@ def dirichlet_form_quadrature(
         metric, (fu, fv, laplacian_expr(metric, fe), curl_s, su_e, sv_e), fe, u, v
     )
 
-    def pair(au, av, bu, bv):
-        return (
-            au * (ginv[..., 0, 0] * bu + ginv[..., 0, 1] * bv)
-            + av * (ginv[..., 1, 0] * bu + ginv[..., 1, 1] * bv)
-        )
+    i11, i12, i22 = data["ginv"]
 
-    dphi_u, dphi_v = dphi[:, None, 0], dphi[:, None, 1]
+    def pair(au, av, bu, bv):
+        return au * (i11 * bu + i12 * bv) + av * (i12 * bu + i22 * bv)
+
     a_q = pair(dphi_u, dphi_v, df_u, df_v)
     dphi_norm2_q = pair(dphi_u, dphi_v, dphi_u, dphi_v)
     b2_q = np.maximum(dphi_norm2_q - a_q**2, 0.0)

@@ -52,7 +52,7 @@ from .assembly import AssemblyError, assemble_oneform
 from .eigen import EigenError, SolverOptions, cluster_multiplicities, solve_oneform
 from .expr import Expr, ExprError, parse
 from .geometry import ChartEvalError, ChartMetric, GeometryError, builtin_metric
-from .mesh import EXTENT_COUNT, DomainSpec, MeshError, MeshSizeError
+from .mesh import DomainSpec, MeshError
 from .mesh import triangulate  # noqa: F401  (perfbench/tracer.py wraps cli.triangulate)
 from .verify import (
     LevelCache,
@@ -485,10 +485,8 @@ def build_objects(
         domain = DomainSpec(
             shape, int(n), tuple(float(x) for x in extents), **period
         )
-    except MeshSizeError as exc:
-        raise ConfigError(f"config field 'domain/{exc.cause}': {exc}") from None
     except MeshError as exc:
-        where = "domain/extents" if len(extents) != EXTENT_COUNT[shape] else "domain"
+        where = f"domain/{exc.cause}" if exc.cause else "domain"
         raise ConfigError(f"config field '{where}': {exc}") from None
     box = domain.chart_box
     if not metric.contains(np.array(box[:2]), np.array(box[2:])):

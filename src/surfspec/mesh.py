@@ -54,7 +54,13 @@ __all__ = [
 
 
 class MeshError(ValueError):
-    """Degenerate domain spec or broken mesh invariant."""
+    """Degenerate domain spec or broken mesh invariant.  ``cause`` names
+    the domain field a spec refusal is about (``"shape"``, ``"extents"``
+    or ``"resolution"``), and is None when it is about no single field."""
+
+    def __init__(self, message: str, cause: Optional[str] = None):
+        super().__init__(message)
+        self.cause = cause
 
 
 class MeshSizeError(MeshError):
@@ -63,10 +69,6 @@ class MeshSizeError(MeshError):
     vertices.  ``cause`` is ``"extents"`` when no resolution makes the
     extents meshable (an extent too large, or a rectangle's aspect ratio
     alone too large) and ``"resolution"`` otherwise."""
-
-    def __init__(self, cause: str, message: str):
-        super().__init__(message)
-        self.cause = cause
 
 
 # shape -> number of extents: (u0, u1, v0, v1), (u0, u1), (cx, cy, radius)
@@ -105,55 +107,60 @@ class DomainSpec:
 
     def __post_init__(self):
         if self.shape not in EXTENT_COUNT:
-            raise MeshError(f"unknown domain shape '{self.shape}'")
+            raise MeshError(f"unknown domain shape '{self.shape}'", "shape")
         want = EXTENT_COUNT[self.shape]
         if len(self.extents) != want:
             raise MeshError(
                 f"shape '{self.shape}' takes {want} extents, "
-                f"got {len(self.extents)}"
+                f"got {len(self.extents)}",
+                "extents",
             )
         if self.n < 2:
-            raise MeshError("resolution must be at least 2")
-        if not all(map(math.isfinite, (*self.extents, self.theta_period))):
-            raise MeshError("extents and theta period must be finite")
+            raise MeshError("resolution must be at least 2", "resolution")
+        if not all(map(math.isfinite, self.extents)):
+            raise MeshError("extents must be finite", "extents")
+        if not math.isfinite(self.theta_period):
+            raise MeshError("theta period must be finite")
         if self.shape == "rectangle":
             u0, u1, v0, v1 = self.extents
             if not (u1 > u0 and v1 > v0):
-                raise MeshError("rectangle extents are degenerate")
+                raise MeshError("rectangle extents are degenerate", "extents")
         elif self.shape == "periodic_band":
             u0, u1 = self.extents
             if not u1 > u0:
-                raise MeshError("band extents are degenerate")
+                raise MeshError("band extents are degenerate", "extents")
             if not self.theta_period > 0:
                 raise MeshError("band requires a positive theta period")
         elif self.shape == "disk":
             _, _, radius = self.extents
             if not radius > 0:
-                raise MeshError("disk radius must be positive")
+                raise MeshError("disk radius must be positive", "extents")
         else:
             _, _, r_in, r_out = self.extents
             if not (0 < r_in < r_out):
-                raise MeshError("annulus radii must satisfy 0 < r_in < r_out")
+                raise MeshError(
+                    "annulus radii must satisfy 0 < r_in < r_out", "extents"
+                )
         if self.n > MAX_VERTICES:  # every shape has more vertices than n
             raise MeshSizeError(
-                "resolution",
                 f"resolution {self.n} exceeds the vertex limit {MAX_VERTICES:.0e}",
+                "resolution",
             )
         count = _vertex_count(self.shape, self.n, self.extents)
         if count > MAX_VERTICES:
             at_two = _vertex_count(self.shape, 2, self.extents)
             raise MeshSizeError(
-                "extents" if at_two > MAX_VERTICES else "resolution",
                 f"a {self.shape} on extents {list(self.extents)} at resolution "
                 f"{self.n} would have {count:.3g} vertices, above the limit "
                 f"{MAX_VERTICES:.0e}",
+                "extents" if at_two > MAX_VERTICES else "resolution",
             )
         # a mesh within the vertex limit can still have squared lengths that overflow
         if max(map(abs, self.extents)) > MAX_CHART_COORDINATE:
             raise MeshSizeError(
-                "extents",
                 f"extents {list(self.extents)} exceed the magnitude limit "
                 f"{MAX_CHART_COORDINATE:.0e}",
+                "extents",
             )
         if self.theta_period > MAX_CHART_COORDINATE:
             raise MeshError(
@@ -340,8 +347,11 @@ class Mesh:
             raise MeshError("edge shared by more than two triangles")
         self.boundary_edge_mask = counts == 1
         # Interior edges must be traversed once in each direction.
-        sign_sums = np.zeros(len(self.edges), dtype=np.int64)
-        np.add.at(sign_sums, self.tri_edges.ravel(), self.tri_edge_signs.ravel())
+        sign_sums = np.bincount(
+            self.tri_edges.ravel(),
+            weights=self.tri_edge_signs.ravel(),
+            minlength=len(self.edges),
+        )
         if np.any(sign_sums[~self.boundary_edge_mask] != 0):
             raise MeshError("inconsistent triangle orientation across an edge")
 

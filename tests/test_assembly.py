@@ -11,7 +11,6 @@ import scipy.sparse as sp
 
 from surfspec import assembly
 from surfspec.assembly import (
-    _chart_data,
     AssemblyError,
     _edge_representatives,
     apply_dirichlet,
@@ -154,30 +153,74 @@ def test_incidence_composition_vanishes(domain):
     assert product.nnz == 0 or np.max(np.abs(product.data)) == 0.0
 
 
+def einsum_reference(mesh, metric, rule):
+    """P1 mass, P1 stiffness and Whitney mass as (F, 3, 3) element blocks
+    from einsum contractions, each summed by a COO scatter with duplicate
+    summation: the formulation the assembly replaced."""
+    pts, wts = assembly._RULES[rule]
+    p = mesh.verts[mesh.tris]
+    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    detJ = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    inv_t = np.stack([[e2[:, 1], -e1[:, 1]], [-e2[:, 0], e1[:, 0]]]) / detJ
+    inv_t = np.moveaxis(inv_t, -1, 0)  # (F, 2, 2)
+    ref_grads = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    grads = np.einsum("fab,ib->fia", inv_t, ref_grads)
+    qpts = p[:, None, 0, :] + np.einsum("qk,fkx->fqx", pts, np.stack([e1, e2], 1))
+    g11, g12, g22 = metric.evaluate(
+        (metric.g11, metric.g12, metric.g22), qpts[..., 0], qpts[..., 1]
+    )
+    det = g11 * g22 - g12 * g12
+    ginv = np.moveaxis(np.array([[g22, -g12], [-g12, g11]]) / det, (0, 1), (-2, -1))
+    dA = wts * np.sqrt(det) * detJ[:, None]
+    lam = np.column_stack([1 - pts[:, 0] - pts[:, 1], pts[:, 0], pts[:, 1]])
+    vec = np.stack(
+        [
+            lam[None, :, a, None] * grads[:, None, b, :]
+            - lam[None, :, b, None] * grads[:, None, a, :]
+            for a, b in ((0, 1), (1, 2), (2, 0))
+        ],
+        axis=2,
+    ) * mesh.tri_edge_signs[:, None, :, None]
+
+    def scatter(local, idx, n):
+        local = 0.5 * (local + np.swapaxes(local, 1, 2))
+        rows = np.repeat(idx, 3, axis=1).ravel()
+        cols = np.tile(idx, (1, 3)).ravel()
+        return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+    lt, V, E = mesh.logical_tris, mesh.n_vertices, mesh.n_edges
+    return (
+        scatter(np.einsum("qi,qj,fq->fij", lam, lam, dA), lt, V),
+        scatter(np.einsum("fia,fqab,fjb,fq->fij", grads, ginv, grads, dA), lt, V),
+        scatter(
+            np.einsum("fqka,fqab,fqlb,fq->fkl", vec, ginv, vec, dA),
+            mesh.tri_edges, E,
+        ),
+    )
+
+
 @pytest.mark.parametrize(
     "mesh,metric,rule",
     [
         (triangulate(DomainSpec.rectangle(0, 1, 1, 2, 5)), HALF_PLANE, "degree5"),
         (triangulate(DomainSpec.periodic_band(-1, 1, 5)), collar_metric(), "midpoint"),
         (triangulate(DomainSpec.disk(0, 0, 1, 4)), FLAT, "midpoint"),
+        (triangulate(DomainSpec.annulus(0, 0, 1, 2, 4)), FLAT, "midpoint"),
     ],
-    ids=["rectangle", "band", "disk"],
+    ids=["rectangle", "band", "disk", "annulus"],
 )
 def test_stiffness_matches_four_operand_contraction(mesh, metric, rule):
-    # reference: the metric weights contracted with both gradients at once
-    data = _chart_data(mesh, metric, rule)
-    grads = data["grads"]
-    local = np.einsum(
-        "fia,fqab,fjb,fq->fij", grads, data["ginv"], grads, data["dA"]
-    )
-    local = 0.5 * (local + np.swapaxes(local, 1, 2))
-    idx = mesh.logical_tris
-    rows = np.repeat(idx, 3, axis=1).ravel()
-    cols = np.tile(idx, (1, 3)).ravel()
-    V = mesh.n_vertices
-    want = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(V, V)).toarray()
-    got = assemble_scalar(mesh, metric, quad_rule=rule).stiffness.toarray()
-    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # P1 mass and stiffness and the Whitney mass against the einsum blocks
+    scal = assemble_scalar(mesh, metric, quad_rule=rule)
+    one = assemble_oneform(mesh, metric, quad_rule=rule, scalar=scal)
+    wants = einsum_reference(mesh, metric, rule)
+    for got, want in zip((scal.mass, scal.stiffness, one.mass1), wants):
+        want.sort_indices()
+        assert got.has_sorted_indices
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.max(np.abs(got.data - want.data)) <= 1e-14 * np.max(np.abs(want.data))
+    assert scal.stiffness.nnz == mesh.n_vertices + 2 * mesh.n_edges
 
 
 @pytest.mark.parametrize(

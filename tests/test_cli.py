@@ -202,7 +202,7 @@ def test_degenerate_domain_names_field(tmp_path, capsys, domain, message):
     code = main(["run", write_config(tmp_path, cfg)])
     assert code == 2
     err = capsys.readouterr().err
-    assert "config field 'domain'" in err and message in err
+    assert "config field 'domain/extents'" in err and message in err
 
 
 @pytest.mark.parametrize(

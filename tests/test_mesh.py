@@ -381,18 +381,21 @@ def test_index_arrays_match_loop_reference(domain):
 
 
 def test_resolution_too_small():
-    with pytest.raises(MeshError, match="at least 2"):
+    with pytest.raises(MeshError, match="at least 2") as info:
         triangulate(DomainSpec.rectangle(0, 1, 0, 1, 1))
+    assert info.value.cause == "resolution"
 
 
 def test_degenerate_rectangle():
-    with pytest.raises(MeshError, match="degenerate"):
+    with pytest.raises(MeshError, match="degenerate") as info:
         triangulate(DomainSpec.rectangle(0, 1, 1, 1, 4))
+    assert info.value.cause == "extents"
 
 
 def test_bad_annulus_radii():
-    with pytest.raises(MeshError, match="radii"):
+    with pytest.raises(MeshError, match="radii") as info:
         triangulate(DomainSpec.annulus(0, 0, 2, 1, 4))
+    assert info.value.cause == "extents"
 
 
 @pytest.mark.parametrize(
@@ -406,8 +409,11 @@ def test_bad_annulus_radii():
 )
 def test_wrong_extent_count(shape, extents):
     # refused before the extents are unpacked, naming the shape and the count
-    with pytest.raises(MeshError, match=f"'{shape}' takes .* got {len(extents)}"):
+    with pytest.raises(
+        MeshError, match=f"'{shape}' takes .* got {len(extents)}"
+    ) as info:
         DomainSpec(shape, 4, extents)
+    assert info.value.cause == "extents"
 
 
 @pytest.mark.parametrize(
