@@ -14,6 +14,9 @@ are ``run`` narrowed to one check: their flags are the check's
 their ``--report`` is ``run``'s report.  ``spectrum`` and ``oracle``
 dump tables for quick inspection.
 
+Configs are checked by ``_schema_errors``, a walker of the 13 keywords of
+``CONFIG_SCHEMA``; the violation reported is the one jsonschema 4.26 picks.
+
 Exit codes: 0 when every executed check passes, 1 when any check
 fails, 2 for invalid input (unreadable file, schema violation,
 unparseable expression, metric or domain construction failure, a
@@ -44,7 +47,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import jsonschema
 import numpy as np
 
 from . import THREAD_SETTINGS
@@ -344,23 +346,87 @@ CONFIG_SCHEMA = {
         },
     },
 }
-# built once: jsonschema.validate would meta-validate the constant schema on
-# every call (a test checks it once); "integer" means a JSON integer, where
-# the default type checker also takes an integral float such as 3.0
-_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)
-_CONFIG_VALIDATOR = jsonschema.validators.extend(
-    _VALIDATOR,
-    type_checker=_VALIDATOR.TYPE_CHECKER.redefine(
-        "integer", lambda _, value: type(value) is int
-    ),
-)(CONFIG_SCHEMA)
+
+# each keyword _schema_errors implements -> the JSON type it constrains (a
+# value of another type passes it)
+_KEYWORDS = dict(
+    type=None, const=None, enum=None, required="object", properties="object",
+    additionalProperties="object", items="array", minItems="array",
+    maxItems="array", uniqueItems="array", minLength="string",
+    minimum="number", exclusiveMinimum="number",
+)
+# "integer" is a JSON integer, so 3.0 is not one; no type here takes a boolean
+_TYPES = {"object": dict, "array": list, "string": str, "null": type(None),
+          "integer": int, "number": (int, float)}
+
+
+def _is_type(value, kind: str) -> bool:
+    return not isinstance(value, bool) and isinstance(value, _TYPES[kind])
+
+
+def _json_key(value):
+    """Equal for two JSON values exactly when JSON Schema calls them equal:
+    numbers by value (1 and 1.0), booleans apart from numbers."""
+    if isinstance(value, list):
+        return tuple(map(_json_key, value))
+    if isinstance(value, dict):
+        return frozenset((key, _json_key(child)) for key, child in value.items())
+    return (bool, value) if isinstance(value, bool) else value
+
+
+def _schema_errors(value, schema: dict, path: Tuple = ()):
+    """Yield ``(path, message)`` for each keyword of ``schema`` that ``value``
+    violates, in the schema's order and jsonschema 4.26's words.  A keyword,
+    or a form of one, not implemented here raises ``ValueError``."""
+    for key, rule in schema.items():
+        if key not in _KEYWORDS or key == "additionalProperties" and rule is not False:
+            raise ValueError(f"schema keyword {key!r}: {rule!r} is not implemented")
+        if _KEYWORDS[key] and not _is_type(value, _KEYWORDS[key]):
+            continue
+        if key == "type":
+            kinds = [rule] if isinstance(rule, str) else rule
+            if not any(_is_type(value, kind) for kind in kinds):
+                yield path, f"{value!r} is not of type {', '.join(map(repr, kinds))}"
+        elif key == "const" and _json_key(value) != _json_key(rule):
+            yield path, f"{rule!r} was expected"
+        elif key == "enum" and _json_key(value) not in map(_json_key, rule):
+            yield path, f"{value!r} is not one of {rule!r}"
+        elif key == "required":
+            for name in rule:
+                if name not in value:
+                    yield path, f"{name!r} is a required property"
+        elif key == "properties":
+            for name, child in rule.items():
+                if name in value:
+                    yield from _schema_errors(value[name], child, (*path, name))
+        elif key == "additionalProperties":
+            extras = sorted(set(value) - set(schema.get("properties", {})))
+            if extras:
+                were = "was" if len(extras) == 1 else "were"
+                names = ", ".join(map(repr, extras))
+                yield path, (
+                    f"Additional properties are not allowed ({names} {were} unexpected)"
+                )
+        elif key == "items":
+            for index, item in enumerate(value):
+                yield from _schema_errors(item, rule, (*path, index))
+        elif key in ("minItems", "minLength") and len(value) < rule:
+            short = "should be non-empty" if rule == 1 else "is too short"
+            yield path, f"{value!r} {short}"
+        elif key == "maxItems" and len(value) > rule:
+            long = "is expected to be empty" if rule == 0 else "is too long"
+            yield path, f"{value!r} {long}"
+        elif key == "uniqueItems" and rule:
+            if len(set(map(_json_key, value))) < len(value):
+                yield path, f"{value!r} has non-unique elements"
+        elif key == "minimum" and value < rule:
+            yield path, f"{value!r} is less than the minimum of {rule!r}"
+        elif key == "exclusiveMinimum" and value <= rule:
+            yield path, f"{value!r} is less than or equal to the minimum of {rule!r}"
+
 
 # solver config key -> SolverOptions field, whose default is the config default
-_SOLVER_FIELDS = {
-    "tolerance": "tol",
-    "seed": "seed",
-    "quadrature": "quad_rule",
-}
+_SOLVER_FIELDS = {"tolerance": "tol", "seed": "seed", "quadrature": "quad_rule"}
 _SOLVER_DEFAULTS = {
     key: getattr(SolverOptions(), name) for key, name in _SOLVER_FIELDS.items()
 }
@@ -370,14 +436,8 @@ class ConfigError(ValueError):
 
 
 _INPUT_ERRORS = (
-    ConfigError,
-    ExprError,
-    GeometryError,
-    MeshError,
-    AssemblyError,
-    EigenError,
-    VerifyError,
-    OSError,
+    ConfigError, ExprError, GeometryError, MeshError, AssemblyError, EigenError,
+    VerifyError, OSError,
 )
 
 
@@ -428,25 +488,25 @@ def validate_config(raw: dict) -> dict:
     range, is refused before the schema, which would let it through.
     """
     _refuse_non_finite(raw, ())
-    # the error jsonschema.validate would raise
-    exc = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(raw))
-    if exc is not None:
-        where = "/".join(str(p) for p in exc.absolute_path) or "config root"
-        raise ConfigError(f"config field '{where}': {exc.message}")
+    # the violation jsonschema's best_match picks: the shortest path, then the
+    # greatest of sibling paths, then the first in the schema's order
+    error = max(
+        _schema_errors(raw, CONFIG_SCHEMA), key=lambda e: (-len(e[0]), e[0]),
+        default=None,
+    )
+    if error is not None:
+        where = "/".join(str(p) for p in error[0]) or "config root"
+        raise ConfigError(f"config field '{where}': {error[1]}")
 
     cfg = copy.deepcopy(raw)
     cfg["metric"].setdefault("params", {})
     cfg.setdefault("distance_function", None)
-    solver = dict(_SOLVER_DEFAULTS)
-    solver.update(cfg.get("solver", {}))
-    cfg["solver"] = solver
+    cfg["solver"] = {**_SOLVER_DEFAULTS, **cfg.get("solver", {})}
     cfg["check_params"] = {
         name: {**check.defaults(), **cfg.get("check_params", {}).get(name, {})}
         for name, check in CHECKS.items()
     }
-    cfg.setdefault("output", {})
-    cfg["output"].setdefault("report", "report.json")
-    cfg["output"].setdefault("csv_dir", None)
+    cfg["output"] = {"report": "report.json", "csv_dir": None, **cfg.get("output", {})}
 
     missing = [
         name for name in cfg["checks"]
@@ -454,8 +514,7 @@ def validate_config(raw: dict) -> dict:
     ]
     if missing:
         raise ConfigError(
-            "config field 'distance_function': required by checks "
-            f"{missing}"
+            f"config field 'distance_function': required by checks {missing}"
         )
     return cfg
 
@@ -569,16 +628,13 @@ def write_report(report: dict, path) -> None:
     Path(path).write_text(text)
 
 
-def _fmt_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_csv(path, header: Sequence[str], rows) -> None:
     """Plain comma-joined CSV; floats via ``repr`` for exact round-trip."""
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt_cell(c) for c in row) for row in rows)
+    lines.extend(
+        ",".join(repr(c) if isinstance(c, float) else str(c) for c in row)
+        for row in rows
+    )
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -671,25 +727,18 @@ def _spectrum_result(metric, domain, options, bc: str, count: int):
         )
     if bc != "oneform":
         return cache.spectrum(0, bc, count)
-    ops = assemble_oneform(cache.mesh(0), metric, quad_rule=options.quad_rule)
+    ops = assemble_oneform(
+        mesh, metric, quad_rule=options.quad_rule, scalar=cache.operators(0)
+    )
     return solve_oneform(ops, count, options=options)
 
 
 def _spectrum_rows(result):
-    rows = []
-    index = 0
-    for _, count in cluster_multiplicities(result.values, rel_gap=1e-3):
-        for _ in range(count):
-            rows.append(
-                (
-                    index + 1,
-                    float(result.values[index]),
-                    count,
-                    float(result.residuals[index]),
-                )
-            )
-            index += 1
-    return rows
+    """(index, value, multiplicity of its cluster, residual) of each pair."""
+    clusters = cluster_multiplicities(result.values, rel_gap=1e-3)
+    mults = [n for _, n in clusters for _ in range(n)]
+    rows = zip(result.values, mults, result.residuals)
+    return [(i + 1, float(v), n, float(r)) for i, (v, n, r) in enumerate(rows)]
 
 
 def _cmd_spectrum(args) -> int:

@@ -341,17 +341,17 @@ class LevelCache:
     def _transfer(self, level: int, bc: str) -> sp.csr_matrix:
         """Interpolation from level - 1 onto ``level`` in the ``bc`` unknowns.
 
-        :func:`prolongation` for Neumann; for Dirichlet its rows and
-        columns restricted to interior vertices, which drops only the
-        (zero) boundary values.
+        :func:`prolongation` for Neumann; for Dirichlet the cached Neumann
+        transfer's rows and columns restricted to interior vertices, which
+        drops only the (zero) boundary values.
         """
 
         def build():
-            P = prolongation(self.mesh(level - 1), self.mesh(level))
             if bc != "dirichlet":
-                return P
-            fine = self.mesh(level).interior
-            return P[fine][:, self.mesh(level - 1).interior].tocsr()
+                return prolongation(self.mesh(level - 1), self.mesh(level))
+            P = self._transfer(level, "neumann")
+            fine, coarse = self.mesh(level).interior, self.mesh(level - 1).interior
+            return P[fine][:, coarse].tocsr()
 
         return self._get(("transfer", level, bc), build)
 
@@ -791,7 +791,7 @@ def cylinder_oracle(max_index: int) -> Tuple[List[int], List[int]]:
     Neumann values take j down to 0.  Both lists come back sorted.
     """
     if max_index < 1:
-        raise VerifyError("max_index must be at least 1")
+        raise ParameterError("max_index", "max_index must be at least 1")
     if (2 * max_index + 1) ** 2 > MAX_ORACLE_VALUES:
         raise ParameterError(
             "max_index", f"(2 max_index + 1)^2 oracle values exceed the limit "

@@ -134,25 +134,6 @@ def test_matrices_bit_symmetric():
         assert (mat != mat.T).nnz == 0
 
 
-@pytest.mark.parametrize(
-    "domain",
-    [
-        DomainSpec.rectangle(0, 1, 1, 2, 3),
-        DomainSpec.periodic_band(-1, 1, 4),
-        DomainSpec.annulus(0, 0, 1, 2, 3),
-    ],
-    ids=["rectangle", "band", "annulus"],
-)
-def test_incidence_composition_vanishes(domain):
-    mesh = triangulate(domain)
-    metric = HALF_PLANE if domain.shape == "rectangle" else FLAT
-    if domain.shape == "periodic_band":
-        metric = collar_metric()
-    ops = assemble_oneform(mesh, metric)
-    product = ops.d1 @ ops.d0
-    assert product.nnz == 0 or np.max(np.abs(product.data)) == 0.0
-
-
 def einsum_reference(mesh, metric, rule):
     """P1 mass, P1 stiffness and Whitney mass as (F, 3, 3) element blocks
     from einsum contractions, each summed by a COO scatter with duplicate

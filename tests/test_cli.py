@@ -10,10 +10,9 @@ import sys
 import warnings
 from pathlib import Path
 
-import jsonschema
 import pytest
 
-from surfspec import cli, eigen, verify
+from surfspec import assembly, cli, eigen, verify
 from surfspec.cli import (
     CHECKS,
     CONFIG_SCHEMA,
@@ -452,7 +451,26 @@ def test_unknown_distance_variable_rejected(tmp_path):
 
 
 def test_config_schema_is_a_valid_schema():
+    jsonschema = pytest.importorskip("jsonschema")
     jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+
+
+def _subschemas(schema):
+    yield schema
+    for child in schema.get("properties", {}).values():
+        yield from _subschemas(child)
+    if "items" in schema:
+        yield from _subschemas(schema["items"])
+
+
+def test_config_schema_uses_only_implemented_keywords():
+    # the walker reads every keyword of a schema whatever the value, and
+    # refuses one it does not implement rather than skip it
+    for schema in _subschemas(CONFIG_SCHEMA):
+        list(cli._schema_errors(None, schema))
+    for schema in ({"maximum": 3}, {"additionalProperties": {}}):
+        with pytest.raises(ValueError, match="not implemented"):
+            list(cli._schema_errors(5, schema))
 
 
 def test_resolved_check_params_defaults(tmp_path):
@@ -732,11 +750,23 @@ def test_spectrum_count_above_level_zero_names_flag(tmp_path, capsys, bc, limit)
     assert f"level 0 has {limit}" in err
 
 
-def test_spectrum_oneform(tmp_path, capsys):
+def test_spectrum_oneform(tmp_path, capsys, monkeypatch):
+    # P1 is assembled once, by the level cache, whose operators the 1-form
+    # operators take
+    calls = []
+    for module in (verify, assembly):
+
+        def counted(*args, _name=module.__name__, _assemble=module.assemble_scalar,
+                    **kwargs):
+            calls.append(_name)
+            return _assemble(*args, **kwargs)
+
+        monkeypatch.setattr(module, "assemble_scalar", counted)
     cfg = base_config(tmp_path)
     code = main(["spectrum", write_config(tmp_path, cfg), "--bc", "oneform"])
     assert code == 0
     assert "mult" in capsys.readouterr().out
+    assert calls == ["surfspec.verify"]
 
 
 def test_curvature_subcommand(tmp_path, capsys):
@@ -870,8 +900,9 @@ def test_oracle_csv(tmp_path):
 
 
 def test_oracle_invalid_index(capsys):
-    assert main(["oracle", "--max-index", "0"]) == 2
-    assert "max_index" in capsys.readouterr().err
+    for index in ("0", "-3"):
+        assert main(["oracle", "--max-index", index]) == 2
+        assert "--max-index: max_index must be at least 1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -957,3 +988,15 @@ def test_import_leaves_scipy_io_out():
         env=child_env(), check=True, capture_output=True, text=True,
     ).stdout
     assert out.split() == ["False"]
+
+
+def test_import_leaves_jsonschema_out():
+    # configs are checked by cli's own schema walker; jsonschema and the
+    # packages it loads added 53 modules and about 0.07 s to every import
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, surfspec.cli; print(sorted({name.split('.')[0] "
+         "for name in sys.modules} & {'jsonschema', 'referencing'}))"],
+        env=child_env(), check=True, capture_output=True, text=True,
+    ).stdout
+    assert out.strip() == "[]"

@@ -1,4 +1,5 @@
-"""A sweep of bad config values through ``surfspec run``.
+"""A sweep of bad config values through ``surfspec run``, and the same
+cases with more that probe the schema alone through ``validate_config``.
 
 Each case takes one of three small base configs (the README's checks on
 the README's domain, a warped cusp band and a sheared general metric)
@@ -14,6 +15,8 @@ import json
 import math
 import random
 import time
+
+import pytest
 
 from surfspec import cli
 
@@ -171,3 +174,118 @@ def test_every_bad_value_exits_cleanly_and_names_its_field(tmp_path, capsys):
     elapsed = time.perf_counter() - start
     assert not problems, "\n".join(problems)
     assert elapsed < 5.0, f"{len(cases)} cases took {elapsed:.1f} s"
+
+
+def _objects(node, path=()):
+    """The path of every object in a config, in document order."""
+    if isinstance(node, dict):
+        yield path
+        for key, child in node.items():
+            yield from _objects(child, (*path, key))
+    elif isinstance(node, list):
+        for index, child in enumerate(node):
+            yield from _objects(child, (*path, index))
+
+
+def _node(cfg, path):
+    for key in path:
+        cfg = cfg[key]
+    return cfg
+
+
+def _changed(base, path, change):
+    """A copy of ``base`` after ``change`` is called on its node at ``path``."""
+    cfg = copy.deepcopy(base)
+    change(_node(cfg, path))
+    return cfg
+
+
+# array path -> label -> change of the array
+ARRAY_EDITS = {
+    ("checks",): {"empty": list.clear, "duplicated": lambda a: a.append(a[0])},
+    ("domain", "extents"): {
+        "one short": list.pop,
+        "one too many": lambda a: a.append(0.0),
+        "three too many": lambda a: a.extend([0.0] * 3),
+    },
+}
+
+
+def _schema_cases():
+    """(label, config) of the schema probes: every key deleted, an extra key
+    in every object, the first key of every object renamed, the
+    ARRAY_EDITS, and every number swapped for the equal number of the
+    other type (spec_version also for true, and resolution for 1.0)."""
+    bases = {"readme": README, "warped": WARPED, "general": GENERAL}
+    for name, base in bases.items():
+        for path in _objects(base):
+            where = "/".join(map(str, path)) or "config root"
+            for key in _node(base, path):
+                yield f"{name} {where} without {key}", _changed(
+                    base, path, lambda obj, key=key: obj.pop(key)
+                )
+            yield f"{name} {where} with an extra key", _changed(
+                base, path, lambda obj: obj.update(extra=1)
+            )
+            # two violations at one path, where the schema's order decides
+            yield f"{name} {where} with its first key renamed", _changed(
+                base, path, lambda obj: obj.update(extra=obj.pop(next(iter(obj))))
+            )
+        for path, edits in ARRAY_EDITS.items():
+            for label, edit in edits.items():
+                yield f"{name} {'/'.join(path)} {label}", _changed(base, path, edit)
+        swaps = [(("spec_version",), True), (("domain", "resolution"), 1.0)]
+        for path in _paths(base):
+            value = _node(base, path)
+            if type(value) is int:
+                swaps.append((path, float(value)))
+            elif type(value) is float and value.is_integer():
+                swaps.append((path, int(value)))
+        for path, value in swaps:
+            yield f"{name} {'/'.join(map(str, path))} = {value!r}", _mutated(
+                base, [(path, value)]
+            )
+
+
+def test_schema_walker_matches_jsonschema(monkeypatch):
+    # validate_config against itself with its schema walker swapped for the
+    # jsonschema validator it replaced: jsonschema 4's choice of one error
+    # by best_match, with "integer" redefined so that 3.0 is not one
+    jsonschema = pytest.importorskip("jsonschema")
+    draft = jsonschema.validators.validator_for(cli.CONFIG_SCHEMA)
+    validator = jsonschema.validators.extend(
+        draft,
+        type_checker=draft.TYPE_CHECKER.redefine(
+            "integer", lambda _, value: type(value) is int
+        ),
+    )(cli.CONFIG_SCHEMA)
+
+    def jsonschema_errors(value, schema):
+        error = jsonschema.exceptions.best_match(validator.iter_errors(value))
+        if error is not None:
+            yield tuple(error.absolute_path), error.message
+
+    def outcome(cfg):
+        try:
+            cli.validate_config(cfg)
+        except cli.ConfigError as exc:
+            return str(exc)
+        return "accepted"
+
+    cases = [*_cases(), *_schema_cases()]
+    assert len(cases) > 900
+    walker = [outcome(cfg) for _, cfg in cases]
+    monkeypatch.setattr(cli, "_schema_errors", jsonschema_errors)
+    reference = [outcome(cfg) for _, cfg in cases]
+    differences = [
+        f"{label}: {ours} | {theirs}"
+        for (label, _), ours, theirs in zip(cases, walker, reference)
+        if ours != theirs
+    ]
+    assert not differences, "\n".join(differences)
+    # const compares numbers by value and keeps booleans apart
+    outcomes = {label: result for (label, _), result in zip(cases, walker)}
+    assert outcomes["readme spec_version = 1.0"] == "accepted"
+    assert outcomes["readme spec_version = True"] == (
+        "config field 'spec_version': 1 was expected"
+    )

@@ -385,6 +385,31 @@ def test_nested_solves_factor_only_level_zero(monkeypatch):
     assert factored == [level0_dim]
 
 
+def test_one_prolongation_per_level(monkeypatch):
+    # the Dirichlet transfer is the interior restriction of the cached
+    # Neumann one, so both bcs on levels 0-2 build two prolongations
+    monkeypatch.setattr(eigen, "DENSE_MAX_DIM", 10)
+    original = verify.prolongation
+    built = []
+
+    def counted(coarse, fine):
+        built.append(fine.n_vertices)
+        return original(coarse, fine)
+
+    monkeypatch.setattr(verify, "prolongation", counted)
+    cache = LevelCache(DomainSpec.rectangle(0, 1, 1, math.e, 4), HALF_PLANE)
+    for bc, k in (("dirichlet", 2), ("neumann", 4)):
+        for level in range(3):
+            cache.spectrum(level, bc, k)
+        assert cache.spectrum(2, bc, k).method == "lobpcg-multigrid"
+    assert len(built) == 2
+    for level in (1, 2):
+        P = original(cache.mesh(level - 1), cache.mesh(level))
+        fine, coarse = cache.mesh(level).interior, cache.mesh(level - 1).interior
+        dirichlet = cache._transfer(level, "dirichlet")
+        assert (dirichlet != P[fine][:, coarse]).nnz == 0
+
+
 def test_vcycle_leaves_no_reference_cycle():
     # the preconditioner holds every level's operators and the level-0
     # factor; they must go when it goes, not when the cyclic collector runs
