@@ -113,6 +113,7 @@ class ScalarOperators:
     stiffness: sp.csr_matrix
     mesh: object
     metric: ChartMetric
+    quad_rule: str
 
 
 @dataclass
@@ -246,7 +247,7 @@ def assemble_scalar(
         (local[:, :3], local[:, 3:]),
         (gu * tu + gv * tv, gu[:, _NEXT] * tu + gv[:, _NEXT] * tv),
     )
-    return ScalarOperators(mass, stiff, mesh, metric)
+    return ScalarOperators(mass, stiff, mesh, metric, quad_rule)
 
 
 def apply_dirichlet(ops: ScalarOperators) -> DirichletReduction:
@@ -323,8 +324,12 @@ def assemble_oneform(
 
     if scalar is None:
         scalar = assemble_scalar(mesh, metric, quad_rule)
-    elif scalar.mesh is not mesh or scalar.metric is not metric:
-        raise AssemblyError("scalar operators belong to another mesh or metric")
+    elif scalar.mesh is not mesh or scalar.metric is not metric or (
+        scalar.quad_rule != quad_rule
+    ):
+        raise AssemblyError(
+            "scalar operators belong to another mesh, metric or quadrature rule"
+        )
     area = 0.5 * data["detJ"]
     inv_sqrt = np.sum(data["wts"][None, :] / data["sqrtdet"], axis=1) * data["detJ"]
     mass2 = sp.diags(inv_sqrt / area**2)

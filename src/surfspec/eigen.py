@@ -3,16 +3,17 @@
 ``solve_smallest`` handles K x = lambda M x for the scalar problems:
 dense reduction up to DENSE_MAX_DIM unknowns, and two sparse paths
 above.  A cold solve (level 0 of a refinement chain, and every direct
-caller) runs shift-invert Lanczos (ARPACK) on K + sigma M, with sigma =
-SIGMA_SCALE * mean(K_ii / M_ii) and a start vector drawn from
-``options.seed``; any sigma > 0 keeps K + sigma M definite for these
-positive semi-definite pencils, so it returns the k smallest pairs.  A
-nested solve (``verify.LevelCache`` above level 0) passes a start block,
-the coarser level's eigenvectors interpolated onto this one, and a
-preconditioner, a multigrid V-cycle for K + sigma M with sigma from the
-coarser spectrum; it runs LOBPCG (Knyazev, SIAM J. Sci. Comput. 23,
-2001) and factors nothing at this level.  Both start points are pure
-functions of the inputs, so runs are reproducible.
+caller) runs shift-invert Lanczos (ARPACK) from a start vector drawn
+from ``options.seed``, on the factor of :func:`shifted_factor`, the one
+rule for the shift: sigma = SIGMA_SCALE * mean(K_ii / M_ii).  Any sigma
+> 0 keeps K + sigma M definite for these positive semi-definite
+pencils, so it returns the k smallest pairs.  A nested solve
+(``verify.LevelCache`` above level 0) passes a start block, the coarser
+level's eigenvectors interpolated onto this one, and a preconditioner,
+a multigrid V-cycle whose coarse solve is the level-0 factor; it runs
+LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) and factors nothing.
+Both start points are pure functions of the inputs, so runs are
+reproducible.
 
 ``solve_oneform`` computes the 1-form Hodge-Laplacian spectrum through
 its orthogonal decomposition.  A 1-form eigenfield is either
@@ -50,6 +51,7 @@ __all__ = [
     "EigenError",
     "SolverOptions",
     "SpectralResult",
+    "shifted_factor",
     "solve_smallest",
     "uses_dense_path",
     "solve_oneform",
@@ -57,8 +59,8 @@ __all__ = [
 ]
 
 ZERO_MODE_FACTOR = 1e-10  # eta below this times max(eta) counts as harmonic
-SIGMA_SCALE = 1e-3  # shift = scale * (mean diagonal ratio or coarse value)
-LOBPCG_MAXITER = 100  # nested solves of the perfbench configs take 6-29 iterations
+SIGMA_SCALE = 1e-6  # shift / mean(K_ii / M_ii); 1e-5 and up add LOBPCG iterations
+LOBPCG_MAXITER = 100  # nested solves of the perfbench configs take 8-31 iterations
 # largest pencil solved densely: the measured crossover (2 cores, hyperbolic
 # rectangle: dense = sparse at dim 220, 23.5 vs 8.2 ms at dim 476)
 DENSE_MAX_DIM = 250
@@ -112,6 +114,17 @@ def uses_dense_path(dim: int, k: int) -> bool:
     return dim <= DENSE_MAX_DIM or k >= dim
 
 
+def shifted_factor(K, M) -> Tuple[float, spla.SuperLU]:
+    """sigma = ``SIGMA_SCALE * mean(K_ii / M_ii)`` and the sparse LU of K +
+    sigma M; a factorization breakdown raises :class:`EigenError` naming sigma."""
+    K, M = sp.csr_matrix(K), sp.csr_matrix(M)
+    shift = float(SIGMA_SCALE * np.mean(K.diagonal() / M.diagonal()))
+    try:
+        return shift, spla.splu((K + shift * M).tocsc())
+    except RuntimeError as exc:
+        raise EigenError(f"factorization of (K + {shift!r} M) failed: {exc}") from exc
+
+
 def solve_smallest(
     K,
     M,
@@ -121,6 +134,7 @@ def solve_smallest(
     *,
     start: Optional[np.ndarray] = None,
     precond=None,
+    factor: Optional[Tuple[float, spla.SuperLU]] = None,
 ) -> SpectralResult:
     """k smallest eigenpairs of K x = lambda M x.
 
@@ -128,11 +142,12 @@ def solve_smallest(
     most ``DENSE_MAX_DIM`` or k reaching the dimension).  Otherwise, given
     a ``start`` block of shape (dim, k), LOBPCG from that block with the
     preconditioner ``precond`` (anything LOBPCG accepts as ``M``);
-    without one, shift-invert Lanczos on (K + sigma M) with sigma =
-    ``SIGMA_SCALE * mean(K_ii / M_ii)`` and a standard normal start
-    vector seeded with ``options.seed``.  Non-convergence, or a residual
-    above ``options.tol``, returns the result with ``converged=False``; a
-    factorization breakdown raises :class:`EigenError` naming the shift.
+    without one, shift-invert Lanczos from a standard normal start vector
+    seeded with ``options.seed``, on ``factor``, the ``(sigma, lu)`` of
+    :func:`shifted_factor` for this pencil, or on that function's factor
+    made here.  Non-convergence, or a residual above ``options.tol``,
+    returns the result with ``converged=False``; a factorization
+    breakdown raises :class:`EigenError` naming the shift.
     """
     options = options or SolverOptions()
     K = sp.csr_matrix(K)
@@ -168,11 +183,12 @@ def solve_smallest(
             )
     else:
         method = "shift-invert-lanczos"
-        shift = float(SIGMA_SCALE * np.mean(K.diagonal() / M.diagonal()))
+        shift, lu = factor if factor is not None else shifted_factor(K, M)
+        opinv = spla.LinearOperator((dim, dim), matvec=lu.solve, dtype=float)
         v0 = np.random.default_rng(options.seed).standard_normal(dim)
         try:
             values, vectors = spla.eigsh(
-                K, k=k, M=M, sigma=-shift, which="LM", v0=v0
+                K, k=k, M=M, sigma=-shift, which="LM", v0=v0, OPinv=opinv
             )
         except ArpackNoConvergence as exc:
             values, vectors = exc.eigenvalues, exc.eigenvectors
@@ -181,10 +197,6 @@ def solve_smallest(
                 raise EigenError(
                     f"no eigenpairs converged (shift {-shift!r})"
                 ) from exc
-        except RuntimeError as exc:
-            raise EigenError(
-                f"factorization of (K + {shift!r} M) failed: {exc}"
-            ) from exc
 
     order = np.argsort(values)
     values = np.asarray(values, dtype=float)[order]

@@ -39,7 +39,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from .assembly import (
@@ -49,11 +48,11 @@ from .assembly import (
     dirichlet_form_quadrature,
 )
 from .eigen import (
-    SIGMA_SCALE,
     ZERO_MODE_FACTOR,
     EigenError,
     SolverOptions,
     SpectralResult,
+    shifted_factor,
     solve_oneform,
     solve_smallest,
     uses_dense_path,
@@ -304,12 +303,13 @@ class LevelCache:
         method, shift and convergence flag.
 
         Level 0, and every level on the dense path, is a cold solve: ARPACK
-        or dense, as :func:`solve_smallest` decides alone.  A sparse solve
-        above level 0 is a nested iteration: it first takes the coarser
-        level's solve of the same block and runs LOBPCG from it with a
-        V-cycle preconditioner (see :meth:`_nested_start`), so no level
-        above 0 is factored, and a level's solve always derives from the
-        same coarser solve, whichever checks asked for it.
+        or dense, as :func:`solve_smallest` decides alone; a sparse level 0
+        runs ARPACK on :meth:`_factor`.  A sparse solve above level 0 is a
+        nested iteration: it takes the coarser level's solve of the same
+        block (see :meth:`_nested_start`) and runs LOBPCG from it,
+        preconditioned by :meth:`_vcycle`, so no level above 0 is factored,
+        and a level's solve always derives from the same coarser solve,
+        whichever checks asked for it.
         """
         pencil = self.pencil(level, bc)
         dim = pencil.stiffness.shape[0]
@@ -323,20 +323,25 @@ class LevelCache:
             )
 
         def solve():
-            nested = self._nested_start(level, bc, k)
-            if nested is None:
-                return solve_smallest(
-                    pencil.stiffness, pencil.mass, k, bc=bc, options=self.options,
-                )
-            start, precond, shift = nested
-            result = solve_smallest(
-                pencil.stiffness, pencil.mass, k, bc=bc, options=self.options,
-                start=start, precond=precond,
+            start, given = self._nested_start(level, bc, k), {}
+            if start is not None:
+                given = dict(start=start, precond=self._vcycle(level, bc))
+            elif level == 0 and not uses_dense_path(dim, k):
+                given = dict(factor=self._factor(bc))
+            return solve_smallest(
+                pencil.stiffness, pencil.mass, k, bc=bc, options=self.options, **given
             )
-            result.shift = shift
-            return result
 
         return self._get(("spectrum", level, bc, k), solve)
+
+    def _factor(self, bc: str):
+        """:func:`shifted_factor` of the level-0 ``bc`` pencil, ``(sigma, lu)``:
+        the one factorization that level 0's ARPACK solve and every V-cycle
+        of this bc share."""
+        pencil = self.pencil(0, bc)
+        return self._get(
+            ("factor", bc), lambda: shifted_factor(pencil.stiffness, pencil.mass)
+        )
 
     def _transfer(self, level: int, bc: str) -> sp.csr_matrix:
         """Interpolation from level - 1 onto ``level`` in the ``bc`` unknowns.
@@ -356,48 +361,39 @@ class LevelCache:
         return self._get(("transfer", level, bc), build)
 
     def _nested_start(self, level: int, bc: str, k: int):
-        """Start block, preconditioner and shift for a nested sparse solve.
+        """Start block of a nested sparse solve, or None for a cold one.
 
         The start block is the coarser level's k eigenvectors, each
         interpolated by :meth:`_transfer` (Knyazev & Neymeyr, ETNA 15,
-        2003).  The shift sigma is SIGMA_SCALE times the smallest positive
-        coarser eigenvalue, so unlike the diagonal-ratio rule it does not
-        grow as h^-2; the preconditioner is :meth:`_vcycle` for K + sigma
-        M.  None (a cold solve) at level 0, on the dense path, and when the
-        coarser pencil has fewer than k unknowns.
+        2003).  None at level 0, on the dense path, and when the coarser
+        pencil has fewer than k unknowns.
         """
         fine_dim = self.pencil(level, bc).stiffness.shape[0]
         if level == 0 or uses_dense_path(fine_dim, k):
             return None
         if self.pencil(level - 1, bc).stiffness.shape[0] < k:
             return None
-        coarse = self.spectrum(level - 1, bc, k)
-        # the Neumann pencil of a connected mesh has one zero mode, the
-        # constant; a sparse Neumann solve is a block of at least
-        # NEUMANN_BLOCK pairs, so a positive value follows it
-        positive = coarse.values[1:] if bc == "neumann" else coarse.values
-        shift = SIGMA_SCALE * float(positive[0])
-        start = self._transfer(level, bc) @ coarse.vectors
-        return start, self._vcycle(level, bc, shift), shift
+        return self._transfer(level, bc) @ self.spectrum(level - 1, bc, k).vectors
 
-    def _vcycle(self, level: int, bc: str, shift: float) -> Callable:
-        """One multigrid V-cycle for A_l = K_l + shift M_l over levels level..0.
+    def _vcycle(self, level: int, bc: str) -> Callable:
+        """One multigrid V-cycle for A_l = K_l + sigma M_l over levels level..0.
 
-        Each level's A_l is the cache's own pencil, P_l is :meth:`_transfer`;
-        damped Jacobi (weight VCYCLE_DAMPING, VCYCLE_SMOOTHING steps before
-        and after the coarse correction) smooths, and level 0 is solved
-        exactly by one sparse LU.  Applies to a vector or a block.
+        sigma and the exact level-0 solve are :meth:`_factor`'s; each
+        level's A_l is built from the cache's own pencil, P_l is
+        :meth:`_transfer`; damped Jacobi (weight VCYCLE_DAMPING,
+        VCYCLE_SMOOTHING steps before and after the coarse correction)
+        smooths.  Applies to a vector or a block.
         """
-        A = [
-            (self.pencil(l, bc).stiffness + shift * self.pencil(l, bc).mass).tocsr()
-            for l in range(level + 1)
-        ]
-        jacobi = [VCYCLE_DAMPING / a.diagonal()[:, None] for a in A]
-        coarsest = spla.splu(A[0].tocsc())
+        shift, coarsest = self._factor(bc)
+        A = {
+            l: (self.pencil(l, bc).stiffness + shift * self.pencil(l, bc).mass).tocsr()
+            for l in range(1, level + 1)
+        }
+        jacobi = {l: VCYCLE_DAMPING / a.diagonal()[:, None] for l, a in A.items()}
 
         # a loop, not a recursive closure: that closure would be a reference
-        # cycle, which keeps A, jacobi and the factor alive after the solve
-        # until the cyclic garbage collector happens to run
+        # cycle, which keeps A and jacobi alive after the solve until the
+        # cyclic garbage collector happens to run
         def apply(block):
             r = block.reshape(block.shape[0], -1)
             down = []

@@ -252,6 +252,11 @@ def test_oneform_rejects_scalar_operators_of_another_mesh():
     other = assemble_scalar(triangulate(DomainSpec.periodic_band(0, 1, 4)), FLAT)
     with pytest.raises(AssemblyError, match="another mesh"):
         assemble_oneform(mesh, FLAT, scalar=other)
+    # same mesh and metric, but the midpoint rule's vertex mass
+    midpoint = assemble_scalar(mesh, FLAT, "midpoint")
+    with pytest.raises(AssemblyError, match="metric or quadrature rule"):
+        assemble_oneform(mesh, FLAT, quad_rule="degree5", scalar=midpoint)
+    assert assemble_oneform(mesh, FLAT, scalar=midpoint).mass0 is midpoint.mass
 
 
 def test_degree5_rule_exact_on_flat_whitney():

@@ -310,7 +310,7 @@ def test_nested_spectra_match_cold_solves(monkeypatch):
     options = SolverOptions()
     cache = LevelCache(DomainSpec.rectangle(0, 1, 1, math.e, 4), HALF_PLANE, options)
     for bc, k in (("dirichlet", 2), ("neumann", 4)):
-        warm_shifts, cold_shifts = [], []
+        cold_shifts = []
         for level in range(3):
             warm = cache.spectrum(level, bc, k)
             pencil = cache.pencil(level, bc)
@@ -325,12 +325,12 @@ def test_nested_spectra_match_cold_solves(monkeypatch):
             assert np.all(warm.residuals <= options.tol)
             scale = float(np.max(cold.values))
             assert np.max(np.abs(warm.values - cold.values)) <= 1e-9 * scale
-            warm_shifts.append(warm.shift)
+            # level 0 runs ARPACK on the cache's one factor; nested solves
+            # factor nothing, so they carry no shift
+            assert warm.shift == (cache._factor(bc)[0] if level == 0 else None)
             cold_shifts.append(cold.shift)
-        # the diagonal-ratio shift grows about 4x per level, the nested one does not
-        assert warm_shifts[0] == cold_shifts[0]
+        # the diagonal-ratio shift grows about 4x per level
         assert cold_shifts[2] > 3 * cold_shifts[1]
-        assert 0.5 * warm_shifts[1] <= warm_shifts[2] <= 2 * warm_shifts[1]
 
 
 def test_nested_spectra_deterministic(monkeypatch):
@@ -366,23 +366,31 @@ def test_neumann_requests_read_the_block(monkeypatch):
 
 
 def test_nested_solves_factor_only_level_zero(monkeypatch):
-    # the V-cycle's coarsest solve is the one sparse LU of a nested solve
+    # a 3-level chain of both bcs makes two sparse LUs, one per bc at level
+    # 0, shared by the level-0 ARPACK solve and the V-cycles above it
     monkeypatch.setattr(eigen, "DENSE_MAX_DIM", 10)
-    cache = LevelCache(DomainSpec.rectangle(0, 1, 1, math.e, 4), HALF_PLANE)
-    for level in range(2):
-        cache.spectrum(level, "neumann", 4)
-    level0_dim = cache.pencil(0, "neumann").stiffness.shape[0]
-    factored = []
-    original = verify.spla.splu
+    factored, opinvs = [], []
+    splu, eigsh = eigen.spla.splu, eigen.spla.eigsh
 
-    def counted(A, *args, **kwargs):
+    def counted_splu(A, *args, **kwargs):
         factored.append(A.shape[0])
-        return original(A, *args, **kwargs)
+        return splu(A, *args, **kwargs)
 
-    monkeypatch.setattr(verify.spla, "splu", counted)
-    monkeypatch.setattr(eigen.spla, "eigsh", None)
-    assert cache.spectrum(2, "neumann", 4).converged
-    assert factored == [level0_dim]
+    def counted_eigsh(*args, **kwargs):
+        opinvs.append(kwargs.get("OPinv"))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(eigen.spla, "splu", counted_splu)
+    monkeypatch.setattr(eigen.spla, "eigsh", counted_eigsh)
+    cache = LevelCache(DomainSpec.rectangle(0, 1, 1, math.e, 4), HALF_PLANE)
+    for bc, k in (("dirichlet", 2), ("neumann", 4)):
+        for level in range(3):
+            assert cache.spectrum(level, bc, k).converged
+        assert cache.spectrum(2, bc, k).method == "lobpcg-multigrid"
+    assert factored == [
+        cache.pencil(0, bc).stiffness.shape[0] for bc in ("dirichlet", "neumann")
+    ]
+    assert len(opinvs) == 2 and all(op is not None for op in opinvs)
 
 
 def test_one_prolongation_per_level(monkeypatch):
@@ -411,17 +419,19 @@ def test_one_prolongation_per_level(monkeypatch):
 
 
 def test_vcycle_leaves_no_reference_cycle():
-    # the preconditioner holds every level's operators and the level-0
-    # factor; they must go when it goes, not when the cyclic collector runs
+    # the preconditioner holds the operators of levels 1-2; they must go
+    # when it goes, not when the cyclic collector runs (the level-0 LU now
+    # belongs to the cache, which builds it here before the count)
     cache = LevelCache(DomainSpec.rectangle(0, 1, 1, math.e, 4), HALF_PLANE)
     for level in range(3):
         cache.pencil(level, "neumann")
         if level:
             cache._transfer(level, "neumann")
+    cache._factor("neumann")
     gc.collect()
     gc.disable()
     try:
-        apply = cache._vcycle(2, "neumann", 1.0)
+        apply = cache._vcycle(2, "neumann")
         n = cache.pencil(2, "neumann").stiffness.shape[0]
         assert apply(np.ones((n, 2))).shape == (n, 2)
         del apply
