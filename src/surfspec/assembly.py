@@ -30,7 +30,7 @@ and for the Whitney mass they are the pairs of edges sharing a face.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -135,7 +135,6 @@ class OneFormOperators:
     mass0: sp.csr_matrix  # P1 vertex mass
     mass2: sp.dia_matrix  # face mass, weight 1/sqrt(det g)
     mesh: object
-    metric: ChartMetric
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +265,16 @@ def apply_dirichlet(ops: ScalarOperators) -> DirichletReduction:
 # Whitney one-form operators
 
 
-def _whitney_entries(data) -> Tuple[np.ndarray, np.ndarray]:
-    """The Whitney mass entries of every face before the edge orientation
-    signs: (F, 3) diagonal ones, and (F, 3) ones of the local edge pairs
-    (k, ``_NEXT[k]``)."""
+def _whitney_masses(mesh, data) -> Tuple[sp.csr_matrix, sp.dia_matrix]:
+    """M1 and M2 of a mesh from its ``_chart_data``.
+
+    The Whitney form of edge (a, b) on a triangle is
+    ``lambda_a d lambda_b - lambda_b d lambda_a`` times the sign
+    relating local traversal to the global a -> b orientation.  The
+    face mass uses the basis 2-form that integrates to one over its
+    face, giving the diagonal weight
+    ``area^{-2} \\int du dv / sqrt(det g)``.
+    """
     lam, nq = data["lam"], len(data["lam"])
     # the Whitney form of local edge k = (a, b), lam_a grad_b - lam_b grad_a,
     # is the corner gradients times basis: (F, 3) @ (3, 3 nq) per component
@@ -282,37 +287,9 @@ def _whitney_entries(data) -> Tuple[np.ndarray, np.ndarray]:
     # each form's dA-weighted inverse-metric image, (F, 3, nq)
     c11, c12, c22 = ((g * data["dA"])[:, None, :] for g in data["ginv"])
     pu, pv = c11 * wu + c12 * wv, c12 * wu + c22 * wv
-    return (
-        np.sum(wu * pu + wv * pv, axis=2),
-        np.sum(wu[:, _NEXT] * pu + wv[:, _NEXT] * pv, axis=2),
-    )
-
-
-def assemble_oneform(
-    mesh,
-    metric: ChartMetric,
-    quad_rule: str = "midpoint",
-    scalar: Optional[ScalarOperators] = None,
-    *,
-    _chart: Optional[dict] = None,
-) -> OneFormOperators:
-    """Edge-element mass, the mesh's incidence operators, and face mass.
-
-    The vertex mass comes from ``scalar``, the P1 operators of the same
-    mesh, metric and rule when the caller has them, and is assembled
-    here otherwise.  ``_chart`` is private: the ``_chart_data`` of the
-    same mesh, metric and rule, from a caller in this module that built
-    it already.
-
-    The Whitney form of edge (a, b) on a triangle is
-    ``lambda_a d lambda_b - lambda_b d lambda_a`` times the sign
-    relating local traversal to the global a -> b orientation.  The
-    face mass uses the basis 2-form that integrates to one over its
-    face, giving the diagonal weight
-    ``area^{-2} \\int du dv / sqrt(det g)``.
-    """
-    data = _chart_data(mesh, metric, quad_rule) if _chart is None else _chart
-    diag, off = _whitney_entries(data)
+    diag = np.sum(wu * pu + wv * pv, axis=2)
+    # the local edge pairs (k, _NEXT[k]), signed by the edge orientations
+    off = np.sum(wu[:, _NEXT] * pu + wv[:, _NEXT] * pv, axis=2)
     off *= mesh.tri_edge_signs * mesh.tri_edge_signs[:, _NEXT]
     # the face-local edge pairs as sorted pairs of edge ids, numbered
     edge_pairs = face_edges(mesh.tri_edges)
@@ -321,19 +298,20 @@ def assemble_oneform(
     (mass1,) = _scatter(
         mesh.tri_edges, pair_ids.reshape(3, -1).T, pairs, mesh.n_edges, (diag, off)
     )
-
-    if scalar is None:
-        scalar = assemble_scalar(mesh, metric, quad_rule)
-    elif scalar.mesh is not mesh or scalar.metric is not metric or (
-        scalar.quad_rule != quad_rule
-    ):
-        raise AssemblyError(
-            "scalar operators belong to another mesh, metric or quadrature rule"
-        )
     area = 0.5 * data["detJ"]
     inv_sqrt = np.sum(data["wts"][None, :] / data["sqrtdet"], axis=1) * data["detJ"]
-    mass2 = sp.diags(inv_sqrt / area**2)
-    return OneFormOperators(mass1, mesh.d0, mesh.d1, scalar.mass, mass2, mesh, metric)
+    return mass1, sp.diags(inv_sqrt / area**2)
+
+
+def assemble_oneform(scalar: ScalarOperators) -> OneFormOperators:
+    """Edge-element mass, the mesh's incidence operators, and face mass
+    on the mesh, metric and rule of the P1 operators ``scalar``, whose
+    mass is the vertex mass."""
+    mesh = scalar.mesh
+    mass1, mass2 = _whitney_masses(
+        mesh, _chart_data(mesh, scalar.metric, scalar.quad_rule)
+    )
+    return OneFormOperators(mass1, mesh.d0, mesh.d1, scalar.mass, mass2, mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -391,15 +369,10 @@ def _whitney_interpolate(mesh, metric: ChartMetric, f, forms, phi) -> list:
 
 
 def dirichlet_form_quadrature(
-    mesh,
-    metric: ChartMetric,
-    f,
-    phi: np.ndarray,
-    lambda_ref: float,
-    quad_rule: str = "midpoint",
-    scalar: Optional[ScalarOperators] = None,
+    scalar: ScalarOperators, f, phi: np.ndarray, lambda_ref: float
 ) -> dict:
-    """Quadrature of the 1-form Dirichlet energy of the two trial fields.
+    """Quadrature of the 1-form Dirichlet energy of the two trial fields
+    on the mesh, metric and rule of the P1 operators ``scalar``.
 
     For a scalar eigenfunction phi and a unit-gradient function f, the
     trial fields are ``phi df`` and ``phi (*df)``.  Writing
@@ -417,12 +390,12 @@ def dirichlet_form_quadrature(
     refinement.
 
     ``lambda_ref`` is the eigenvalue of phi; it is echoed in the
-    diagnostic when the normalization check fails.  ``scalar`` is
-    passed on to :func:`assemble_oneform`, which reuses this function's
-    chart data.
+    diagnostic when the normalization check fails.  The chart data is
+    built once, for the quadrature and the Whitney masses alike.
     """
+    mesh, metric, mass0 = scalar.mesh, scalar.metric, scalar.mass
     fe = _as_expr(f)
-    data = _chart_data(mesh, metric, quad_rule)
+    data = _chart_data(mesh, metric, scalar.quad_rule)
     u, v, dA, lam = data["u"], data["v"], data["dA"], data["lam"]
 
     gn2 = evaluate_on_f(metric, gradient_norm2_expr(metric, fe), fe, u, v)
@@ -432,8 +405,8 @@ def dirichlet_form_quadrature(
             f"distance function is not unit-gradient (max deviation {dev:.3e})"
         )
 
-    ops = assemble_oneform(mesh, metric, quad_rule, scalar, _chart=data)
-    norm = float(phi @ (ops.mass0 @ phi))
+    mass1, mass2 = _whitney_masses(mesh, data)
+    norm = float(phi @ (mass0 @ phi))
     if abs(norm - 1.0) > M_NORMALIZATION_TOL:
         raise AssemblyError(
             f"phi is not M-normalized: phi'M phi = {norm!r} "
@@ -486,10 +459,10 @@ def dirichlet_form_quadrature(
     w_a, w_b = _whitney_interpolate(
         mesh, metric, fe, ((fu, fv), (su_e, sv_e)), phi
     )
-    curl_part = float((ops.d1 @ w_a) @ (ops.mass2 @ (ops.d1 @ w_b)))
-    rhs_a = ops.d0.T @ (ops.mass1 @ w_a)
-    rhs_b = ops.d0.T @ (ops.mass1 @ w_b)
-    div_part = float(rhs_a @ spla.spsolve(ops.mass0.tocsc(), rhs_b))
+    curl_part = float((mesh.d1 @ w_a) @ (mass2 @ (mesh.d1 @ w_b)))
+    rhs_a = mesh.d0.T @ (mass1 @ w_a)
+    rhs_b = mesh.d0.T @ (mass1 @ w_b)
+    div_part = float(rhs_a @ spla.spsolve(mass0.tocsc(), rhs_b))
     cross = curl_part + div_part
 
     return {

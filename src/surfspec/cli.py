@@ -51,7 +51,14 @@ import numpy as np
 
 from . import THREAD_SETTINGS
 from .assembly import AssemblyError, assemble_oneform
-from .eigen import EigenError, SolverOptions, cluster_multiplicities, solve_oneform
+from .eigen import (
+    MAX_SOLVE_FLOATS,
+    EigenError,
+    SolverOptions,
+    cluster_multiplicities,
+    solve_fits,
+    solve_oneform,
+)
 from .expr import Expr, ExprError, parse
 from .geometry import ChartEvalError, ChartMetric, GeometryError, builtin_metric
 from .mesh import DomainSpec, MeshError
@@ -725,12 +732,15 @@ def _spectrum_result(metric, domain, options, bc: str, count: int):
             f"-k/--count: requested {count} {bc} eigenpairs, "
             f"level 0 has {limit}"
         )
+    # the largest solve of any bc: the Neumann pencil, count + 1 pairs for oneform
+    if not solve_fits(mesh.n_vertices, count + 1):
+        raise ConfigError(
+            f"-k/--count: {count} {bc} eigenpairs of {mesh.n_vertices} vertices "
+            f"need solver arrays above the limit {MAX_SOLVE_FLOATS:.0e} floats"
+        )
     if bc != "oneform":
         return cache.spectrum(0, bc, count)
-    ops = assemble_oneform(
-        mesh, metric, quad_rule=options.quad_rule, scalar=cache.operators(0)
-    )
-    return solve_oneform(ops, count, options=options)
+    return solve_oneform(assemble_oneform(cache.operators(0)), count, options=options)
 
 
 def _spectrum_rows(result):

@@ -28,17 +28,14 @@ its orthogonal decomposition.  A 1-form eigenfield is either
 
 The two scalar blocks reuse the Whitney stiffness identity
 ``K = d0^T M1 d0``, so the reported union is the spectrum of the same
-discrete complex that the assembly module builds, and the block
-structure keeps exact L2 orthogonality between the three parts.
-Eigenvectors are stored blockwise (Neumann coefficients, interior
-Dirichlet coefficients, edge coefficients) and are orthonormal under
-the block mass returned with the result.
+discrete complex that the assembly module builds.  The checks read only
+the eigenvalues and their residuals, so no 1-form eigenfield is formed.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -54,6 +51,7 @@ __all__ = [
     "shifted_factor",
     "solve_smallest",
     "uses_dense_path",
+    "solve_fits",
     "solve_oneform",
     "cluster_multiplicities",
 ]
@@ -64,6 +62,9 @@ LOBPCG_MAXITER = 100  # nested solves of the perfbench configs take 8-31 iterati
 # largest pencil solved densely: the measured crossover (2 cores, hyperbolic
 # rectangle: dense = sparse at dim 220, 23.5 vs 8.2 ms at dim 476)
 DENSE_MAX_DIM = 250
+# the most floats the work arrays of one solve may hold, 0.8 GB: ARPACK's
+# Lanczos basis, or the dense copies (see solve_fits)
+MAX_SOLVE_FLOATS = 10**8
 
 
 class EigenError(ValueError):
@@ -81,20 +82,19 @@ class SolverOptions:
 class SpectralResult:
     """Smallest eigenpairs of a symmetric pencil.
 
-    ``vectors`` columns are orthonormal in the ``mass`` inner product;
+    ``vectors`` columns are orthonormal in the pencil's M inner product,
+    and None for the 1-form spectrum, which keeps no eigenfields;
     ``residuals`` hold ||K x - lambda M x|| / (1 + |lambda|) with x
-    mass-normalized.
+    M-normalized.
     """
 
     values: np.ndarray
-    vectors: np.ndarray
+    vectors: Optional[np.ndarray]
     residuals: np.ndarray
     bc: str
-    mass: sp.spmatrix
     method: str
     shift: Optional[float] = None
     converged: bool = True
-    meta: dict = field(default_factory=dict)
 
 
 def _orthonormalize(vectors: np.ndarray, mass) -> np.ndarray:
@@ -112,6 +112,13 @@ def _residuals(K, M, values, vectors) -> np.ndarray:
 def uses_dense_path(dim: int, k: int) -> bool:
     """Whether :func:`solve_smallest` reduces a dimension-``dim`` pencil densely."""
     return dim <= DENSE_MAX_DIM or k >= dim
+
+
+def solve_fits(dim: int, k: int) -> bool:
+    """Whether k pairs of a dimension-``dim`` pencil stay within
+    ``MAX_SOLVE_FLOATS``: ARPACK keeps dim x min(dim, max(2k + 1, 20)) floats
+    of Lanczos vectors, and k >= dim makes that dim x dim, the dense copies."""
+    return dim * min(dim, max(2 * k + 1, 20)) <= MAX_SOLVE_FLOATS
 
 
 def shifted_factor(K, M) -> Tuple[float, spla.SuperLU]:
@@ -206,14 +213,7 @@ def solve_smallest(
     if converged and np.any(residuals > options.tol):
         converged = False
     return SpectralResult(
-        values,
-        vectors,
-        residuals,
-        bc,
-        M,
-        method,
-        shift=shift,
-        converged=converged,
+        values, vectors, residuals, bc, method, shift=shift, converged=converged
     )
 
 
@@ -248,15 +248,15 @@ def solve_oneform(
     ``(d0^T M1 d0) psi = eta M0 psi`` on all vertices, the Dirichlet
     block solves the same pencil restricted to interior vertices, and
     harmonics are seeded edge fields with their curl and exact parts
-    projected out (:func:`_natural_harmonics`).  Values are the merged
-    ascending union.  Vector layout and block sizes are
-    recorded in ``meta``; the block mass (Neumann stiffness, interior
-    stiffness, edge mass) makes the columns orthonormal.
+    projected out (:func:`_natural_harmonics`).  Returns the merged
+    ascending values with their blocks' residuals (a harmonic field's
+    residual is its Rayleigh quotient), the convergence flag of the two
+    solves and the method, and no vectors; there are ``ops.mesh.betti1``
+    zero modes.
     """
     options = options or SolverOptions()
     mesh = ops.mesh
     V = ops.mass0.shape[0]
-    E = ops.mass1.shape[0]
     interior = mesh.interior
     n_int = len(interior)
     beta1 = mesh.betti1
@@ -266,80 +266,45 @@ def solve_oneform(
 
     stiff = ops.d0.T @ (ops.mass1 @ ops.d0)
     stiff = (0.5 * (stiff + stiff.T)).tocsr()
-    stiff_int = stiff[interior][:, interior].tocsr()
-    mass_int = ops.mass0[interior][:, interior].tocsr()
-
     neu = solve_smallest(
         stiff, ops.mass0, min(k + 1, V), bc="neumann", options=options
     )
-    coex = None
+    blocks = [neu]
     if n_int > 0:
-        coex = solve_smallest(
-            stiff_int, mass_int, min(k, n_int), bc="dirichlet", options=options,
-        )
+        blocks.append(solve_smallest(
+            stiff[interior][:, interior], ops.mass0[interior][:, interior],
+            min(k, n_int), bc="dirichlet", options=options,
+        ))
     harmonics = _natural_harmonics(ops, stiff, beta1, options.seed)
 
     # harmonic Rayleigh quotients: tiny but honest, not hard zeros
-    h_values = []
-    for j in range(harmonics.shape[1]):
-        eta = harmonics[:, j]
+    candidates = []  # (value, residual): harmonic, exact, then coexact
+    for eta in harmonics.T:
         curl = ops.d1 @ eta
         div_rhs = ops.d0.T @ (ops.mass1 @ eta)
         sigma = spla.spsolve(ops.mass0.tocsc(), div_rhs)
         num = float(curl @ (ops.mass2 @ curl) + sigma @ (ops.mass0 @ sigma))
-        h_values.append(num / float(eta @ (ops.mass1 @ eta)))
-
-    top = max(
-        [v for v in neu.values] + ([] if coex is None else list(coex.values)),
-        default=1.0,
-    )
+        rayleigh = num / float(eta @ (ops.mass1 @ eta))
+        candidates.append((rayleigh, rayleigh))  # its own residual
+    top = max(float(np.max(b.values)) for b in blocks)
     zero_cut = ZERO_MODE_FACTOR * max(top, 1e-300)
-
-    candidates = []  # (value, block, local index, residual)
-    for j, v in enumerate(h_values):
-        candidates.append((v, "harmonic", j, v))
-    for i, v in enumerate(neu.values):
-        if v > zero_cut:  # drop the constant mode, d psi = 0
-            candidates.append((float(v), "exact", i, float(neu.residuals[i])))
-    if coex is not None:
-        for i, v in enumerate(coex.values):
-            candidates.append((float(v), "coexact", i, float(coex.residuals[i])))
-    candidates.sort(key=lambda c: c[0])
+    for b in blocks:
+        # drop the Neumann constant mode (d psi = 0), which falls below the cut
+        candidates += [
+            (float(v), float(r)) for v, r in zip(b.values, b.residuals)
+            if b is not neu or v > zero_cut
+        ]
     if len(candidates) < k:
         raise EigenError(
             f"only {len(candidates)} candidate modes for k={k}; "
             "increase the block solve depth"
         )
-    chosen = candidates[:k]
-
-    vectors = np.zeros((V + n_int + E, k))
-    values = np.empty(k)
-    residuals = np.empty(k)
-    for col, (value, block, i, res) in enumerate(chosen):
-        values[col] = value
-        residuals[col] = res
-        if block == "exact":
-            vectors[:V, col] = neu.vectors[:, i] / np.sqrt(value)
-        elif block == "coexact":
-            vectors[V : V + n_int, col] = coex.vectors[:, i] / np.sqrt(value)
-        else:
-            vectors[V + n_int :, col] = harmonics[:, i]
-
-    mass = sp.block_diag([stiff, stiff_int, ops.mass1]).tocsr()
-    converged = neu.converged and (coex is None or coex.converged)
+    # by value alone, and stable, so that residuals keep their order on ties
+    values, residuals = np.array(sorted(candidates, key=lambda c: c[0])[:k]).T
     return SpectralResult(
-        values,
-        vectors,
-        residuals,
-        "oneform",
-        mass,
+        values, None, residuals, "oneform",
         method=f"hodge-split/{neu.method}",
-        converged=converged,
-        meta={
-            "zero_modes": int(beta1),
-            "block_sizes": {"exact": V, "coexact": n_int, "harmonic": E},
-            "block_of": [c[1] for c in chosen],
-        },
+        converged=all(b.converged for b in blocks),
     )
 
 

@@ -48,11 +48,13 @@ from .assembly import (
     dirichlet_form_quadrature,
 )
 from .eigen import (
+    MAX_SOLVE_FLOATS,
     ZERO_MODE_FACTOR,
     EigenError,
     SolverOptions,
     SpectralResult,
     shifted_factor,
+    solve_fits,
     solve_oneform,
     solve_smallest,
     uses_dense_path,
@@ -419,7 +421,7 @@ def _leading(block: SpectralResult, k: int) -> SpectralResult:
     """The first k pairs of a solved block; everything else is the block's."""
     return SpectralResult(
         block.values[:k], block.vectors[:, :k], block.residuals[:k], block.bc,
-        block.mass, block.method, shift=block.shift, converged=block.converged,
+        block.method, shift=block.shift, converged=block.converged,
     )
 
 
@@ -560,10 +562,7 @@ def lemma_check(
         lam1 = float(ground.values[0])
         phi = np.zeros(mesh.n_vertices)
         phi[mesh.interior] = ground.vectors[:, 0]
-        out = dirichlet_form_quadrature(
-            mesh, metric, f, phi, lam1, quad_rule=cache.options.quad_rule,
-            scalar=cache.operators(lvl),
-        )
+        out = dirichlet_form_quadrature(cache.operators(lvl), f, phi, lam1)
         return {
             "lambda1": lam1,
             "alpha_nu": out["alpha_nu"],
@@ -640,12 +639,15 @@ def spectrum_union_check(
             f"more eigenvalues requested than the {len(mesh.interior)} of "
             f"the Dirichlet problem at level {level}",
         )
-
     beta1 = mesh.betti1
-    one_ops = assemble_oneform(
-        mesh, metric, quad_rule=cache.options.quad_rule,
-        scalar=cache.operators(level),
-    )
+    # the largest solve: the 1-form side's Neumann block, count + b1 + 1 pairs
+    if not solve_fits(mesh.n_vertices, count + beta1 + 1):
+        raise ParameterError(
+            "count",
+            f"{count} eigenvalues of {mesh.n_vertices} vertices at level {level} "
+            f"need solver arrays above the limit {MAX_SOLVE_FLOATS:.0e} floats",
+        )
+    one_ops = assemble_oneform(cache.operators(level))
     one = solve_oneform(one_ops, count + beta1, options=cache.options)
     top = float(np.max(one.values))
     zero_count = int(np.sum(one.values < ZERO_MODE_FACTOR * top))

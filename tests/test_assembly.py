@@ -70,7 +70,7 @@ def test_flat_element_stiffness():
 
 def test_flat_whitney_mass_closed_form():
     # edges in sorted order: (0,1), (0,2), (1,2)
-    ops = assemble_oneform(unit_right_triangle(), FLAT)
+    ops = assemble_oneform(assemble_scalar(unit_right_triangle(), FLAT))
     want = np.array(
         [[1 / 3, 1 / 6, 0.0], [1 / 6, 1 / 3, 0.0], [0.0, 0.0, 1 / 6]]
     )
@@ -80,7 +80,7 @@ def test_flat_whitney_mass_closed_form():
 
 def test_flat_face_mass_is_inverse_area():
     mesh = triangulate(DomainSpec.rectangle(0, 1, 0, 1, 2))
-    ops = assemble_oneform(mesh, FLAT)
+    ops = assemble_oneform(assemble_scalar(mesh, FLAT))
     areas = mesh.chart_areas()
     assert np.allclose(ops.mass2.diagonal(), 1.0 / areas, rtol=1e-13)
 
@@ -129,7 +129,7 @@ def test_matrices_bit_symmetric():
     mesh = triangulate(DomainSpec.periodic_band(-1, 1, 5))
     metric = collar_metric()
     scal = assemble_scalar(mesh, metric)
-    one = assemble_oneform(mesh, metric)
+    one = assemble_oneform(scal)
     for mat in (scal.mass, scal.stiffness, one.mass1):
         assert (mat != mat.T).nnz == 0
 
@@ -193,7 +193,7 @@ def einsum_reference(mesh, metric, rule):
 def test_stiffness_matches_four_operand_contraction(mesh, metric, rule):
     # P1 mass and stiffness and the Whitney mass against the einsum blocks
     scal = assemble_scalar(mesh, metric, quad_rule=rule)
-    one = assemble_oneform(mesh, metric, quad_rule=rule, scalar=scal)
+    one = assemble_oneform(scal)
     wants = einsum_reference(mesh, metric, rule)
     for got, want in zip((scal.mass, scal.stiffness, one.mass1), wants):
         want.sort_indices()
@@ -216,7 +216,7 @@ def test_stiffness_equals_gradient_image_energy(mesh, metric):
     # P1 gradients are exactly Whitney interpolants of themselves, so
     # the scalar stiffness factors through the edge mass
     scal = assemble_scalar(mesh, metric)
-    one = assemble_oneform(mesh, metric)
+    one = assemble_oneform(scal)
     diff = (one.d0.T @ one.mass1 @ one.d0 - scal.stiffness).toarray()
     assert np.max(np.abs(diff)) < 1e-12
 
@@ -238,7 +238,7 @@ def test_scalar_assembly_peak_memory():
 
 def test_oneform_bookkeeping():
     mesh = triangulate(DomainSpec.periodic_band(0, 1, 4))
-    ops = assemble_oneform(mesh, FLAT)
+    ops = assemble_oneform(assemble_scalar(mesh, FLAT))
     assert ops.mass1.shape == (52, 52)
     # the incidences are the mesh's own; test_mesh pins d1 d0 = 0
     assert ops.d0 is mesh.d0 and ops.d1 is mesh.d1
@@ -247,20 +247,8 @@ def test_oneform_bookkeeping():
     assert np.count_nonzero(mesh.boundary_edge_mask) == 8
 
 
-def test_oneform_rejects_scalar_operators_of_another_mesh():
-    mesh = triangulate(DomainSpec.periodic_band(0, 1, 4))
-    other = assemble_scalar(triangulate(DomainSpec.periodic_band(0, 1, 4)), FLAT)
-    with pytest.raises(AssemblyError, match="another mesh"):
-        assemble_oneform(mesh, FLAT, scalar=other)
-    # same mesh and metric, but the midpoint rule's vertex mass
-    midpoint = assemble_scalar(mesh, FLAT, "midpoint")
-    with pytest.raises(AssemblyError, match="metric or quadrature rule"):
-        assemble_oneform(mesh, FLAT, quad_rule="degree5", scalar=midpoint)
-    assert assemble_oneform(mesh, FLAT, scalar=midpoint).mass0 is midpoint.mass
-
-
 def test_degree5_rule_exact_on_flat_whitney():
-    ops = assemble_oneform(unit_right_triangle(), FLAT, quad_rule="degree5")
+    ops = assemble_oneform(assemble_scalar(unit_right_triangle(), FLAT, "degree5"))
     want = np.array(
         [[1 / 3, 1 / 6, 0.0], [1 / 6, 1 / 3, 0.0], [0.0, 0.0, 1 / 6]]
     )
@@ -372,7 +360,7 @@ def test_dirichlet_form_flat_square():
     mesh = triangulate(DomainSpec.rectangle(0, math.pi, 0, math.pi, 32))
     phi, lam1 = first_dirichlet_mode(mesh, FLAT)
     f = parse("x")
-    out = dirichlet_form_quadrature(mesh, FLAT, f, phi, lam1)
+    out = dirichlet_form_quadrature(assemble_scalar(mesh, FLAT), f, phi, lam1)
     assert lam1 == pytest.approx(2.0, rel=0.02)
     # Lap f = 0, so the energy collapses to the gradient norm
     assert out["alpha_nu"] == pytest.approx(out["dphi_norm2"], rel=1e-12)
@@ -385,7 +373,7 @@ def test_dirichlet_form_hyperbolic_rectangle():
     mesh = triangulate(DomainSpec.rectangle(0, 1, 1, 2, 32))
     phi, lam1 = first_dirichlet_mode(mesh, HALF_PLANE)
     f = parse("-log(y)")
-    out = dirichlet_form_quadrature(mesh, HALF_PLANE, f, phi, lam1)
+    out = dirichlet_form_quadrature(assemble_scalar(mesh, HALF_PLANE), f, phi, lam1)
     assert out["alpha_nu"] <= 1.05 * lam1
     assert out["alpha_star_nu"] <= 1.05 * lam1
     assert out["alpha_star_nu"] == pytest.approx(out["alpha_nu"], rel=1e-9)
@@ -398,7 +386,7 @@ def test_dirichlet_form_rejects_non_unit_gradient():
     phi, lam1 = first_dirichlet_mode(mesh, HALF_PLANE)
     f = parse("x")
     with pytest.raises(AssemblyError, match="unit-gradient"):
-        dirichlet_form_quadrature(mesh, HALF_PLANE, f, phi, lam1)
+        dirichlet_form_quadrature(assemble_scalar(mesh, HALF_PLANE), f, phi, lam1)
 
 
 @pytest.mark.parametrize(
@@ -449,17 +437,18 @@ def test_dirichlet_form_builds_chart_data_once(domain, metric, f, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(assembly, "_chart_data", counted)
-    got = dirichlet_form_quadrature(mesh, metric, f, phi, lam1, scalar=scalar)
+    got = dirichlet_form_quadrature(scalar, f, phi, lam1)
     assert calls == [mesh]
 
-    # reference: the one-form operators assembled from chart data of their own
+    # reference: the Whitney masses assembled from chart data of their own
+    masses = assembly._whitney_masses
     monkeypatch.setattr(
-        assembly, "assemble_oneform",
-        lambda mesh, metric, rule, scalar, _chart: assemble_oneform(
-            mesh, metric, rule, scalar
+        assembly, "_whitney_masses",
+        lambda mesh, data: masses(
+            mesh, assembly._chart_data(mesh, metric, scalar.quad_rule)
         ),
     )
-    want = dirichlet_form_quadrature(mesh, metric, f, phi, lam1, scalar=scalar)
+    want = dirichlet_form_quadrature(scalar, f, phi, lam1)
     assert len(calls) == 3
     assert set(got) == {"alpha_nu", "alpha_star_nu", "cross", "dphi_norm2"}
     for key in got:
@@ -471,4 +460,6 @@ def test_dirichlet_form_rejects_unnormalized_phi():
     phi, lam1 = first_dirichlet_mode(mesh, HALF_PLANE)
     f = parse("-log(y)")
     with pytest.raises(AssemblyError, match="normalized"):
-        dirichlet_form_quadrature(mesh, HALF_PLANE, f, 3.0 * phi, lam1)
+        dirichlet_form_quadrature(
+            assemble_scalar(mesh, HALF_PLANE), f, 3.0 * phi, lam1
+        )

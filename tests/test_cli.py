@@ -750,6 +750,32 @@ def test_spectrum_count_above_level_zero_names_flag(tmp_path, capsys, bc, limit)
     assert f"level 0 has {limit}" in err
 
 
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann", "oneform"])
+def test_count_beyond_the_solve_limit_names_flag_and_field(
+    tmp_path, capsys, monkeypatch, bc
+):
+    # 81 vertices at level 0; the limit's predicate counts k + 1 pairs on
+    # them: 81 x 23 = 1,863 floats for k = 10, 81 x 25 = 2,025 for k = 11
+    monkeypatch.setattr(eigen, "MAX_SOLVE_FLOATS", 2000)
+    cfg = base_config(tmp_path)
+    cfg["checks"] = ["union"]
+    path = write_config(tmp_path, cfg)
+    assert main(["spectrum", path, "--bc", bc, "-k", "10"]) == 0
+    cfg["check_params"] = {"union": {"count": 10}}
+    assert main(["run", write_config(tmp_path, cfg)]) == 0
+    capsys.readouterr()
+    # refused before any solve
+    monkeypatch.setattr(eigen, "solve_smallest", _must_not_run)
+    monkeypatch.setattr(verify, "solve_smallest", _must_not_run)
+    assert main(["spectrum", path, "--bc", bc, "-k", "11"]) == 2
+    err = capsys.readouterr().err
+    assert f"-k/--count: 11 {bc} eigenpairs of 81 vertices" in err and "limit" in err
+    cfg["check_params"] = {"union": {"count": 11}}
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config field 'check_params/union/count': 11 eigenvalues" in err
+
+
 def test_spectrum_oneform(tmp_path, capsys, monkeypatch):
     # P1 is assembled once, by the level cache, whose operators the 1-form
     # operators take

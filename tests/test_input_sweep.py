@@ -157,7 +157,9 @@ def test_every_bad_value_exits_cleanly_and_names_its_field(tmp_path, capsys):
     assert len(cases) > 700
     config = tmp_path / "config.json"
     problems = []
-    start = time.perf_counter()
+    # CPU time of this process, which other processes on the host do not
+    # inflate as they do the wall time
+    start = time.process_time()
     for label, cfg in cases:
         cfg["output"] = {"report": str(tmp_path / "report.json")}
         config.write_text(json.dumps(cfg))  # NaN and Infinity as Python writes them
@@ -171,9 +173,9 @@ def test_every_bad_value_exits_cleanly_and_names_its_field(tmp_path, capsys):
             problems.append(f"{label}: exit {code}")
         elif code == 2 and "config field '" not in err:
             problems.append(f"{label}: exit 2 names no field: {err.strip()}")
-    elapsed = time.perf_counter() - start
+    elapsed = time.process_time() - start
     assert not problems, "\n".join(problems)
-    assert elapsed < 5.0, f"{len(cases)} cases took {elapsed:.1f} s"
+    assert elapsed < 5.0, f"{len(cases)} cases took {elapsed:.1f} s of CPU"
 
 
 def _objects(node, path=()):

@@ -10,9 +10,10 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from surfspec import eigen  # noqa: E402
+from surfspec.assembly import assemble_scalar  # noqa: E402
 from surfspec.eigen import SolverOptions, solve_smallest  # noqa: E402
 from surfspec.geometry import builtin_metric  # noqa: E402
-from surfspec.mesh import DomainSpec  # noqa: E402
+from surfspec.mesh import DomainSpec, triangulate  # noqa: E402
 from surfspec.verify import LevelCache  # noqa: E402
 
 # on a failure hypothesis imports libcst to write its patch file, and that
@@ -71,3 +72,34 @@ def test_nested_spectra_equal_cold_solves(family, scale, resolution, bc_and_k):
             scale_of = max(float(np.max(cold.values)), 1.0)
             assert np.max(np.abs(nested.values - cold.values)) <= 1e-9 * scale_of
         assert nested.method == "lobpcg-multigrid"
+
+
+# shape -> domain of resolution n inside the conformal metrics' validity box
+CONFORMAL_DOMAINS = {
+    "rectangle": lambda n: DomainSpec.rectangle(-1, 2, -0.5, 1, n),
+    "disk": lambda n: DomainSpec.disk(0.5, -0.5, 2, n),
+    "annulus": lambda n: DomainSpec.annulus(0, 0, 1, 2.5, n),
+}
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(
+    a=st.floats(-1, 1),
+    b=st.floats(-1, 1),
+    shape=st.sampled_from(sorted(CONFORMAL_DOMAINS)),
+    resolution=st.integers(4, 8),
+    rule=st.sampled_from(["midpoint", "degree5"]),
+)
+def test_conformal_factor_leaves_the_stiffness_unchanged(a, b, shape, resolution, rule):
+    # for g = rho I, sqrt(det g) g^-1 is the identity: the Dirichlet energy
+    # is conformally invariant in two dimensions, and the factor rho enters
+    # only the mass
+    rho = "exp(a*x + b*y)"
+    conformal = builtin_metric("general", {
+        "g11": rho, "g12": "0", "g22": rho, "constants": {"a": a, "b": b},
+        "vars": ["x", "y"], "validity": [-3.0, 3.0, -3.0, 3.0],
+    })
+    mesh = triangulate(CONFORMAL_DOMAINS[shape](resolution))
+    got = assemble_scalar(mesh, conformal, rule).stiffness
+    want = assemble_scalar(mesh, builtin_metric("euclidean"), rule).stiffness
+    assert abs(got - want).max() <= 1e-13 * abs(want).max()
