@@ -732,8 +732,12 @@ def _spectrum_result(metric, domain, options, bc: str, count: int):
             f"-k/--count: requested {count} {bc} eigenpairs, "
             f"level 0 has {limit}"
         )
-    # the largest solve of any bc: the Neumann pencil, count + 1 pairs for oneform
-    if not solve_fits(mesh.n_vertices, count + 1):
+    # count + 1 pairs of the Neumann pencil bound every bc's sparse solve; the
+    # Dirichlet pencil of dirichlet and oneform is dense once count reaches
+    # its own dimension
+    if not solve_fits(mesh.n_vertices, count + 1) or (
+        bc != "neumann" and not solve_fits(interior, count)
+    ):
         raise ConfigError(
             f"-k/--count: {count} {bc} eigenpairs of {mesh.n_vertices} vertices "
             f"need solver arrays above the limit {MAX_SOLVE_FLOATS:.0e} floats"

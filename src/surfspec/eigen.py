@@ -65,6 +65,10 @@ DENSE_MAX_DIM = 250
 # the most floats the work arrays of one solve may hold, 0.8 GB: ARPACK's
 # Lanczos basis, or the dense copies (see solve_fits)
 MAX_SOLVE_FLOATS = 10**8
+# dim x dim arrays held by a dense solve of every pair: K, M, LAPACK's copies
+# of both and the eigenvectors (peak growth 5.4-5.6 dim^2 floats measured
+# on flat squares of dimension 1,681 and 3,721)
+DENSE_COPIES = 6
 
 
 class EigenError(ValueError):
@@ -117,7 +121,10 @@ def uses_dense_path(dim: int, k: int) -> bool:
 def solve_fits(dim: int, k: int) -> bool:
     """Whether k pairs of a dimension-``dim`` pencil stay within
     ``MAX_SOLVE_FLOATS``: ARPACK keeps dim x min(dim, max(2k + 1, 20)) floats
-    of Lanczos vectors, and k >= dim makes that dim x dim, the dense copies."""
+    of Lanczos vectors, and k >= dim is a dense solve of ``DENSE_COPIES``
+    dim x dim arrays."""
+    if k >= dim:
+        return DENSE_COPIES * dim * dim <= MAX_SOLVE_FLOATS
     return dim * min(dim, max(2 * k + 1, 20)) <= MAX_SOLVE_FLOATS
 
 

@@ -2,7 +2,12 @@
 
 Supported shapes: axis-aligned rectangles, disks and annuli on polar
 grids, and periodic bands (a rectangle with its theta edges glued).
-Quad cells split along the fixed lower-left to upper-right diagonal.
+Two builders make them: ``_grid_mesh`` the (u, v) grid of a rectangle or
+band, ``_ring_mesh`` the rings of an annulus or disk (a disk adds a fan
+around its centre).  Cells split along the fixed lower-left to
+upper-right diagonal.  ``_grid_dims`` gives each shape's cells per axis,
+and it is the one source of the builders' sizes and of the vertex count
+that ``DomainSpec`` predicts to refuse a mesh before building it.
 
 A mesh keeps two vertex layers:
 
@@ -396,151 +401,86 @@ def _unique_pairs(pairs: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
 # triangulation
 
 
-def _grid_counts(n: int, len_u: float, len_v: float) -> Tuple[int, int]:
-    if len_u <= len_v:
-        nu = n
-        nv = max(2, int(round(n * len_v / len_u)))
-    else:
-        nv = n
-        nu = max(2, int(round(n * len_u / len_v)))
-    return nu, nv
+def _grid_dims(shape: str, n: int, extents) -> Tuple[int, int]:
+    """(ns, nt), the cells of a shape's grid: u by v for a rectangle, whose
+    shorter side gets n and its longer side that length's share of n (at
+    least 2); u by theta for a band; rings by angles for a disk or
+    annulus.  Both ``triangulate`` and the size prediction read it.  A
+    rectangle whose aspect ratio times n is not finite has inf cells on its
+    longer side, a size that only the prediction sees."""
+    if shape != "rectangle":
+        return n, max(3, n)  # below 3 angles a glued band is not edge-manifold
+    u0, u1, v0, v1 = extents
+    len_u, len_v = u1 - u0, v1 - v0
+    cells = n * max(len_u, len_v) / min(len_u, len_v)
+    longer = max(2, int(round(cells))) if math.isfinite(cells) else math.inf
+    return (n, longer) if len_u <= len_v else (longer, n)
 
 
 def _vertex_count(shape: str, n: int, extents) -> float:
     """The number of raw vertices ``triangulate`` makes, without making
     them; inf when a rectangle's aspect ratio times ``n`` overflows."""
-    if shape == "rectangle":
-        u0, u1, v0, v1 = extents
-        len_u, len_v = u1 - u0, v1 - v0
-        if not math.isfinite(n * max(len_u, len_v) / min(len_u, len_v)):
-            return math.inf
-        nu, nv = _grid_counts(n, len_u, len_v)
-        return (nu + 1.0) * (nv + 1.0)
-    ntheta = max(3, n)
-    return float({
-        "periodic_band": (n + 1) * (ntheta + 1),
-        "disk": 1 + n * ntheta,
-        "annulus": (n + 1) * ntheta,
-    }[shape])
-
-
-def _split_cells(cell_ids: np.ndarray) -> np.ndarray:
-    """cell_ids: (ncells, 4) corners (ll, lr, ur, ul) -> (2*ncells, 3)."""
-    ll, lr, ur, ul = cell_ids.T
-    lower = np.stack([ll, lr, ur], axis=1)
-    upper = np.stack([ll, ur, ul], axis=1)
-    return np.concatenate([lower, upper], axis=0)
+    ns, nt = _grid_dims(shape, n, extents)
+    if shape == "disk":
+        return float(1 + ns * nt)
+    if shape == "annulus":
+        return float((ns + 1) * nt)
+    return (ns + 1.0) * (nt + 1.0)  # a band's seam column is duplicated
 
 
 def triangulate(domain: DomainSpec) -> Mesh:
     """Build the structured mesh for a domain spec."""
-    return _TRIANGULATORS[domain.shape](domain)
+    ns, nt = _grid_dims(domain.shape, domain.n, domain.extents)
+    ext = domain.extents
+    if domain.shape == "rectangle":
+        upts, vpts = np.linspace(*ext[:2], ns + 1), np.linspace(*ext[2:], nt + 1)
+        return _grid_mesh(domain, upts, vpts)
+    if domain.shape == "periodic_band":
+        # theta runs over [0, period] with the seam column duplicated: raw
+        # vertex (i, j) is logical vertex i * nt + j mod nt
+        i, j = np.divmod(np.arange((ns + 1) * (nt + 1)), nt + 1)
+        thetas = np.linspace(0.0, domain.theta_period, nt + 1)
+        return _grid_mesh(domain, np.linspace(*ext, ns + 1), thetas, i * nt + j % nt)
+    if domain.shape == "disk":
+        return _ring_mesh(domain, ext[2] * np.arange(1, ns + 1) / ns, nt)
+    return _ring_mesh(domain, np.linspace(ext[2], ext[3], ns + 1), nt)
 
 
-def _triangulate_rectangle(domain: DomainSpec) -> Mesh:
-    u0, u1, v0, v1 = domain.extents
-    nu, nv = _grid_counts(domain.n, u1 - u0, v1 - v0)
-    upts = np.linspace(u0, u1, nu + 1)
-    vpts = np.linspace(v0, v1, nv + 1)
+def _grid_mesh(domain: DomainSpec, upts, vpts, raw_to_logical=None) -> Mesh:
+    """The grid ``upts`` x ``vpts``, vertex (i, j) numbered i * len(vpts) + j.
+    Cell (i, j) has corners ll = (i, j), lr = (i + 1, j), ur = (i + 1, j + 1)
+    and ul = (i, j + 1); the triangles are every cell's (ll, lr, ur), then
+    every cell's (ll, ur, ul)."""
     uu, vv = np.meshgrid(upts, vpts, indexing="ij")
+    ids = np.arange(uu.size).reshape(uu.shape)
+    ll, lr, ur, ul = ids[:-1, :-1], ids[1:, :-1], ids[1:, 1:], ids[:-1, 1:]
+    tris = np.array([[ll, lr, ur], [ll, ur, ul]]).transpose(0, 2, 3, 1).reshape(-1, 3)
     verts = np.column_stack([uu.ravel(), vv.ravel()])
-
-    def vid(i, j):
-        return i * (nv + 1) + j
-
-    i, j = np.meshgrid(np.arange(nu), np.arange(nv), indexing="ij")
-    i, j = i.ravel(), j.ravel()
-    cells = np.stack(
-        [vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)], axis=1
-    )
-    return Mesh.from_arrays(verts, _split_cells(cells), domain=domain)
+    return Mesh.from_arrays(verts, tris, raw_to_logical, domain=domain)
 
 
-def _triangulate_band(domain: DomainSpec) -> Mesh:
-    u0, u1 = domain.extents
-    period = domain.theta_period
-    nu = domain.n
-    ntheta = max(3, domain.n)  # below 3 the glued mesh is not edge-manifold
-    upts = np.linspace(u0, u1, nu + 1)
-    vpts = np.linspace(0.0, period, ntheta + 1)  # seam column duplicated
-    uu, vv = np.meshgrid(upts, vpts, indexing="ij")
-    verts = np.column_stack([uu.ravel(), vv.ravel()])
-
-    def vid(i, j):
-        return i * (ntheta + 1) + j
-
-    i, j = np.meshgrid(np.arange(nu + 1), np.arange(ntheta + 1), indexing="ij")
-    raw_to_logical = (i * ntheta + j % ntheta).ravel()
-
-    i, j = np.meshgrid(np.arange(nu), np.arange(ntheta), indexing="ij")
-    i, j = i.ravel(), j.ravel()
-    cells = np.stack(
-        [vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)], axis=1
-    )
-    return Mesh.from_arrays(verts, _split_cells(cells), raw_to_logical, domain=domain)
-
-
-def _polar_points(cx, cy, radius, ntheta):
-    angles = 2.0 * math.pi * np.arange(ntheta) / ntheta
-    return np.column_stack(
-        [cx + radius * np.cos(angles), cy + radius * np.sin(angles)]
-    )
-
-
-def _ring_cells(rid, rings, ntheta) -> np.ndarray:
-    """Triangles (a, b, c), (a, c, d) of each cell between ring k and k + 1.
-
-    Cells run over k in ``rings`` and then angle j; a = rid(k, j), b =
-    rid(k + 1, j), c = rid(k + 1, j + 1), d = rid(k, j + 1).
-    """
-    k, j = np.meshgrid(rings, np.arange(ntheta), indexing="ij")
-    a, b = rid(k, j), rid(k + 1, j)
-    c, d = rid(k + 1, j + 1), rid(k, j + 1)
-    return np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
-
-
-def _triangulate_disk(domain: DomainSpec) -> Mesh:
-    cx, cy, radius = domain.extents
-    n = domain.n
-    ntheta = max(3, n)
-    verts = [np.array([[cx, cy]])]
-    for k in range(1, n + 1):
-        verts.append(_polar_points(cx, cy, radius * k / n, ntheta))
-    verts = np.concatenate(verts, axis=0)
-
-    def rid(k, j):  # ring k >= 1
-        return 1 + (k - 1) * ntheta + (j % ntheta)
-
-    j = np.arange(ntheta)
-    fan = np.stack([np.zeros_like(j), rid(1, j), rid(1, j + 1)], axis=1)
-    tris = np.concatenate([fan, _ring_cells(rid, np.arange(1, n), ntheta)])
+def _ring_mesh(domain: DomainSpec, radii, nt: int) -> Mesh:
+    """Rings of ``nt`` points at ``radii`` about the domain's centre, point
+    j of a ring at angle 2 pi j / nt.  The cell between rings k and k + 1
+    at angle j splits into (a, b, c) and (a, c, d), with a = (k, j), b =
+    (k + 1, j), c = (k + 1, j + 1) and d = (k, j + 1), cell after cell.  A
+    disk numbers its centre first and joins it to the innermost ring by a
+    fan of triangles, which come first."""
+    cx, cy = domain.extents[:2]
+    angles = 2.0 * math.pi * np.arange(nt) / nt
+    xs = cx + radii[:, None] * np.cos(angles)
+    ys = cy + radii[:, None] * np.sin(angles)
+    centre = domain.shape == "disk"
+    ids = centre + np.arange(xs.size).reshape(xs.shape)
+    ids = np.column_stack([ids, ids[:, 0]])  # angle nt is angle 0
+    a, b, c, d = ids[:-1, :-1], ids[1:, :-1], ids[1:, 1:], ids[:-1, 1:]
+    tris = np.array([[a, b, c], [a, c, d]]).transpose(2, 3, 0, 1).reshape(-1, 3)
+    verts = np.column_stack([xs.ravel(), ys.ravel()])
+    if centre:
+        fan = np.column_stack([np.zeros(nt, dtype=np.int64), ids[0, :-1], ids[0, 1:]])
+        verts = np.concatenate([[[cx, cy]], verts])
+        tris = np.concatenate([fan, tris])
     return Mesh.from_arrays(verts, tris, domain=domain)
-
-
-def _triangulate_annulus(domain: DomainSpec) -> Mesh:
-    cx, cy, r_in, r_out = domain.extents
-    n = domain.n
-    ntheta = max(3, n)
-    rows = [
-        _polar_points(cx, cy, r, ntheta)
-        for r in np.linspace(r_in, r_out, n + 1)
-    ]
-    verts = np.concatenate(rows, axis=0)
-
-    def rid(k, j):
-        return k * ntheta + (j % ntheta)
-
-    return Mesh.from_arrays(
-        verts, _ring_cells(rid, np.arange(n), ntheta), domain=domain
-    )
-
-
-_TRIANGULATORS = {
-    "rectangle": _triangulate_rectangle,
-    "periodic_band": _triangulate_band,
-    "disk": _triangulate_disk,
-    "annulus": _triangulate_annulus,
-}
 
 
 # ---------------------------------------------------------------------------

@@ -633,15 +633,20 @@ def spectrum_union_check(
     cache = _level_cache(domain, metric, options, cache)
     mesh = cache.mesh(level)
     desc = f"{domain.shape} n={domain.n}, {metric.family} metric"
-    if count > len(mesh.interior):
+    n_int = len(mesh.interior)
+    if count > n_int:
         raise ParameterError(
             "count",
-            f"more eigenvalues requested than the {len(mesh.interior)} of "
+            f"more eigenvalues requested than the {n_int} of "
             f"the Dirichlet problem at level {level}",
         )
     beta1 = mesh.betti1
-    # the largest solve: the 1-form side's Neumann block, count + b1 + 1 pairs
-    if not solve_fits(mesh.n_vertices, count + beta1 + 1):
+    # the largest solve of each pencil, at its own dimension: the 1-form
+    # side's Neumann block, count + b1 + 1 pairs, and its Dirichlet block,
+    # count + b1 pairs, dense once that reaches the interior count
+    if not solve_fits(mesh.n_vertices, count + beta1 + 1) or not solve_fits(
+        n_int, count + beta1
+    ):
         raise ParameterError(
             "count",
             f"{count} eigenvalues of {mesh.n_vertices} vertices at level {level} "

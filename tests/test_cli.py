@@ -776,6 +776,28 @@ def test_count_beyond_the_solve_limit_names_flag_and_field(
     assert "config field 'check_params/union/count': 11 eigenvalues" in err
 
 
+def test_dense_solve_is_charged_every_copy_of_its_pencil(tmp_path, capsys, monkeypatch):
+    # at 10,000 floats ARPACK's bound would pass every one of these (81 x 81
+    # = 6,561 floats), but a solve of every pair is dense and holds six
+    # dim x dim arrays: 39,366 floats on the 81 vertices, 14,406 on the 49
+    # interior unknowns of a Dirichlet request
+    monkeypatch.setattr(eigen, "MAX_SOLVE_FLOATS", 10_000)
+    cfg = base_config(tmp_path)
+    cfg["checks"] = ["union"]
+    path = write_config(tmp_path, cfg)
+    monkeypatch.setattr(eigen, "solve_smallest", _must_not_run)
+    monkeypatch.setattr(verify, "solve_smallest", _must_not_run)
+    for bc, count in (("neumann", 81), ("dirichlet", 49), ("oneform", 49)):
+        assert main(["spectrum", path, "--bc", bc, "-k", str(count)]) == 2
+        err = capsys.readouterr().err
+        assert f"-k/--count: {count} {bc} eigenpairs of 81 vertices" in err
+        assert "above the limit" in err
+    cfg["check_params"] = {"union": {"count": 49}}
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config field 'check_params/union/count': 49 eigenvalues" in err
+
+
 def test_spectrum_oneform(tmp_path, capsys, monkeypatch):
     # P1 is assembled once, by the level cache, whose operators the 1-form
     # operators take

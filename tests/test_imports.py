@@ -1,9 +1,13 @@
-"""Every name a surfspec module imports is used there, exported, or marked.
+"""Every name a surfspec module imports is used there, exported, or marked,
+and every private module-level name is loaded somewhere in the package.
 
 A name counts as used when the module's syntax tree loads it anywhere
 outside its import (annotations included), as exported when the
 module's ``__all__`` lists it, and as marked when its own line in the
-import carries ``# noqa: F401``.
+import carries ``# noqa: F401``.  A private name (one leading underscore,
+not a dunder) that a module defines as a function, class or assignment
+at its top level must be loaded, as a name or an attribute, outside its
+own definition by some module of the package.
 """
 
 import ast
@@ -61,3 +65,68 @@ def test_unused_import_is_found():
         "    return np.sum(x)\n"
     )
     assert unused_imports(source) == [(1, "Iterable"), (6, "uses_dense_path")]
+
+
+def orphaned_private_names(sources: dict) -> list:
+    """(module, name) of each private module-level function, class or
+    assigned name that no source in ``sources`` (module -> text) loads
+    outside its own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    loads = {}  # name -> ids of the Name and Attribute nodes that load it
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(getattr(node, "ctx", None), ast.Load):
+                name = getattr(node, "id", getattr(node, "attr", None))
+                loads.setdefault(name, set()).add(id(node))
+    orphans = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                found = [n for t in targets for n in ast.walk(t)]
+                names = [
+                    n.id for n in found
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                ]
+            else:
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            for name in names:
+                if not name.startswith("_") or name.startswith("__"):
+                    continue
+                if not loads.get(name, set()) - inside:
+                    orphans.append((module, name))
+    return orphans
+
+
+def test_every_private_name_is_loaded():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert orphaned_private_names(sources) == []
+
+
+def test_orphaned_private_name_is_found():
+    sources = {
+        "a": (
+            "__version__ = '1'\n"
+            "_LIMIT: int = 3\n"
+            "_pair, _left_over = 1, 2\n"
+            "def _recurse(n):\n"
+            "    return _recurse(n - 1) if n else _LIMIT\n"
+            "class _Box:\n"
+            "    pass\n"
+            "def _unused():\n"
+            "    return _Box()\n"
+            "def _by_attribute():\n"
+            "    return _pair\n"
+            "_TABLE = {}\n"
+            "_TABLE['x'] = [_ for _ in (1,)]\n"
+        ),
+        "b": "from . import a\nprint(a._by_attribute(), a._LIMIT)\n",
+    }
+    assert orphaned_private_names(sources) == [
+        ("a", "_left_over"),
+        ("a", "_recurse"),
+        ("a", "_unused"),
+    ]

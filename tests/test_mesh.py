@@ -1,5 +1,6 @@
 """Mesh construction, identification, refinement, and topology checks."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -432,6 +433,53 @@ def test_wrong_extent_count(shape, extents):
 def test_vertex_count_predicts_triangulate(domain):
     predicted = _vertex_count(domain.shape, domain.n, domain.extents)
     assert predicted == len(triangulate(domain).verts)
+
+
+def mesh_digest(mesh) -> str:
+    """blake2b of the raw arrays, each with its dtype."""
+    h = hashlib.blake2b(digest_size=16)
+    for array in (mesh.verts, mesh.tris, mesh.raw_to_logical):
+        h.update(array.dtype.str.encode())
+        h.update(np.ascontiguousarray(array).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "domain,level0,level1",
+    [
+        (
+            DomainSpec.rectangle(0, 1, 1, 2.5, 5),
+            "bafe2961e198da1d6bf2e36ef503fbad",
+            "19b4097a15983447df32485c6afcf09e",
+        ),
+        (
+            DomainSpec.rectangle(0, 3, 0, 1, 2),
+            "266b8a8527b9ec8af8bdf658d8f4d7ff",
+            "187f15f249079f0590a2c17f3664dea2",
+        ),
+        (
+            DomainSpec.periodic_band(-1, 1, 2, theta_period=3.0),  # 3 angles
+            "f4b55642ae239e8ebb15175796befa41",
+            "2127af440509ef5bbe92f5110144fe68",
+        ),
+        (
+            DomainSpec.disk(0.5, -0.5, 2, 3),
+            "bb306020d0ccd9fc4de0be42c89025d5",
+            "7c0ce3befd49fa0765da8a78bb5e05f5",
+        ),
+        (
+            DomainSpec.annulus(0, 0, 1, 2.5, 2),
+            "499e686581db1ab5f822ac4776b63888",
+            "6f3cbe029ec4225a6e3acc703248a2d9",
+        ),
+    ],
+    ids=["rectangle", "rectangle-n2", "band-n2", "disk", "annulus-n2"],
+)
+def test_meshes_are_bit_identical_to_the_recorded_ones(domain, level0, level1):
+    # vertex order, triangle order and coordinate arithmetic are part of every
+    # report: a rewrite of the builders must reproduce these bytes exactly
+    mesh = triangulate(domain)
+    assert (mesh_digest(mesh), mesh_digest(refine(mesh))) == (level0, level1)
 
 
 @pytest.mark.parametrize(

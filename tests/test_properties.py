@@ -13,7 +13,13 @@ from surfspec import eigen  # noqa: E402
 from surfspec.assembly import assemble_scalar  # noqa: E402
 from surfspec.eigen import SolverOptions, solve_smallest  # noqa: E402
 from surfspec.geometry import builtin_metric  # noqa: E402
-from surfspec.mesh import DomainSpec, triangulate  # noqa: E402
+from surfspec.mesh import (  # noqa: E402
+    EXTENT_COUNT,
+    DomainSpec,
+    _vertex_count,
+    refine,
+    triangulate,
+)
 from surfspec.verify import LevelCache  # noqa: E402
 
 # on a failure hypothesis imports libcst to write its patch file, and that
@@ -103,3 +109,33 @@ def test_conformal_factor_leaves_the_stiffness_unchanged(a, b, shape, resolution
     got = assemble_scalar(mesh, conformal, rule).stiffness
     want = assemble_scalar(mesh, builtin_metric("euclidean"), rule).stiffness
     assert abs(got - want).max() <= 1e-13 * abs(want).max()
+
+
+@st.composite
+def domains(draw):
+    """A domain of any shape, resolution 2-12, with corners or centres in
+    [-2, 2]^2 and sides, radii, radial widths and theta periods in [0.2, 2]
+    (so a rectangle's aspect ratio is at most 10)."""
+    shape = draw(st.sampled_from(sorted(EXTENT_COUNT)))
+    x, y = draw(st.floats(-2, 2)), draw(st.floats(-2, 2))
+    a, b = draw(st.floats(0.2, 2)), draw(st.floats(0.2, 2))
+    extents = {
+        "rectangle": (x, x + a, y, y + b),
+        "periodic_band": (x, x + a),
+        "disk": (x, y, a),
+        "annulus": (x, y, a, a + b),
+    }[shape]
+    return DomainSpec(shape, draw(st.integers(2, 12)), extents, theta_period=b)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(domain=domains())
+def test_vertex_count_and_bound_hold_over_shapes(domain):
+    # the size DomainSpec refuses by is the size triangulate builds, and the
+    # refinement bound holds at every level it is asked about
+    mesh = triangulate(domain)
+    assert _vertex_count(domain.shape, domain.n, domain.extents) == len(mesh.verts)
+    assert domain.vertex_bound(0) >= len(mesh.verts)
+    for level in (1, 2):
+        mesh = refine(mesh)
+        assert domain.vertex_bound(level) >= len(mesh.verts)
