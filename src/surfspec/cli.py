@@ -49,10 +49,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import THREAD_SETTINGS
+from . import THREAD_SETTINGS, eigen
 from .assembly import AssemblyError, assemble_oneform
 from .eigen import (
-    MAX_SOLVE_FLOATS,
     EigenError,
     SolverOptions,
     cluster_multiplicities,
@@ -740,7 +739,7 @@ def _spectrum_result(metric, domain, options, bc: str, count: int):
     ):
         raise ConfigError(
             f"-k/--count: {count} {bc} eigenpairs of {mesh.n_vertices} vertices "
-            f"need solver arrays above the limit {MAX_SOLVE_FLOATS:.0e} floats"
+            f"need solver arrays above the limit {eigen.MAX_SOLVE_FLOATS:.0e} floats"
         )
     if bc != "oneform":
         return cache.spectrum(0, bc, count)

@@ -10,8 +10,9 @@ rule for the shift: sigma = SIGMA_SCALE * mean(K_ii / M_ii).  Any sigma
 pencils, so it returns the k smallest pairs.  A nested solve
 (``verify.LevelCache`` above level 0) passes a start block, the coarser
 level's eigenvectors interpolated onto this one, and a preconditioner,
-a multigrid V-cycle whose coarse solve is the level-0 factor; it runs
-LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) and factors nothing.
+a multigrid V-cycle that smooths along lines of strong couplings and
+whose coarse solve is the level-0 factor; it runs LOBPCG (Knyazev, SIAM
+J. Sci. Comput. 23, 2001) and factors nothing.
 Both start points are pure functions of the inputs, so runs are
 reproducible.
 
@@ -58,13 +59,16 @@ __all__ = [
 
 ZERO_MODE_FACTOR = 1e-10  # eta below this times max(eta) counts as harmonic
 SIGMA_SCALE = 1e-6  # shift / mean(K_ii / M_ii); 1e-5 and up add LOBPCG iterations
-LOBPCG_MAXITER = 100  # nested solves of the perfbench configs take 8-31 iterations
+LOBPCG_MAXITER = 100  # nested solves of the perfbench configs take 8-21 iterations
 # largest pencil solved densely: the measured crossover (2 cores, hyperbolic
 # rectangle: dense = sparse at dim 220, 23.5 vs 8.2 ms at dim 476)
 DENSE_MAX_DIM = 250
 # the most floats the work arrays of one solve may hold, 0.8 GB: ARPACK's
-# Lanczos basis, or the dense copies (see solve_fits)
+# Lanczos basis, LOBPCG's blocks or the dense copies (see solve_fits)
 MAX_SOLVE_FLOATS = 10**8
+# dim x k blocks held by a nested LOBPCG solve (peak growth 20.4 and 22.3
+# dim x k floats measured on a flat square of dimension 9,409, k = 60 and 120)
+LOBPCG_BLOCKS = 22
 # dim x dim arrays held by a dense solve of every pair: K, M, LAPACK's copies
 # of both and the eigenvectors (peak growth 5.4-5.6 dim^2 floats measured
 # on flat squares of dimension 1,681 and 3,721)
@@ -118,13 +122,16 @@ def uses_dense_path(dim: int, k: int) -> bool:
     return dim <= DENSE_MAX_DIM or k >= dim
 
 
-def solve_fits(dim: int, k: int) -> bool:
+def solve_fits(dim: int, k: int, nested: bool = False) -> bool:
     """Whether k pairs of a dimension-``dim`` pencil stay within
-    ``MAX_SOLVE_FLOATS``: ARPACK keeps dim x min(dim, max(2k + 1, 20)) floats
-    of Lanczos vectors, and k >= dim is a dense solve of ``DENSE_COPIES``
-    dim x dim arrays."""
+    ``MAX_SOLVE_FLOATS``: k >= dim is a dense solve of ``DENSE_COPIES``
+    dim x dim arrays, a ``nested`` solve (LOBPCG from a start block) holds
+    ``LOBPCG_BLOCKS`` dim x k arrays, and ARPACK keeps dim x min(dim,
+    max(2k + 1, 20)) floats of Lanczos vectors."""
     if k >= dim:
         return DENSE_COPIES * dim * dim <= MAX_SOLVE_FLOATS
+    if nested:
+        return LOBPCG_BLOCKS * dim * k <= MAX_SOLVE_FLOATS
     return dim * min(dim, max(2 * k + 1, 20)) <= MAX_SOLVE_FLOATS
 
 

@@ -39,8 +39,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.linalg import solve_banded
+from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
+from . import eigen
 from .assembly import (
     apply_dirichlet,
     assemble_oneform,
@@ -48,7 +50,6 @@ from .assembly import (
     dirichlet_form_quadrature,
 )
 from .eigen import (
-    MAX_SOLVE_FLOATS,
     ZERO_MODE_FACTOR,
     EigenError,
     SolverOptions,
@@ -103,9 +104,13 @@ MAX_GRID_POINTS = 4096**2
 # the most values the cylinder oracle lists: each takes about 130 bytes in the
 # lists and the report, and 13 bytes of report text, 0.15 GB at this count
 MAX_ORACLE_VALUES = 10**6
-# damped Jacobi smoothing of the nested-solve V-cycle: weight, steps each side
+# damped line smoothing of the nested-solve V-cycle: weight, steps each side
 VCYCLE_DAMPING = 0.6
 VCYCLE_SMOOTHING = 2
+# -a_ij / max_k(-a_ik) from which vertex j couples strongly to vertex i, the
+# test for the lines of the smoother; 0.25 finds the same lines on the
+# benchmark configs
+LINE_STRENGTH = 0.5
 
 
 class VerifyError(ValueError):
@@ -382,9 +387,14 @@ class LevelCache:
 
         sigma and the exact level-0 solve are :meth:`_factor`'s; each
         level's A_l is built from the cache's own pencil, P_l is
-        :meth:`_transfer`; damped Jacobi (weight VCYCLE_DAMPING,
-        VCYCLE_SMOOTHING steps before and after the coarse correction)
-        smooths.  Applies to a vector or a block.
+        :meth:`_transfer`.  Damped line smoothing (weight VCYCLE_DAMPING,
+        VCYCLE_SMOOTHING steps before and after the coarse correction) is
+        block Jacobi whose blocks are the lines of strong couplings that
+        :func:`_lines` finds, cached per level and bc: x = weight B^-1 r,
+        B being A_l's diagonal plus its couplings along lines.  A vertex on
+        no line keeps the diagonal, so a level without lines is smoothed
+        by damped point Jacobi.  B is symmetric, and with equal pre- and
+        post-smoothing so is the V-cycle.  Applies to a vector or a block.
         """
         shift, coarsest = self._factor(bc)
         A = {
@@ -392,17 +402,31 @@ class LevelCache:
             for l in range(1, level + 1)
         }
         jacobi = {l: VCYCLE_DAMPING / a.diagonal()[:, None] for l, a in A.items()}
+        lines = {}
+        for l, a in A.items():
+            found = self._get(("lines", l, bc), lambda a=a: _lines(a))
+            if found is not None:
+                lines[l] = (found[0], len(found[1]), _line_band(a, *found))
+
+        def smooth(l, r):
+            x = jacobi[l] * r
+            if l in lines:
+                order, width, band = lines[l]
+                x[order] = VCYCLE_DAMPING * solve_banded(
+                    (width, width), band, r[order], check_finite=False
+                )
+            return x
 
         # a loop, not a recursive closure: that closure would be a reference
-        # cycle, which keeps A and jacobi alive after the solve until the
-        # cyclic garbage collector happens to run
+        # cycle, which keeps A and the smoothers alive after the solve until
+        # the cyclic garbage collector happens to run
         def apply(block):
             r = block.reshape(block.shape[0], -1)
             down = []
             for l in range(level, 0, -1):
-                x = jacobi[l] * r
+                x = smooth(l, r)
                 for _ in range(VCYCLE_SMOOTHING - 1):
-                    x += jacobi[l] * (r - A[l] @ x)
+                    x += smooth(l, r - A[l] @ x)
                 P = self._transfer(l, bc)
                 down.append((l, r, x, P))
                 r = P.T @ (r - A[l] @ x)
@@ -410,11 +434,65 @@ class LevelCache:
             for l, r, fine, P in reversed(down):
                 fine += P @ x
                 for _ in range(VCYCLE_SMOOTHING):
-                    fine += jacobi[l] * (r - A[l] @ fine)
+                    fine += smooth(l, r - A[l] @ fine)
                 x = fine
             return x.reshape(block.shape)
 
         return apply
+
+
+def _lines(A: sp.csr_matrix):
+    """The lines of strong couplings of a symmetric A, or None if it has none.
+
+    j couples strongly to i when -a_ij > 0 and -a_ij >= LINE_STRENGTH times
+    the largest -a_ik, k != i (Trottenberg, Oosterlee & Schueller,
+    *Multigrid*, 2001, section 5.1).  i and j are linked when each couples
+    strongly to the other and neither has more than two strong couplings,
+    so the links form paths and rings; a line is such a component of at
+    least 3 vertices (two-vertex ones appear at the corners of isotropic
+    grids).  Returns ``(order, linked)``: the line vertices in reverse
+    Cuthill-McKee order, which gives a path bandwidth 1 and a ring
+    bandwidth 2, and a (bandwidth, len(order)) mask whose ``linked[d - 1,
+    q]`` says whether ``order[q - d]`` and ``order[q]`` are linked.
+    """
+    n = A.shape[0]
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(A.indptr))
+    pull = np.where(A.indices == rows, -np.inf, -A.data)  # -a_ij, i != j
+    strongest = np.maximum.reduceat(pull, A.indptr[:-1])
+    strong = (pull > 0) & (pull >= LINE_STRENGTH * strongest[rows])
+    few = np.add.reduceat(strong, A.indptr[:-1], dtype=np.intp) <= 2
+    at = np.flatnonzero(strong & few[rows])
+    i, j = rows[at], A.indices[at].astype(np.int64)
+    i, j = i[few[j]], j[few[j]]
+    mutual = np.isin(i * n + j, j * n + i)  # (j, i) is strong too
+    i, j = i[mutual], j[mutual]
+    links = sp.csr_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
+    _, label = connected_components(links, directed=False)
+    on_line = np.flatnonzero(np.bincount(label)[label] >= 3)
+    if on_line.size == 0:
+        return None
+    links = links[on_line][:, on_line]
+    perm = reverse_cuthill_mckee(links, symmetric_mode=True)
+    pairs = sp.triu(links[perm][:, perm], k=1).tocoo()
+    offset = pairs.col - pairs.row
+    linked = np.zeros((offset.max(), len(perm)), dtype=bool)
+    linked[offset - 1, pairs.col] = True
+    return on_line[perm].astype(np.int32), linked
+
+
+def _line_band(A: sp.csr_matrix, order, linked) -> np.ndarray:
+    """B on the line vertices of :func:`_lines`: A's diagonal and its
+    couplings along lines, in the diagonal-ordered form of ``solve_banded``
+    with ``len(linked)`` diagonals on each side."""
+    width = len(linked)
+    band = np.zeros((2 * width + 1, len(order)))
+    band[width] = A.diagonal()[order]
+    for d, ends in enumerate(linked, 1):
+        q = np.flatnonzero(ends)
+        coupling = np.asarray(A[order[q - d], order[q]]).ravel()
+        band[width - d, q] = coupling
+        band[width + d, q - d] = coupling
+    return band
 
 
 def _leading(block: SpectralResult, k: int) -> SpectralResult:
@@ -423,6 +501,26 @@ def _leading(block: SpectralResult, k: int) -> SpectralResult:
         block.values[:k], block.vectors[:, :k], block.residuals[:k], block.bc,
         block.method, shift=block.shift, converged=block.converged,
     )
+
+
+def _converged(
+    result: SpectralResult, level: int, options: SolverOptions
+) -> SpectralResult:
+    """``result``, if its solve converged; otherwise :class:`EigenError`
+    naming the level, the bc, the worst residual and ``options.tol``, so that
+    no check reports a spectrum that did not converge."""
+    if not result.converged:
+        raise EigenError(
+            f"the level-{level} {result.bc} eigensolve did not converge: worst "
+            f"residual {float(np.max(result.residuals)):.3g}, tolerance "
+            f"{options.tol:g}"
+        )
+    return result
+
+
+def _spectrum(cache: LevelCache, level: int, bc: str, k: int) -> SpectralResult:
+    """The cache's spectrum for a check, refused by :func:`_converged`."""
+    return _converged(cache.spectrum(level, bc, k), level, cache.options)
 
 
 def _level_cache(domain, metric, options, cache) -> LevelCache:
@@ -480,9 +578,9 @@ def verify_inequality(
     rows = []
     for lvl in range(levels):
         mesh = cache.mesh(lvl)
-        lam1 = float(cache.spectrum(lvl, "dirichlet", 1).values[0])
+        lam1 = float(_spectrum(cache, lvl, "dirichlet", 1).values[0])
         mu = [
-            float(x) for x in cache.spectrum(lvl, "neumann", NEUMANN_BLOCK).values
+            float(x) for x in _spectrum(cache, lvl, "neumann", NEUMANN_BLOCK).values
         ]
         target = mu[mu_order - 1]
         h = mesh.h_max
@@ -558,7 +656,7 @@ def lemma_check(
 
     def stage(lvl):
         mesh = cache.mesh(lvl)
-        ground = cache.spectrum(lvl, "dirichlet", 1)
+        ground = _spectrum(cache, lvl, "dirichlet", 1)
         lam1 = float(ground.values[0])
         phi = np.zeros(mesh.n_vertices)
         phi[mesh.interior] = ground.vectors[:, 0]
@@ -642,25 +740,33 @@ def spectrum_union_check(
         )
     beta1 = mesh.betti1
     # the largest solve of each pencil, at its own dimension: the 1-form
-    # side's Neumann block, count + b1 + 1 pairs, and its Dirichlet block,
-    # count + b1 pairs, dense once that reaches the interior count
-    if not solve_fits(mesh.n_vertices, count + beta1 + 1) or not solve_fits(
-        n_int, count + beta1
-    ):
+    # side's cold Neumann block, count + b1 + 1 pairs, and its Dirichlet
+    # block, count + b1 pairs, dense once that reaches the interior count;
+    # above level 0 the scalar side's count + 1 Neumann and count Dirichlet
+    # pairs are nested solves
+    nested = level > 0
+    solves = (
+        (mesh.n_vertices, count + beta1 + 1, False), (n_int, count + beta1, False),
+        (mesh.n_vertices, count + 1, nested), (n_int, count, nested),
+    )
+    if not all(solve_fits(*solve) for solve in solves):
         raise ParameterError(
             "count",
             f"{count} eigenvalues of {mesh.n_vertices} vertices at level {level} "
-            f"need solver arrays above the limit {MAX_SOLVE_FLOATS:.0e} floats",
+            f"need solver arrays above the limit {eigen.MAX_SOLVE_FLOATS:.0e} floats",
         )
     one_ops = assemble_oneform(cache.operators(level))
-    one = solve_oneform(one_ops, count + beta1, options=cache.options)
+    one = _converged(
+        solve_oneform(one_ops, count + beta1, options=cache.options), level,
+        cache.options,
+    )
     top = float(np.max(one.values))
     zero_count = int(np.sum(one.values < ZERO_MODE_FACTOR * top))
     positive = [float(v) for v in one.values[zero_count:]]
 
-    dir_values = cache.spectrum(level, "dirichlet", count).values
+    dir_values = _spectrum(cache, level, "dirichlet", count).values
     # the Neumann side drops its constant mode
-    neu_positive = cache.spectrum(level, "neumann", count + 1).values[1:]
+    neu_positive = _spectrum(cache, level, "neumann", count + 1).values[1:]
     union = np.sort(np.concatenate([dir_values, neu_positive]))[:count]
 
     quantities = {
@@ -878,7 +984,7 @@ def convergence_study(
         {
             "level": lvl,
             "h": cache.mesh(lvl).h_max,
-            "value": float(cache.spectrum(lvl, bc, index + 1).values[index]),
+            "value": float(_spectrum(cache, lvl, bc, index + 1).values[index]),
         }
         for lvl in range(levels)
     ]

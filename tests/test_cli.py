@@ -791,11 +791,76 @@ def test_dense_solve_is_charged_every_copy_of_its_pencil(tmp_path, capsys, monke
         assert main(["spectrum", path, "--bc", bc, "-k", str(count)]) == 2
         err = capsys.readouterr().err
         assert f"-k/--count: {count} {bc} eigenpairs of 81 vertices" in err
-        assert "above the limit" in err
+        # the limit in force, not the one the module was loaded with
+        assert "above the limit 1e+04 floats" in err
     cfg["check_params"] = {"union": {"count": 49}}
     assert main(["run", write_config(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err
     assert "config field 'check_params/union/count': 49 eigenvalues" in err
+    assert "above the limit 1e+04 floats" in err
+
+
+def test_nested_union_solve_is_charged_lobpcg_blocks(tmp_path, capsys, monkeypatch):
+    # a flat square of resolution 16 has 1,089 vertices and 961 interior
+    # ones at level 1.  ARPACK's charge admits 10 eigenvalues there at
+    # 50,000 floats (1,089 x 23 and 961 x 21 floats), but above level 0 the
+    # scalar side runs LOBPCG, which holds LOBPCG_BLOCKS dim x k floats:
+    # 22 x 1,089 x 11 for the Neumann block
+    monkeypatch.setattr(eigen, "MAX_SOLVE_FLOATS", 50_000)
+    assert eigen.solve_fits(1089, 11) and eigen.solve_fits(961, 10)
+    assert not eigen.solve_fits(1089, 11, nested=True)
+    cfg = base_config(tmp_path)
+    cfg["domain"]["resolution"] = 16
+    cfg["checks"] = ["union"]
+    # level 0 keeps ARPACK's charge
+    cfg["check_params"] = {"union": {"count": 10, "level": 0}}
+    assert main(["run", write_config(tmp_path, cfg)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(verify, "solve_smallest", _must_not_run)
+    monkeypatch.setattr(verify, "solve_oneform", _must_not_run)
+    cfg["check_params"] = {"union": {"count": 10, "level": 1}}
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert (
+        "config field 'check_params/union/count': 10 eigenvalues of 1089 "
+        "vertices at level 1 need solver arrays above the limit 5e+04 floats"
+    ) in err
+
+
+def cusp_band_config(tmp_path, check, params):
+    cfg = base_config(tmp_path)
+    cfg["metric"] = {
+        "family": "warped",
+        "params": {"phi": "exp(r)", "r_range": [-1.0, 0.0]},
+    }
+    cfg["distance_function"] = "r"
+    cfg["domain"] = {"shape": "periodic_band", "extents": [-1.0, 0.0], "resolution": 8}
+    cfg["checks"] = [check]
+    cfg["check_params"] = {check: params}
+    return cfg
+
+
+@pytest.mark.parametrize("check,params,solve", [
+    ("inequality", {"levels": 3}, "level-1 neumann"),
+    ("lemma", {"level": 1}, "level-2 dirichlet"),
+    ("convergence", {"bc": "neumann", "levels": 3}, "level-1 neumann"),
+    ("union", {"level": 1}, "level-1 neumann"),
+])
+def test_unconverged_spectrum_is_refused(
+    tmp_path, capsys, monkeypatch, check, params, solve
+):
+    # levels 1-2 of a resolution-8 cusp band are nested LOBPCG solves
+    # (level 1's Dirichlet pencil of 240 unknowns is dense); two iterations
+    # leave their residuals far above the tolerance, and no check may report
+    # such a spectrum
+    path = write_config(tmp_path, cusp_band_config(tmp_path, check, params))
+    assert main(["run", path]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(eigen, "LOBPCG_MAXITER", 2)
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert f"error: the {solve} eigensolve did not converge: worst residual" in err
+    assert "tolerance 1e-09" in err
 
 
 def test_spectrum_oneform(tmp_path, capsys, monkeypatch):

@@ -43,6 +43,11 @@ FAMILIES = {
         builtin_metric("warped", {"phi": "exp(r)", "r_range": (-1.0, 0.0)}),
         lambda s, n: DomainSpec.periodic_band(-s, 0, n),
     ),
+    # theta couplings are the strong ones: the V-cycle smooths along rings
+    "thin band": (
+        builtin_metric("warped", {"phi": "0.05", "r_range": (0.0, 1.0)}),
+        lambda s, n: DomainSpec.periodic_band(0, s, n),
+    ),
 }
 
 BC_AND_K = st.one_of(

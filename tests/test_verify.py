@@ -6,9 +6,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from surfspec import eigen, verify
-from surfspec.eigen import SolverOptions, solve_smallest
+from surfspec.eigen import EigenError, SolverOptions, solve_smallest
 from surfspec.geometry import builtin_metric
 from surfspec.mesh import DomainSpec, refine, triangulate
 from surfspec.verify import (
@@ -197,6 +199,20 @@ def test_spectrum_union_band_above_old_edge_boundary():
     assert first.passed and q["zero_modes"] == q["betti1"] == 1
     assert recompute_pass(first)
     assert json.dumps(first.to_dict()) == json.dumps(second.to_dict())
+
+
+def test_spectrum_union_refuses_an_unconverged_oneform_solve(monkeypatch):
+    solve_oneform = verify.solve_oneform
+
+    def unconverged(*args, **kwargs):
+        result = solve_oneform(*args, **kwargs)
+        result.converged = False
+        return result
+
+    monkeypatch.setattr(verify, "solve_oneform", unconverged)
+    domain = DomainSpec.rectangle(0, math.pi, 0, math.pi, 8)
+    with pytest.raises(EigenError, match="the level-0 oneform eigensolve did not"):
+        spectrum_union_check(domain, FLAT)
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +453,134 @@ def test_vcycle_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# line smoothing of the V-cycle
+
+
+def shifted_pencil(cache, level, bc):
+    """A_l = K_l + sigma M_l, the operator a V-cycle smooths at that level."""
+    sigma, _ = cache._factor(bc)
+    pencil = cache.pencil(level, bc)
+    return (pencil.stiffness + sigma * pencil.mass).tocsr()
+
+
+def line_links(order, linked):
+    """The links of :func:`verify._lines` as (m, 2) vertex ids."""
+    return np.array([
+        (order[q - d], order[q])
+        for d, ends in enumerate(linked, 1) for q in np.flatnonzero(ends)
+    ])
+
+
+def unknown_coordinates(cache, level, bc):
+    """Chart coordinates of a pencil's unknowns, the seam copy for a band's."""
+    mesh = cache.mesh(level)
+    coords = np.empty((mesh.n_vertices, 2))
+    coords[mesh.raw_to_logical] = mesh.verts
+    return coords[mesh.interior] if bc == "dirichlet" else coords
+
+
+SHEARED = builtin_metric("general", {
+    "g11": "1/y^2", "g12": "a/y^2", "g22": "(1+a^2)/y^2",
+    "constants": {"a": 0.5}, "vars": ["x", "y"],
+    "validity": [-10.0, 10.0, 0.05, 10.0],
+})
+
+
+@pytest.mark.parametrize("domain,metric,rule", [
+    (DomainSpec.rectangle(0, math.pi, 0, math.pi, 32), FLAT, "midpoint"),
+    (DomainSpec.rectangle(0, 1, 1, math.e, 16), HALF_PLANE, "midpoint"),
+    (DomainSpec.rectangle(0, 1, 1, math.e, 16), SHEARED, "degree5"),
+], ids=["readme-square", "half-plane", "sheared"])
+def test_isotropic_pencils_have_no_lines(domain, metric, rule):
+    # no vertex lies on a line, so their V-cycles smooth by point Jacobi
+    cache = LevelCache(domain, metric, SolverOptions(quad_rule=rule))
+    for bc in ("dirichlet", "neumann"):
+        for level in (1, 2):
+            assert verify._lines(shifted_pencil(cache, level, bc)) is None
+
+
+def cusp_band(resolution=8):
+    return LevelCache(DomainSpec.periodic_band(-1, 0, resolution), cusp_metric())
+
+
+def test_cusp_band_lines_run_along_r():
+    # its cells are 2.3-6.3 times longer in theta than in r, so every unknown
+    # lies on a path of r-couplings at a fixed angle
+    cache = cusp_band()
+    for bc in ("dirichlet", "neumann"):
+        for level in (1, 2):
+            A = shifted_pencil(cache, level, bc)
+            order, linked = verify._lines(A)
+            assert np.array_equal(np.sort(order), np.arange(A.shape[0]))
+            assert len(linked) == 1  # paths: bandwidth 1
+            ends = unknown_coordinates(cache, level, bc)[line_links(order, linked)]
+            assert np.all(ends[:, 0, 1] == ends[:, 1, 1])  # the same theta
+            assert np.all(ends[:, 0, 0] != ends[:, 1, 0])
+
+
+def test_thin_band_lines_are_rings_along_theta():
+    # with phi = 0.05 the strong direction is the periodic theta, so each
+    # circle r = const is a closed line: as many links as vertices
+    cache = LevelCache(
+        DomainSpec.periodic_band(0, 1, 8),
+        builtin_metric("warped", {"phi": "0.05", "r_range": (0.0, 1.0)}),
+    )
+    for bc in ("dirichlet", "neumann"):
+        for level in (1, 2):
+            A = shifted_pencil(cache, level, bc)
+            order, linked = verify._lines(A)
+            assert np.array_equal(np.sort(order), np.arange(A.shape[0]))
+            assert len(linked) == 2  # rings: bandwidth 2
+            links = line_links(order, linked)
+            coords = unknown_coordinates(cache, level, bc)
+            assert np.all(coords[links[:, 0], 0] == coords[links[:, 1], 0])
+            graph = sp.coo_matrix(
+                (np.ones(len(links)), tuple(links.T)), shape=A.shape
+            )
+            n_lines, label = connected_components(graph, directed=False)
+            circles = np.unique(coords[:, 0])
+            assert n_lines == len(circles)
+            assert np.array_equal(
+                np.bincount(label[links[:, 0]]), np.bincount(label)
+            )
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_cusp_band_vcycle_contracts(bc):
+    # the A-norm error reduction of the last of 8 stationary V-cycles at
+    # level 2; point Jacobi gives 0.80-0.85 on this anisotropic band
+    cache = cusp_band()
+    A = shifted_pencil(cache, 2, bc)
+    vcycle = cache._vcycle(2, bc)
+    error = np.random.default_rng(0).standard_normal(A.shape[0])
+    norms = [math.sqrt(error @ (A @ error))]
+    for _ in range(8):
+        error = error - vcycle(A @ error)
+        norms.append(math.sqrt(error @ (A @ error)))
+    assert norms[-1] <= 0.3 * norms[-2]
+
+
+def test_cusp_band_neumann_lobpcg_iterations(monkeypatch):
+    # levels 1-2 are nested solves; point Jacobi needs 27 iterations at
+    # level 2
+    lobpcg, iterations = eigen.spla.lobpcg, []
+
+    def counted(*args, **kwargs):
+        values, vectors, history = lobpcg(
+            *args, retResidualNormsHistory=True, **kwargs
+        )
+        iterations.append(len(history))
+        return values, vectors
+
+    monkeypatch.setattr(eigen.spla, "lobpcg", counted)
+    cache = cusp_band()
+    for level in range(3):
+        block = cache.spectrum(level, "neumann", verify.NEUMANN_BLOCK)
+    assert block.method == "lobpcg-multigrid" and block.converged
+    assert len(iterations) == 2 and iterations[-1] <= 15
 
 
 def test_non_monotone_reported_without_fit():
