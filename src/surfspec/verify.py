@@ -291,15 +291,14 @@ class LevelCache:
             self.mesh(level), self.metric, quad_rule=self.options.quad_rule
         ))
 
-    def reduction(self, level: int):
-        """The operators restricted to interior vertices: the Dirichlet pencil."""
+    def pencil(self, level: int, bc: str):
+        """A level's Neumann operators, or for Dirichlet those operators
+        restricted to interior vertices."""
+        if bc != "dirichlet":
+            return self.operators(level)
         return self._get(
             ("reduction", level), lambda: apply_dirichlet(self.operators(level))
         )
-
-    def pencil(self, level: int, bc: str):
-        """A level's Dirichlet (reduced) or Neumann (full) operators."""
-        return self.reduction(level) if bc == "dirichlet" else self.operators(level)
 
     def spectrum(self, level: int, bc: str, k: int) -> SpectralResult:
         """The k smallest eigenpairs of a level's ``bc`` pencil.
@@ -389,12 +388,14 @@ class LevelCache:
         level's A_l is built from the cache's own pencil, P_l is
         :meth:`_transfer`.  Damped line smoothing (weight VCYCLE_DAMPING,
         VCYCLE_SMOOTHING steps before and after the coarse correction) is
-        block Jacobi whose blocks are the lines of strong couplings that
-        :func:`_lines` finds, cached per level and bc: x = weight B^-1 r,
-        B being A_l's diagonal plus its couplings along lines.  A vertex on
-        no line keeps the diagonal, so a level without lines is smoothed
-        by damped point Jacobi.  B is symmetric, and with equal pre- and
-        post-smoothing so is the V-cycle.  Applies to a vector or a block.
+        block Jacobi whose blocks are the lines of strong couplings: x =
+        weight B^-1 r, B being A_l's diagonal plus its couplings along
+        lines.  :func:`_lines` finds the lines and assembles B in one pass,
+        cached per level and bc, so a V-cycle only hands B to
+        ``solve_banded``.  A vertex on no line keeps the diagonal, so a
+        level without lines is smoothed by damped point Jacobi.  B is
+        symmetric, and with equal pre- and post-smoothing so is the
+        V-cycle.  Applies to a vector or a block.
         """
         shift, coarsest = self._factor(bc)
         A = {
@@ -402,16 +403,15 @@ class LevelCache:
             for l in range(1, level + 1)
         }
         jacobi = {l: VCYCLE_DAMPING / a.diagonal()[:, None] for l, a in A.items()}
-        lines = {}
-        for l, a in A.items():
-            found = self._get(("lines", l, bc), lambda a=a: _lines(a))
-            if found is not None:
-                lines[l] = (found[0], len(found[1]), _line_band(a, *found))
+        lines = {
+            l: self._get(("lines", l, bc), lambda a=a: _lines(a)) for l, a in A.items()
+        }
 
         def smooth(l, r):
             x = jacobi[l] * r
-            if l in lines:
-                order, width, band = lines[l]
+            if lines[l] is not None:
+                order, band = lines[l]
+                width = len(band) // 2
                 x[order] = VCYCLE_DAMPING * solve_banded(
                     (width, width), band, r[order], check_finite=False
                 )
@@ -450,10 +450,11 @@ def _lines(A: sp.csr_matrix):
     strongly to the other and neither has more than two strong couplings,
     so the links form paths and rings; a line is such a component of at
     least 3 vertices (two-vertex ones appear at the corners of isotropic
-    grids).  Returns ``(order, linked)``: the line vertices in reverse
-    Cuthill-McKee order, which gives a path bandwidth 1 and a ring
-    bandwidth 2, and a (bandwidth, len(order)) mask whose ``linked[d - 1,
-    q]`` says whether ``order[q - d]`` and ``order[q]`` are linked.
+    grids).  Returns ``(order, band)``: the line vertices in reverse
+    Cuthill-McKee order, which gives a path bandwidth w = 1 and a ring
+    w = 2, and B, A's diagonal and its couplings along links on those
+    vertices, in the (2w + 1, len(order)) diagonal-ordered form of
+    ``solve_banded``.
     """
     n = A.shape[0]
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(A.indptr))
@@ -461,38 +462,26 @@ def _lines(A: sp.csr_matrix):
     strongest = np.maximum.reduceat(pull, A.indptr[:-1])
     strong = (pull > 0) & (pull >= LINE_STRENGTH * strongest[rows])
     few = np.add.reduceat(strong, A.indptr[:-1], dtype=np.intp) <= 2
-    at = np.flatnonzero(strong & few[rows])
+    at = np.flatnonzero(strong & few[rows] & few[A.indices])
     i, j = rows[at], A.indices[at].astype(np.int64)
-    i, j = i[few[j]], j[few[j]]
-    mutual = np.isin(i * n + j, j * n + i)  # (j, i) is strong too
-    i, j = i[mutual], j[mutual]
-    links = sp.csr_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
+    at = at[np.isin(i * n + j, j * n + i)]  # (j, i) is strong too
+    links = sp.csr_matrix((A.data[at], (rows[at], A.indices[at])), shape=(n, n))
+    # both graph routines read only the pattern, not the couplings
     _, label = connected_components(links, directed=False)
     on_line = np.flatnonzero(np.bincount(label)[label] >= 3)
     if on_line.size == 0:
         return None
     links = links[on_line][:, on_line]
     perm = reverse_cuthill_mckee(links, symmetric_mode=True)
+    order = on_line[perm].astype(np.int32)
     pairs = sp.triu(links[perm][:, perm], k=1).tocoo()
     offset = pairs.col - pairs.row
-    linked = np.zeros((offset.max(), len(perm)), dtype=bool)
-    linked[offset - 1, pairs.col] = True
-    return on_line[perm].astype(np.int32), linked
-
-
-def _line_band(A: sp.csr_matrix, order, linked) -> np.ndarray:
-    """B on the line vertices of :func:`_lines`: A's diagonal and its
-    couplings along lines, in the diagonal-ordered form of ``solve_banded``
-    with ``len(linked)`` diagonals on each side."""
-    width = len(linked)
+    width = offset.max()
     band = np.zeros((2 * width + 1, len(order)))
     band[width] = A.diagonal()[order]
-    for d, ends in enumerate(linked, 1):
-        q = np.flatnonzero(ends)
-        coupling = np.asarray(A[order[q - d], order[q]]).ravel()
-        band[width - d, q] = coupling
-        band[width + d, q - d] = coupling
-    return band
+    band[width - offset, pairs.col] = pairs.data
+    band[width + offset, pairs.row] = pairs.data
+    return order, band
 
 
 def _leading(block: SpectralResult, k: int) -> SpectralResult:

@@ -48,6 +48,15 @@ FAMILIES = {
         builtin_metric("warped", {"phi": "0.05", "r_range": (0.0, 1.0)}),
         lambda s, n: DomainSpec.periodic_band(0, s, n),
     ),
+    # a constant shear: lines cover most unknowns, and A_l also has positive
+    # couplings off the lines
+    "sheared lines": (
+        builtin_metric("general", {
+            "g11": "1", "g12": "3", "g22": "10", "vars": ["x", "y"],
+            "validity": [-1.0, 2.0, -1.0, 2.0],
+        }),
+        lambda s, n: DomainSpec.rectangle(0, s, 0, s, n),
+    ),
 }
 
 BC_AND_K = st.one_of(
@@ -85,6 +94,24 @@ def test_nested_spectra_equal_cold_solves(family, scale, resolution, bc_and_k):
         assert nested.method == "lobpcg-multigrid"
 
 
+@settings(max_examples=10, derandomize=True, deadline=None, database=None)
+@given(
+    family=st.sampled_from(sorted(FAMILIES)),
+    scale=st.floats(0.5, 1.0),
+    resolution=st.integers(4, 6),
+    rule=st.sampled_from(["midpoint", "degree5"]),
+)
+def test_neumann_values_bracket_dirichlet_values(family, scale, resolution, rule):
+    # the Dirichlet pencil is the Neumann one restricted to a subspace, so
+    # on one mesh mu_k <= lambda_k for every k (min-max)
+    metric, domain = FAMILIES[family]
+    cache = LevelCache(domain(scale, resolution), metric, SolverOptions(quad_rule=rule))
+    for level in (0, 1):
+        mu = cache.spectrum(level, "neumann", 6).values
+        lam = cache.spectrum(level, "dirichlet", 6).values
+        assert np.all(mu <= lam * (1 + 1e-9))
+
+
 # shape -> domain of resolution n inside the conformal metrics' validity box
 CONFORMAL_DOMAINS = {
     "rectangle": lambda n: DomainSpec.rectangle(-1, 2, -0.5, 1, n),
@@ -114,6 +141,34 @@ def test_conformal_factor_leaves_the_stiffness_unchanged(a, b, shape, resolution
     got = assemble_scalar(mesh, conformal, rule).stiffness
     want = assemble_scalar(mesh, builtin_metric("euclidean"), rule).stiffness
     assert abs(got - want).max() <= 1e-13 * abs(want).max()
+
+
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(
+    shape=st.sampled_from(sorted(CONFORMAL_DOMAINS)),
+    resolution=st.integers(4, 8),
+    rule=st.sampled_from(["midpoint", "degree5"]),
+)
+def test_metric_scaling_divides_the_spectrum(shape, resolution, rule):
+    # for g = 4 I, sqrt(det g) g^-1 is the identity and sqrt(det g) = 4: the
+    # stiffness is the Euclidean one, the mass 4 times it, and so every
+    # eigenvalue is a quarter of the Euclidean one
+    scaled = builtin_metric("general", {
+        "g11": "4", "g12": "0", "g22": "4", "vars": ["x", "y"],
+        "validity": [-3.0, 3.0, -3.0, 3.0],
+    })
+    domain = CONFORMAL_DOMAINS[shape](resolution)
+    caches = [
+        LevelCache(domain, m, SolverOptions(quad_rule=rule))
+        for m in (scaled, builtin_metric("euclidean"))
+    ]
+    for level in (0, 1):
+        got, want = (cache.operators(level) for cache in caches)
+        assert (got.stiffness != want.stiffness).nnz == 0
+        assert (got.mass != 4 * want.mass).nnz == 0
+        for bc, k in (("dirichlet", 3), ("neumann", 4)):
+            got, want = (cache.spectrum(level, bc, k).values for cache in caches)
+            assert np.max(np.abs(4 * got - want)) <= 1e-12 * np.max(want)
 
 
 @st.composite

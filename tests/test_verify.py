@@ -466,12 +466,25 @@ def shifted_pencil(cache, level, bc):
     return (pencil.stiffness + sigma * pencil.mass).tocsr()
 
 
-def line_links(order, linked):
-    """The links of :func:`verify._lines` as (m, 2) vertex ids."""
+def line_links(order, band):
+    """The links of :func:`verify._lines` as (m, 2) vertex ids: the non-zero
+    couplings above the diagonal of its band."""
+    width = len(band) // 2
     return np.array([
         (order[q - d], order[q])
-        for d, ends in enumerate(linked, 1) for q in np.flatnonzero(ends)
+        for d in range(1, width + 1) for q in np.flatnonzero(band[width - d])
     ])
+
+
+def assert_band_holds_A(A, order, band):
+    # B, rebuilt from solve_banded's form, is symmetric, with A's diagonal on
+    # the line vertices and A's entry at each linked pair, and nothing else
+    width = len(band) // 2
+    B = sp.dia_matrix(
+        (band, np.arange(width, -width - 1, -1)), shape=(len(order),) * 2
+    ).tocsr()
+    assert (B != B.T).nnz == 0
+    assert abs(B - A[order][:, order].multiply(B != 0)).max() == 0
 
 
 def unknown_coordinates(cache, level, bc):
@@ -513,10 +526,11 @@ def test_cusp_band_lines_run_along_r():
     for bc in ("dirichlet", "neumann"):
         for level in (1, 2):
             A = shifted_pencil(cache, level, bc)
-            order, linked = verify._lines(A)
+            order, band = verify._lines(A)
             assert np.array_equal(np.sort(order), np.arange(A.shape[0]))
-            assert len(linked) == 1  # paths: bandwidth 1
-            ends = unknown_coordinates(cache, level, bc)[line_links(order, linked)]
+            assert len(band) == 3  # paths: bandwidth 1
+            assert_band_holds_A(A, order, band)
+            ends = unknown_coordinates(cache, level, bc)[line_links(order, band)]
             assert np.all(ends[:, 0, 1] == ends[:, 1, 1])  # the same theta
             assert np.all(ends[:, 0, 0] != ends[:, 1, 0])
 
@@ -531,10 +545,11 @@ def test_thin_band_lines_are_rings_along_theta():
     for bc in ("dirichlet", "neumann"):
         for level in (1, 2):
             A = shifted_pencil(cache, level, bc)
-            order, linked = verify._lines(A)
+            order, band = verify._lines(A)
             assert np.array_equal(np.sort(order), np.arange(A.shape[0]))
-            assert len(linked) == 2  # rings: bandwidth 2
-            links = line_links(order, linked)
+            assert len(band) == 5  # rings: bandwidth 2
+            assert_band_holds_A(A, order, band)
+            links = line_links(order, band)
             coords = unknown_coordinates(cache, level, bc)
             assert np.all(coords[links[:, 0], 0] == coords[links[:, 1], 0])
             graph = sp.coo_matrix(
