@@ -168,7 +168,8 @@ def solve_smallest(
     :func:`shifted_factor` for this pencil, or on that function's factor
     made here.  Non-convergence, or a residual above ``options.tol``,
     returns the result with ``converged=False``; a factorization
-    breakdown raises :class:`EigenError` naming the shift.
+    breakdown raises :class:`EigenError` naming the shift, and a LOBPCG
+    breakdown one naming the dimension, k and scipy's message.
     """
     options = options or SolverOptions()
     K = sp.csr_matrix(K)
@@ -198,10 +199,15 @@ def solve_smallest(
             warnings.simplefilter("ignore", UserWarning)
             # LOBPCG's residual is not divided by 1 + |lambda|: a tenth of
             # options.tol keeps the check below clear of its stopping point
-            values, vectors = spla.lobpcg(
-                K, np.array(start, dtype=float), B=M, M=precond,
-                tol=0.1 * options.tol, maxiter=LOBPCG_MAXITER, largest=False,
-            )
+            try:
+                values, vectors = spla.lobpcg(
+                    K, np.array(start, dtype=float), B=M, M=precond,
+                    tol=0.1 * options.tol, maxiter=LOBPCG_MAXITER, largest=False,
+                )
+            except ValueError as exc:  # LinAlgError is one too
+                raise EigenError(
+                    f"LOBPCG failed for {k} eigenpairs of dimension {dim}: {exc}"
+                ) from exc
     else:
         method = "shift-invert-lanczos"
         shift, lu = factor if factor is not None else shifted_factor(K, M)

@@ -275,8 +275,9 @@ class Mesh:
     def logical_tris(self) -> np.ndarray:
         return self.raw_to_logical[self.tris]
 
-    @property
+    @cached_property
     def h_max(self) -> float:
+        """The longest edge in chart coordinates."""
         p = self.verts[self.tris]
         return float(max(
             np.max(np.linalg.norm(p[:, b] - p[:, a], axis=1)) for a, b in LOCAL_EDGES

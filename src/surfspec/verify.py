@@ -39,7 +39,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, dpttrs
 from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
 from . import eigen
@@ -390,31 +390,48 @@ class LevelCache:
         VCYCLE_SMOOTHING steps before and after the coarse correction) is
         block Jacobi whose blocks are the lines of strong couplings: x =
         weight B^-1 r, B being A_l's diagonal plus its couplings along
-        lines.  :func:`_lines` finds the lines and assembles B in one pass,
-        cached per level and bc, so a V-cycle only hands B to
-        ``solve_banded``.  A vertex on no line keeps the diagonal, so a
+        lines.  :func:`_lines` finds the lines and factors B in one pass,
+        cached per level and bc, so a smoothing step is one LAPACK solve
+        on that factor.  A vertex on no line keeps the diagonal, so a
         level without lines is smoothed by damped point Jacobi.  B is
-        symmetric, and with equal pre- and post-smoothing so is the
-        V-cycle.  Applies to a vector or a block.
+        symmetric positive definite, and with equal pre- and
+        post-smoothing the V-cycle is symmetric.  Applies to a vector or
+        a block.
+
+        A level with lines is worked in line order: its line vertices
+        first, as :func:`_lines` orders them, then the others.  A_l and
+        the rows of P_l are permuted by it once, here, and so are the
+        columns of P_{l + 1}; level 0 keeps the natural order.  A block
+        is gathered into that order once on entering the finest level
+        and scattered back once on leaving it, and each smoothing step
+        reads and writes the line vertices as one slice.
         """
         shift, coarsest = self._factor(bc)
-        A = {
-            l: (self.pencil(l, bc).stiffness + shift * self.pencil(l, bc).mass).tocsr()
-            for l in range(1, level + 1)
-        }
-        jacobi = {l: VCYCLE_DAMPING / a.diagonal()[:, None] for l, a in A.items()}
-        lines = {
-            l: self._get(("lines", l, bc), lambda a=a: _lines(a)) for l, a in A.items()
-        }
+        A, P, jacobi, lines, perm = {}, {}, {}, {}, {}
+        for l in range(1, level + 1):
+            pencil = self.pencil(l, bc)
+            a = (pencil.stiffness + shift * pencil.mass).tocsr()
+            found = self._get(("lines", l, bc), lambda: _lines(a))
+            p = self._transfer(l, bc)
+            if found is not None:
+                order, factor = found
+                rest = np.ones(a.shape[0], dtype=bool)
+                rest[order] = False
+                perm[l] = np.concatenate([order, np.flatnonzero(rest)])
+                a, p = a[perm[l]][:, perm[l]], p[perm[l]]
+                lines[l] = (len(order), dpttrs if len(factor) == 2 else dpbtrs, factor)
+            if l - 1 in perm:
+                p = p[:, perm[l - 1]]
+            A[l], P[l] = a, p
+            jacobi[l] = VCYCLE_DAMPING / a.diagonal()[:, None]
 
         def smooth(l, r):
-            x = jacobi[l] * r
-            if lines[l] is not None:
-                order, band = lines[l]
-                width = len(band) // 2
-                x[order] = VCYCLE_DAMPING * solve_banded(
-                    (width, width), band, r[order], check_finite=False
-                )
+            if l not in lines:
+                return jacobi[l] * r
+            m, solve, factor = lines[l]
+            x = np.empty_like(r)
+            np.multiply(solve(*factor, r[:m])[0], VCYCLE_DAMPING, out=x[:m])
+            np.multiply(jacobi[l][m:], r[m:], out=x[m:])
             return x
 
         # a loop, not a recursive closure: that closure would be a reference
@@ -422,20 +439,24 @@ class LevelCache:
         # the cyclic garbage collector happens to run
         def apply(block):
             r = block.reshape(block.shape[0], -1)
+            if level in perm:
+                r = r[perm[level]]
             down = []
             for l in range(level, 0, -1):
                 x = smooth(l, r)
                 for _ in range(VCYCLE_SMOOTHING - 1):
                     x += smooth(l, r - A[l] @ x)
-                P = self._transfer(l, bc)
-                down.append((l, r, x, P))
-                r = P.T @ (r - A[l] @ x)
+                down.append((l, r, x))
+                r = P[l].T @ (r - A[l] @ x)
             x = coarsest.solve(r)
-            for l, r, fine, P in reversed(down):
-                fine += P @ x
+            for l, r, fine in reversed(down):
+                fine += P[l] @ x
                 for _ in range(VCYCLE_SMOOTHING):
                     fine += smooth(l, r - A[l] @ fine)
                 x = fine
+            if level in perm:
+                x = np.empty_like(fine)
+                x[perm[level]] = fine
             return x.reshape(block.shape)
 
         return apply
@@ -450,11 +471,14 @@ def _lines(A: sp.csr_matrix):
     strongly to the other and neither has more than two strong couplings,
     so the links form paths and rings; a line is such a component of at
     least 3 vertices (two-vertex ones appear at the corners of isotropic
-    grids).  Returns ``(order, band)``: the line vertices in reverse
+    grids).  Returns ``(order, factor)``: the line vertices in reverse
     Cuthill-McKee order, which gives a path bandwidth w = 1 and a ring
-    w = 2, and B, A's diagonal and its couplings along links on those
-    vertices, in the (2w + 1, len(order)) diagonal-ordered form of
-    ``solve_banded``.
+    w = 2, and the factor of B, A's diagonal and its couplings along
+    links on those vertices, as the leading arguments of its LAPACK
+    solve: ``dpttrf``'s (d, e) of B = L D L^T for ``dpttrs`` when w = 1,
+    and ``dpbtrf``'s (U,) of B = U^T U, in upper band storage, for
+    ``dpbtrs`` when w = 2.  None also when B is not positive definite,
+    since LOBPCG needs a symmetric positive definite preconditioner.
     """
     n = A.shape[0]
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(A.indptr))
@@ -463,25 +487,33 @@ def _lines(A: sp.csr_matrix):
     strong = (pull > 0) & (pull >= LINE_STRENGTH * strongest[rows])
     few = np.add.reduceat(strong, A.indptr[:-1], dtype=np.intp) <= 2
     at = np.flatnonzero(strong & few[rows] & few[A.indices])
-    i, j = rows[at], A.indices[at].astype(np.int64)
-    at = at[np.isin(i * n + j, j * n + i)]  # (j, i) is strong too
-    links = sp.csr_matrix((A.data[at], (rows[at], A.indices[at])), shape=(n, n))
+    cand = sp.csr_matrix(
+        (A.data[at], A.indices[at], np.searchsorted(at, A.indptr)), shape=(n, n)
+    )
+    # a_ij = a_ji < 0 at every candidate, so the maximum keeps exactly the
+    # pairs that are candidates both ways, with their couplings
+    links = cand.maximum(cand.T)
     # both graph routines read only the pattern, not the couplings
     _, label = connected_components(links, directed=False)
     on_line = np.flatnonzero(np.bincount(label)[label] >= 3)
     if on_line.size == 0:
         return None
-    links = links[on_line][:, on_line]
-    perm = reverse_cuthill_mckee(links, symmetric_mode=True)
-    order = on_line[perm].astype(np.int32)
-    pairs = sp.triu(links[perm][:, perm], k=1).tocoo()
+    perm = reverse_cuthill_mckee(links[on_line][:, on_line], symmetric_mode=True)
+    order = on_line[perm]
+    pairs = sp.triu(links[order][:, order], k=1).tocoo()
     offset = pairs.col - pairs.row
-    width = offset.max()
-    band = np.zeros((2 * width + 1, len(order)))
-    band[width] = A.diagonal()[order]
-    band[width - offset, pairs.col] = pairs.data
-    band[width + offset, pairs.row] = pairs.data
-    return order, band
+    if offset.max() == 1:
+        e = np.zeros(len(order) - 1)
+        e[pairs.row] = pairs.data
+        d, e, info = dpttrf(A.diagonal()[order], e)
+        factor = (d, e)
+    else:
+        band = np.zeros((3, len(order)))
+        band[2] = A.diagonal()[order]
+        band[2 - offset, pairs.col] = pairs.data
+        upper, info = dpbtrf(band)
+        factor = (upper,)
+    return (order.astype(np.int32), factor) if info == 0 else None
 
 
 def _leading(block: SpectralResult, k: int) -> SpectralResult:

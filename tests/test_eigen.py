@@ -94,6 +94,21 @@ def test_given_start_block_and_preconditioner(monkeypatch):
         solve_smallest(K, M, 3, options=options, start=np.ones((3, 3)), precond=precond)
 
 
+@pytest.mark.parametrize("error", [ValueError, np.linalg.LinAlgError])
+def test_lobpcg_breakdown_is_an_eigen_error(monkeypatch, error):
+    K, M = square_operators(16, "dirichlet")
+    monkeypatch.setattr(eigen, "DENSE_MAX_DIM", 10)
+
+    def broken(*args, **kwargs):
+        raise error("eigh has failed in lobpcg postprocessing")
+
+    monkeypatch.setattr(eigen.spla, "lobpcg", broken)
+    with pytest.raises(EigenError, match=(
+        r"LOBPCG failed for 3 eigenpairs of dimension 225: eigh has failed"
+    )):
+        solve_smallest(K, M, 3, start=np.ones((225, 3)), precond=lambda r: r)
+
+
 def test_dense_and_iterative_paths_agree(monkeypatch):
     K, M = square_operators(16, "dirichlet")
     dense = solve_smallest(K, M, 5)

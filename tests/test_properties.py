@@ -112,6 +112,37 @@ def test_neumann_values_bracket_dirichlet_values(family, scale, resolution, rule
         assert np.all(mu <= lam * (1 + 1e-9))
 
 
+# shape -> Euclidean domain of extent scale s and resolution n
+EUCLIDEAN_DOMAINS = {
+    "rectangle": lambda s, n: DomainSpec.rectangle(0, s * math.pi, 0, math.pi, n),
+    "disk": lambda s, n: DomainSpec.disk(0, 0, s, n),
+    "annulus": lambda s, n: DomainSpec.annulus(0, 0, s, 1 + s, n),
+    "band": lambda s, n: DomainSpec.periodic_band(0, s * math.pi, n),
+}
+
+
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(
+    shape=st.sampled_from(sorted(EUCLIDEAN_DOMAINS)),
+    scale=st.floats(0.5, 2.0),
+    resolution=st.integers(3, 6),
+    rule=st.sampled_from(["midpoint", "degree5"]),
+)
+def test_refinement_never_raises_euclidean_values(shape, scale, resolution, rule):
+    # both rules integrate the Euclidean P1 mass and stiffness exactly, and
+    # each refined P1 space holds the coarser one, so no Rayleigh-Ritz value
+    # rises from a level to the next (min-max); 1e-12 of the level's largest
+    # value is room for the rounding of the Neumann zero mode
+    cache = LevelCache(
+        EUCLIDEAN_DOMAINS[shape](scale, resolution), builtin_metric("euclidean"),
+        SolverOptions(quad_rule=rule),
+    )
+    for bc, k in (("dirichlet", 3), ("neumann", 4)):
+        values = [cache.spectrum(level, bc, k).values for level in range(3)]
+        for coarse, fine in zip(values, values[1:]):
+            assert np.all(fine <= coarse + 1e-12 * np.max(coarse))
+
+
 # shape -> domain of resolution n inside the conformal metrics' validity box
 CONFORMAL_DOMAINS = {
     "rectangle": lambda n: DomainSpec.rectangle(-1, 2, -0.5, 1, n),

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import solve_banded
 from scipy.sparse.csgraph import connected_components
 
 from surfspec import eigen, verify
@@ -199,6 +200,20 @@ def test_spectrum_union_band_above_old_edge_boundary():
     assert first.passed and q["zero_modes"] == q["betti1"] == 1
     assert recompute_pass(first)
     assert json.dumps(first.to_dict()) == json.dumps(second.to_dict())
+
+
+def test_nested_lobpcg_breakdown_is_an_eigen_error(monkeypatch):
+    # with small pencils on the sparse paths, scipy's LOBPCG breaks down in
+    # its own postprocessing on this level-1 pencil of dimension 110
+    monkeypatch.setattr(eigen, "DENSE_MAX_DIM", 10)
+    cache = LevelCache(
+        DomainSpec.periodic_band(0, 0.5, 5),
+        builtin_metric("warped", {"phi": "0.05", "r_range": (0.0, 1.0)}),
+    )
+    with pytest.raises(EigenError, match=(
+        r"LOBPCG failed for 6 eigenpairs of dimension 110: eigh has failed"
+    )):
+        cache.spectrum(1, "neumann", 6)
 
 
 def test_spectrum_union_refuses_an_unconverged_oneform_solve(monkeypatch):
@@ -466,25 +481,40 @@ def shifted_pencil(cache, level, bc):
     return (pencil.stiffness + sigma * pencil.mass).tocsr()
 
 
-def line_links(order, band):
+def line_matrix(factor):
+    """B, rebuilt from the factor :func:`verify._lines` returns: L D L^T from
+    dpttrf's (d, e), or U^T U from dpbtrf's upper band (U,); the entries
+    that are rounding errors of zeros are dropped."""
+    if len(factor) == 2:
+        d, e = factor
+        L = sp.eye(len(d)) + sp.diags(e, -1)
+        B = L @ sp.diags(d) @ L.T
+    else:
+        (U,) = factor
+        U = sp.dia_matrix((U, [2, 1, 0]), shape=(U.shape[1],) * 2)
+        B = U.T @ U
+    B = sp.csr_matrix(B)
+    B.data[abs(B.data) <= 1e-12 * abs(B).max()] = 0
+    B.eliminate_zeros()
+    return B
+
+
+def line_links(order, factor):
     """The links of :func:`verify._lines` as (m, 2) vertex ids: the non-zero
-    couplings above the diagonal of its band."""
-    width = len(band) // 2
-    return np.array([
-        (order[q - d], order[q])
-        for d in range(1, width + 1) for q in np.flatnonzero(band[width - d])
-    ])
+    couplings above the diagonal of B."""
+    pairs = sp.triu(line_matrix(factor), k=1).tocoo()
+    return np.column_stack([order[pairs.row], order[pairs.col]])
 
 
-def assert_band_holds_A(A, order, band):
-    # B, rebuilt from solve_banded's form, is symmetric, with A's diagonal on
-    # the line vertices and A's entry at each linked pair, and nothing else
-    width = len(band) // 2
-    B = sp.dia_matrix(
-        (band, np.arange(width, -width - 1, -1)), shape=(len(order),) * 2
-    ).tocsr()
-    assert (B != B.T).nnz == 0
-    assert abs(B - A[order][:, order].multiply(B != 0)).max() == 0
+def assert_factor_holds_A(A, order, factor):
+    # B, rebuilt from its factor, is symmetric, with A's diagonal on the line
+    # vertices and A's entry at each linked pair, and nothing else, all to
+    # rounding
+    B, A_lines = line_matrix(factor), A[order][:, order]
+    scale = abs(A_lines).max()
+    assert abs(B - B.T).max() <= 1e-12 * scale
+    assert abs(B - A_lines.multiply(B != 0)).max() <= 1e-12 * scale
+    assert abs(B.diagonal() - A_lines.diagonal()).max() <= 1e-12 * scale
 
 
 def unknown_coordinates(cache, level, bc):
@@ -526,11 +556,11 @@ def test_cusp_band_lines_run_along_r():
     for bc in ("dirichlet", "neumann"):
         for level in (1, 2):
             A = shifted_pencil(cache, level, bc)
-            order, band = verify._lines(A)
+            order, factor = verify._lines(A)
             assert np.array_equal(np.sort(order), np.arange(A.shape[0]))
-            assert len(band) == 3  # paths: bandwidth 1
-            assert_band_holds_A(A, order, band)
-            ends = unknown_coordinates(cache, level, bc)[line_links(order, band)]
+            assert len(factor) == 2  # paths: bandwidth 1, dpttrf's (d, e)
+            assert_factor_holds_A(A, order, factor)
+            ends = unknown_coordinates(cache, level, bc)[line_links(order, factor)]
             assert np.all(ends[:, 0, 1] == ends[:, 1, 1])  # the same theta
             assert np.all(ends[:, 0, 0] != ends[:, 1, 0])
 
@@ -545,11 +575,11 @@ def test_thin_band_lines_are_rings_along_theta():
     for bc in ("dirichlet", "neumann"):
         for level in (1, 2):
             A = shifted_pencil(cache, level, bc)
-            order, band = verify._lines(A)
+            order, factor = verify._lines(A)
             assert np.array_equal(np.sort(order), np.arange(A.shape[0]))
-            assert len(band) == 5  # rings: bandwidth 2
-            assert_band_holds_A(A, order, band)
-            links = line_links(order, band)
+            assert len(factor) == 1  # rings: bandwidth 2, dpbtrf's (U,)
+            assert_factor_holds_A(A, order, factor)
+            links = line_links(order, factor)
             coords = unknown_coordinates(cache, level, bc)
             assert np.all(coords[links[:, 0], 0] == coords[links[:, 1], 0])
             graph = sp.coo_matrix(
@@ -561,6 +591,125 @@ def test_thin_band_lines_are_rings_along_theta():
             assert np.array_equal(
                 np.bincount(label[links[:, 0]]), np.bincount(label)
             )
+
+
+def test_indefinite_line_block_keeps_point_jacobi():
+    # A is positive definite (eigenvalues 0.13, 0.40, 2.47) and 0-1-2 is a
+    # path of strong couplings, but B = tridiag(-0.8, 1, -0.8) is not
+    # (1 - 0.8 sqrt(2) < 0), and LOBPCG needs a definite preconditioner
+    A = sp.csr_matrix(np.array([[1, -0.8, 0.6], [-0.8, 1, -0.8], [0.6, -0.8, 1]]))
+    assert np.all(np.linalg.eigvalsh(A.toarray()) > 0)
+    assert verify._lines(A) is None
+
+
+def natural_order_vcycle(cache, level, bc):
+    """The V-cycle of :meth:`LevelCache._vcycle` with every level in the
+    natural order: each smoothing step gathers r at the line vertices for
+    one ``solve_banded`` on B, taken from A at the links of the lines."""
+    shift, coarsest = cache._factor(bc)
+    A, lines = {}, {}
+    for l in range(1, level + 1):
+        A[l] = shifted_pencil(cache, l, bc)
+        found = verify._lines(A[l])
+        if found is not None:
+            order, factor = found
+            B = A[l][order][:, order].multiply(line_matrix(factor) != 0).tocoo()
+            width = int(np.max(B.col - B.row))
+            band = np.zeros((2 * width + 1, len(order)))
+            band[width + B.row - B.col, B.col] = B.data
+            lines[l] = (order, width, band)
+
+    def smooth(l, r):
+        x = verify.VCYCLE_DAMPING / A[l].diagonal()[:, None] * r
+        if l in lines:
+            order, width, band = lines[l]
+            x[order] = verify.VCYCLE_DAMPING * solve_banded(
+                (width, width), band, r[order]
+            )
+        return x
+
+    def apply(block):
+        r = block.reshape(block.shape[0], -1)
+        down = []
+        for l in range(level, 0, -1):
+            x = smooth(l, r)
+            for _ in range(verify.VCYCLE_SMOOTHING - 1):
+                x += smooth(l, r - A[l] @ x)
+            P = cache._transfer(l, bc)
+            down.append((l, r, x, P))
+            r = P.T @ (r - A[l] @ x)
+        x = coarsest.solve(r)
+        for l, r, fine, P in reversed(down):
+            fine += P @ x
+            for _ in range(verify.VCYCLE_SMOOTHING):
+                fine += smooth(l, r - A[l] @ fine)
+            x = fine
+        return x.reshape(block.shape)
+
+    return apply
+
+
+SHEARED_LINES = builtin_metric("general", {
+    "g11": "1", "g12": "3", "g22": "10", "vars": ["x", "y"],
+    "validity": [-1.0, 2.0, -1.0, 2.0],
+})
+
+
+# a V-cycle on paths, one on rings, and one whose Neumann lines leave some
+# unknowns (near two corners) to point Jacobi
+LINE_FAMILIES = {
+    "cusp-band-paths": cusp_band,
+    "thin-band-rings": lambda: LevelCache(
+        DomainSpec.periodic_band(0, 1, 8),
+        builtin_metric("warped", {"phi": "0.05", "r_range": (0.0, 1.0)}),
+    ),
+    "sheared-lines": lambda: LevelCache(
+        DomainSpec.rectangle(0, 1, 0, 1, 6), SHEARED_LINES
+    ),
+}
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("family", sorted(LINE_FAMILIES))
+def test_line_order_vcycle_matches_natural_order(family, bc):
+    # worked in line order on the cached factors, the V-cycle is the one
+    # that gathers r[order] for a banded solve at every step, to rounding
+    cache = LINE_FAMILIES[family]()
+    partly = []
+    for level in (1, 2):
+        dim = cache.pencil(level, bc).stiffness.shape[0]
+        order, _ = verify._lines(shifted_pencil(cache, level, bc))
+        partly.append(len(order) < dim)
+    assert any(partly) == ((family, bc) == ("sheared-lines", "neumann"))
+    dim = cache.pencil(2, bc).stiffness.shape[0]
+    block = np.random.default_rng(0).standard_normal((dim, 3))
+    got = cache._vcycle(2, bc)(block)
+    want = natural_order_vcycle(cache, 2, bc)(block)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    vector = cache._vcycle(2, bc)(block[:, 0])
+    assert vector.shape == (dim,)
+    assert np.max(np.abs(vector - want[:, 0])) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_each_line_block_is_factored_once(monkeypatch):
+    # over a level chain's nested solves of several sizes and both bcs, each
+    # (level, bc) factors its line block once, where its lines are found
+    dpttrf, factored = verify.dpttrf, []
+
+    def counted(d, e, *args, **kwargs):
+        factored.append(len(d))
+        return dpttrf(d, e, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "dpttrf", counted)
+    cache = cusp_band()
+    for bc, sizes in (("dirichlet", (1, 2, 3)), ("neumann", (2, 4, 6))):
+        for k in sizes:
+            for level in range(3):
+                assert cache.spectrum(level, bc, k).converged
+        cache._vcycle(2, bc)
+    dims = [cache.pencil(l, bc).stiffness.shape[0]
+            for bc in ("dirichlet", "neumann") for l in (1, 2)]
+    assert factored == dims
 
 
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
