@@ -12,12 +12,18 @@ Conventions that callers rely on:
   nodes; a non-integer exponent ``b`` rewrites ``a^b`` to
   ``exp(b*log(a))`` at construction time, so differentiation needs a
   single power rule.  The rewrite restricts the domain to ``a > 0``,
-  which is documented rather than checked symbolically.  A literal that
-  overflows a float, such as ``1e400``, is a :class:`ParseError` at the
-  literal; a constant that overflows while a ``^`` is folded is one at
-  that ``^``.  So is a function of a constant that overflows, such
-  as ``exp(1000)``, at the function's name (at the ``^`` when it sits
-  in an exponent); the tree keeps the call as written.
+  which is documented rather than checked symbolically.
+* Constants fold one way: ``_fold`` rebuilds a node through the smart
+  constructors only when every operand has folded to a constant.  The
+  parser folds each ``^`` exponent, and folds each ``^`` and function
+  call it builds only to refuse a closed subtree that overflows, such
+  as ``exp(1000)`` or ``cosh(700)^2.5``: a :class:`ParseError` at that
+  ``^`` or at the function's name (at the ``^`` when the call sits in
+  an exponent).  The tree keeps those nodes as written.  A literal that
+  overflows, such as ``1e400``, is refused at the literal.
+* Nesting deeper than :data:`MAX_DEPTH`, or a tree taller than it, is a
+  :class:`ParseError`, so the recursive walkers stay inside Python's
+  default recursion limit.
 * ``differentiate`` returns an exact symbolic derivative with constant
   subtrees folded.  No other simplification is attempted.
 * ``str()`` emits a canonical form: ``parse(str(e))`` reproduces an
@@ -67,8 +73,6 @@ __all__ = [
 
 Number = Union[float, np.ndarray]
 
-FUNCTIONS = ("exp", "log", "sqrt", "sin", "cos", "sinh", "cosh", "tanh")
-
 _NUMPY_FN = {
     "exp": np.exp,
     "log": np.log,
@@ -79,6 +83,13 @@ _NUMPY_FN = {
     "cosh": np.cosh,
     "tanh": np.tanh,
 }
+FUNCTIONS = tuple(_NUMPY_FN)
+
+# The deepest nesting, and the tallest tree, that parse admits.  Under
+# pytest, 33 frames deep, a run crashed at 240 nested parentheses (the
+# parser's own recursion) and at 208 links of the chain y*y/y*y/y...,
+# whose second derivatives are the tallest trees the checks walk.
+MAX_DEPTH = 100
 
 
 class ExprError(ValueError):
@@ -159,9 +170,7 @@ class Expr:
         return differentiate(self, var)
 
     def variables(self) -> frozenset:
-        acc: set = set()
-        _collect_vars(self, acc)
-        return frozenset(acc)
+        return frozenset(e.name for e in _plan((self,))[0] if isinstance(e, Var))
 
     def __str__(self) -> str:
         return _serialize(self, 0)
@@ -221,7 +230,7 @@ def _coerce(obj) -> Expr:
 
 # ---------------------------------------------------------------------------
 # Smart constructors.  These fold constants; they are used by the parser
-# (for ^ exponents), by differentiate, and by the operator sugar.
+# (through _fold), by differentiate, and by the operator sugar.
 
 
 def _const_value(e: Expr):
@@ -328,6 +337,7 @@ class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0  # levels open at pos; see parse
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -388,149 +398,140 @@ def parse(text: str) -> Expr:
 
     The tree mirrors the input (no folding), except that a ``^``
     exponent is constant-folded so the power-node invariant holds.
-    Errors carry the byte offset of the offending token.
+    Each parenthesis, call, unary minus and ``^`` operand opens a level
+    of nesting, and each operator, negation and call adds a level to
+    the tree; either past :data:`MAX_DEPTH` is refused at the token that
+    crosses it.  Errors carry the byte offset of the offending token.
     """
     if not isinstance(text, str):
         raise TypeError("expression source must be a string")
     tok = _Tokenizer(text)
     if tok.peek() == "":
         raise ParseError("empty input", 0)
-    node = _parse_sum(tok)
+    node, _ = _parse_chain(tok)
     if tok.peek() != "":
         raise ParseError("trailing input", tok.pos)
     return node
 
 
-def _parse_sum(tok: _Tokenizer) -> Expr:
-    node = _parse_term(tok)
+def _level(depth: int, position: int) -> int:
+    """``depth``, refused at ``position`` when it exceeds :data:`MAX_DEPTH`."""
+    if depth > MAX_DEPTH:
+        raise ParseError(f"expression deeper than {MAX_DEPTH} levels", position)
+    return depth
+
+
+def _parse_chain(tok: _Tokenizer, ops: str = "+-") -> Tuple[Expr, int]:
+    """A left-associative chain: of ``+ -`` over chains of ``* /``, and of
+    ``* /`` over factors.  Returns the tree and its height; each parse
+    function returns both."""
+    node = op = None
     while True:
-        ch = tok.peek()
-        if ch == "+":
-            tok.pos += 1
-            node = BinOp("+", node, _parse_term(tok))
-        elif ch == "-":
-            tok.pos += 1
-            node = BinOp("-", node, _parse_term(tok))
+        rhs, h = _parse_chain(tok, "*/") if ops == "+-" else _parse_factor(tok)
+        if node is None:
+            node, height = rhs, h
         else:
-            return node
-
-
-def _parse_term(tok: _Tokenizer) -> Expr:
-    node = _parse_factor(tok)
-    while True:
-        ch = tok.peek()
-        if ch == "*":
-            tok.pos += 1
-            node = BinOp("*", node, _parse_factor(tok))
-        elif ch == "/":
-            tok.pos += 1
-            node = BinOp("/", node, _parse_factor(tok))
-        else:
-            return node
-
-
-def _parse_factor(tok: _Tokenizer) -> Expr:
-    if tok.peek() == "-":
+            node, height = BinOp(op, node, rhs), _level(max(height, h) + 1, at)
+        op, at = tok.peek(), tok.pos
+        if op == "" or op not in ops:
+            return node, height
         tok.pos += 1
-        operand = _parse_factor(tok)
+
+
+def _parse_factor(tok: _Tokenizer) -> Tuple[Expr, int]:
+    """A negation, or an atom with an optional ``^`` exponent."""
+    if tok.peek() == "-":
+        minus = tok.pos
+        tok.pos += 1
+        tok.depth = _level(tok.depth + 1, minus)
+        operand, height = _parse_factor(tok)
+        tok.depth -= 1
         # "-3" is the literal -3, not a negation node, so that the
         # canonical form of a negative constant reparses to itself.
         if isinstance(operand, Const):
-            return Const(-operand.value)
-        return Neg(operand)
-    return _parse_power(tok)
+            return Const(-operand.value), height
+        return Neg(operand), _level(height + 1, minus)
+    base, height = _parse_atom(tok)
+    if tok.peek() != "^":
+        return base, height
+    caret = tok.pos
+    tok.pos += 1
+    tok.depth = _level(tok.depth + 1, caret)
+    try:
+        exponent, _ = _parse_factor(tok)
+    except _CallOverflow:
+        raise ParseError("constant overflows a float", caret) from None
+    tok.depth -= 1
+    try:
+        node = _pow(base, _fold(exponent))
+    except ExprError as exc:
+        raise ParseError(str(exc), caret) from None
+    except OverflowError:
+        raise ParseError("constant overflows a float", caret) from None
+    return _refuse_overflow(node, caret, ParseError), _level(height + 1, caret)
 
 
-def _parse_power(tok: _Tokenizer) -> Expr:
-    base = _parse_atom(tok)
-    if tok.peek() == "^":
-        caret = tok.pos
-        tok.pos += 1
-        try:
-            exponent = _parse_factor(tok)
-        except _CallOverflow:
-            raise ParseError("constant overflows a float", caret) from None
-        try:
-            folded = _try_fold(exponent)
-            if folded is None:
-                raise ExprError("exponent must be a constant")
-            return _pow(base, Const(folded))
-        except ExprError as exc:
-            raise ParseError(str(exc), caret) from None
-        except OverflowError:
-            raise ParseError("constant overflows a float", caret) from None
-    return base
-
-
-def _parse_atom(tok: _Tokenizer) -> Expr:
+def _parse_atom(tok: _Tokenizer) -> Tuple[Expr, int]:
     ch = tok.peek()
     if ch == "":
         raise ParseError("unexpected end of input", tok.pos)
     if ch == "(":
+        tok.depth = _level(tok.depth + 1, tok.pos)
         tok.pos += 1
-        node = _parse_sum(tok)
+        node, height = _parse_chain(tok)
         tok.expect(")")
-        return node
+        tok.depth -= 1
+        return node, height
     if ch.isdigit() or ch == ".":
-        return Const(tok.read_number())
-    if ch.isalpha() or ch == "_":
-        start = tok.pos
-        name = tok.read_ident()
-        if tok.peek() == "(":
-            if name not in FUNCTIONS:
-                raise ParseError(f"unknown function '{name}'", start)
-            tok.pos += 1
-            arg = _parse_sum(tok)
-            tok.expect(")")
-            value = _try_fold(arg)
-            if value is not None and math.isfinite(value):
-                try:
-                    getattr(math, name)(value)
-                except OverflowError:
-                    raise _CallOverflow("constant overflows a float", start) from None
-                except ValueError:
-                    pass  # a domain error surfaces at evaluation
-            return Call(name, arg)
-        return Var(name)
-    raise ParseError(f"unexpected character {ch!r}", tok.pos)
+        return Const(tok.read_number()), 0
+    if not (ch.isalpha() or ch == "_"):
+        raise ParseError(f"unexpected character {ch!r}", tok.pos)
+    start = tok.pos
+    name = tok.read_ident()
+    if tok.peek() != "(":
+        return Var(name), 0
+    if name not in FUNCTIONS:
+        raise ParseError(f"unknown function '{name}'", start)
+    tok.pos += 1
+    tok.depth = _level(tok.depth + 1, start)
+    arg, height = _parse_chain(tok)
+    tok.expect(")")
+    tok.depth -= 1
+    height = _level(height + 1, start)
+    return _refuse_overflow(Call(name, arg), start, _CallOverflow), height
 
 
-def _try_fold(e: Expr):
-    """Evaluate a closed (variable-free) subtree, or return None."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return None
-    if isinstance(e, Neg):
-        v = _try_fold(e.operand)
-        return None if v is None else -v
-    if isinstance(e, Call):
-        v = _try_fold(e.operand)
-        if v is None:
-            return None
-        try:
-            return float(getattr(math, e.func)(v))
-        except ValueError:
-            return None
-    if isinstance(e, BinOp):
-        a = _try_fold(e.lhs)
-        b = _try_fold(e.rhs)
-        if a is None or b is None:
-            return None
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            return None if b == 0.0 else a / b
-        if e.op == "^":
-            try:
-                return float(a ** b)
-            except (ValueError, ZeroDivisionError, OverflowError):
-                return None
-    return None
+_FOLDS = {"+": _add, "-": _sub, "*": _mul, "/": _div, "^": _pow}
+
+
+def _fold(e: Expr) -> Expr:
+    """``e`` with its closed subtrees folded by the smart constructors.
+
+    A node is rebuilt only when every operand has folded to a
+    :class:`Const`, so no identity shortcut applies: ``0*sqrt(-1)``
+    keeps its node.  A constructor's ``OverflowError`` or
+    :class:`ExprError` propagates.
+    """
+    if isinstance(e, (Neg, Call)):
+        a = _fold(e.operand)
+        if isinstance(a, Const):
+            return _neg(a) if isinstance(e, Neg) else _call(e.func, a)
+    elif isinstance(e, BinOp):
+        a, b = _fold(e.lhs), _fold(e.rhs)
+        if isinstance(a, Const) and isinstance(b, Const):
+            return _FOLDS[e.op](a, b)
+    return e
+
+
+def _refuse_overflow(e: Expr, position: int, error: type) -> Expr:
+    """``e``, refused at ``position`` when a closed subtree overflows."""
+    try:
+        _fold(e)
+    except OverflowError:
+        raise error("constant overflows a float", position) from None
+    except ExprError:
+        pass  # a division by constant zero surfaces at evaluation
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -681,18 +682,6 @@ def evaluate(exprs: Sequence[Expr], bindings: Mapping[str, Number]) -> tuple:
     return tuple(outs[r].reshape(shape) if depends[r] else vals[r] for r in roots)
 
 
-def _collect_vars(e: Expr, acc: set):
-    if isinstance(e, Var):
-        acc.add(e.name)
-    elif isinstance(e, Neg):
-        _collect_vars(e.operand, acc)
-    elif isinstance(e, Call):
-        _collect_vars(e.operand, acc)
-    elif isinstance(e, BinOp):
-        _collect_vars(e.lhs, acc)
-        _collect_vars(e.rhs, acc)
-
-
 # ---------------------------------------------------------------------------
 # Differentiation
 
@@ -795,20 +784,10 @@ def _serialize(e: Expr, parent_prec: int) -> str:
     elif isinstance(e, Neg):
         text = "-" + _serialize(e.operand, _PREC_NEG)
     elif isinstance(e, BinOp):
-        op = e.op
-        if op in "+-":
-            prec = _PREC_SUM
-            lhs = _serialize(e.lhs, prec)
-            rhs = _serialize(e.rhs, prec + 1)  # left associative
-        elif op in "*/":
-            prec = _PREC_TERM
-            lhs = _serialize(e.lhs, prec)
-            rhs = _serialize(e.rhs, prec + 1)
-        else:
-            prec = _PREC_POW
-            lhs = _serialize(e.lhs, prec + 1)
-            rhs = _serialize(e.rhs, prec)
-        text = f"{lhs}{op}{rhs}"
+        prec, right = _precedence(e), e.op == "^"  # ^ is right associative
+        lhs = _serialize(e.lhs, prec + right)
+        rhs = _serialize(e.rhs, prec + (not right))
+        text = f"{lhs}{e.op}{rhs}"
     else:
         raise TypeError(f"not an expression node: {e!r}")
     if _precedence(e) < parent_prec:

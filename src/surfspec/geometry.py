@@ -139,12 +139,12 @@ class ChartMetric:
 
 @dataclass
 class GridSpec:
-    """Rectangular sample grid in chart coordinates (default 64x64)."""
+    """Rectangular sample grid in chart coordinates."""
 
     u_range: Tuple[float, float]
     v_range: Tuple[float, float]
-    nu: int = 64
-    nv: int = 64
+    nu: int
+    nv: int
 
     def points(self):
         upts = np.linspace(self.u_range[0], self.u_range[1], self.nu)

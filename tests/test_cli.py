@@ -24,6 +24,7 @@ from surfspec.cli import (
     validate_config,
 )
 from surfspec.eigen import EigenError
+from surfspec.expr import MAX_DEPTH
 from surfspec.verify import recompute_pass
 
 
@@ -166,6 +167,48 @@ def test_overflowing_constant_call_names_field(tmp_path, capsys, field, value):
     assert code == 2
     err = capsys.readouterr().err
     assert f"config field '{field}'" in err and "overflows" in err
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("distance_function", "x + 0*sin(cosh(700)^2.5)"),
+        ("metric", {"family": "warped",
+                    "params": {"phi": "exp(r) + 0*sin(cosh(700)^2.5)",
+                               "r_range": [-1.0, 0.0]}}),
+    ],
+)
+def test_closed_power_that_overflows_names_field(tmp_path, capsys, field, value):
+    cfg = base_config(tmp_path)
+    cfg[field] = value
+    code = main(["run", write_config(tmp_path, cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"config field '{field}'" in err and "overflows" in err
+
+
+@pytest.mark.parametrize("shape", ["parentheses", "chain"])
+@pytest.mark.parametrize("field", ["distance_function", "metric"])
+def test_depth_bound_names_field(tmp_path, capsys, field, shape):
+    def config(n):
+        def deep(text):
+            return "(" * n + text + ")" * n if shape == "parentheses" else text + "+0" * n
+
+        cfg = base_config(tmp_path)
+        cfg["checks"] = ["curvature", "inequality", "lemma"]
+        if field == "distance_function":
+            cfg[field] = deep("x")
+        else:
+            cfg[field] = {"family": "general", "params": {
+                "g11": deep("1"), "g12": "0", "g22": "1", "vars": ["x", "y"]}}
+        return write_config(tmp_path, cfg, f"depth{n}.json")
+
+    # at the bound the checks run, and exit as the shallow spelling does
+    assert main(["run", config(MAX_DEPTH)]) == main(["run", config(0)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["run", config(MAX_DEPTH + 1)]) == 2
+    err = capsys.readouterr().err
+    assert f"config field '{field}'" in err and f"deeper than {MAX_DEPTH}" in err
 
 
 def test_distance_function_required_by_lemma(tmp_path, capsys):

@@ -20,6 +20,7 @@ from surfspec.expr import (
     _CHUNK,
     _NUMPY_FN,
     _plan,
+    MAX_DEPTH,
     BinOp,
     Call,
     Const,
@@ -165,6 +166,78 @@ def test_finite_constant_call_keeps_its_tree(func, arg):
     e = parse(text)
     assert e == BinOp("*", Call(func, Const(arg)), Var("x"))
     assert str(e) == text
+
+
+@pytest.mark.parametrize(
+    "exponent,value",
+    [("1/3", 1 / 3), ("2*3-1", 2 * 3 - 1), ("-(2)", -2.0),
+     ("log(2)", math.log(2)), ("sqrt(2)", math.sqrt(2)),
+     # 2^0.5 is itself rewritten to exp(0.5*log(2)) before it folds
+     ("2^0.5", math.exp(0.5 * math.log(2)))],
+)
+def test_exponent_folds_bit_for_bit(exponent, value):
+    e, value = parse(f"x^({exponent})"), float(value)
+    if value == int(value):
+        assert e == BinOp("^", Var("x"), Const(value))
+    else:
+        assert e == Call("exp", BinOp("*", Const(value), Call("log", Var("x"))))
+    assert (e.rhs if isinstance(e, BinOp) else e.operand.lhs).value.hex() == value.hex()
+
+
+@pytest.mark.parametrize("text", ["sin(cosh(700)^2.5)", "1/(cosh(700)^2)", "x+(1+1e200)^2"])
+def test_closed_power_that_overflows_is_refused_at_its_caret(text):
+    with pytest.raises(ParseError, match="overflows") as err:
+        parse(text)
+    assert err.value.position == text.index("^")
+
+
+def test_folding_keeps_other_refusals_and_trees():
+    # no identity shortcut: 0*sqrt(-1) does not fold to 0
+    with pytest.raises(ParseError, match="exponent must be a constant") as err:
+        parse("x^(0*sqrt(-1))")
+    assert err.value.position == 1
+    with pytest.raises(ParseError, match="division by constant zero"):
+        parse("x^(1/0)")
+    # a call or closed power keeps its tree; division by zero fails at evaluation
+    assert parse("sin(1/0)") == Call("sin", BinOp("/", Const(1.0), Const(0.0)))
+    assert parse("(1/0)^2") == BinOp("^", BinOp("/", Const(1.0), Const(0.0)), Const(2.0))
+    assert parse("cosh(2)^2") == BinOp("^", Call("cosh", Const(2.0)), Const(2.0))
+
+
+# shape -> (text of depth n, offset of the token that reaches depth n)
+DEPTH_SHAPES = {
+    "parentheses": (lambda n: "(" * n + "x" + ")" * n, lambda n: n - 1),
+    "unary minus": (lambda n: "-" * n + "x", lambda n: n - 1),
+    "calls": (lambda n: "sin(" * n + "x" + ")" * n, lambda n: 4 * (n - 1)),
+    "^ operands": (lambda n: "1" + "^1" * n, lambda n: 2 * n - 1),
+    "chain": (lambda n: "x" + "+x" * n, lambda n: 2 * n - 1),
+    "call over a chain": (lambda n: "sin(x" + "*x" * (n - 1) + ")", lambda n: 0),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEPTH_SHAPES))
+def test_depth_past_the_bound_is_refused_where_it_crosses(shape):
+    text, offset = DEPTH_SHAPES[shape]
+    parse(text(MAX_DEPTH))
+    with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH} levels") as err:
+        parse(text(MAX_DEPTH + 1))
+    assert err.value.position == offset(MAX_DEPTH + 1)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(" * 197 + "x" + ")" * 197, "--" * 492 + "x",
+     "sqrt(" * 195 + "x" + "^2)" * 195, "+".join(["x"] * 980)],
+    ids=["197 parentheses", "492 -- pairs", "195 sqrt(...^2)", "980-term sum"],
+)
+def test_inputs_that_overflowed_the_stack_are_parse_errors(text):
+    with pytest.raises(ParseError, match="deeper than"):
+        parse(text)
+
+
+def test_variables_read_off_the_plan():
+    assert parse("sin(x)*y + x^2 - c").variables() == {"x", "y", "c"}
+    assert parse("exp(2)").variables() == frozenset()
 
 
 def test_scientific_notation():

@@ -1,4 +1,5 @@
-"""Properties of the solvers, checked over generated domains and metrics."""
+"""Properties of the solvers and the expression parser, checked over
+generated domains, metrics and expression texts."""
 
 import math
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st  # noqa: E402
 from surfspec import eigen  # noqa: E402
 from surfspec.assembly import assemble_scalar  # noqa: E402
 from surfspec.eigen import SolverOptions, solve_smallest  # noqa: E402
+from surfspec.expr import FUNCTIONS, ExprError, parse  # noqa: E402
 from surfspec.geometry import builtin_metric  # noqa: E402
 from surfspec.mesh import (  # noqa: E402
     EXTENT_COUNT,
@@ -200,6 +202,76 @@ def test_metric_scaling_divides_the_spectrum(shape, resolution, rule):
         for bc, k in (("dirichlet", 3), ("neumann", 4)):
             got, want = (cache.spectrum(level, bc, k).values for cache in caches)
             assert np.max(np.abs(4 * got - want)) <= 1e-12 * np.max(want)
+
+
+# map -> (metric it preserves, the map applied to a rectangle's extents
+# (x0, x1, y0, y1) with a shift t)
+ISOMETRIES = {
+    "half-plane dilation": (
+        builtin_metric("hyperbolic_half_plane"),
+        lambda e, t: tuple(3 * v for v in e),
+    ),
+    "euclidean translation": (
+        builtin_metric("euclidean"),
+        lambda e, t: (e[0] + t, e[1] + t, e[2] - 2 * t, e[3] - 2 * t),
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", ["midpoint", "degree5"])
+@pytest.mark.parametrize("isometry", sorted(ISOMETRIES))
+@settings(max_examples=4, derandomize=True, deadline=None, database=None)
+@given(
+    x=st.floats(-1, 1),
+    y=st.floats(0.5, 2),
+    a=st.floats(0.5, 2),
+    b=st.floats(0.5, 2),
+    shift=st.floats(-5, 5),
+    resolution=st.integers(4, 6),
+)
+def test_chart_isometries_leave_the_spectrum_unchanged(
+    isometry, rule, x, y, a, b, shift, resolution
+):
+    # an isometry of the chart metric maps the mesh onto the mesh of the
+    # image and the rule points onto its rule points, so the discrete
+    # spectra agree up to rounding
+    metric, move = ISOMETRIES[isometry]
+    extents = (x, x + a, y, y + b)
+    caches = [
+        LevelCache(DomainSpec.rectangle(*e, resolution), metric, SolverOptions(quad_rule=rule))
+        for e in (extents, move(extents, shift))
+    ]
+    for level in (0, 1):
+        for bc, k in (("dirichlet", 3), ("neumann", 4)):
+            got, want = (cache.spectrum(level, bc, k).values for cache in caches)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+
+LITERALS = ("0", "1", "2", "0.5", "2.5", "700", "1000", "1e300")
+
+
+def _compound(inner):
+    return st.one_of(
+        st.tuples(st.sampled_from(FUNCTIONS), inner).map("{0[0]}({0[1]})".format),
+        inner.map("-{}".format),
+        inner.map("({})".format),
+        st.tuples(inner, st.sampled_from("+-*/^"), inner).map("".join),
+        # a power of a compound base, closed or not, to a literal
+        st.tuples(inner, st.sampled_from(("2.5", "1e300"))).map("({0[0]})^{0[1]}".format),
+    )
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(text=st.recursive(st.sampled_from(("x", "y") + LITERALS), _compound, max_leaves=8))
+def test_parse_refuses_or_round_trips(text):
+    # every text is refused with an ExprError, or its canonical form
+    # reparses to an equal tree and re-serializes to itself
+    try:
+        e = parse(text)
+    except ExprError:
+        return
+    again = parse(str(e))
+    assert again == e and str(again) == str(e)
 
 
 @st.composite
