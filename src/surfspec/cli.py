@@ -49,15 +49,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import THREAD_SETTINGS, eigen
-from .assembly import AssemblyError, assemble_oneform
-from .eigen import (
-    EigenError,
-    SolverOptions,
-    cluster_multiplicities,
-    solve_fits,
-    solve_oneform,
-)
+from . import THREAD_SETTINGS
+from .assembly import AssemblyError
+from .eigen import EigenError, SolverOptions, cluster_multiplicities
 from .expr import Expr, ExprError, parse
 from .geometry import ChartEvalError, ChartMetric, GeometryError, builtin_metric
 from .mesh import DomainSpec, MeshError
@@ -73,6 +67,7 @@ from .verify import (
     hodge_dimension_check,
     lemma_check,
     oracle_check,
+    solve_limit_refusal,
     spectrum_union_check,
     verify_inequality,
 )
@@ -715,37 +710,6 @@ def _cmd_check(args) -> int:
     return code
 
 
-def _spectrum_result(metric, domain, options, bc: str, count: int):
-    cache = LevelCache(domain, metric, options)
-    mesh = cache.mesh(0)
-    interior = len(mesh.interior)
-    # the 1-form spectrum is the positive Neumann and the Dirichlet modes
-    # plus b1 harmonics
-    limit = {
-        "dirichlet": interior,
-        "neumann": mesh.n_vertices,
-        "oneform": mesh.n_vertices - 1 + interior + mesh.betti1,
-    }[bc]
-    if count > limit:
-        raise ConfigError(
-            f"-k/--count: requested {count} {bc} eigenpairs, "
-            f"level 0 has {limit}"
-        )
-    # count + 1 pairs of the Neumann pencil bound every bc's sparse solve; the
-    # Dirichlet pencil of dirichlet and oneform is dense once count reaches
-    # its own dimension
-    if not solve_fits(mesh.n_vertices, count + 1) or (
-        bc != "neumann" and not solve_fits(interior, count)
-    ):
-        raise ConfigError(
-            f"-k/--count: {count} {bc} eigenpairs of {mesh.n_vertices} vertices "
-            f"need solver arrays above the limit {eigen.MAX_SOLVE_FLOATS:.0e} floats"
-        )
-    if bc != "oneform":
-        return cache.spectrum(0, bc, count)
-    return solve_oneform(assemble_oneform(cache.operators(0)), count, options=options)
-
-
 def _spectrum_rows(result):
     """(index, value, multiplicity of its cluster, residual) of each pair."""
     clusters = cluster_multiplicities(result.values, rel_gap=1e-3)
@@ -757,7 +721,17 @@ def _spectrum_rows(result):
 def _cmd_spectrum(args) -> int:
     cfg = validate_config(load_config(args.config))
     metric, domain, _, options = build_objects(cfg)
-    result = _spectrum_result(metric, domain, options, args.bc, args.count)
+    cache, bc, count = LevelCache(domain, metric, options), args.bc, args.count
+    limit = cache.pairs(0, bc)
+    if count > limit:
+        raise ConfigError(
+            f"-k/--count: requested {count} {bc} eigenpairs, level 0 has {limit}"
+        )
+    if not cache.fits(0, bc, count):
+        raise ConfigError("-k/--count: " + solve_limit_refusal(
+            f"{count} {bc} eigenpairs of {cache.mesh(0).n_vertices} vertices"
+        ))
+    result = cache.spectrum(0, bc, count)
     rows = _spectrum_rows(result)
     for index, value, mult, residual in rows:
         print(f"{index:4d}  {value!r}  mult {mult}  residual {residual:.3g}")

@@ -548,33 +548,33 @@ def _plan(roots) -> Tuple[list, list, list]:
     first-visit post-order, the child slots of each, and the slot of
     each root.  Two nodes share a slot when they have the same type, the
     same op, function, value or name, and the same child slots, so the
-    interning never hashes a whole subtree.
+    interning never hashes a whole subtree.  Each node object is interned
+    once, however many paths reach it; the roots keep every id alive.
     """
-    nodes: list = []
-    children: list = []
-    slot_of: dict = {}
-    slots = [_intern(r, nodes, children, slot_of) for r in roots]
-    return nodes, children, slots
+    state: tuple = ([], [], {}, {})  # nodes, children, slot of key, slot of id
+    slots = [_intern(r, state) for r in roots]
+    return state[0], state[1], slots
 
 
-def _intern(e: Expr, nodes: list, children: list, slot_of: dict) -> int:
+def _intern(e: Expr, state: tuple) -> int:
     """Slot of ``e``, interning its children first.  A module function, as
     a recursive closure would be a reference cycle left for the collector."""
+    nodes, children, slot_of, by_id = state
+    slot = by_id.get(id(e))
+    if slot is not None:
+        return slot
     if isinstance(e, Const):
         kids, key = (), ("const", e.value.hex())  # keeps -0.0 apart from 0.0
     elif isinstance(e, Var):
         kids, key = (), ("var", e.name)
     elif isinstance(e, Neg):
-        kids = (_intern(e.operand, nodes, children, slot_of),)
+        kids = (_intern(e.operand, state),)
         key = ("neg", kids)
     elif isinstance(e, Call):
-        kids = (_intern(e.operand, nodes, children, slot_of),)
+        kids = (_intern(e.operand, state),)
         key = (e.func, kids)
     elif isinstance(e, BinOp):
-        kids = (
-            _intern(e.lhs, nodes, children, slot_of),
-            _intern(e.rhs, nodes, children, slot_of),
-        )
+        kids = (_intern(e.lhs, state), _intern(e.rhs, state))
         key = (e.op, kids)
     else:
         raise TypeError(f"not an expression node: {e!r}")
@@ -583,6 +583,7 @@ def _intern(e: Expr, nodes: list, children: list, slot_of: dict) -> int:
         slot = slot_of[key] = len(nodes)
         nodes.append(e)
         children.append(kids)
+    by_id[id(e)] = slot
     return slot
 
 

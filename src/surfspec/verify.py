@@ -256,10 +256,12 @@ class LevelCache:
 
     Level 0 is ``triangulate(domain)`` and level L + 1 refines level L.
     Each item is built on first request and kept; spectra are keyed on
-    ``(level, bc, k)`` with ``bc`` either "dirichlet" or "neumann".  A
+    ``(level, bc, k)`` with ``bc`` "dirichlet", "neumann" or "oneform".  A
     Neumann pencil of dimension dim is solved for the block
     max(k, min(NEUMANN_BLOCK, dim)), so every Neumann request of k <=
-    NEUMANN_BLOCK is the first k pairs of one solve per level.  Every
+    NEUMANN_BLOCK is the first k pairs of one solve per level.  The
+    number of pairs (:meth:`pairs`) and the solver memory (:meth:`fits`)
+    of a request are predicted from the level's mesh alone.  Every
     caller gets the same objects, which nothing may modify.
     """
 
@@ -300,13 +302,37 @@ class LevelCache:
             ("reduction", level), lambda: apply_dirichlet(self.operators(level))
         )
 
-    def spectrum(self, level: int, bc: str, k: int) -> SpectralResult:
-        """The k smallest eigenpairs of a level's ``bc`` pencil.
+    def pairs(self, level: int, bc: str) -> int:
+        """The number of eigenpairs of a level's ``bc`` spectrum: its interior
+        vertices for Dirichlet, its vertices for Neumann, and for the 1-form
+        spectrum the positive Neumann and the Dirichlet modes plus b1
+        harmonics, V - 1 + n_int + b1."""
+        mesh = self.mesh(level)
+        if bc == "oneform":
+            return mesh.n_vertices - 1 + len(mesh.interior) + mesh.betti1
+        return len(mesh.interior) if bc == "dirichlet" else mesh.n_vertices
 
-        k outside [1, dim] raises :class:`EigenError`.  A Neumann request
-        of k below its block (see the class) is the block's first k
-        values, vectors and residuals, bit for bit, with the block's
-        method, shift and convergence flag.
+    def fits(self, level: int, bc: str, k: int) -> bool:
+        """Whether the solves of ``spectrum(level, bc, k)`` fit
+        ``MAX_SOLVE_FLOATS`` (:func:`solve_fits`): a scalar request's block,
+        nested above level 0; a 1-form request's two cold blocks, k + 1
+        pairs over the vertices and k pairs over the interior."""
+        if bc == "oneform":
+            v, n_int = self.pairs(level, "neumann"), self.pairs(level, "dirichlet")
+            return solve_fits(v, k + 1) and solve_fits(n_int, k)
+        dim = self.pairs(level, bc)
+        return solve_fits(dim, _block(bc, k, dim), nested=level > 0)
+
+    def spectrum(self, level: int, bc: str, k: int) -> SpectralResult:
+        """The k smallest eigenpairs of a level's ``bc`` spectrum.
+
+        k outside [1, :meth:`pairs`] raises :class:`EigenError` before
+        anything is assembled.  The 1-form spectrum is
+        :func:`solve_oneform` of the level's operators; it reads no scalar
+        spectrum of the cache, so the spectrum union compares independent
+        solves.  A Neumann request of k below its block (see the class) is
+        the block's first k values, vectors and residuals, bit for bit,
+        with the block's method, shift and convergence flag.
 
         Level 0, and every level on the dense path, is a cold solve: ARPACK
         or dense, as :func:`solve_smallest` decides alone; a sparse level 0
@@ -317,18 +343,22 @@ class LevelCache:
         and a level's solve always derives from the same coarser solve,
         whichever checks asked for it.
         """
-        pencil = self.pencil(level, bc)
-        dim = pencil.stiffness.shape[0]
+        dim = self.pairs(level, bc)
         if not 1 <= k <= dim:
-            raise EigenError(f"requested {k} eigenpairs from dimension {dim}")
-        block = max(k, min(NEUMANN_BLOCK, dim)) if bc == "neumann" else k
-        if k < block:
-            return self._get(
-                ("spectrum", level, bc, k),
-                lambda: _leading(self.spectrum(level, bc, block), k),
+            raise EigenError(
+                f"requested {k} eigenpairs; the level-{level} {bc} spectrum has {dim}"
             )
+        key = ("spectrum", level, bc, k)
+        if bc == "oneform":
+            return self._get(key, lambda: solve_oneform(
+                assemble_oneform(self.operators(level)), k, options=self.options
+            ))
+        block = _block(bc, k, dim)
+        if k < block:
+            return self._get(key, lambda: _leading(self.spectrum(level, bc, block), k))
 
         def solve():
+            pencil = self.pencil(level, bc)
             start, given = self._nested_start(level, bc, k), {}
             if start is not None:
                 given = dict(start=start, precond=self._vcycle(level, bc))
@@ -338,7 +368,7 @@ class LevelCache:
                 pencil.stiffness, pencil.mass, k, bc=bc, options=self.options, **given
             )
 
-        return self._get(("spectrum", level, bc, k), solve)
+        return self._get(key, solve)
 
     def _factor(self, bc: str):
         """:func:`shifted_factor` of the level-0 ``bc`` pencil, ``(sigma, lu)``:
@@ -516,6 +546,12 @@ def _lines(A: sp.csr_matrix):
     return (order.astype(np.int32), factor) if info == 0 else None
 
 
+def _block(bc: str, k: int, dim: int) -> int:
+    """The pairs solved for a request of k scalar pairs of a dimension-``dim``
+    pencil: k, or for Neumann at least min(NEUMANN_BLOCK, dim)."""
+    return max(k, min(NEUMANN_BLOCK, dim)) if bc == "neumann" else k
+
+
 def _leading(block: SpectralResult, k: int) -> SpectralResult:
     """The first k pairs of a solved block; everything else is the block's."""
     return SpectralResult(
@@ -524,24 +560,26 @@ def _leading(block: SpectralResult, k: int) -> SpectralResult:
     )
 
 
-def _converged(
-    result: SpectralResult, level: int, options: SolverOptions
-) -> SpectralResult:
-    """``result``, if its solve converged; otherwise :class:`EigenError`
-    naming the level, the bc, the worst residual and ``options.tol``, so that
-    no check reports a spectrum that did not converge."""
+def _spectrum(cache: LevelCache, level: int, bc: str, k: int) -> SpectralResult:
+    """The cache's spectrum for a check, if its solve converged; otherwise
+    :class:`EigenError` naming the level, the bc, the worst residual and the
+    solver tolerance, so that no check reports a spectrum that did not
+    converge."""
+    result = cache.spectrum(level, bc, k)
     if not result.converged:
         raise EigenError(
-            f"the level-{level} {result.bc} eigensolve did not converge: worst "
+            f"the level-{level} {bc} eigensolve did not converge: worst "
             f"residual {float(np.max(result.residuals)):.3g}, tolerance "
-            f"{options.tol:g}"
+            f"{cache.options.tol:g}"
         )
     return result
 
 
-def _spectrum(cache: LevelCache, level: int, bc: str, k: int) -> SpectralResult:
-    """The cache's spectrum for a check, refused by :func:`_converged`."""
-    return _converged(cache.spectrum(level, bc, k), level, cache.options)
+def solve_limit_refusal(request: str) -> str:
+    """The refusal of ``request``, whose solves :meth:`LevelCache.fits`
+    predicts to exceed ``eigen.MAX_SOLVE_FLOATS``; names the limit in force."""
+    limit = eigen.MAX_SOLVE_FLOATS
+    return f"{request} need solver arrays above the limit {limit:.0e} floats"
 
 
 def _level_cache(domain, metric, options, cache) -> LevelCache:
@@ -740,8 +778,8 @@ def spectrum_union_check(
     relative), not merely in the refinement limit.  Zero modes must
     number exactly b1.
 
-    The scalar pencils are solved twice on purpose: the 1-form side
-    (:func:`solve_oneform`) solves the pencils of ``d0^T M1 d0`` built
+    The scalar pencils are solved twice on purpose: the 1-form side (the
+    cache's "oneform" spectrum) solves the pencils of ``d0^T M1 d0`` built
     from the Whitney mass, the scalar side takes the cache's spectra of
     the assembled P1 stiffness K.  That ``d0^T M1 d0 = K`` is the
     identity under test, so neither side may reuse the other's solve.
@@ -752,7 +790,7 @@ def spectrum_union_check(
     cache = _level_cache(domain, metric, options, cache)
     mesh = cache.mesh(level)
     desc = f"{domain.shape} n={domain.n}, {metric.family} metric"
-    n_int = len(mesh.interior)
+    n_int = cache.pairs(level, "dirichlet")
     if count > n_int:
         raise ParameterError(
             "count",
@@ -760,35 +798,20 @@ def spectrum_union_check(
             f"the Dirichlet problem at level {level}",
         )
     beta1 = mesh.betti1
-    # the largest solve of each pencil, at its own dimension: the 1-form
-    # side's cold Neumann block, count + b1 + 1 pairs, and its Dirichlet
-    # block, count + b1 pairs, dense once that reaches the interior count;
-    # above level 0 the scalar side's count + 1 Neumann and count Dirichlet
-    # pairs are nested solves
-    nested = level > 0
-    solves = (
-        (mesh.n_vertices, count + beta1 + 1, False), (n_int, count + beta1, False),
-        (mesh.n_vertices, count + 1, nested), (n_int, count, nested),
-    )
-    if not all(solve_fits(*solve) for solve in solves):
-        raise ParameterError(
-            "count",
-            f"{count} eigenvalues of {mesh.n_vertices} vertices at level {level} "
-            f"need solver arrays above the limit {eigen.MAX_SOLVE_FLOATS:.0e} floats",
-        )
-    one_ops = assemble_oneform(cache.operators(level))
-    one = _converged(
-        solve_oneform(one_ops, count + beta1, options=cache.options), level,
-        cache.options,
-    )
+    # the 1-form side's count + b1 values, zeros included, and the scalar
+    # side's count Dirichlet and count + 1 Neumann pairs
+    solves = (("oneform", count + beta1), ("dirichlet", count), ("neumann", count + 1))
+    if not all(cache.fits(level, bc, k) for bc, k in solves):
+        raise ParameterError("count", solve_limit_refusal(
+            f"{count} eigenvalues of {mesh.n_vertices} vertices at level {level}"
+        ))
+    one, dirichlet, neumann = (_spectrum(cache, level, bc, k) for bc, k in solves)
     top = float(np.max(one.values))
     zero_count = int(np.sum(one.values < ZERO_MODE_FACTOR * top))
     positive = [float(v) for v in one.values[zero_count:]]
 
-    dir_values = _spectrum(cache, level, "dirichlet", count).values
     # the Neumann side drops its constant mode
-    neu_positive = _spectrum(cache, level, "neumann", count + 1).values[1:]
-    union = np.sort(np.concatenate([dir_values, neu_positive]))[:count]
+    union = np.sort(np.concatenate([dirichlet.values, neumann.values[1:]]))[:count]
 
     quantities = {
         "betti1": beta1,

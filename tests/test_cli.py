@@ -703,6 +703,24 @@ def test_perfbench_tracer_hooks_resolve(tmp_path, monkeypatch):
     } <= names
 
 
+def test_perfbench_reference_recorder_calls_every_check(tmp_path, monkeypatch):
+    # perfbench/record_reference.py calls each check's verify function with
+    # the check_params of a validated config; those signatures must keep
+    # accepting its calls
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    recorder = importlib.import_module("record_reference")
+    cfg = base_config(tmp_path)
+    cfg["domain"]["resolution"] = 4
+    cfg["checks"] = list(CHECKS)
+    cfg["check_params"] = {"union": {"count": 4}}
+    cfg = validate_config(cfg)
+    objects = build_objects(cfg)
+    assert len(cfg["checks"]) == 7
+    for check in cfg["checks"]:
+        report = recorder._call(check, cfg["check_params"][check], *objects)
+        assert report.check == recorder.REPORT_NAME.get(check, check)
+
+
 def test_run_csv_tables_round_trip(tmp_path):
     cfg = base_config(tmp_path)
     cfg["checks"] = ["union"]
@@ -797,22 +815,31 @@ def test_spectrum_count_above_level_zero_names_flag(tmp_path, capsys, bc, limit)
 def test_count_beyond_the_solve_limit_names_flag_and_field(
     tmp_path, capsys, monkeypatch, bc
 ):
-    # 81 vertices at level 0; the limit's predicate counts k + 1 pairs on
-    # them: 81 x 23 = 1,863 floats for k = 10, 81 x 25 = 2,025 for k = 11
+    # 81 vertices and 49 interior ones at level 0; ARPACK holds max(2k + 1,
+    # 20) vectors of its pencil.  neumann solves k pairs on the vertices,
+    # 81 x 23 = 1,863 floats for k = 11 and 81 x 25 = 2,025 for k = 12;
+    # dirichlet k pairs on the interior, 49 x 39 = 1,911 for k = 19 and
+    # 49 x 41 = 2,009 for k = 20; oneform k + 1 pairs on the vertices and k
+    # on the interior, 81 x 25 for k = 11, and so does the union's 1-form
+    # side at count 11
+    largest = {"neumann": 11, "dirichlet": 19, "oneform": 10}[bc]
     monkeypatch.setattr(eigen, "MAX_SOLVE_FLOATS", 2000)
     cfg = base_config(tmp_path)
     cfg["checks"] = ["union"]
     path = write_config(tmp_path, cfg)
-    assert main(["spectrum", path, "--bc", bc, "-k", "10"]) == 0
+    assert main(["spectrum", path, "--bc", bc, "-k", str(largest)]) == 0
     cfg["check_params"] = {"union": {"count": 10}}
     assert main(["run", write_config(tmp_path, cfg)]) == 0
     capsys.readouterr()
     # refused before any solve
     monkeypatch.setattr(eigen, "solve_smallest", _must_not_run)
     monkeypatch.setattr(verify, "solve_smallest", _must_not_run)
-    assert main(["spectrum", path, "--bc", bc, "-k", "11"]) == 2
+    monkeypatch.setattr(verify, "solve_oneform", _must_not_run)
+    count = largest + 1
+    assert main(["spectrum", path, "--bc", bc, "-k", str(count)]) == 2
     err = capsys.readouterr().err
-    assert f"-k/--count: 11 {bc} eigenpairs of 81 vertices" in err and "limit" in err
+    assert f"-k/--count: {count} {bc} eigenpairs of 81 vertices" in err
+    assert "above the limit 2e+03 floats" in err
     cfg["check_params"] = {"union": {"count": 11}}
     assert main(["run", write_config(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err
