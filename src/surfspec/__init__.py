@@ -11,10 +11,11 @@ screening (:mod:`surfspec.geometry`), periodic-aware triangulations
 
 Importing the package sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
 and ``MKL_NUM_THREADS`` to 1 unless they are already set.  Every dense
-product here is small or tall and skinny (LOBPCG block Gram matrices,
-Lanczos bases, dense solves up to 250 unknowns), where a second BLAS
-thread only spins, and one thread makes the nested solves' round-off
-independent of the core count.  The default applies only when surfspec
+product here is small or tall and skinny (LOBPCG's 3 x 3 Gram matrices
+and projections onto the pairs already found, Lanczos bases, dense
+solves up to 250 unknowns), where a second BLAS thread only spins, and
+one thread makes the nested solves' round-off independent of the core
+count.  The default applies only when surfspec
 is imported before numpy; child processes inherit the variables.
 ``THREAD_SETTINGS`` records the values seen here, and reports carry it
 under ``metadata``.

@@ -11,8 +11,11 @@ pencils, so it returns the k smallest pairs.  A nested solve
 (``verify.LevelCache`` above level 0) passes a start block, the coarser
 level's eigenvectors interpolated onto this one, and a preconditioner,
 a multigrid V-cycle that smooths along lines of strong couplings and
-whose coarse solve is the level-0 factor; it runs LOBPCG (Knyazev, SIAM
-J. Sci. Comput. 23, 2001) and factors nothing.
+whose coarse solve is the level-0 factor; it factors nothing.  It finds
+the pairs one after another by single-vector LOBPCG (Knyazev, SIAM J.
+Sci. Comput. 23, 2001), pair j from column j of the start block and
+M-orthogonal to the pairs already found, so a pair that converges early
+costs no further steps while a slower one converges.
 Both start points are pure functions of the inputs, so runs are
 reproducible.
 
@@ -35,7 +38,6 @@ the eigenvalues and their residuals, so no 1-form eigenfield is formed.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -59,16 +61,18 @@ __all__ = [
 
 ZERO_MODE_FACTOR = 1e-10  # eta below this times max(eta) counts as harmonic
 SIGMA_SCALE = 1e-6  # shift / mean(K_ii / M_ii); 1e-5 and up add LOBPCG iterations
-LOBPCG_MAXITER = 100  # nested solves of the perfbench configs take 8-21 iterations
+LOBPCG_MAXITER = 100  # steps per pair; the perfbench configs' pairs take 0-12
 # largest pencil solved densely: the measured crossover (2 cores, hyperbolic
 # rectangle: dense = sparse at dim 220, 23.5 vs 8.2 ms at dim 476)
 DENSE_MAX_DIM = 250
 # the most floats the work arrays of one solve may hold, 0.8 GB: ARPACK's
 # Lanczos basis, LOBPCG's blocks or the dense copies (see solve_fits)
 MAX_SOLVE_FLOATS = 10**8
-# dim x k blocks held by a nested LOBPCG solve (peak growth 20.4 and 22.3
-# dim x k floats measured on a flat square of dimension 9,409, k = 60 and 120)
-LOBPCG_BLOCKS = 22
+# dim x k blocks held by a nested LOBPCG solve: the found pairs and their M
+# images, then the sorted, orthonormalized copies and the residual images
+# (peak growth 5.0 and 5.9 dim x k floats measured on a flat square of
+# dimension 9,409, k = 60 and 120)
+LOBPCG_BLOCKS = 6
 # dim x dim arrays held by a dense solve of every pair: K, M, LAPACK's copies
 # of both and the eigenvectors (peak growth 5.4-5.6 dim^2 floats measured
 # on flat squares of dimension 1,681 and 3,721)
@@ -93,7 +97,9 @@ class SpectralResult:
     ``vectors`` columns are orthonormal in the pencil's M inner product,
     and None for the 1-form spectrum, which keeps no eigenfields;
     ``residuals`` hold ||K x - lambda M x|| / (1 + |lambda|) with x
-    M-normalized.
+    M-normalized.  ``iterations`` holds the LOBPCG steps each pair took
+    in a nested solve, in the order of ``values``, and is None for dense
+    and ARPACK solves.
     """
 
     values: np.ndarray
@@ -103,6 +109,7 @@ class SpectralResult:
     method: str
     shift: Optional[float] = None
     converged: bool = True
+    iterations: Optional[Tuple[int, ...]] = None
 
 
 def _orthonormalize(vectors: np.ndarray, mass) -> np.ndarray:
@@ -146,6 +153,80 @@ def shifted_factor(K, M) -> Tuple[float, spla.SuperLU]:
         raise EigenError(f"factorization of (K + {shift!r} M) failed: {exc}") from exc
 
 
+def _lobpcg_pairs(K, M, start, precond, tol):
+    """The pairs of K x = lambda M x that single-vector LOBPCG finds from
+    the columns of ``start``, one after another: ``(values, vectors,
+    steps)``.
+
+    Pair j starts from column j, kept M-orthogonal to the pairs already
+    found.  A step applies ``precond`` to the residual, projects that
+    direction w M-orthogonally off the found pairs and off x, and moves x
+    to the Rayleigh-Ritz minimum over span{x, w, p}, where p, the last
+    step's update kept M-orthogonal to x, is left out when it has no
+    M-norm left (Knyazev, SIAM J. Sci. Comput. 23, 2001).  A pair stops
+    when ||K x - theta M x|| <= ``tol`` with x M-normalized, or after
+    ``LOBPCG_MAXITER`` steps; the caller's residual check judges it.  A
+    direction with no M-norm left, or a Gram matrix that is not positive
+    definite, raises :class:`EigenError` naming the dimension, k and the
+    pair.
+    """
+    dim, k = start.shape
+    found, mfound = np.empty((dim, k)), np.empty((dim, k))
+    values, steps = np.empty(k), []
+    # rows x, w and p of the search space, each with its K and M images
+    basis = np.empty((3, 3, dim))
+    for j in range(k):
+        X, MX = found[:, :j], mfound[:, :j]
+
+        def fail(reason):
+            return EigenError(
+                f"LOBPCG broke down at pair {j + 1} of {k} eigenpairs of "
+                f"dimension {dim}: {reason}"
+            )
+
+        def unit(v):
+            """v M-orthogonal to the found pairs and M-normalized, with its
+            K and M images."""
+            v = v - X @ (MX.T @ v)
+            mv = M @ v
+            norm = np.sqrt(v @ mv)
+            if not norm > 0:
+                raise fail("a search direction has no M-norm left")
+            return v / norm, (K @ v) / norm, mv / norm
+
+        x = basis[0]
+        x[:] = unit(start[:, j])
+        theta, size, step = x[0] @ x[1], 2, 0
+        r = x[1] - theta * x[2]
+        while step < LOBPCG_MAXITER and np.linalg.norm(r) > tol:
+            w = precond(r)
+            basis[1] = unit(w - x[0] * (x[2] @ w))
+            space = basis[:size]
+            try:
+                ritz, c = la.eigh(
+                    space[:, 0] @ space[:, 1].T, space[:, 0] @ space[:, 2].T,
+                    subset_by_index=(0, 0),
+                )
+            except la.LinAlgError as exc:
+                raise fail(f"the Gram matrix is not positive definite: {exc}") from exc
+            theta, c = ritz[0], c[:, 0]
+            p = np.tensordot(c[1:], space[1:], axes=1)
+            x *= c[0]
+            x += p
+            # p keeps only its part M-orthogonal to the new x
+            p -= (x[2] @ p[0]) * x
+            norm = np.sqrt(p[0] @ p[2])
+            if norm > 0:
+                basis[2], size = p / norm, 3
+            else:
+                size = 2
+            r = x[1] - theta * x[2]
+            step += 1
+        found[:, j], mfound[:, j], values[j] = x[0], x[2], theta
+        steps.append(step)
+    return values, found, steps
+
+
 def solve_smallest(
     K,
     M,
@@ -161,15 +242,20 @@ def solve_smallest(
 
     Dense reduction when :func:`uses_dense_path` says so (dimension at
     most ``DENSE_MAX_DIM`` or k reaching the dimension).  Otherwise, given
-    a ``start`` block of shape (dim, k), LOBPCG from that block with the
-    preconditioner ``precond`` (anything LOBPCG accepts as ``M``);
-    without one, shift-invert Lanczos from a standard normal start vector
-    seeded with ``options.seed``, on ``factor``, the ``(sigma, lu)`` of
-    :func:`shifted_factor` for this pencil, or on that function's factor
-    made here.  Non-convergence, or a residual above ``options.tol``,
-    returns the result with ``converged=False``; a factorization
-    breakdown raises :class:`EigenError` naming the shift, and a LOBPCG
-    breakdown one naming the dimension, k and scipy's message.
+    a ``start`` block of shape (dim, k), single-vector LOBPCG for each
+    pair in turn, from that block's column and deflated against the
+    pairs already found, with ``precond``, a callable applied to a
+    residual vector, as the preconditioner; each pair stops at ||K x -
+    theta M x|| <= 0.1 ``options.tol`` with x M-normalized, or after
+    ``LOBPCG_MAXITER`` steps, and ``iterations`` records its steps.
+    Without a start block, shift-invert Lanczos from
+    a standard normal start vector seeded with ``options.seed``, on
+    ``factor``, the ``(sigma, lu)`` of :func:`shifted_factor` for this
+    pencil, or on that function's factor made here.  Non-convergence,
+    or a residual above ``options.tol``, returns the result with
+    ``converged=False``; a factorization breakdown raises
+    :class:`EigenError` naming the shift, and a LOBPCG breakdown one
+    naming the dimension, k and the pair.
     """
     options = options or SolverOptions()
     K = sp.csr_matrix(K)
@@ -186,7 +272,7 @@ def solve_smallest(
         )
 
     converged = True
-    shift = None
+    shift = steps = None
     if uses_dense_path(dim, k):
         method = "dense"
         values, vectors = la.eigh(
@@ -194,20 +280,11 @@ def solve_smallest(
         )
     elif start is not None:
         method = "lobpcg-multigrid"
-        with warnings.catch_warnings():
-            # an unconverged exit warns; the residual check below judges it
-            warnings.simplefilter("ignore", UserWarning)
-            # LOBPCG's residual is not divided by 1 + |lambda|: a tenth of
-            # options.tol keeps the check below clear of its stopping point
-            try:
-                values, vectors = spla.lobpcg(
-                    K, np.array(start, dtype=float), B=M, M=precond,
-                    tol=0.1 * options.tol, maxiter=LOBPCG_MAXITER, largest=False,
-                )
-            except ValueError as exc:  # LinAlgError is one too
-                raise EigenError(
-                    f"LOBPCG failed for {k} eigenpairs of dimension {dim}: {exc}"
-                ) from exc
+        # LOBPCG's residual is not divided by 1 + |lambda|: a tenth of
+        # options.tol keeps the check below clear of its stopping point
+        values, vectors, steps = _lobpcg_pairs(
+            K, M, np.asarray(start, dtype=float), precond, 0.1 * options.tol
+        )
     else:
         method = "shift-invert-lanczos"
         shift, lu = factor if factor is not None else shifted_factor(K, M)
@@ -233,7 +310,8 @@ def solve_smallest(
     if converged and np.any(residuals > options.tol):
         converged = False
     return SpectralResult(
-        values, vectors, residuals, bc, method, shift=shift, converged=converged
+        values, vectors, residuals, bc, method, shift=shift, converged=converged,
+        iterations=None if steps is None else tuple(steps[i] for i in order),
     )
 
 

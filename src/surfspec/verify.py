@@ -338,10 +338,12 @@ class LevelCache:
         or dense, as :func:`solve_smallest` decides alone; a sparse level 0
         runs ARPACK on :meth:`_factor`.  A sparse solve above level 0 is a
         nested iteration: it takes the coarser level's solve of the same
-        block (see :meth:`_nested_start`) and runs LOBPCG from it,
-        preconditioned by :meth:`_vcycle`, so no level above 0 is factored,
-        and a level's solve always derives from the same coarser solve,
-        whichever checks asked for it.
+        block (see :meth:`_nested_start`) and runs LOBPCG from it, one
+        pair after another, each from its own column and preconditioned by
+        :meth:`_vcycle`, so no level above 0 is factored, and a level's
+        solve always derives from the same coarser solve, whichever checks
+        asked for it.  Such a result records each pair's LOBPCG steps in
+        ``iterations``.
         """
         dim = self.pairs(level, bc)
         if not 1 <= k <= dim:
@@ -557,6 +559,7 @@ def _leading(block: SpectralResult, k: int) -> SpectralResult:
     return SpectralResult(
         block.values[:k], block.vectors[:, :k], block.residuals[:k], block.bc,
         block.method, shift=block.shift, converged=block.converged,
+        iterations=None if block.iterations is None else block.iterations[:k],
     )
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from surfspec import assembly
 from surfspec.assembly import (
@@ -379,6 +380,29 @@ def test_dirichlet_form_hyperbolic_rectangle():
     assert out["alpha_star_nu"] == pytest.approx(out["alpha_nu"], rel=1e-9)
     assert abs(out["cross"]) <= 0.05 * lam1
     assert out["dphi_norm2"] == pytest.approx(lam1, rel=1e-10)
+
+
+def test_dirichlet_form_cross_term_mass_solve(monkeypatch):
+    # the codifferential's M0 solve is Jacobi-preconditioned CG: it gives a
+    # sparse LU's cross term, and stopping short of its tolerance is refused
+    mesh = triangulate(DomainSpec.rectangle(0, 1, 1, 2, 16))
+    phi, lam1 = first_dirichlet_mode(mesh, HALF_PLANE)
+    ops, f = assemble_scalar(mesh, HALF_PLANE), parse("-log(y)")
+    cross = dirichlet_form_quadrature(ops, f, phi, lam1)["cross"]
+    cg = assembly.spla.cg
+    monkeypatch.setattr(
+        assembly.spla, "cg", lambda A, b, **kw: (spla.spsolve(A.tocsc(), b), 0)
+    )
+    lu_cross = dirichlet_form_quadrature(ops, f, phi, lam1)["cross"]
+    assert abs(cross - lu_cross) <= 1e-12 * lam1
+    monkeypatch.setattr(
+        assembly.spla, "cg", lambda A, b, **kw: cg(A, b, **{**kw, "maxiter": 1})
+    )
+    with pytest.raises(AssemblyError, match=(
+        r"CG on the vertex mass matrix of dimension 289 did not reach rtol "
+        r"1e-14 for the cross term \(info 1\)"
+    )):
+        dirichlet_form_quadrature(ops, f, phi, lam1)
 
 
 def test_dirichlet_form_rejects_non_unit_gradient():

@@ -875,7 +875,8 @@ def test_nested_union_solve_is_charged_lobpcg_blocks(tmp_path, capsys, monkeypat
     # ones at level 1.  ARPACK's charge admits 10 eigenvalues there at
     # 50,000 floats (1,089 x 23 and 961 x 21 floats), but above level 0 the
     # scalar side runs LOBPCG, which holds LOBPCG_BLOCKS dim x k floats:
-    # 22 x 1,089 x 11 for the Neumann block
+    # 6 x 1,089 x 11 = 71,874 for the Neumann block of count 10, and
+    # 6 x 1,089 x 5 = 32,670 for that of count 4
     monkeypatch.setattr(eigen, "MAX_SOLVE_FLOATS", 50_000)
     assert eigen.solve_fits(1089, 11) and eigen.solve_fits(961, 10)
     assert not eigen.solve_fits(1089, 11, nested=True)
@@ -884,6 +885,8 @@ def test_nested_union_solve_is_charged_lobpcg_blocks(tmp_path, capsys, monkeypat
     cfg["checks"] = ["union"]
     # level 0 keeps ARPACK's charge
     cfg["check_params"] = {"union": {"count": 10, "level": 0}}
+    assert main(["run", write_config(tmp_path, cfg)]) == 0
+    cfg["check_params"] = {"union": {"count": 4, "level": 1}}
     assert main(["run", write_config(tmp_path, cfg)]) == 0
     capsys.readouterr()
     monkeypatch.setattr(verify, "solve_smallest", _must_not_run)
@@ -931,6 +934,23 @@ def test_unconverged_spectrum_is_refused(
     err = capsys.readouterr().err
     assert f"error: the {solve} eigensolve did not converge: worst residual" in err
     assert "tolerance 1e-09" in err
+
+
+def test_nested_solve_breakdown_exits_2(tmp_path, capsys, monkeypatch):
+    # a V-cycle that returns zeros leaves the level-1 Neumann solve no search
+    # direction; pair 1, the constant, is converged at its start
+    path = write_config(
+        tmp_path, cusp_band_config(tmp_path, "inequality", {"levels": 2})
+    )
+    monkeypatch.setattr(
+        verify.LevelCache, "_vcycle", lambda self, level, bc: lambda r: 0.0 * r
+    )
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert (
+        "error: LOBPCG broke down at pair 2 of 4 eigenpairs of dimension 272: "
+        "a search direction has no M-norm left"
+    ) in err
 
 
 def test_spectrum_oneform(tmp_path, capsys, monkeypatch):
