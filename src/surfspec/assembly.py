@@ -62,8 +62,8 @@ __all__ = [
 ]
 
 M_NORMALIZATION_TOL = 1e-8
-# relative residual of the cross term's M0 solve; its solutions agree with a
-# sparse LU's to about 4e-15
+# relative residual of every M0 solve (the cross term's and the harmonic
+# fields'); its solutions agree with a sparse LU's to about 4e-15
 MASS_CG_RTOL = 1e-14
 
 # reference-triangle quadrature: points in (xi, eta), weights sum to 1/2
@@ -106,6 +106,22 @@ _NEXT = [b for _, b in LOCAL_EDGES]
 
 class AssemblyError(ValueError):
     """Quadrature input outside the operator preconditions."""
+
+
+def _solve_mass0(mass0, rhs: np.ndarray, term: str) -> np.ndarray:
+    """M0^-1 rhs by Jacobi-preconditioned CG to ``MASS_CG_RTOL``; stopping
+    short raises :class:`AssemblyError` naming the dimension and ``term``,
+    what the solve is for.  M0 is well conditioned, so this costs less
+    than a sparse LU of it on every call."""
+    x, info = spla.cg(
+        mass0, rhs, rtol=MASS_CG_RTOL, atol=0.0, M=sp.diags(1.0 / mass0.diagonal())
+    )
+    if info != 0:
+        raise AssemblyError(
+            f"CG on the vertex mass matrix of dimension {mass0.shape[0]} did "
+            f"not reach rtol {MASS_CG_RTOL} for {term} (info {info})"
+        )
+    return x
 
 
 @dataclass
@@ -465,17 +481,7 @@ def dirichlet_form_quadrature(
     curl_part = float((mesh.d1 @ w_a) @ (mass2 @ (mesh.d1 @ w_b)))
     rhs_a = mesh.d0.T @ (mass1 @ w_a)
     rhs_b = mesh.d0.T @ (mass1 @ w_b)
-    # M0 is well conditioned: Jacobi-preconditioned CG costs less than a
-    # sparse LU of it on every call
-    delta_b, info = spla.cg(
-        mass0, rhs_b, rtol=MASS_CG_RTOL, atol=0.0, M=sp.diags(1.0 / mass0.diagonal())
-    )
-    if info != 0:
-        raise AssemblyError(
-            f"CG on the vertex mass matrix of dimension {mass0.shape[0]} did "
-            f"not reach rtol {MASS_CG_RTOL} for the cross term (info {info})"
-        )
-    div_part = float(rhs_a @ delta_b)
+    div_part = float(rhs_a @ _solve_mass0(mass0, rhs_b, "the cross term"))
     cross = curl_part + div_part
 
     return {

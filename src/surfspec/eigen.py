@@ -1,21 +1,22 @@
 """Generalized symmetric eigensolvers for the assembled pencils.
 
-``solve_smallest`` handles K x = lambda M x for the scalar problems:
-dense reduction up to DENSE_MAX_DIM unknowns, and two sparse paths
-above.  A cold solve (level 0 of a refinement chain, and every direct
-caller) runs shift-invert Lanczos (ARPACK) from a start vector drawn
-from ``options.seed``, on the factor of :func:`shifted_factor`, the one
-rule for the shift: sigma = SIGMA_SCALE * mean(K_ii / M_ii).  Any sigma
-> 0 keeps K + sigma M definite for these positive semi-definite
-pencils, so it returns the k smallest pairs.  A nested solve
-(``verify.LevelCache`` above level 0) passes a start block, the coarser
-level's eigenvectors interpolated onto this one, and a preconditioner,
-a multigrid V-cycle that smooths along lines of strong couplings and
-whose coarse solve is the level-0 factor; it factors nothing.  It finds
-the pairs one after another by single-vector LOBPCG (Knyazev, SIAM J.
-Sci. Comput. 23, 2001), pair j from column j of the start block and
-M-orthogonal to the pairs already found, so a pair that converges early
-costs no further steps while a slower one converges.
+``solve_smallest`` handles K x = lambda M x for the scalar problems by
+the method that :func:`solve_plan` picks: dense reduction up to
+DENSE_MAX_DIM unknowns, and two sparse paths above.  A cold solve
+(level 0 of a refinement chain, a block beyond the coarser level's
+spectrum, and every direct caller) runs shift-invert Lanczos (ARPACK)
+from a start vector drawn from ``options.seed``, on the factor of
+:func:`shifted_factor`, the one rule for the shift: sigma = SIGMA_SCALE
+* mean(K_ii / M_ii).  Any sigma > 0 keeps K + sigma M definite for these
+positive semi-definite pencils, so it returns the k smallest pairs.  A
+nested solve (``verify.LevelCache`` above level 0) passes a start block,
+the coarser level's eigenvectors interpolated onto this one, and a
+preconditioner, a multigrid V-cycle that smooths along lines of strong
+couplings and whose coarse solve is the level-0 factor; it factors
+nothing.  It finds the pairs one after another by single-vector LOBPCG
+(Knyazev, SIAM J. Sci. Comput. 23, 2001), pair j from column j of the
+start block and M-orthogonal to the pairs already found, so a pair that
+converges early costs no further steps while a slower one converges.
 Both start points are pure functions of the inputs, so runs are
 reproducible.
 
@@ -47,14 +48,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import ArpackNoConvergence
 
+from .assembly import _solve_mass0
+
 __all__ = [
     "EigenError",
     "SolverOptions",
     "SpectralResult",
     "shifted_factor",
     "solve_smallest",
-    "uses_dense_path",
-    "solve_fits",
+    "solve_plan",
     "solve_oneform",
     "cluster_multiplicities",
 ]
@@ -66,7 +68,7 @@ LOBPCG_MAXITER = 100  # steps per pair; the perfbench configs' pairs take 0-12
 # rectangle: dense = sparse at dim 220, 23.5 vs 8.2 ms at dim 476)
 DENSE_MAX_DIM = 250
 # the most floats the work arrays of one solve may hold, 0.8 GB: ARPACK's
-# Lanczos basis, LOBPCG's blocks or the dense copies (see solve_fits)
+# Lanczos basis, LOBPCG's blocks or the dense copies (see solve_plan)
 MAX_SOLVE_FLOATS = 10**8
 # dim x k blocks held by a nested LOBPCG solve: the found pairs and their M
 # images, then the sorted, orthonormalized copies and the residual images
@@ -124,22 +126,19 @@ def _residuals(K, M, values, vectors) -> np.ndarray:
     return np.linalg.norm(resid, axis=0) / (1.0 + np.abs(values))
 
 
-def uses_dense_path(dim: int, k: int) -> bool:
-    """Whether :func:`solve_smallest` reduces a dimension-``dim`` pencil densely."""
-    return dim <= DENSE_MAX_DIM or k >= dim
-
-
-def solve_fits(dim: int, k: int, nested: bool = False) -> bool:
-    """Whether k pairs of a dimension-``dim`` pencil stay within
-    ``MAX_SOLVE_FLOATS``: k >= dim is a dense solve of ``DENSE_COPIES``
-    dim x dim arrays, a ``nested`` solve (LOBPCG from a start block) holds
-    ``LOBPCG_BLOCKS`` dim x k arrays, and ARPACK keeps dim x min(dim,
-    max(2k + 1, 20)) floats of Lanczos vectors."""
-    if k >= dim:
-        return DENSE_COPIES * dim * dim <= MAX_SOLVE_FLOATS
+def solve_plan(dim: int, k: int, nested: bool = False) -> Tuple[str, int]:
+    """The method :func:`solve_smallest` runs for k pairs of a dimension-
+    ``dim`` pencil, and the floats its work arrays hold, as ``(method,
+    floats)``: "dense" at most ``DENSE_MAX_DIM`` unknowns or when k reaches
+    dim, ``DENSE_COPIES`` dim x dim arrays; else "lobpcg-multigrid" for a
+    ``nested`` solve (given a start block), ``LOBPCG_BLOCKS`` dim x k
+    arrays, or "shift-invert-lanczos", ARPACK's dim x min(dim, max(2k + 1,
+    20)) floats of Lanczos vectors."""
+    if dim <= DENSE_MAX_DIM or k >= dim:
+        return "dense", DENSE_COPIES * dim * dim
     if nested:
-        return LOBPCG_BLOCKS * dim * k <= MAX_SOLVE_FLOATS
-    return dim * min(dim, max(2 * k + 1, 20)) <= MAX_SOLVE_FLOATS
+        return "lobpcg-multigrid", LOBPCG_BLOCKS * dim * k
+    return "shift-invert-lanczos", dim * min(dim, max(2 * k + 1, 20))
 
 
 def shifted_factor(K, M) -> Tuple[float, spla.SuperLU]:
@@ -240,15 +239,15 @@ def solve_smallest(
 ) -> SpectralResult:
     """k smallest eigenpairs of K x = lambda M x.
 
-    Dense reduction when :func:`uses_dense_path` says so (dimension at
-    most ``DENSE_MAX_DIM`` or k reaching the dimension).  Otherwise, given
-    a ``start`` block of shape (dim, k), single-vector LOBPCG for each
-    pair in turn, from that block's column and deflated against the
-    pairs already found, with ``precond``, a callable applied to a
-    residual vector, as the preconditioner; each pair stops at ||K x -
-    theta M x|| <= 0.1 ``options.tol`` with x M-normalized, or after
-    ``LOBPCG_MAXITER`` steps, and ``iterations`` records its steps.
-    Without a start block, shift-invert Lanczos from
+    The method is :func:`solve_plan`'s, nested when ``start`` is given:
+    dense reduction at most ``DENSE_MAX_DIM`` unknowns or when k reaches
+    the dimension.  Otherwise, given a ``start`` block of shape (dim, k),
+    single-vector LOBPCG for each pair in turn, from that block's column
+    and deflated against the pairs already found, with ``precond``, a
+    callable applied to a residual vector, as the preconditioner; each
+    pair stops at ||K x - theta M x|| <= 0.1 ``options.tol`` with x
+    M-normalized, or after ``LOBPCG_MAXITER`` steps, and ``iterations``
+    records its steps.  Without a start block, shift-invert Lanczos from
     a standard normal start vector seeded with ``options.seed``, on
     ``factor``, the ``(sigma, lu)`` of :func:`shifted_factor` for this
     pencil, or on that function's factor made here.  Non-convergence,
@@ -273,20 +272,18 @@ def solve_smallest(
 
     converged = True
     shift = steps = None
-    if uses_dense_path(dim, k):
-        method = "dense"
+    method, _ = solve_plan(dim, k, nested=start is not None)
+    if method == "dense":
         values, vectors = la.eigh(
             K.toarray(), M.toarray(), subset_by_index=(0, k - 1)
         )
-    elif start is not None:
-        method = "lobpcg-multigrid"
+    elif method == "lobpcg-multigrid":
         # LOBPCG's residual is not divided by 1 + |lambda|: a tenth of
         # options.tol keeps the check below clear of its stopping point
         values, vectors, steps = _lobpcg_pairs(
             K, M, np.asarray(start, dtype=float), precond, 0.1 * options.tol
         )
     else:
-        method = "shift-invert-lanczos"
         shift, lu = factor if factor is not None else shifted_factor(K, M)
         opinv = spla.LinearOperator((dim, dim), matvec=lu.solve, dtype=float)
         v0 = np.random.default_rng(options.seed).standard_normal(dim)
@@ -348,7 +345,8 @@ def solve_oneform(
     harmonics are seeded edge fields with their curl and exact parts
     projected out (:func:`_natural_harmonics`).  Returns the merged
     ascending values with their blocks' residuals (a harmonic field's
-    residual is its Rayleigh quotient), the convergence flag of the two
+    residual is its Rayleigh quotient, whose divergence part takes one
+    M0 solve by the assembly's CG), the convergence flag of the two
     solves and the method, and no vectors; there are ``ops.mesh.betti1``
     zero modes.
     """
@@ -380,7 +378,7 @@ def solve_oneform(
     for eta in harmonics.T:
         curl = ops.d1 @ eta
         div_rhs = ops.d0.T @ (ops.mass1 @ eta)
-        sigma = spla.spsolve(ops.mass0.tocsc(), div_rhs)
+        sigma = _solve_mass0(ops.mass0, div_rhs, "a harmonic field")
         num = float(curl @ (ops.mass2 @ curl) + sigma @ (ops.mass0 @ sigma))
         rayleigh = num / float(eta @ (ops.mass1 @ eta))
         candidates.append((rayleigh, rayleigh))  # its own residual

@@ -6,8 +6,9 @@ checks of a run.  Spectra are keyed on ``(level, bc, k)``, except that
 every Neumann request of k <= NEUMANN_BLOCK reads the first k pairs of
 one solve of the block max(k, min(NEUMANN_BLOCK, dim)), the inequality's
 four Neumann pairs; a sparse solve above level 0 starts from the coarser
-level's solve of the same block.  The block depends only on ``(bc, k,
-dim)``, so a check's numbers do not depend on which other checks ran.
+level's solve of the same block when that level has as many pairs
+(:meth:`LevelCache.plan`).  The block depends only on ``(bc, k, dim)``,
+so a check's numbers do not depend on which other checks ran.
 Every check returns a :class:`VerificationReport` built by one
 constructor that sets the pass flag by the check's :func:`recompute_pass`
 rule, so the flag is by construction a pure function of the recorded
@@ -55,10 +56,9 @@ from .eigen import (
     SolverOptions,
     SpectralResult,
     shifted_factor,
-    solve_fits,
     solve_oneform,
+    solve_plan,
     solve_smallest,
-    uses_dense_path,
 )
 from .expr import Expr
 from .geometry import (
@@ -257,12 +257,10 @@ class LevelCache:
     Level 0 is ``triangulate(domain)`` and level L + 1 refines level L.
     Each item is built on first request and kept; spectra are keyed on
     ``(level, bc, k)`` with ``bc`` "dirichlet", "neumann" or "oneform".  A
-    Neumann pencil of dimension dim is solved for the block
-    max(k, min(NEUMANN_BLOCK, dim)), so every Neumann request of k <=
-    NEUMANN_BLOCK is the first k pairs of one solve per level.  The
-    number of pairs (:meth:`pairs`) and the solver memory (:meth:`fits`)
-    of a request are predicted from the level's mesh alone.  Every
-    caller gets the same objects, which nothing may modify.
+    request's number of pairs (:meth:`pairs`), and the block, method and
+    solver memory of its solve (:meth:`plan`), are predicted from the
+    level's meshes alone.  Every caller gets the same objects, which
+    nothing may modify.
     """
 
     def __init__(
@@ -312,16 +310,33 @@ class LevelCache:
             return mesh.n_vertices - 1 + len(mesh.interior) + mesh.betti1
         return len(mesh.interior) if bc == "dirichlet" else mesh.n_vertices
 
-    def fits(self, level: int, bc: str, k: int) -> bool:
-        """Whether the solves of ``spectrum(level, bc, k)`` fit
-        ``MAX_SOLVE_FLOATS`` (:func:`solve_fits`): a scalar request's block,
-        nested above level 0; a 1-form request's two cold blocks, k + 1
-        pairs over the vertices and k pairs over the interior."""
+    def plan(self, level: int, bc: str, k: int) -> Tuple[int, str, int]:
+        """``(block, method, floats)`` of ``spectrum(level, bc, k)``: the one
+        rule for what a request solves, read off the meshes alone.
+
+        The block is k, or for Neumann max(k, min(NEUMANN_BLOCK, dim)), so
+        every Neumann request of k <= NEUMANN_BLOCK is the first k pairs of
+        one solve per level.  Its method and floats are :func:`solve_plan`'s,
+        nested when level > 0 and the coarser level has the block's pairs.
+        A 1-form request is "hodge-split/" and the method of its cold
+        Neumann solve, min(k + 1, V) pairs, charged the larger of that solve
+        and its cold Dirichlet one, min(k, n_int) pairs when n_int > 0.
+        """
         if bc == "oneform":
             v, n_int = self.pairs(level, "neumann"), self.pairs(level, "dirichlet")
-            return solve_fits(v, k + 1) and solve_fits(n_int, k)
+            method, floats = solve_plan(v, min(k + 1, v))
+            if n_int > 0:
+                floats = max(floats, solve_plan(n_int, min(k, n_int))[1])
+            return k, "hodge-split/" + method, floats
         dim = self.pairs(level, bc)
-        return solve_fits(dim, _block(bc, k, dim), nested=level > 0)
+        block = max(k, min(NEUMANN_BLOCK, dim)) if bc == "neumann" else k
+        nested = level > 0 and self.pairs(level - 1, bc) >= block
+        return (block, *solve_plan(dim, block, nested))
+
+    def fits(self, level: int, bc: str, k: int) -> bool:
+        """Whether ``spectrum(level, bc, k)``'s work arrays, as :meth:`plan`
+        charges them, fit ``eigen.MAX_SOLVE_FLOATS``, read at call time."""
+        return self.plan(level, bc, k)[2] <= eigen.MAX_SOLVE_FLOATS
 
     def spectrum(self, level: int, bc: str, k: int) -> SpectralResult:
         """The k smallest eigenpairs of a level's ``bc`` spectrum.
@@ -330,20 +345,18 @@ class LevelCache:
         anything is assembled.  The 1-form spectrum is
         :func:`solve_oneform` of the level's operators; it reads no scalar
         spectrum of the cache, so the spectrum union compares independent
-        solves.  A Neumann request of k below its block (see the class) is
-        the block's first k values, vectors and residuals, bit for bit,
-        with the block's method, shift and convergence flag.
+        solves.  A scalar request runs its :meth:`plan`; one of k below its
+        block is the block's first k values, vectors and residuals, bit for
+        bit, with the block's method, shift and convergence flag.
 
-        Level 0, and every level on the dense path, is a cold solve: ARPACK
-        or dense, as :func:`solve_smallest` decides alone; a sparse level 0
-        runs ARPACK on :meth:`_factor`.  A sparse solve above level 0 is a
-        nested iteration: it takes the coarser level's solve of the same
-        block (see :meth:`_nested_start`) and runs LOBPCG from it, one
-        pair after another, each from its own column and preconditioned by
-        :meth:`_vcycle`, so no level above 0 is factored, and a level's
-        solve always derives from the same coarser solve, whichever checks
-        asked for it.  Such a result records each pair's LOBPCG steps in
-        ``iterations``.
+        ARPACK runs on :meth:`_factor` at level 0, and above it (a block
+        beyond the coarser spectrum) on a factor of its own pencil.  A
+        nested solve interpolates the coarser level's solve of the same
+        block by :meth:`_transfer` (Knyazev & Neymeyr, ETNA 15, 2003) and
+        runs LOBPCG from it, one pair after another, each from its own
+        column and preconditioned by :meth:`_vcycle`; it factors nothing,
+        always derives from the same coarser solve, whichever checks asked
+        for it, and records each pair's LOBPCG steps in ``iterations``.
         """
         dim = self.pairs(level, bc)
         if not 1 <= k <= dim:
@@ -355,16 +368,19 @@ class LevelCache:
             return self._get(key, lambda: solve_oneform(
                 assemble_oneform(self.operators(level)), k, options=self.options
             ))
-        block = _block(bc, k, dim)
+        block, method, _ = self.plan(level, bc, k)
         if k < block:
             return self._get(key, lambda: _leading(self.spectrum(level, bc, block), k))
 
         def solve():
-            pencil = self.pencil(level, bc)
-            start, given = self._nested_start(level, bc, k), {}
-            if start is not None:
-                given = dict(start=start, precond=self._vcycle(level, bc))
-            elif level == 0 and not uses_dense_path(dim, k):
+            pencil, given = self.pencil(level, bc), {}
+            if method == "lobpcg-multigrid":
+                coarse = self.spectrum(level - 1, bc, k).vectors
+                given = dict(
+                    start=self._transfer(level, bc) @ coarse,
+                    precond=self._vcycle(level, bc),
+                )
+            elif method == "shift-invert-lanczos" and level == 0:
                 given = dict(factor=self._factor(bc))
             return solve_smallest(
                 pencil.stiffness, pencil.mass, k, bc=bc, options=self.options, **given
@@ -397,21 +413,6 @@ class LevelCache:
             return P[fine][:, coarse].tocsr()
 
         return self._get(("transfer", level, bc), build)
-
-    def _nested_start(self, level: int, bc: str, k: int):
-        """Start block of a nested sparse solve, or None for a cold one.
-
-        The start block is the coarser level's k eigenvectors, each
-        interpolated by :meth:`_transfer` (Knyazev & Neymeyr, ETNA 15,
-        2003).  None at level 0, on the dense path, and when the coarser
-        pencil has fewer than k unknowns.
-        """
-        fine_dim = self.pencil(level, bc).stiffness.shape[0]
-        if level == 0 or uses_dense_path(fine_dim, k):
-            return None
-        if self.pencil(level - 1, bc).stiffness.shape[0] < k:
-            return None
-        return self._transfer(level, bc) @ self.spectrum(level - 1, bc, k).vectors
 
     def _vcycle(self, level: int, bc: str) -> Callable:
         """One multigrid V-cycle for A_l = K_l + sigma M_l over levels level..0.
@@ -546,12 +547,6 @@ def _lines(A: sp.csr_matrix):
         upper, info = dpbtrf(band)
         factor = (upper,)
     return (order.astype(np.int32), factor) if info == 0 else None
-
-
-def _block(bc: str, k: int, dim: int) -> int:
-    """The pairs solved for a request of k scalar pairs of a dimension-``dim``
-    pencil: k, or for Neumann at least min(NEUMANN_BLOCK, dim)."""
-    return max(k, min(NEUMANN_BLOCK, dim)) if bc == "neumann" else k
 
 
 def _leading(block: SpectralResult, k: int) -> SpectralResult:

@@ -815,14 +815,16 @@ def test_spectrum_count_above_level_zero_names_flag(tmp_path, capsys, bc, limit)
 def test_count_beyond_the_solve_limit_names_flag_and_field(
     tmp_path, capsys, monkeypatch, bc
 ):
-    # 81 vertices and 49 interior ones at level 0; ARPACK holds max(2k + 1,
-    # 20) vectors of its pencil.  neumann solves k pairs on the vertices,
+    # 81 vertices and 49 interior ones at level 0, both solved by ARPACK
+    # once DENSE_MAX_DIM is below them; ARPACK holds max(2k + 1, 20)
+    # vectors of its pencil.  neumann solves k pairs on the vertices,
     # 81 x 23 = 1,863 floats for k = 11 and 81 x 25 = 2,025 for k = 12;
     # dirichlet k pairs on the interior, 49 x 39 = 1,911 for k = 19 and
     # 49 x 41 = 2,009 for k = 20; oneform k + 1 pairs on the vertices and k
     # on the interior, 81 x 25 for k = 11, and so does the union's 1-form
     # side at count 11
     largest = {"neumann": 11, "dirichlet": 19, "oneform": 10}[bc]
+    monkeypatch.setattr(eigen, "DENSE_MAX_DIM", 10)
     monkeypatch.setattr(eigen, "MAX_SOLVE_FLOATS", 2000)
     cfg = base_config(tmp_path)
     cfg["checks"] = ["union"]
@@ -848,16 +850,19 @@ def test_count_beyond_the_solve_limit_names_flag_and_field(
 
 def test_dense_solve_is_charged_every_copy_of_its_pencil(tmp_path, capsys, monkeypatch):
     # at 10,000 floats ARPACK's bound would pass every one of these (81 x 81
-    # = 6,561 floats), but a solve of every pair is dense and holds six
-    # dim x dim arrays: 39,366 floats on the 81 vertices, 14,406 on the 49
-    # interior unknowns of a Dirichlet request
+    # = 6,561 floats, 81 x 23 = 1,863 for 11 pairs), but a pencil of at most
+    # DENSE_MAX_DIM unknowns, or a solve of every pair, is dense and holds
+    # six dim x dim arrays: 39,366 floats on the 81 vertices, 14,406 on the
+    # 49 interior unknowns of a Dirichlet request
     monkeypatch.setattr(eigen, "MAX_SOLVE_FLOATS", 10_000)
     cfg = base_config(tmp_path)
     cfg["checks"] = ["union"]
     path = write_config(tmp_path, cfg)
     monkeypatch.setattr(eigen, "solve_smallest", _must_not_run)
     monkeypatch.setattr(verify, "solve_smallest", _must_not_run)
-    for bc, count in (("neumann", 81), ("dirichlet", 49), ("oneform", 49)):
+    for bc, count in (
+        ("neumann", 81), ("dirichlet", 49), ("oneform", 49), ("neumann", 11),
+    ):
         assert main(["spectrum", path, "--bc", bc, "-k", str(count)]) == 2
         err = capsys.readouterr().err
         assert f"-k/--count: {count} {bc} eigenpairs of 81 vertices" in err
@@ -871,15 +876,19 @@ def test_dense_solve_is_charged_every_copy_of_its_pencil(tmp_path, capsys, monke
 
 
 def test_nested_union_solve_is_charged_lobpcg_blocks(tmp_path, capsys, monkeypatch):
-    # a flat square of resolution 16 has 1,089 vertices and 961 interior
-    # ones at level 1.  ARPACK's charge admits 10 eigenvalues there at
-    # 50,000 floats (1,089 x 23 and 961 x 21 floats), but above level 0 the
-    # scalar side runs LOBPCG, which holds LOBPCG_BLOCKS dim x k floats:
+    # a flat square of resolution 16 has 289 vertices and 225 interior ones
+    # at level 0, and 1,089 and 961 at level 1; with DENSE_MAX_DIM below
+    # them, none is solved densely.  ARPACK's charge admits 10 eigenvalues
+    # at level 1 at 50,000 floats (1,089 x 23 and 961 x 21 floats), but
+    # above level 0 the scalar side runs LOBPCG, which holds LOBPCG_BLOCKS
+    # dim x k floats:
     # 6 x 1,089 x 11 = 71,874 for the Neumann block of count 10, and
     # 6 x 1,089 x 5 = 32,670 for that of count 4
+    monkeypatch.setattr(eigen, "DENSE_MAX_DIM", 10)
     monkeypatch.setattr(eigen, "MAX_SOLVE_FLOATS", 50_000)
-    assert eigen.solve_fits(1089, 11) and eigen.solve_fits(961, 10)
-    assert not eigen.solve_fits(1089, 11, nested=True)
+    assert eigen.solve_plan(1089, 11)[1] <= 50_000
+    assert eigen.solve_plan(961, 10)[1] <= 50_000
+    assert eigen.solve_plan(1089, 11, nested=True)[1] > 50_000
     cfg = base_config(tmp_path)
     cfg["domain"]["resolution"] = 16
     cfg["checks"] = ["union"]

@@ -1,5 +1,6 @@
 """Every name a surfspec module imports is used there, exported, or marked,
-and every private module-level name is loaded somewhere in the package.
+every private module-level name is loaded somewhere in the package, and
+every name a module exports is defined there.
 
 A name counts as used when the module's syntax tree loads it anywhere
 outside its import (annotations included), as exported when the
@@ -11,6 +12,7 @@ own definition by some module of the package.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -58,13 +60,22 @@ def test_unused_import_is_found():
         "from .mesh import refine  # noqa: F401\n"
         "from .eigen import (\n"
         "    solve_oneform,\n"
-        "    uses_dense_path,\n"
+        "    solve_plan,\n"
         ")\n"
         "__all__ = ['solve_oneform']\n"
         "def f(x: List[int]):\n"
         "    return np.sum(x)\n"
     )
-    assert unused_imports(source) == [(1, "Iterable"), (6, "uses_dense_path")]
+    assert unused_imports(source) == [(1, "Iterable"), (6, "solve_plan")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_exported_name_is_defined(path):
+    # a name left in __all__ after its definition is deleted breaks
+    # `from module import *` with an AttributeError
+    name = "surfspec" if path.stem == "__init__" else f"surfspec.{path.stem}"
+    module = importlib.import_module(name)
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
 def orphaned_private_names(sources: dict) -> list:

@@ -7,10 +7,12 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import solve_banded
+import scipy.sparse.linalg as spla
+from scipy.linalg import eigh, solve_banded
 from scipy.sparse.csgraph import connected_components
 
-from surfspec import eigen, verify
+from surfspec import assembly, eigen, verify
+from surfspec.assembly import AssemblyError
 from surfspec.eigen import EigenError, SolverOptions, solve_smallest
 from surfspec.geometry import builtin_metric
 from surfspec.mesh import DomainSpec, refine, triangulate
@@ -200,6 +202,32 @@ def test_spectrum_union_band_above_old_edge_boundary():
     assert first.passed and q["zero_modes"] == q["betti1"] == 1
     assert recompute_pass(first)
     assert json.dumps(first.to_dict()) == json.dumps(second.to_dict())
+
+
+def test_harmonic_field_takes_the_assembly_mass_solve(monkeypatch):
+    # the harmonic field of a warped b1 = 1 band takes its M0 solve by the
+    # cross term's CG: the union keeps its one zero mode, the 1-form values
+    # are a sparse LU's, and CG stopping short is refused
+    domain, metric = DomainSpec.periodic_band(-1, 0, 6), cusp_metric()
+    report = spectrum_union_check(domain, metric)
+    q = report.quantities
+    assert report.passed and q["zero_modes"] == q["betti1"] == 1
+    values = LevelCache(domain, metric).spectrum(0, "oneform", 8).values
+    cg = assembly.spla.cg
+    monkeypatch.setattr(
+        assembly.spla, "cg", lambda A, b, **kw: (spla.spsolve(A.tocsc(), b), 0)
+    )
+    assert spectrum_union_check(domain, metric).quantities == q
+    lu = LevelCache(domain, metric).spectrum(0, "oneform", 8).values
+    assert np.max(np.abs(values - lu)) <= 1e-14 * values[-1]
+    monkeypatch.setattr(
+        assembly.spla, "cg", lambda A, b, **kw: cg(A, b, **{**kw, "maxiter": 1})
+    )
+    with pytest.raises(AssemblyError, match=(
+        r"CG on the vertex mass matrix of dimension 42 did not reach rtol "
+        r"1e-14 for a harmonic field \(info 1\)"
+    )):
+        spectrum_union_check(domain, metric)
 
 
 def small_warped_band():
@@ -422,6 +450,78 @@ def test_nested_spectra_match_cold_solves(monkeypatch):
             cold_shifts.append(cold.shift)
         # the diagonal-ratio shift grows about 4x per level
         assert cold_shifts[2] > 3 * cold_shifts[1]
+
+
+@pytest.mark.parametrize("dense_max", [eigen.DENSE_MAX_DIM, 10])
+def test_every_request_runs_the_plan_it_is_charged(monkeypatch, dense_max):
+    # the last scalar solve of a fresh cache is the request's own (coarser
+    # levels solve first): it has the plan's dimension, block and method,
+    # is nested exactly when the plan says LOBPCG, and the plan's floats
+    # are that solve's; a 1-form request makes its two cold solves
+    monkeypatch.setattr(eigen, "DENSE_MAX_DIM", dense_max)
+    ran, solve = [], eigen.solve_smallest
+
+    def spy(K, M, k, *args, **kwargs):
+        result = solve(K, M, k, *args, **kwargs)
+        ran.append((K.shape[0], k, kwargs.get("start") is not None, result.method))
+        return result
+
+    monkeypatch.setattr(eigen, "solve_smallest", spy)
+    monkeypatch.setattr(verify, "solve_smallest", spy)
+    domain = DomainSpec.rectangle(0, 1, 1, math.e, 4)
+    requests = [
+        (level, bc, k) for level in range(3)
+        for bc, k in (("dirichlet", 2), ("neumann", 2), ("neumann", 4), ("oneform", 3))
+    ]
+    # 18, 91 and 405 interior vertices at levels 0-2: every pair of level
+    # 0, then more pairs than the coarser level has
+    requests += [(0, "dirichlet", 18), (1, "dirichlet", 20), (2, "dirichlet", 93)]
+    methods, cold_above_zero = set(), 0
+    for level, bc, k in requests:
+        cache, ran[:] = LevelCache(domain, HALF_PLANE), []
+        block, method, floats = cache.plan(level, bc, k)
+        result = cache.spectrum(level, bc, k)
+        assert result.method == method and result.values.shape == (k,)
+        if bc == "oneform":
+            v, n_int = cache.pairs(level, "neumann"), cache.pairs(level, "dirichlet")
+            solves = [(v, min(k + 1, v), False), (n_int, min(k, n_int), False)]
+            assert [r[:3] for r in ran] == solves
+            assert method == "hodge-split/" + eigen.solve_plan(v, k + 1)[0]
+            assert floats == max(eigen.solve_plan(*s)[1] for s in solves)
+            continue
+        nested = method == "lobpcg-multigrid"
+        assert ran[-1] == (cache.pairs(level, bc), block, nested, method)
+        assert (method, floats) == eigen.solve_plan(*ran[-1][:3])
+        assert block == (max(k, verify.NEUMANN_BLOCK) if bc == "neumann" else k)
+        methods.add(method)
+        if level > 0 and method == "shift-invert-lanczos":
+            cold_above_zero += 1
+            pencil = cache.pencil(level, bc)
+            dense = eigh(
+                pencil.stiffness.toarray(), pencil.mass.toarray(),
+                eigvals_only=True, subset_by_index=(0, k - 1),
+            )
+            assert np.max(np.abs(result.values - dense)) <= 1e-9 * dense[-1]
+    assert methods == {"dense", "lobpcg-multigrid", "shift-invert-lanczos"}
+    assert cold_above_zero == (2 if dense_max == 10 else 1)
+
+
+def _must_not_assemble(*args, **kwargs):
+    raise AssertionError("a plan assembled an operator")
+
+
+def test_cold_request_above_level_zero_is_charged_arpack(monkeypatch):
+    # the resolution-16 square has 225 interior vertices at level 0 and 961
+    # at level 1: 230 level-1 pairs have no coarser start, so ARPACK runs on
+    # the level-1 pencil and holds 961 x 461 floats, where LOBPCG's charge
+    # would be 6 x 961 x 230 = 1,326,180; the plan reads the meshes alone
+    monkeypatch.setattr(verify, "assemble_scalar", _must_not_assemble)
+    cache = LevelCache(DomainSpec.rectangle(0, 1, 0, 1, 16), FLAT)
+    assert cache.plan(1, "dirichlet", 230) == (230, "shift-invert-lanczos", 961 * 461)
+    monkeypatch.setattr(eigen, "MAX_SOLVE_FLOATS", 500_000)
+    assert cache.fits(1, "dirichlet", 230)
+    assert cache.plan(1, "dirichlet", 225)[1] == "lobpcg-multigrid"
+    assert not cache.fits(1, "dirichlet", 225)
 
 
 def test_nested_spectra_deterministic(monkeypatch):
