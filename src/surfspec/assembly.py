@@ -18,10 +18,13 @@ Conventions:
 
 Default quadrature is the 3-point edge-midpoint rule (degree-2 exact
 in the chart).  A 7-point degree-5 rule is available for strongly
-varying metrics.  Each operator computes the entries of all faces in one
-vectorised pass of array arithmetic: three diagonal entries and three
-corner (or edge) pairs per face, as the element blocks are symmetric.
-One scatter sums them by ``np.bincount`` onto a fixed pattern, the
+varying metrics.  Each operator computes the entries of its faces by
+vectorised array arithmetic: three diagonal entries and three corner
+(or edge) pairs per face, as the element blocks are symmetric.  The P1
+operators take the faces in blocks of one expression-evaluator chunk of
+rule points, so their chart data is held one block at a time; the
+Whitney masses take all faces in one pass.  One scatter sums the
+entries by ``np.bincount`` onto a fixed pattern, the
 diagonal plus both orientations of each pair; for P1 the pairs are the
 mesh's edges, so the pattern is the vertex-edge graph (nnz = V + 2E),
 and for the Whitney mass they are the pairs of edges sharing a face.
@@ -36,6 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from . import expr
 from .expr import Expr
 from .geometry import (
     UNIT_GRADIENT_TOL,
@@ -167,15 +171,19 @@ def _rule(name: str):
         raise AssemblyError(f"unknown quadrature rule '{name}'") from None
 
 
-def _chart_data(mesh, metric: ChartMetric, rule: str):
-    """Geometry and metric samples for every face at the rule points.
+def _chart_data(mesh, metric: ChartMetric, rule: str, faces=slice(None)):
+    """Geometry and metric samples at the rule points of the faces
+    ``mesh.tris[faces]``, every face by default.
 
     Gradients and inverse-metric entries are kept as component arrays:
     ``grads`` is (du, dv) of the three corner hats, each (F, 3), and
-    ``ginv`` is (g^11, g^12, g^22), each (F, nq).
+    ``ginv`` is (g^11, g^12, g^22), each (F, nq), F being the number of
+    faces taken.  Each face's samples depend on that face alone, so a
+    slice of faces gets the rows of the whole mesh's arrays bit for bit.
     """
     pts, wts = _rule(rule)
-    x, y = mesh.verts[:, 0][mesh.tris], mesh.verts[:, 1][mesh.tris]  # (F, 3)
+    tris = mesh.tris[faces]
+    x, y = mesh.verts[:, 0][tris], mesh.verts[:, 1][tris]  # (F, 3)
     e1u, e1v = x[:, 1] - x[:, 0], y[:, 1] - y[:, 0]
     e2u, e2v = x[:, 2] - x[:, 0], y[:, 2] - y[:, 0]
     detJ = e1u * e2v - e1v * e2u  # positive, validated
@@ -251,19 +259,35 @@ def assemble_scalar(
     needed.  The off-diagonal entries of a face are those of its
     ``LOCAL_EDGES`` corner pairs, summed by ``mesh.tri_edges`` onto the
     mesh's edges, so the pattern is the vertex-edge graph.
+
+    The faces are taken in blocks of one expression-evaluator chunk of
+    rule points (``expr._CHUNK // nq`` faces, read at call time), so the
+    chart data held at once scales with a block, not with the mesh.  Each
+    block writes its entries into four whole-mesh (F, 3) arrays, and one
+    scatter sums them.
     """
-    data = _chart_data(mesh, metric, quad_rule)
-    lam = data["lam"]
-    # hat products at the rule points: the three diagonal, then the three pairs
-    local = data["dA"] @ np.hstack([lam * lam, lam * lam[:, _NEXT]])  # (F, 6)
-    # the dA-weighted inverse metric, summed over the rule points
-    w11, w12, w22 = (np.sum(g * data["dA"], axis=1)[:, None] for g in data["ginv"])
-    gu, gv = data["grads"]
-    tu, tv = w11 * gu + w12 * gv, w12 * gu + w22 * gv
+    block = expr._CHUNK // len(_rule(quad_rule)[1])
+    mass_diag, mass_off, stiff_diag, stiff_off = (
+        np.empty((mesh.n_faces, 3)) for _ in range(4)
+    )
+    for start in range(0, mesh.n_faces, block):
+        faces = slice(start, start + block)
+        data = _chart_data(mesh, metric, quad_rule, faces)
+        lam = data["lam"]
+        # hat products at the rule points: the three diagonal, then the pairs
+        local = data["dA"] @ np.hstack([lam * lam, lam * lam[:, _NEXT]])  # (F, 6)
+        mass_diag[faces], mass_off[faces] = local[:, :3], local[:, 3:]
+        # the dA-weighted inverse metric, summed over the rule points
+        w11, w12, w22 = (
+            np.sum(g * data["dA"], axis=1)[:, None] for g in data["ginv"]
+        )
+        gu, gv = data["grads"]
+        tu, tv = w11 * gu + w12 * gv, w12 * gu + w22 * gv
+        stiff_diag[faces] = gu * tu + gv * tv
+        stiff_off[faces] = gu[:, _NEXT] * tu + gv[:, _NEXT] * tv
     mass, stiff = _scatter(
         mesh.logical_tris, mesh.tri_edges, mesh.edges, mesh.n_vertices,
-        (local[:, :3], local[:, 3:]),
-        (gu * tu + gv * tv, gu[:, _NEXT] * tu + gv[:, _NEXT] * tv),
+        (mass_diag, mass_off), (stiff_diag, stiff_off),
     )
     return ScalarOperators(mass, stiff, mesh, metric, quad_rule)
 

@@ -277,11 +277,15 @@ class Mesh:
 
     @cached_property
     def h_max(self) -> float:
-        """The longest edge in chart coordinates."""
-        p = self.verts[self.tris]
-        return float(max(
-            np.max(np.linalg.norm(p[:, b] - p[:, a], axis=1)) for a, b in LOCAL_EDGES
-        ))
+        """The longest edge in chart coordinates: one square root of the
+        largest squared length, read off the coordinate columns."""
+        x, y = self.verts[:, 0], self.verts[:, 1]
+        longest = 0.0
+        for a, b in LOCAL_EDGES:
+            dx = x[self.tris[:, b]] - x[self.tris[:, a]]
+            dy = y[self.tris[:, b]] - y[self.tris[:, a]]
+            longest = max(longest, float(np.max(dx * dx + dy * dy)))
+        return math.sqrt(longest)
 
     @cached_property
     def interior(self) -> np.ndarray:

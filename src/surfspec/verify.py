@@ -443,7 +443,10 @@ class LevelCache:
         A, P, jacobi, lines, perm = {}, {}, {}, {}, {}
         for l in range(1, level + 1):
             pencil = self.pencil(l, bc)
-            a = (pencil.stiffness + shift * pencil.mass).tocsr()
+            # K and M share one pattern (assembly's scatter, kept by the
+            # Dirichlet reduction), so A_l is K's pattern with summed data
+            K, M = pencil.stiffness, pencil.mass
+            a = sp.csr_matrix((K.data + shift * M.data, K.indices, K.indptr), K.shape)
             found = self._get(("lines", l, bc), lambda: _lines(a))
             p = self._transfer(l, bc)
             if found is not None:

@@ -10,7 +10,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from surfspec import assembly
+from surfspec import assembly, expr
 from surfspec.assembly import (
     AssemblyError,
     _edge_representatives,
@@ -222,19 +222,82 @@ def test_stiffness_equals_gradient_image_energy(mesh, metric):
     assert np.max(np.abs(diff)) < 1e-12
 
 
-def test_scalar_assembly_peak_memory():
-    # one pass over all faces, one scatter per matrix: 6.2 MB at 7,872
-    # faces, where the face-chunk loop with its list of parts took 8.2 MB
-    mesh = refine(triangulate(DomainSpec.rectangle(0, 1, 1, math.e, 24)))
-    assert mesh.n_faces == 7872
-    assemble_scalar(mesh, HALF_PLANE)  # compiles the metric's expressions
+def assembly_peak(mesh, metric):
+    """The ``tracemalloc`` peak of one ``assemble_scalar``, after a first
+    call has compiled the metric's expressions."""
+    assemble_scalar(mesh, metric)
     tracemalloc.start()
     try:
-        assemble_scalar(mesh, HALF_PLANE)
-        peak = tracemalloc.get_traced_memory()[1]
+        assemble_scalar(mesh, metric)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 7 * 2**20
+
+
+def test_scalar_assembly_peak_memory():
+    # one block of faces (all 7,872 fit one), written into four (F, 3)
+    # arrays, and one scatter per matrix: 3.5 MB, where the whole-mesh
+    # chart data took 4.9 MB and the face-chunk loop with its list of parts
+    # 8.2 MB
+    mesh = refine(triangulate(DomainSpec.rectangle(0, 1, 1, math.e, 24)))
+    assert mesh.n_faces == 7872
+    assert assembly_peak(mesh, HALF_PLANE) < 4.5 * 2**20
+
+
+def test_blocked_assembly_peak_memory():
+    # six blocks of 5,461 faces: 12.1 MB, where chart data and its products
+    # for all 31,488 faces at once took 19.6 MB
+    mesh = triangulate(DomainSpec.rectangle(0, 1, 1, math.e, 24))
+    mesh = refine(refine(mesh))
+    assert mesh.n_faces == 31488
+    assert assembly_peak(mesh, HALF_PLANE) < 15 * 2**20
+
+
+@pytest.mark.parametrize(
+    "mesh,metric,rule",
+    [
+        (triangulate(DomainSpec.rectangle(0, 1, 1, 2, 5)), HALF_PLANE, "midpoint"),
+        (triangulate(DomainSpec.periodic_band(-1, 1, 5)), collar_metric(), "midpoint"),
+        (triangulate(DomainSpec.disk(0, 0, 1, 4)), FLAT, "midpoint"),
+        (triangulate(DomainSpec.rectangle(0, 1, 1, 2, 5)), HALF_PLANE, "degree5"),
+    ],
+    ids=["rectangle", "band", "disk", "degree5"],
+)
+def test_face_blocks_do_not_change_the_operators(mesh, metric, rule, monkeypatch):
+    # blocks of 9 faces (3 for degree5), the last one short, give the
+    # operators of one block over the whole mesh bit for bit
+    whole = assemble_scalar(mesh, metric, rule)
+    monkeypatch.setattr(expr, "_CHUNK", 27)
+    blocked = assemble_scalar(mesh, metric, rule)
+    assert mesh.n_faces % (27 // len(assembly._RULES[rule][1])) != 0
+    pairs = zip((blocked.mass, blocked.stiffness), (whole.mass, whole.stiffness))
+    for got, want in pairs:
+        for a in ("data", "indices", "indptr"):
+            assert getattr(got, a).tobytes() == getattr(want, a).tobytes()
+
+
+def test_validity_refusal_in_a_later_block(monkeypatch):
+    # the first face lies inside u <= 0.5 and the refusal comes from a
+    # later block of one face, with the message of a whole-mesh pass
+    metric = builtin_metric("general", {
+        "g11": "1/y^2", "g12": "0", "g22": "1/y^2", "vars": ["x", "y"],
+        "validity": [-10.0, 0.5, 0.05, 10.0],
+    })
+    mesh = triangulate(DomainSpec.rectangle(0, 1, 1, 2, 3))
+    first = mesh.verts[mesh.tris[0]]
+    assert metric.contains(first[:, 0], first[:, 1])
+    original, calls = assembly._chart_data, []
+
+    def counted(*args):
+        calls.append(args[3])
+        return original(*args)
+
+    monkeypatch.setattr(assembly, "_chart_data", counted)
+    monkeypatch.setattr(expr, "_CHUNK", 3)
+    with pytest.raises(AssemblyError) as caught:
+        assemble_scalar(mesh, metric)
+    assert str(caught.value) == "mesh leaves the metric validity region"
+    assert len(calls) > 1 and calls[-1].stop - calls[-1].start == 1
 
 
 def test_oneform_bookkeeping():

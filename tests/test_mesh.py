@@ -77,6 +77,25 @@ def test_rectangle_h_max():
     assert mesh.h_max == pytest.approx(math.sqrt(2) * math.pi / 4, rel=1e-12)
 
 
+@pytest.mark.parametrize("domain", [
+    DomainSpec.rectangle(0, 1, 1, math.e, 5),
+    DomainSpec.periodic_band(-1, 0, 6),
+    DomainSpec.disk(0.2, -0.1, 1.5, 5),
+    DomainSpec.annulus(0, 0, 0.5, 1.0, 5),
+], ids=["rectangle", "band", "disk", "annulus"])
+def test_h_max_is_the_longest_edge_norm_bit_for_bit(domain):
+    # the square root of the largest squared length is the largest norm
+    mesh = triangulate(domain)
+    for _ in range(2):
+        p = mesh.verts[mesh.tris]
+        want = float(max(
+            np.max(np.linalg.norm(p[:, b] - p[:, a], axis=1))
+            for a, b in ((0, 1), (1, 2), (2, 0))
+        ))
+        assert mesh.h_max == want
+        mesh = refine(mesh)
+
+
 def test_periodic_band_counts_n4():
     mesh = triangulate(DomainSpec.periodic_band(0, 1, 4))
     assert len(mesh.verts) == 25  # raw grid keeps the duplicated seam

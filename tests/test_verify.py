@@ -798,6 +798,37 @@ def test_indefinite_line_block_keeps_point_jacobi():
     assert verify._lines(A) is None
 
 
+@pytest.mark.parametrize("cache", [
+    cusp_band,
+    lambda: LevelCache(DomainSpec.rectangle(0, 1, 1, math.e, 6), HALF_PLANE),
+], ids=["cusp-band", "half-plane"])
+def test_vcycle_level_matrix_is_k_plus_sigma_m_on_the_shared_pattern(
+    cache, monkeypatch
+):
+    # K and M come out of one scatter, and the Dirichlet reduction keeps its
+    # pattern, so the V-cycle adds their data on K's index arrays
+    cache, seen = cache(), []
+    original = verify._lines
+
+    def spy(A):
+        seen.append(A)
+        return original(A)
+
+    monkeypatch.setattr(verify, "_lines", spy)
+    for bc in ("dirichlet", "neumann"):
+        for level in range(3):
+            K, M = cache.pencil(level, bc).stiffness, cache.pencil(level, bc).mass
+            assert np.array_equal(K.indptr, M.indptr)
+            assert np.array_equal(K.indices, M.indices)
+        seen.clear()
+        cache._vcycle(2, bc)
+        assert len(seen) == 2
+        for level, got in zip((1, 2), seen):
+            want = shifted_pencil(cache, level, bc)
+            for a in ("data", "indices", "indptr"):
+                assert getattr(got, a).tobytes() == getattr(want, a).tobytes()
+
+
 def natural_order_vcycle(cache, level, bc):
     """The V-cycle of :meth:`LevelCache._vcycle` with every level in the
     natural order: each smoothing step gathers r at the line vertices for
