@@ -581,7 +581,11 @@ def build_objects(
 # check execution
 
 
-def _envelope(cfg: dict, reports: List[VerificationReport], total: float) -> dict:
+def _envelope(
+    cfg: dict, reports: List[VerificationReport], total: float, cache: LevelCache
+) -> dict:
+    """The report of a run: its config and checks, and under ``metadata``
+    the timings and the record of every solve the run's ``cache`` ran."""
     return {
         "spec_version": SPEC_VERSION,
         "config": cfg,
@@ -594,6 +598,7 @@ def _envelope(cfg: dict, reports: List[VerificationReport], total: float) -> dic
                 for r in reports
             ],
             "blas_threads": dict(THREAD_SETTINGS),
+            "solves": list(cache.solves),
         },
     }
 
@@ -614,7 +619,7 @@ def run(config: dict) -> Tuple[dict, int]:
         for name in cfg["checks"]
     ]
     total = time.perf_counter() - start
-    report = _envelope(cfg, reports, total)
+    report = _envelope(cfg, reports, total, cache)
     code = 0 if all(r.passed for r in reports) else 1
     return report, code
 

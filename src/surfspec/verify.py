@@ -260,7 +260,8 @@ class LevelCache:
     request's number of pairs (:meth:`pairs`), and the block, method and
     solver memory of its solve (:meth:`plan`), are predicted from the
     level's meshes alone.  Every caller gets the same objects, which
-    nothing may modify.
+    nothing may modify.  ``solves`` records each solve that
+    :meth:`spectrum` runs, in the order they finish.
     """
 
     def __init__(
@@ -271,6 +272,7 @@ class LevelCache:
         self.metric = metric
         self.options = options if options is not None else SolverOptions()
         self._built: dict = {}
+        self.solves: List[dict] = []
 
     def _get(self, key, build):
         if key not in self._built:
@@ -357,16 +359,34 @@ class LevelCache:
         column and preconditioned by :meth:`_vcycle`; it factors nothing,
         always derives from the same coarser solve, whichever checks asked
         for it, and records each pair's LOBPCG steps in ``iterations``.
+
+        Each solve run here, not a view of a block, appends to ``solves``
+        its level, bc, k (the block), dimension, method, iterations,
+        seconds (the solver call alone, once its inputs are built) and
+        worst residual.
         """
         dim = self.pairs(level, bc)
         if not 1 <= k <= dim:
             raise EigenError(
                 f"requested {k} eigenpairs; the level-{level} {bc} spectrum has {dim}"
             )
+
+        def record(solver, *args, **kwargs):
+            began = time.perf_counter()
+            result = solver(*args, **kwargs)
+            self.solves.append(dict(
+                level=level, bc=bc, k=k, dimension=dim, method=result.method,
+                iterations=result.iterations,
+                seconds=time.perf_counter() - began,
+                worst_residual=float(np.max(result.residuals)),
+            ))
+            return result
+
         key = ("spectrum", level, bc, k)
         if bc == "oneform":
-            return self._get(key, lambda: solve_oneform(
-                assemble_oneform(self.operators(level)), k, options=self.options
+            return self._get(key, lambda: record(
+                solve_oneform, assemble_oneform(self.operators(level)), k,
+                options=self.options,
             ))
         block, method, _ = self.plan(level, bc, k)
         if k < block:
@@ -382,8 +402,9 @@ class LevelCache:
                 )
             elif method == "shift-invert-lanczos" and level == 0:
                 given = dict(factor=self._factor(bc))
-            return solve_smallest(
-                pencil.stiffness, pencil.mass, k, bc=bc, options=self.options, **given
+            return record(
+                solve_smallest, pencil.stiffness, pencil.mass, k, bc=bc,
+                options=self.options, **given,
             )
 
         return self._get(key, solve)

@@ -604,6 +604,57 @@ def test_reports_byte_identical_excluding_metadata(tmp_path):
         assert dumped(alone["checks"]) == dumped([shared])
 
 
+def test_metadata_records_each_solve_the_run_makes(tmp_path, monkeypatch):
+    # a 3-level inequality solves lambda_1 and the Neumann block of 4 at
+    # each level: six solves, dense at level 0 and nested above it; the
+    # check's request of 3 Neumann pairs is a view of the block, unrecorded
+    cfg = base_config(tmp_path)
+    cfg["metric"] = {"family": "hyperbolic_half_plane"}
+    cfg["distance_function"] = "-log(y)"
+    cfg["domain"] = {
+        "shape": "rectangle", "extents": [0.0, 1.0, 1.0, math.e], "resolution": 8,
+    }
+    cfg["check_params"] = {"inequality": {"levels": 3}}
+    report, code = run(cfg)
+    assert code == 0
+    solves = report["metadata"]["solves"]
+    assert [(s["level"], s["bc"], s["k"]) for s in solves] == [
+        (level, bc, k) for level in range(3)
+        for bc, k in (("dirichlet", 1), ("neumann", verify.NEUMANN_BLOCK))
+    ]
+    for s in solves:
+        assert set(s) == {
+            "level", "bc", "k", "dimension", "method", "iterations",
+            "seconds", "worst_residual",
+        }
+        nested = s["level"] > 0
+        assert s["method"] == ("lobpcg-multigrid" if nested else "dense")
+        if nested:
+            assert isinstance(s["iterations"], tuple)
+            assert len(s["iterations"]) == s["k"]
+        else:
+            assert s["iterations"] is None
+        assert s["seconds"] > 0
+        assert 0 <= s["worst_residual"] <= 1e-9
+    dims = [s["dimension"] for s in solves]
+    assert dims[0] < dims[2] < dims[4] and dims[1] < dims[3] < dims[5]
+
+    # a cache that records nothing gives the same report outside metadata
+    class Unrecorded(verify.LevelCache):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.solves = type("Discard", (list,), {"append": lambda *_: None})()
+
+    monkeypatch.setattr(cli, "LevelCache", Unrecorded)
+    bare, _ = run(cfg)
+    assert bare["metadata"]["solves"] == []
+
+    def stripped(r):
+        return json.dumps({k: r[k] for k in r if k != "metadata"}, sort_keys=True)
+
+    assert stripped(bare) == stripped(report)
+
+
 def test_neumann_block_reports_byte_identical_alone(tmp_path, monkeypatch):
     # levels 1-2 sparse, so both checks' Neumann solves are nested
     monkeypatch.setattr(eigen, "DENSE_MAX_DIM", 10)

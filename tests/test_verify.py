@@ -968,6 +968,67 @@ def test_cusp_band_neumann_lobpcg_iterations():
     assert cache.spectrum(2, "neumann", 2).iterations == block.iterations[:2]
 
 
+def test_lobpcg_stop_is_scale_invariant(monkeypatch):
+    # c K has the values and residuals of K times c, and the Ritz step is
+    # blind to c (w is normalized), so the iterates are the same; a stop at
+    # the relative residual takes the same steps per pair, where an absolute
+    # one would take more at c = 1e3 (values >= 10 keep 1 + |c theta| within
+    # 10 % of c (1 + |theta|)).  The inputs are a level-1 half-plane
+    # Dirichlet solve's, as LevelCache.spectrum builds them
+    monkeypatch.setattr(eigen, "DENSE_MAX_DIM", 10)
+    cache = LevelCache(DomainSpec.rectangle(0, 1, 1, math.e, 6), HALF_PLANE)
+    start = cache._transfer(1, "dirichlet") @ cache.spectrum(0, "dirichlet", 3).vectors
+    K, M = cache.pencil(1, "dirichlet").stiffness, cache.pencil(1, "dirichlet").mass
+    precond, tol = cache._vcycle(1, "dirichlet"), 0.1 * cache.options.tol
+    values, _, steps = eigen._lobpcg_pairs(K, M, start, precond, tol)
+    assert np.min(values) >= 10 and min(steps) > 0
+    scaled, _, scaled_steps = eigen._lobpcg_pairs(1e3 * K, M, start, precond, tol)
+    assert scaled_steps == steps
+    assert np.allclose(scaled, 1e3 * values, rtol=1e-9, atol=0)
+
+
+def test_nested_residuals_clear_the_check(monkeypatch):
+    # each nested pair stops at a tenth of options.tol in the check's own
+    # relative residual, so its reported residual keeps that clearance
+    # after the M-orthonormalization, on both bcs of two domains
+    monkeypatch.setattr(eigen, "DENSE_MAX_DIM", 10)
+    for cache in (
+        cusp_band(),
+        LevelCache(DomainSpec.rectangle(0, 1, 1, math.e, 16), HALF_PLANE),
+    ):
+        for bc, k in (("dirichlet", 3), ("neumann", verify.NEUMANN_BLOCK)):
+            for level in (1, 2):
+                result = cache.spectrum(level, bc, k)
+                assert result.method == "lobpcg-multigrid"
+                assert np.all(result.residuals <= 0.2 * cache.options.tol)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("make", [
+    lambda: LevelCache(DomainSpec.rectangle(0, 1, 1, math.e, 8), HALF_PLANE),
+    cusp_band,
+    lambda: LevelCache(
+        DomainSpec.rectangle(0, 1, 1, math.e, 8), SHEARED,
+        SolverOptions(quad_rule="degree5"),
+    ),
+], ids=["halfplane", "cusp-band", "shear-general"])
+def test_level_zero_factor_is_symmetric(make, bc):
+    # SuperLU in symmetric mode: one ordering of rows and columns and
+    # diagonal pivots, so no row is exchanged and every pivot of the
+    # positive definite K + sigma M is positive.  The solve is backward
+    # stable; ||A x - b|| / ||b|| is not a bound here, since the Neumann
+    # shift leaves A with a condition number near 1e6 (3e-12 measured)
+    cache = make()
+    A = shifted_pencil(cache, 0, bc)
+    _, lu = cache._factor(bc)
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    assert np.all(lu.U.diagonal() > 0)
+    b = np.random.default_rng(0).standard_normal(A.shape[0])
+    x = lu.solve(b)
+    scale = spla.norm(A, 1) * np.linalg.norm(x) + np.linalg.norm(b)
+    assert np.linalg.norm(A @ x - b) <= 1e-14 * scale
+
+
 def test_non_monotone_reported_without_fit():
     quantities = {
         "bc": "dirichlet",
