@@ -150,14 +150,13 @@ class DirichletReduction:
 
 @dataclass
 class OneFormOperators:
-    """Whitney complex operators: vertices -> edges -> faces."""
+    """Whitney complex operators: vertices -> edges -> faces.  The
+    incidences d0 and d1 are ``scalar.mesh``'s, and the vertex mass is
+    ``scalar.mass``."""
 
     mass1: sp.csr_matrix  # edge-element mass
-    d0: sp.csr_matrix  # signed incidence, vertices to edges
-    d1: sp.csr_matrix  # signed incidence, edges to faces
-    mass0: sp.csr_matrix  # P1 vertex mass
     mass2: sp.dia_matrix  # face mass, weight 1/sqrt(det g)
-    mesh: object
+    scalar: ScalarOperators
 
 
 # ---------------------------------------------------------------------------
@@ -308,16 +307,20 @@ def apply_dirichlet(ops: ScalarOperators) -> DirichletReduction:
 # Whitney one-form operators
 
 
-def _whitney_masses(mesh, data) -> Tuple[sp.csr_matrix, sp.dia_matrix]:
-    """M1 and M2 of a mesh from its ``_chart_data``.
+def assemble_oneform(scalar: ScalarOperators) -> OneFormOperators:
+    """Edge-element mass M1 and face mass M2 on the mesh, metric and rule
+    of the P1 operators ``scalar``; the one constructor of both.
 
     The Whitney form of edge (a, b) on a triangle is
     ``lambda_a d lambda_b - lambda_b d lambda_a`` times the sign
     relating local traversal to the global a -> b orientation.  The
     face mass uses the basis 2-form that integrates to one over its
     face, giving the diagonal weight
-    ``area^{-2} \\int du dv / sqrt(det g)``.
+    ``area^{-2} \\int du dv / sqrt(det g)``.  All faces take one pass, on
+    chart data that is dropped on return.
     """
+    mesh = scalar.mesh
+    data = _chart_data(mesh, scalar.metric, scalar.quad_rule)
     lam, nq = data["lam"], len(data["lam"])
     # the Whitney form of local edge k = (a, b), lam_a grad_b - lam_b grad_a,
     # is the corner gradients times basis: (F, 3) @ (3, 3 nq) per component
@@ -343,18 +346,7 @@ def _whitney_masses(mesh, data) -> Tuple[sp.csr_matrix, sp.dia_matrix]:
     )
     area = 0.5 * data["detJ"]
     inv_sqrt = np.sum(data["wts"][None, :] / data["sqrtdet"], axis=1) * data["detJ"]
-    return mass1, sp.diags(inv_sqrt / area**2)
-
-
-def assemble_oneform(scalar: ScalarOperators) -> OneFormOperators:
-    """Edge-element mass, the mesh's incidence operators, and face mass
-    on the mesh, metric and rule of the P1 operators ``scalar``, whose
-    mass is the vertex mass."""
-    mesh = scalar.mesh
-    mass1, mass2 = _whitney_masses(
-        mesh, _chart_data(mesh, scalar.metric, scalar.quad_rule)
-    )
-    return OneFormOperators(mass1, mesh.d0, mesh.d1, scalar.mass, mass2, mesh)
+    return OneFormOperators(mass1, sp.diags(inv_sqrt / area**2), scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -433,11 +425,13 @@ def dirichlet_form_quadrature(
     refinement.
 
     ``lambda_ref`` is the eigenvalue of phi; it is echoed in the
-    diagnostic when the normalization check fails.  The chart data is
-    built once, for the quadrature and the Whitney masses alike.
+    diagnostic when the normalization check fails.  The Whitney masses
+    are :func:`assemble_oneform`'s, built before the integrands' chart
+    data, so the two never coexist.
     """
     mesh, metric, mass0 = scalar.mesh, scalar.metric, scalar.mass
     fe = _as_expr(f)
+    whitney = assemble_oneform(scalar)
     data = _chart_data(mesh, metric, scalar.quad_rule)
     u, v, dA, lam = data["u"], data["v"], data["dA"], data["lam"]
 
@@ -448,7 +442,6 @@ def dirichlet_form_quadrature(
             f"distance function is not unit-gradient (max deviation {dev:.3e})"
         )
 
-    mass1, mass2 = _whitney_masses(mesh, data)
     norm = float(phi @ (mass0 @ phi))
     if abs(norm - 1.0) > M_NORMALIZATION_TOL:
         raise AssemblyError(
@@ -502,9 +495,9 @@ def dirichlet_form_quadrature(
     w_a, w_b = _whitney_interpolate(
         mesh, metric, fe, ((fu, fv), (su_e, sv_e)), phi
     )
-    curl_part = float((mesh.d1 @ w_a) @ (mass2 @ (mesh.d1 @ w_b)))
-    rhs_a = mesh.d0.T @ (mass1 @ w_a)
-    rhs_b = mesh.d0.T @ (mass1 @ w_b)
+    curl_part = float((mesh.d1 @ w_a) @ (whitney.mass2 @ (mesh.d1 @ w_b)))
+    rhs_a = mesh.d0.T @ (whitney.mass1 @ w_a)
+    rhs_b = mesh.d0.T @ (whitney.mass1 @ w_b)
     div_part = float(rhs_a @ _solve_mass0(mass0, rhs_b, "the cross term"))
     cross = curl_part + div_part
 

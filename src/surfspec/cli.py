@@ -10,9 +10,9 @@ function it runs, the schema of its ``check_params`` and how its results
 are printed; a parameter's default is that function's keyword default.
 The check subcommands (``verify``, ``curvature-check``, ``convergence``)
 are ``run`` narrowed to one check: their flags are the check's
-``check_params`` schema, written into the config before ``run``, and
-their ``--report`` is ``run``'s report.  ``spectrum`` and ``oracle``
-dump tables for quick inspection.
+``check_params`` schema, written into the config before ``run``, their
+``--report`` is ``run``'s report, and a check with a CSV table takes
+``--csv``.  ``spectrum`` and ``oracle`` dump tables for quick inspection.
 
 Configs are checked by ``_schema_errors``, a walker of the 13 keywords of
 ``CONFIG_SCHEMA``; the violation reported is the one jsonschema 4.26 picks.
@@ -50,11 +50,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import THREAD_SETTINGS
-from .assembly import AssemblyError
+from .assembly import _RULES, AssemblyError
 from .eigen import EigenError, SolverOptions, cluster_multiplicities
 from .expr import Expr, ExprError, parse
 from .geometry import ChartEvalError, ChartMetric, GeometryError, builtin_metric
-from .mesh import DomainSpec, MeshError
+from .mesh import EXTENT_COUNT, DomainSpec, MeshError
 from .mesh import triangulate  # noqa: F401  (perfbench/tracer.py wraps cli.triangulate)
 from .verify import (
     LevelCache,
@@ -298,9 +298,7 @@ CONFIG_SCHEMA = {
             "required": ["shape", "extents", "resolution"],
             "additionalProperties": False,
             "properties": {
-                "shape": {
-                    "enum": ["rectangle", "periodic_band", "disk", "annulus"]
-                },
+                "shape": {"enum": list(EXTENT_COUNT)},
                 "extents": {
                     "type": "array",
                     "items": {"type": "number"},
@@ -316,7 +314,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "tolerance": {"type": "number", "exclusiveMinimum": 0},
                 "seed": {"type": "integer", "minimum": 0},
-                "quadrature": {"enum": ["midpoint", "degree5"]},
+                "quadrature": {"enum": list(_RULES)},
             },
         },
         "checks": {
@@ -705,7 +703,7 @@ def _cmd_check(args) -> int:
         print(line)
     print(_summary_line(name, result))
     csv_path = getattr(args, "csv", None)
-    if csv_path:
+    if csv_path and not q.get("refused"):
         _, header, rows = check.table(q)
         write_csv(csv_path, header, rows)
         print(f"csv written to {csv_path}")
@@ -778,16 +776,14 @@ def _eigenpair_count(text: str) -> int:
     return count
 
 
-# subcommand -> (check, help, whether it takes --csv); its other flags are the
-# check's parameters, each overriding the config's check_params
+# subcommand -> (check, help); its flags are the check's parameters, each
+# overriding the config's check_params, and --csv when the check has a table
 _CHECK_COMMANDS = {
-    "verify": ("inequality", "run the eigenvalue comparison only", False),
+    "verify": ("inequality", "run the eigenvalue comparison only"),
     "curvature-check": (
-        "curvature", "sample the unit-gradient and curvature conditions", False
+        "curvature", "sample the unit-gradient and curvature conditions"
     ),
-    "convergence": (
-        "convergence", "eigenvalue refinement study with a rate fit", True
-    ),
+    "convergence": ("convergence", "eigenvalue refinement study with a rate fit"),
 }
 
 
@@ -807,7 +803,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv-dir", help="table directory (overrides the config)")
     p.set_defaults(func=_cmd_run)
 
-    for command, (name, text, csv) in _CHECK_COMMANDS.items():
+    for command, (name, text) in _CHECK_COMMANDS.items():
         p = sub.add_parser(command, help=text)
         p.add_argument("config")
         for key, schema in CHECKS[name].params.items():
@@ -817,7 +813,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 choices=schema.get("enum"),
                 help=f"overrides check_params/{name}/{key}",
             )
-        if csv:
+        if CHECKS[name].table:
             p.add_argument("--csv", help="CSV output path")
         p.add_argument("--report", help="write a single-check JSON report")
         p.set_defaults(func=_cmd_check, check=name)

@@ -65,7 +65,6 @@ __all__ = [
     "cluster_multiplicities",
 ]
 
-ZERO_MODE_FACTOR = 1e-10  # eta below this times max(eta) counts as harmonic
 SIGMA_SCALE = 1e-6  # shift / mean(K_ii / M_ii); 1e-5 and up add LOBPCG iterations
 LOBPCG_MAXITER = 100  # steps per pair; the perfbench configs' pairs take 0-12
 # largest pencil solved densely: the measured crossover (2 cores, hyperbolic
@@ -347,21 +346,23 @@ def solve_smallest(
 # 1-form spectrum through the Hodge decomposition
 
 
-def _natural_harmonics(ops, stiff, beta1: int, seed: int) -> np.ndarray:
+def _natural_harmonics(ops, stiff, seed: int) -> np.ndarray:
     """M1-orthonormal basis of curl-free, weakly div-free edge fields.
 
-    ``beta1`` fields drawn from ``seed`` are projected onto ker d1 by one
-    d1 d1^T solve (definite: every face reaches the boundary), then lose
-    their exact part d0 psi by one Neumann solve of ``stiff = d0^T M1 d0``
+    b1 fields drawn from ``seed`` are projected onto ker d1 by one d1 d1^T
+    solve (definite: every face reaches the boundary), then lose their
+    exact part d0 psi by one Neumann solve of ``stiff = d0^T M1 d0``
     pinned at vertex 0; random fields span the harmonic space left.
     """
-    fields = np.random.default_rng(seed).standard_normal((ops.d1.shape[1], beta1))
-    if beta1 == 0:
+    mesh = ops.scalar.mesh
+    d0, d1 = mesh.d0, mesh.d1
+    fields = np.random.default_rng(seed).standard_normal((mesh.n_edges, mesh.betti1))
+    if mesh.betti1 == 0:
         return fields
-    curl_gram = (ops.d1 @ ops.d1.T).tocsc()
-    fields -= ops.d1.T @ spla.splu(curl_gram).solve(ops.d1 @ fields)
-    div = (ops.d0.T @ (ops.mass1 @ fields))[1:]
-    fields -= ops.d0[:, 1:] @ spla.splu(stiff[1:, 1:].tocsc()).solve(div)
+    curl_gram = (d1 @ d1.T).tocsc()
+    fields -= d1.T @ spla.splu(curl_gram).solve(d1 @ fields)
+    div = (d0.T @ (ops.mass1 @ fields))[1:]
+    fields -= d0[:, 1:] @ spla.splu(stiff[1:, 1:].tocsc()).solve(div)
     return _orthonormalize(fields, ops.mass1)
 
 
@@ -374,53 +375,47 @@ def solve_oneform(
     ``(d0^T M1 d0) psi = eta M0 psi`` on all vertices, the Dirichlet
     block solves the same pencil restricted to interior vertices, and
     harmonics are seeded edge fields with their curl and exact parts
-    projected out (:func:`_natural_harmonics`).  Returns the merged
-    ascending values with their blocks' residuals (a harmonic field's
-    residual is its Rayleigh quotient, whose divergence part takes one
-    M0 solve by the assembly's CG), the convergence flag of the two
-    solves and the method, and no vectors; there are ``ops.mesh.betti1``
-    zero modes.
+    projected out (:func:`_natural_harmonics`); d0, d1 and M0 are those
+    of ``ops.scalar``.  The Neumann block's first pair, the constant mode
+    (d psi = 0), is dropped.  Returns the merged ascending values with
+    their blocks' residuals (a harmonic field's residual is its Rayleigh
+    quotient, whose divergence part takes one M0 solve by the assembly's
+    CG), the convergence flag of the two solves and the method, and no
+    vectors; there are ``betti1`` zero modes.
     """
     options = options or SolverOptions()
-    mesh = ops.mesh
-    V = ops.mass0.shape[0]
+    mesh, mass0 = ops.scalar.mesh, ops.scalar.mass
+    V = mesh.n_vertices
     interior = mesh.interior
     n_int = len(interior)
-    beta1 = mesh.betti1
-    total = (V - 1) + n_int + beta1
+    total = (V - 1) + n_int + mesh.betti1
     if not 1 <= k <= total:
         raise EigenError(f"requested {k} eigenvalues of {total} available")
 
-    stiff = ops.d0.T @ (ops.mass1 @ ops.d0)
+    stiff = mesh.d0.T @ (ops.mass1 @ mesh.d0)
     stiff = (0.5 * (stiff + stiff.T)).tocsr()
-    neu = solve_smallest(
-        stiff, ops.mass0, min(k + 1, V), bc="neumann", options=options
-    )
+    neu = solve_smallest(stiff, mass0, min(k + 1, V), bc="neumann", options=options)
     blocks = [neu]
     if n_int > 0:
         blocks.append(solve_smallest(
-            stiff[interior][:, interior], ops.mass0[interior][:, interior],
+            stiff[interior][:, interior], mass0[interior][:, interior],
             min(k, n_int), bc="dirichlet", options=options,
         ))
-    harmonics = _natural_harmonics(ops, stiff, beta1, options.seed)
+    harmonics = _natural_harmonics(ops, stiff, options.seed)
 
     # harmonic Rayleigh quotients: tiny but honest, not hard zeros
     candidates = []  # (value, residual): harmonic, exact, then coexact
     for eta in harmonics.T:
-        curl = ops.d1 @ eta
-        div_rhs = ops.d0.T @ (ops.mass1 @ eta)
-        sigma = _solve_mass0(ops.mass0, div_rhs, "a harmonic field")
-        num = float(curl @ (ops.mass2 @ curl) + sigma @ (ops.mass0 @ sigma))
+        curl = mesh.d1 @ eta
+        div_rhs = mesh.d0.T @ (ops.mass1 @ eta)
+        sigma = _solve_mass0(mass0, div_rhs, "a harmonic field")
+        num = float(curl @ (ops.mass2 @ curl) + sigma @ (mass0 @ sigma))
         rayleigh = num / float(eta @ (ops.mass1 @ eta))
         candidates.append((rayleigh, rayleigh))  # its own residual
-    top = max(float(np.max(b.values)) for b in blocks)
-    zero_cut = ZERO_MODE_FACTOR * max(top, 1e-300)
     for b in blocks:
-        # drop the Neumann constant mode (d psi = 0), which falls below the cut
-        candidates += [
-            (float(v), float(r)) for v, r in zip(b.values, b.residuals)
-            if b is not neu or v > zero_cut
-        ]
+        pairs = [(float(v), float(r)) for v, r in zip(b.values, b.residuals)]
+        # the Neumann block's first pair is the constant mode (d psi = 0)
+        candidates += pairs[1:] if b is neu else pairs
     if len(candidates) < k:
         raise EigenError(
             f"only {len(candidates)} candidate modes for k={k}; "

@@ -51,7 +51,6 @@ from .assembly import (
     dirichlet_form_quadrature,
 )
 from .eigen import (
-    ZERO_MODE_FACTOR,
     EigenError,
     SolverOptions,
     SpectralResult,
@@ -87,6 +86,7 @@ __all__ = [
 ]
 
 UNION_RTOL = 1e-8
+ZERO_MODE_FACTOR = 1e-10  # eta below this times max(eta) counts as harmonic
 LEMMA_SLACK = 0.05
 SHRINK_SLACK = 1e-12
 # Neumann pairs solved per level: mu_1..mu_4, the inequality's mu_{3-b1} for

@@ -218,7 +218,7 @@ def test_stiffness_equals_gradient_image_energy(mesh, metric):
     # the scalar stiffness factors through the edge mass
     scal = assemble_scalar(mesh, metric)
     one = assemble_oneform(scal)
-    diff = (one.d0.T @ one.mass1 @ one.d0 - scal.stiffness).toarray()
+    diff = (mesh.d0.T @ one.mass1 @ mesh.d0 - scal.stiffness).toarray()
     assert np.max(np.abs(diff)) < 1e-12
 
 
@@ -302,12 +302,14 @@ def test_validity_refusal_in_a_later_block(monkeypatch):
 
 def test_oneform_bookkeeping():
     mesh = triangulate(DomainSpec.periodic_band(0, 1, 4))
-    ops = assemble_oneform(assemble_scalar(mesh, FLAT))
+    scalar = assemble_scalar(mesh, FLAT)
+    ops = assemble_oneform(scalar)
     assert ops.mass1.shape == (52, 52)
+    assert ops.mass2.shape == (32, 32)
     # the incidences are the mesh's own; test_mesh pins d1 d0 = 0
-    assert ops.d0 is mesh.d0 and ops.d1 is mesh.d1
-    assert ops.d0.shape == (52, 20)
-    assert ops.d1.shape == (32, 52)
+    assert ops.scalar is scalar and ops.scalar.mesh is mesh
+    assert mesh.d0.shape == (52, 20)
+    assert mesh.d1.shape == (32, 52)
     assert np.count_nonzero(mesh.boundary_edge_mask) == 8
 
 
@@ -512,34 +514,33 @@ def test_edge_representatives_match_row_unique(domain):
     ids=["rectangle", "band"],
 )
 def test_dirichlet_form_builds_chart_data_once(domain, metric, f, monkeypatch):
+    # chart data is built once for the Whitney masses, inside
+    # assemble_oneform, and once for the integrands after that call returns
     mesh = triangulate(domain)
     phi, lam1 = first_dirichlet_mode(mesh, metric)
     f = parse(f)
     scalar = assemble_scalar(mesh, metric)
-    original = assembly._chart_data
+    chart_data, oneform = assembly._chart_data, assembly.assemble_oneform
     calls = []
 
-    def counted(*args):
-        calls.append(args[0])
-        return original(*args)
+    def counted_chart_data(*args):
+        calls.append(("chart data", args[0]))
+        return chart_data(*args)
 
-    monkeypatch.setattr(assembly, "_chart_data", counted)
+    def counted_oneform(ops):
+        calls.append(("oneform", ops))
+        result = oneform(ops)
+        calls.append(("oneform returned", ops))
+        return result
+
+    monkeypatch.setattr(assembly, "_chart_data", counted_chart_data)
+    monkeypatch.setattr(assembly, "assemble_oneform", counted_oneform)
     got = dirichlet_form_quadrature(scalar, f, phi, lam1)
-    assert calls == [mesh]
-
-    # reference: the Whitney masses assembled from chart data of their own
-    masses = assembly._whitney_masses
-    monkeypatch.setattr(
-        assembly, "_whitney_masses",
-        lambda mesh, data: masses(
-            mesh, assembly._chart_data(mesh, metric, scalar.quad_rule)
-        ),
-    )
-    want = dirichlet_form_quadrature(scalar, f, phi, lam1)
-    assert len(calls) == 3
+    assert calls == [
+        ("oneform", scalar), ("chart data", mesh),
+        ("oneform returned", scalar), ("chart data", mesh),
+    ]
     assert set(got) == {"alpha_nu", "alpha_star_nu", "cross", "dphi_norm2"}
-    for key in got:
-        assert got[key] == want[key]
 
 
 def test_dirichlet_form_rejects_unnormalized_phi():

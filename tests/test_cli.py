@@ -1072,6 +1072,33 @@ def test_convergence_subcommand_csv(tmp_path, capsys):
     assert values == sorted(values, reverse=True)
 
 
+def test_verify_subcommand_csv_is_run_table(tmp_path):
+    # verify --csv writes the inequality_levels.csv table of run --csv-dir
+    cfg = base_config(tmp_path)
+    path = write_config(tmp_path, cfg)
+    csv_path = tmp_path / "verify.csv"
+    assert main(["verify", path, "--csv", str(csv_path)]) == 0
+    assert main(["run", path, "--csv-dir", str(tmp_path / "t")]) == 0
+    text = csv_path.read_text()
+    assert text == (tmp_path / "t" / "inequality_levels.csv").read_text()
+    lines = text.splitlines()
+    assert lines[0] == "level,n_faces,h,lambda1,mu_target,margin,tol_h"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
+    for line in lines[1:]:
+        for cell in line.split(",")[2:]:
+            assert repr(float(cell)) == cell
+
+
+def test_verify_subcommand_csv_skips_a_refused_check(tmp_path, capsys):
+    # a refused inequality has no levels, so no table is written
+    cfg = helicoid_config(tmp_path)
+    cfg["checks"] = ["inequality"]
+    csv_path = tmp_path / "verify.csv"
+    assert main(["verify", write_config(tmp_path, cfg), "--csv", str(csv_path)]) == 1
+    assert "refused: curvature condition fails" in capsys.readouterr().out
+    assert not csv_path.exists()
+
+
 @pytest.mark.parametrize(
     "command,name,flags,params",
     [
@@ -1135,13 +1162,14 @@ def test_check_subcommand_flags():
             if action.option_strings and action.dest != "help"
         }
 
-    report = {"--report": (None, None)}
-    assert flags("verify") == {"--levels": (int, None), **report}
+    # --csv exactly for a check with a table
+    report, csv = {"--report": (None, None)}, {"--csv": (None, None)}
+    assert flags("verify") == {"--levels": (int, None), **csv, **report}
     assert flags("curvature-check") == {"--samples": (int, None), **report}
     assert flags("convergence") == {
         "--bc": (None, ("dirichlet", "neumann")),
         "--levels": (int, None),
-        "--csv": (None, None),
+        **csv,
         **report,
     }
 

@@ -7,8 +7,9 @@ outside its import (annotations included), as exported when the
 module's ``__all__`` lists it, and as marked when its own line in the
 import carries ``# noqa: F401``.  A private name (one leading underscore,
 not a dunder) that a module defines as a function, class or assignment
-at its top level must be loaded, as a name or an attribute, outside its
-own definition by some module of the package.
+at its top level, or as a method or nested function at any depth, must
+be loaded, as a name or an attribute, outside its own definition by some
+module of the package.
 """
 
 import ast
@@ -80,8 +81,9 @@ def test_every_exported_name_is_defined(path):
 
 def orphaned_private_names(sources: dict) -> list:
     """(module, name) of each private module-level function, class or
-    assigned name that no source in ``sources`` (module -> text) loads
-    outside its own definition."""
+    assigned name, and of each private method or nested function, that no
+    source in ``sources`` (module -> text) loads outside its own
+    definition."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     loads = {}  # name -> ids of the Name and Attribute nodes that load it
     for tree in trees.values():
@@ -91,7 +93,13 @@ def orphaned_private_names(sources: dict) -> list:
                 loads.setdefault(name, set()).add(id(node))
     orphans = []
     for module, tree in trees.items():
-        for node in tree.body:
+        top = {id(node) for node in tree.body}
+        inner = [
+            node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and id(node) not in top
+        ]
+        for node in [*tree.body, *inner]:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -126,7 +134,14 @@ def test_orphaned_private_name_is_found():
             "def _recurse(n):\n"
             "    return _recurse(n - 1) if n else _LIMIT\n"
             "class _Box:\n"
-            "    pass\n"
+            "    def _entry(self):\n"
+            "        return self._helper()\n"
+            "    def _helper(self):\n"
+            "        def _inner():\n"
+            "            return 2\n"
+            "        return 1\n"
+            "    def _dead(self):\n"
+            "        return self._dead()\n"
             "def _unused():\n"
             "    return _Box()\n"
             "def _by_attribute():\n"
@@ -134,10 +149,15 @@ def test_orphaned_private_name_is_found():
             "_TABLE = {}\n"
             "_TABLE['x'] = [_ for _ in (1,)]\n"
         ),
-        "b": "from . import a\nprint(a._by_attribute(), a._LIMIT)\n",
+        "b": (
+            "from . import a\n"
+            "print(a._by_attribute(), a._LIMIT, a._Box()._entry())\n"
+        ),
     }
     assert orphaned_private_names(sources) == [
         ("a", "_left_over"),
         ("a", "_recurse"),
         ("a", "_unused"),
+        ("a", "_dead"),
+        ("a", "_inner"),
     ]

@@ -247,6 +247,47 @@ def test_chart_isometries_leave_the_spectrum_unchanged(
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
 
+def twisted_band_cache(a, b, c, resolution, rule="midpoint"):
+    """The level cache of the band r in [0, 1] under the twisted metric
+    dr^2 + phi^2 dtheta^2, phi = exp(a r) (1 + b sin(theta + c))."""
+    metric = builtin_metric("twisted", {
+        "phi": "exp(a*r)*(1 + b*sin(theta + c))",
+        "constants": {"a": a, "b": b, "c": c},
+        "r_range": (0.0, 1.0),
+    })
+    domain = DomainSpec.periodic_band(0, 1, resolution)
+    return LevelCache(domain, metric, SolverOptions(quad_rule=rule))
+
+
+@pytest.mark.parametrize("rule", ["midpoint", "degree5"])
+@settings(max_examples=9, derandomize=True, deadline=None, database=None)
+@given(
+    a=st.floats(-1, 1),
+    b=st.floats(0, 0.5),
+    cells=st.integers(1, 9),
+    resolution=st.integers(5, 10),
+)
+def test_theta_shifts_leave_the_spectrum_unchanged(rule, a, b, cells, resolution):
+    # the band has max(3, n) angle cells; a shift of theta by whole cells
+    # maps its mesh onto itself and the rule points onto rule points, so
+    # the twisted metric and its shift have the same discrete spectra up to
+    # rounding (a warped phi(r) would make the shift the identity)
+    shift = 2 * math.pi * cells / max(3, resolution)
+    caches = [twisted_band_cache(a, b, c, resolution, rule) for c in (0.0, shift)]
+    for level in (0, 1):
+        for bc, k in (("dirichlet", 3), ("neumann", 4)):
+            got, want = (cache.spectrum(level, bc, k).values for cache in caches)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+
+def test_a_half_cell_theta_shift_moves_the_neumann_spectrum():
+    # half a cell is no symmetry of the mesh: the move is far above the
+    # 1e-12 that the whole-cell property allows
+    caches = [twisted_band_cache(0.5, 0.5, c, 8) for c in (0.0, math.pi / 8)]
+    got, want = (cache.spectrum(0, "neumann", 4).values for cache in caches)
+    assert np.max(np.abs(got - want)) >= 1e-5 * np.max(want)
+
+
 LITERALS = ("0", "1", "2", "0.5", "2.5", "700", "1000", "1e300")
 
 
