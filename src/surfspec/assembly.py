@@ -51,7 +51,7 @@ from .geometry import (
     laplacian_expr,
     sqrt_det_expr,
 )
-from .mesh import LOCAL_EDGES, _unique_pairs, face_edges
+from .mesh import LOCAL_EDGES, _unique_pairs, _vertex_slots, face_edges
 
 __all__ = [
     "AssemblyError",
@@ -221,25 +221,25 @@ def _scatter(diag_idx, pair_ids, pairs, n: int, *blocks) -> list:
 
     Each block is a pair of (F, 3) arrays: ``diag`` holds entries (i, i)
     with i from ``diag_idx`` (F, 3), and ``off`` holds entries of the
-    unordered index pairs ``pairs[pair_ids]`` (``pairs`` is (P, 2), each
-    pair distinct).  Diagonal entries are summed by index and
-    off-diagonal ones by pair id, and each pair's sum is written to both
-    (a, b) and (b, a), so every matrix is symmetric to bit equality.
-    The CSR layout, the diagonal plus both orientations of every pair, is
-    built once and shared by all blocks.
+    pairs ``pairs[pair_ids]`` (``pairs`` is (P, 2), distinct sorted pairs
+    a < b in lexicographic order).  Diagonal entries are summed by index
+    and off-diagonal ones by pair id, and each pair's sum is written to
+    both (a, b) and (b, a), so every matrix is symmetric to bit equality.
+    The CSR layout, row by row the pairs with b = i, the diagonal and the
+    pairs with a = i, is read off the sorted pairs
+    (:func:`surfspec.mesh._vertex_slots`), and every matrix of one call
+    shares its ``indices`` and ``indptr``.
     """
-    ids = np.arange(n)
-    rows = np.concatenate([ids, pairs[:, 0], pairs[:, 1]])
-    cols = np.concatenate([ids, pairs[:, 1], pairs[:, 0]])
-    order = np.argsort(rows * n + cols, kind="stable")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    indices = cols[order]
+    at_b, diag_at, at_a, indptr = _vertex_slots(pairs, n, 1)
+    indices = np.empty(indptr[-1], dtype=indptr.dtype)
+    indices[diag_at] = np.arange(n)
+    indices[at_b], indices[at_a] = pairs[:, 0], pairs[:, 1]
     out = []
     for diag, off in blocks:
-        d = np.bincount(diag_idx.ravel(), weights=diag.ravel(), minlength=n)
+        data = np.empty(len(indices))
+        data[diag_at] = np.bincount(diag_idx.ravel(), weights=diag.ravel(), minlength=n)
         o = np.bincount(pair_ids.ravel(), weights=off.ravel(), minlength=len(pairs))
-        data = np.concatenate([d, o, o])[order]
+        data[at_b], data[at_a] = o, o
         out.append(sp.csr_matrix((data, indices, indptr), shape=(n, n)))
     return out
 
@@ -292,14 +292,29 @@ def assemble_scalar(
 
 
 def apply_dirichlet(ops: ScalarOperators) -> DirichletReduction:
-    """Restrict mass and stiffness to the mesh's interior vertices."""
+    """Restrict mass and stiffness to the mesh's interior vertices.
+
+    M and K share one pattern (:func:`assemble_scalar`'s), so one pass
+    over it keeps the entries of interior rows and columns of both, and
+    the two restrictions share their pattern too.
+    """
     if not ops.mesh.boundary_vertex_mask.any():
         raise AssemblyError("mesh has no boundary vertices to eliminate")
     interior = ops.mesh.interior
     if len(interior) == 0:
         raise AssemblyError("every vertex is on the boundary")
-    mass = ops.mass[interior][:, interior].tocsr()
-    stiff = ops.stiffness[interior][:, interior].tocsr()
+    K, inside = ops.stiffness, ~ops.mesh.boundary_vertex_mask
+    keep = inside[K.indices]
+    keep &= np.repeat(inside, np.diff(K.indptr))
+    renumber = np.cumsum(inside, dtype=K.indices.dtype) - 1
+    indices = renumber[K.indices[keep]]
+    kept = np.zeros(len(keep) + 1, dtype=K.indptr.dtype)  # entries kept before
+    np.cumsum(keep, out=kept[1:])
+    indptr = kept[K.indptr[np.append(interior, len(inside))]]
+    mass, stiff = (
+        sp.csr_matrix((A.data[keep], indices, indptr), shape=(len(interior),) * 2)
+        for A in (ops.mass, K)
+    )
     return DirichletReduction(mass, stiff)
 
 
@@ -404,10 +419,12 @@ def _whitney_interpolate(mesh, metric: ChartMetric, f, forms, phi) -> list:
 
 
 def dirichlet_form_quadrature(
-    scalar: ScalarOperators, f, phi: np.ndarray, lambda_ref: float
+    whitney: OneFormOperators, f, phi: np.ndarray, lambda_ref: float
 ) -> dict:
     """Quadrature of the 1-form Dirichlet energy of the two trial fields
-    on the mesh, metric and rule of the P1 operators ``scalar``.
+    on the mesh, metric and rule of the Whitney operators ``whitney``
+    (:func:`assemble_oneform`'s), that is of their P1 operators
+    ``whitney.scalar``.
 
     For a scalar eigenfunction phi and a unit-gradient function f, the
     trial fields are ``phi df`` and ``phi (*df)``.  Writing
@@ -426,12 +443,12 @@ def dirichlet_form_quadrature(
 
     ``lambda_ref`` is the eigenvalue of phi; it is echoed in the
     diagnostic when the normalization check fails.  The Whitney masses
-    are :func:`assemble_oneform`'s, built before the integrands' chart
-    data, so the two never coexist.
+    are the caller's (a level cache keeps them with the level's other
+    operators), so they are held while the integrands' chart data is.
     """
+    scalar = whitney.scalar
     mesh, metric, mass0 = scalar.mesh, scalar.metric, scalar.mass
     fe = _as_expr(f)
-    whitney = assemble_oneform(scalar)
     data = _chart_data(mesh, metric, scalar.quad_rule)
     u, v, dA, lam = data["u"], data["v"], data["dA"], data["lam"]
 

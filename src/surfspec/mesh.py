@@ -320,14 +320,19 @@ class Mesh:
         ).tocsr()
 
     def chart_areas(self) -> np.ndarray:
-        p = self.verts[self.tris]
-        e1 = p[:, 1] - p[:, 0]
-        e2 = p[:, 2] - p[:, 0]
-        return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        """Signed chart area of every face, read off the coordinate columns."""
+        x, y = self.verts[:, 0], self.verts[:, 1]
+        t0, t1, t2 = self.tris.T
+        e1u, e1v = x[t1] - x[t0], y[t1] - y[t0]
+        e2u, e2v = x[t2] - x[t0], y[t2] - y[t0]
+        return 0.5 * (e1u * e2v - e1v * e2u)
 
     # -- construction ----------------------------------------------------
 
-    def _finalize(self):
+    def _finalize(self, topology=None):
+        """Check the mesh and fill its topology: ``(edges, tri_edges,
+        tri_edge_signs)`` as :func:`refine` derives it, or else found by
+        sorting the face edges, as arbitrary triangles need."""
         if self.tris.size and self.tris.max() >= len(self.verts):
             raise MeshError("triangle references a missing vertex")
         areas = self.chart_areas()
@@ -336,6 +341,7 @@ class Mesh:
             raise MeshError(
                 f"triangle {bad} has non-positive chart area {areas[bad]:.3e}"
             )
+        del areas  # the checks below hold face arrays of their own
         self.n_vertices = int(self.raw_to_logical.max()) + 1
         lt = self.logical_tris
         if np.any(
@@ -343,14 +349,10 @@ class Mesh:
         ):
             raise MeshError("triangle collapses under seam identification")
 
-        pairs = face_edges(lt)
-        flipped = pairs[:, 0] > pairs[:, 1]
-        sorted_pairs = np.where(flipped[:, None], pairs[:, ::-1], pairs)
-        self.edges, inverse = _unique_pairs(sorted_pairs, self.n_vertices)
-        F = len(self.tris)
-        self.tri_edges = inverse.reshape(3, F).T.copy()
-        signs = np.where(flipped, -1, 1).astype(np.int8)
-        self.tri_edge_signs = signs.reshape(3, F).T.copy()
+        if topology is None:
+            topology = _sorted_topology(lt, self.n_vertices)
+        del lt
+        self.edges, self.tri_edges, self.tri_edge_signs = topology
 
         counts = np.bincount(self.tri_edges.ravel(), minlength=len(self.edges))
         if np.any(counts > 2):
@@ -385,6 +387,51 @@ def face_edges(tris: np.ndarray) -> np.ndarray:
     """The (3F, 2) corner pairs of every face edge of ``tris`` (F, 3),
     ``LOCAL_EDGES``-major: row k * F + f is edge k of face f."""
     return np.concatenate([tris[:, [a, b]] for a, b in LOCAL_EDGES], axis=0)
+
+
+def _sorted_topology(lt: np.ndarray, n: int):
+    """``(edges, tri_edges, tri_edge_signs)`` of the logical faces ``lt``
+    with vertices in [0, n), by one sort of the 3F face edges."""
+    pairs = face_edges(lt)
+    flipped = pairs[:, 0] > pairs[:, 1]
+    sorted_pairs = np.where(flipped[:, None], pairs[:, ::-1], pairs)
+    edges, inverse = _unique_pairs(sorted_pairs, n)
+    F = len(lt)
+    signs = np.where(flipped, -1, 1).astype(np.int8)
+    return edges, inverse.reshape(3, F).T.copy(), signs.reshape(3, F).T.copy()
+
+
+def _vertex_slots(pairs: np.ndarray, n: int, own: int):
+    """Slots of the sorted pairs (a, b), a < b, of vertices in [0, n) when
+    each vertex v in turn lists its pairs with b = v, then ``own`` slots
+    of its own, then its pairs with a = v, each group in pair order: the
+    layout of CSR rows (``own`` = 1, the diagonal) or of the half edges
+    of :func:`refine`.  The pairs with a = v are consecutive; those with
+    b = v come from one stable argsort of the b column, the only sort.
+
+    Returns ``(at_b, at_own, at_a, start)``: every pair's slot at b, each
+    vertex's first own slot, every pair's slot at a, and each vertex's
+    first slot, the total last; int32 unless the total needs int64.
+    """
+    a, b = pairs[:, 0], pairs[:, 1]
+    count_a = np.bincount(a, minlength=n)
+    count_b = np.bincount(b, minlength=n)
+    total = len(pairs) * 2 + own * n
+    index = np.int32 if total <= np.iinfo(np.int32).max else np.int64
+    start = np.zeros(n + 1, dtype=index)
+    np.cumsum(count_a + count_b + own, out=start[1:])
+    first = start[:-1]
+    at_own = first + count_b.astype(index)
+    before_a = np.cumsum(count_a) - count_a  # the pairs with a < v
+    before_b = np.cumsum(count_b) - count_b
+    # a pair's slot is its group's first slot plus its rank in the group
+    ids = np.arange(len(pairs), dtype=index)
+    at_b = np.empty(len(pairs), dtype=index)
+    at_b[np.argsort(b, kind="stable")] = ids + np.repeat(
+        (first - before_b).astype(index), count_b
+    )
+    at_a = ids + np.repeat((at_own + own - before_a).astype(index), count_a)
+    return at_b, at_own, at_a, start
 
 
 def _raw_edges(mesh: "Mesh") -> Tuple[np.ndarray, np.ndarray]:
@@ -495,35 +542,100 @@ def _ring_mesh(domain: DomainSpec, radii, nt: int) -> Mesh:
 def refine(mesh: Mesh) -> Mesh:
     """Uniform red refinement: every triangle splits into four.
 
-    Midpoints of raw edges become new raw vertices; the midpoint of logical
-    edge e is logical vertex V + e (as :func:`prolongation` reads it), so
-    seam identifications carry over.  The Euler characteristic is unchanged.
+    Midpoints of raw edges become new raw vertices, numbered after the
+    coarse ones by raw edge (the logical edges, where the raw numbering
+    is logical: every mesh without a seam).  The midpoint of logical edge
+    e is logical vertex V + e (as :func:`prolongation` reads it), so seam
+    identifications carry over.  Face (v0, v1, v2) with edge midpoints
+    m01, m12 and m20 has the children (v0, m01, m20), (m01, v1, m12),
+    (m20, m12, v2) and (m01, m12, m20): all first children, then all
+    second ones, and so on.  The Euler characteristic is unchanged.
+
+    The fine topology is derived from the coarse numbering, without
+    sorting fine edges.  Coarse edge e = (a, b) gives the half edges
+    (a, V + e) and (b, V + e), and each face three inner edges joining
+    its midpoints.  The fine edges, sorted as always, are the half edges
+    first: for each vertex v in turn, its coarse edges with b = v, then
+    those with a = v, each in ascending e.  The inner edges follow,
+    numbered by one sort of their 3F coarse edge pairs.  A child's edges
+    and signs follow from its face's ``tri_edges`` and
+    ``tri_edge_signs``.  Every :class:`Mesh` check still runs.
     """
     verts, tris = mesh.verts, mesh.tris
-    raw_edges, tri_raw_edges = _raw_edges(mesh)  # midpoint ids per face edge
+    V, F = mesh.n_vertices, mesh.n_faces
+    if np.array_equal(mesh.raw_to_logical, np.arange(len(verts))):
+        raw_edges, tri_raw_edges = mesh.edges, mesh.tri_edges
+    else:
+        raw_edges, tri_raw_edges = _raw_edges(mesh)
     midpoints = 0.5 * (verts[raw_edges[:, 0]] + verts[raw_edges[:, 1]])
     new_verts = np.concatenate([verts, midpoints], axis=0)
-
     mid_logical = np.empty(len(raw_edges), dtype=np.int64)
-    mid_logical[tri_raw_edges] = mesh.n_vertices + mesh.tri_edges
+    mid_logical[tri_raw_edges] = V + mesh.tri_edges
     new_raw_to_logical = np.concatenate([mesh.raw_to_logical, mid_logical])
 
-    m01 = len(verts) + tri_raw_edges[:, 0]
-    m12 = len(verts) + tri_raw_edges[:, 1]
-    m20 = len(verts) + tri_raw_edges[:, 2]
+    m01, m12, m20 = (len(verts) + tri_raw_edges[:, k] for k in range(3))
     v0, v1, v2 = tris[:, 0], tris[:, 1], tris[:, 2]
-    children = np.concatenate(
-        [
-            np.stack([v0, m01, m20], axis=1),
-            np.stack([m01, v1, m12], axis=1),
-            np.stack([m20, m12, v2], axis=1),
-            np.stack([m01, m12, m20], axis=1),
-        ],
-        axis=0,
+    children = _by_child(
+        ((v0, m01, m20), (m01, v1, m12), (m20, m12, v2), (m01, m12, m20)),
+        F, np.int64,
     )
-    return Mesh.from_arrays(
-        new_verts, children, new_raw_to_logical, mesh.domain, mesh.level + 1
+    del m01, m12, m20, midpoints, mid_logical  # before the checks' arrays
+
+    fine = Mesh(new_verts, children, new_raw_to_logical, mesh.domain, mesh.level + 1)
+    fine._finalize(_refined_topology(mesh))
+    return fine
+
+
+def _refined_topology(mesh: Mesh):
+    """``(edges, tri_edges, tri_edge_signs)`` of ``refine(mesh)``, derived
+    from the coarse topology as :func:`refine` states."""
+    V, E, F = mesh.n_vertices, mesh.n_edges, mesh.n_faces
+    at_b, _, at_a, _ = _vertex_slots(mesh.edges, V, 0)
+    edges = np.empty((2 * E, 2), dtype=np.int64)
+    edges[at_a, 0], edges[at_b, 0] = mesh.edges[:, 0], mesh.edges[:, 1]
+    edges[at_a, 1] = edges[at_b, 1] = V + np.arange(E)
+
+    te = mesh.tri_edges
+    forward = mesh.tri_edge_signs > 0  # corner k is edge k's end a
+    # the half edge of face edge k at corner k, and at corner k + 1
+    head = np.where(forward, at_a[te], at_b[te])
+    tail = np.where(forward, at_b[te], at_a[te])
+    # inner edge k joins the midpoints of face edges k and k + 1; the middle
+    # child runs it in that direction, with its orientation where up is 1
+    nxt = te[:, [1, 2, 0]]
+    up = np.where(te < nxt, 1, -1).astype(np.int8)
+    keys, inner = np.unique(
+        (np.minimum(te, nxt) * E + np.maximum(te, nxt)).ravel(), return_inverse=True
     )
+    inner = 2 * E + inner.reshape(F, 3)
+    edges = np.concatenate([edges, np.stack([V + keys // E, V + keys % E], axis=1)])
+
+    # a corner child leaves its coarse corner along a head, crosses an inner
+    # edge against the middle child and returns along a tail; a half edge
+    # runs out of its coarse end
+    tri_edges = _by_child((
+        (head[:, 0], inner[:, 2], tail[:, 2]),
+        (tail[:, 0], head[:, 1], inner[:, 0]),
+        (inner[:, 1], tail[:, 1], head[:, 2]),
+        (inner[:, 0], inner[:, 1], inner[:, 2]),
+    ), F, np.int64)
+    signs = _by_child((
+        (1, -up[:, 2], -1),
+        (-1, 1, -up[:, 0]),
+        (-up[:, 1], -1, 1),
+        (up[:, 0], up[:, 1], up[:, 2]),
+    ), F, np.int8)
+    return edges, tri_edges, signs
+
+
+def _by_child(columns, F: int, dtype) -> np.ndarray:
+    """The (4F, 3) array whose rows c F to (c + 1) F hold the three
+    columns, arrays or scalars, of child c."""
+    out = np.empty((4 * F, 3), dtype=dtype)
+    for c, child in enumerate(columns):
+        for k, column in enumerate(child):
+            out[c * F:(c + 1) * F, k] = column
+    return out
 
 
 def prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
@@ -531,7 +643,8 @@ def prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
 
     In the refined logical numbering vertex i < V is coarse vertex i and
     vertex V + e is the midpoint of coarse edge e, so the matrix is
-    ``[I; 0.5 |d0|]`` with shape (V + E, V).  Raises :class:`MeshError`
+    ``[I; 0.5 |d0|]`` with shape (V + E, V), written row by row from
+    ``coarse.edges``.  Raises :class:`MeshError`
     when ``fine`` does not have that many vertices.
     """
     V, E = coarse.n_vertices, coarse.n_edges
@@ -540,7 +653,11 @@ def prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
             f"{fine.n_vertices} vertices do not refine a mesh with "
             f"{V} vertices and {E} edges"
         )
-    return sp.vstack([sp.identity(V), 0.5 * abs(coarse.d0)], format="csr")
+    # row i < V is (i: 1), row V + e is (a: 0.5, b: 0.5) for edge e = (a, b)
+    indptr = np.concatenate([np.arange(V + 1), V + 2 * np.arange(1, E + 1)])
+    indices = np.concatenate([np.arange(V), coarse.edges.ravel()])
+    data = np.concatenate([np.ones(V), np.full(2 * E, 0.5)])
+    return sp.csr_matrix((data, indices, indptr), shape=(V + E, V))
 
 
 # ---------------------------------------------------------------------------

@@ -252,7 +252,7 @@ def _screen(
 
 
 class LevelCache:
-    """Meshes, scalar operators and spectra of one domain's refinement levels.
+    """Meshes, operators and spectra of one domain's refinement levels.
 
     Level 0 is ``triangulate(domain)`` and level L + 1 refines level L.
     Each item is built on first request and kept; spectra are keyed on
@@ -292,6 +292,14 @@ class LevelCache:
         return self._get(("operators", level), lambda: assemble_scalar(
             self.mesh(level), self.metric, quad_rule=self.options.quad_rule
         ))
+
+    def oneform(self, level: int):
+        """The Whitney masses on a level's P1 operators
+        (:func:`assemble_oneform`), which its 1-form spectrum and the
+        lemma's trial-field quadrature both read."""
+        return self._get(
+            ("oneform", level), lambda: assemble_oneform(self.operators(level))
+        )
 
     def pencil(self, level: int, bc: str):
         """A level's Neumann operators, or for Dirichlet those operators
@@ -345,7 +353,7 @@ class LevelCache:
 
         k outside [1, :meth:`pairs`] raises :class:`EigenError` before
         anything is assembled.  The 1-form spectrum is
-        :func:`solve_oneform` of the level's operators; it reads no scalar
+        :func:`solve_oneform` of the level's :meth:`oneform`; it reads no scalar
         spectrum of the cache, so the spectrum union compares independent
         solves.  A scalar request runs its :meth:`plan`; one of k below its
         block is the block's first k values, vectors and residuals, bit for
@@ -385,8 +393,7 @@ class LevelCache:
         key = ("spectrum", level, bc, k)
         if bc == "oneform":
             return self._get(key, lambda: record(
-                solve_oneform, assemble_oneform(self.operators(level)), k,
-                options=self.options,
+                solve_oneform, self.oneform(level), k, options=self.options,
             ))
         block, method, _ = self.plan(level, bc, k)
         if k < block:
@@ -523,7 +530,8 @@ def _lines(A: sp.csr_matrix):
     """The lines of strong couplings of a symmetric A, or None if it has none.
 
     j couples strongly to i when -a_ij > 0 and -a_ij >= LINE_STRENGTH times
-    the largest -a_ik, k != i (Trottenberg, Oosterlee & Schueller,
+    the largest -a_ik, k != i, for A with a positive diagonal, as
+    K + sigma M has (Trottenberg, Oosterlee & Schueller,
     *Multigrid*, 2001, section 5.1).  i and j are linked when each couples
     strongly to the other and neither has more than two strong couplings,
     so the links form paths and rings; a line is such a component of at
@@ -537,13 +545,20 @@ def _lines(A: sp.csr_matrix):
     ``dpbtrs`` when w = 2.  None also when B is not positive definite,
     since LOBPCG needs a symmetric positive definite preconditioner.
     """
-    n = A.shape[0]
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(A.indptr))
-    pull = np.where(A.indices == rows, -np.inf, -A.data)  # -a_ij, i != j
-    strongest = np.maximum.reduceat(pull, A.indptr[:-1])
-    strong = (pull > 0) & (pull >= LINE_STRENGTH * strongest[rows])
+    n, width = A.shape[0], np.diff(A.indptr)
+    # a_ii > 0, so a row's smallest entry is -max_k(-a_ik) when the row has a
+    # negative coupling, and no entry of the row is strong when it has none;
+    # A.data is read in place, row by row
+    strong = A.data < 0
+    strong &= A.data <= np.repeat(
+        LINE_STRENGTH * np.minimum.reduceat(A.data, A.indptr[:-1]), width
+    )
     few = np.add.reduceat(strong, A.indptr[:-1], dtype=np.intp) <= 2
-    at = np.flatnonzero(strong & few[rows] & few[A.indices])
+    strong &= np.repeat(few, width)
+    strong &= few[A.indices]
+    at = np.flatnonzero(strong)
+    if at.size == 0:
+        return None
     cand = sp.csr_matrix(
         (A.data[at], A.indices[at], np.searchsorted(at, A.indptr)), shape=(n, n)
     )
@@ -741,7 +756,7 @@ def lemma_check(
         lam1 = float(ground.values[0])
         phi = np.zeros(mesh.n_vertices)
         phi[mesh.interior] = ground.vectors[:, 0]
-        out = dirichlet_form_quadrature(cache.operators(lvl), f, phi, lam1)
+        out = dirichlet_form_quadrature(cache.oneform(lvl), f, phi, lam1)
         return {
             "lambda1": lam1,
             "alpha_nu": out["alpha_nu"],

@@ -22,7 +22,9 @@ from surfspec.assembly import (
 )
 from surfspec.expr import Var, evaluate, parse
 from surfspec.geometry import builtin_metric
-from surfspec.mesh import DomainSpec, Mesh, refine, triangulate
+from surfspec.mesh import (
+    DomainSpec, Mesh, _unique_pairs, face_edges, refine, triangulate,
+)
 
 FLAT = builtin_metric("euclidean")
 HALF_PLANE = builtin_metric("hyperbolic_half_plane")
@@ -36,6 +38,15 @@ def collar_metric():
     return builtin_metric(
         "warped", {"phi": "0.25*cosh(r)", "r_range": (-1.0, 1.0)}
     )
+
+
+def whitney(mesh, metric):
+    """The Whitney operators on freshly assembled P1 operators."""
+    return assemble_oneform(assemble_scalar(mesh, metric))
+
+
+def _must_not_assemble(*args, **kwargs):
+    raise AssertionError("assembled the Whitney masses again")
 
 
 def first_dirichlet_mode(mesh, metric):
@@ -253,6 +264,96 @@ def test_blocked_assembly_peak_memory():
     assert assembly_peak(mesh, HALF_PLANE) < 15 * 2**20
 
 
+def test_level_two_assembly_peak_memory():
+    # halfplane's level-2 mesh (125,952 faces): M and K take 8.7 MiB with one
+    # shared pattern.  The peak was 43.0 MiB (4.9 times that) when the
+    # scatter sorted int64 keys of every entry and gave each matrix its own
+    # pattern; from the sorted edges it is 27.8 MiB (3.2 times).  The bound
+    # is 3.2 plus 15 %.
+    mesh = triangulate(DomainSpec.rectangle(0, 1, 1, math.e, 48))
+    mesh = refine(refine(mesh))
+    assert mesh.n_faces == 125_952
+    peak = assembly_peak(mesh, HALF_PLANE)
+    ops = assemble_scalar(mesh, HALF_PLANE)
+    M, K = ops.mass, ops.stiffness
+    assert np.shares_memory(M.indices, K.indices)
+    assert np.shares_memory(M.indptr, K.indptr)
+    matrices = M.data.nbytes + K.data.nbytes + K.indices.nbytes + K.indptr.nbytes
+    assert peak < 3.7 * matrices
+
+
+# the shapes of the recorded meshes of tests/test_mesh.py
+SHAPES = {
+    "rectangle": DomainSpec.rectangle(0, 1, 1, 2.5, 5),
+    "rectangle-n2": DomainSpec.rectangle(0, 3, 0, 1, 2),
+    "band-n2": DomainSpec.periodic_band(-1, 1, 2, theta_period=3.0),
+    "disk": DomainSpec.disk(0.5, -0.5, 2, 3),
+    "annulus-n2": DomainSpec.annulus(0, 0, 1, 2.5, 2),
+}
+
+
+def levels_of(name):
+    """The meshes of levels 0-2 of a recorded shape."""
+    mesh = triangulate(SHAPES[name])
+    for _ in range(3):
+        yield mesh
+        mesh = refine(mesh)
+
+
+def same_csr(got, want):
+    """Equal CSR arrays, bit for bit, with equal dtypes."""
+    assert got.shape == want.shape
+    for attr in ("data", "indices", "indptr"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype and np.array_equal(a, b), attr
+
+
+def scatter_by_sorted_keys(diag_idx, pair_ids, pairs, n, diag, off):
+    """The scatter's reference: the CSR order of an argsort of the int64
+    keys row * n + col of every entry."""
+    ids = np.arange(n)
+    rows = np.concatenate([ids, pairs[:, 0], pairs[:, 1]])
+    cols = np.concatenate([ids, pairs[:, 1], pairs[:, 0]])
+    order = np.argsort(rows * n + cols, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    d = np.bincount(diag_idx.ravel(), weights=diag.ravel(), minlength=n)
+    o = np.bincount(pair_ids.ravel(), weights=off.ravel(), minlength=len(pairs))
+    data = np.concatenate([d, o, o])[order]
+    return sp.csr_matrix((data, cols[order], indptr), shape=(n, n))
+
+
+@pytest.mark.parametrize("name", SHAPES)
+def test_scatter_equals_the_sorted_keys_reference(name):
+    rng = np.random.default_rng(11)
+    for mesh in levels_of(name):
+        # the P1 pattern (the mesh's edges) and the Whitney one (the pairs of
+        # edges of one face, numbered as assemble_oneform numbers them)
+        edge_pairs = np.sort(face_edges(mesh.tri_edges), axis=1)
+        whitney, whitney_ids = _unique_pairs(edge_pairs, mesh.n_edges)
+        for idx, ids, pairs, n in (
+            (mesh.logical_tris, mesh.tri_edges, mesh.edges, mesh.n_vertices),
+            (mesh.tri_edges, whitney_ids.reshape(3, -1).T, whitney, mesh.n_edges),
+        ):
+            blocks = [rng.standard_normal((2, mesh.n_faces, 3)) for _ in range(2)]
+            got = assembly._scatter(idx, ids, pairs, n, *blocks)
+            for A, (diag, off) in zip(got, blocks):
+                same_csr(A, scatter_by_sorted_keys(idx, ids, pairs, n, diag, off))
+            assert np.shares_memory(got[0].indices, got[1].indices)
+            assert np.shares_memory(got[0].indptr, got[1].indptr)
+
+
+@pytest.mark.parametrize("name", SHAPES)
+def test_dirichlet_restriction_equals_fancy_indexing(name):
+    for mesh in levels_of(name):
+        ops = assemble_scalar(mesh, HALF_PLANE if name == "rectangle" else FLAT)
+        red, interior = apply_dirichlet(ops), mesh.interior
+        same_csr(red.mass, ops.mass[interior][:, interior].tocsr())
+        same_csr(red.stiffness, ops.stiffness[interior][:, interior].tocsr())
+        assert np.shares_memory(red.mass.indices, red.stiffness.indices)
+        assert np.shares_memory(red.mass.indptr, red.stiffness.indptr)
+
+
 @pytest.mark.parametrize(
     "mesh,metric,rule",
     [
@@ -426,7 +527,7 @@ def test_dirichlet_form_flat_square():
     mesh = triangulate(DomainSpec.rectangle(0, math.pi, 0, math.pi, 32))
     phi, lam1 = first_dirichlet_mode(mesh, FLAT)
     f = parse("x")
-    out = dirichlet_form_quadrature(assemble_scalar(mesh, FLAT), f, phi, lam1)
+    out = dirichlet_form_quadrature(whitney(mesh, FLAT), f, phi, lam1)
     assert lam1 == pytest.approx(2.0, rel=0.02)
     # Lap f = 0, so the energy collapses to the gradient norm
     assert out["alpha_nu"] == pytest.approx(out["dphi_norm2"], rel=1e-12)
@@ -439,7 +540,7 @@ def test_dirichlet_form_hyperbolic_rectangle():
     mesh = triangulate(DomainSpec.rectangle(0, 1, 1, 2, 32))
     phi, lam1 = first_dirichlet_mode(mesh, HALF_PLANE)
     f = parse("-log(y)")
-    out = dirichlet_form_quadrature(assemble_scalar(mesh, HALF_PLANE), f, phi, lam1)
+    out = dirichlet_form_quadrature(whitney(mesh, HALF_PLANE), f, phi, lam1)
     assert out["alpha_nu"] <= 1.05 * lam1
     assert out["alpha_star_nu"] <= 1.05 * lam1
     assert out["alpha_star_nu"] == pytest.approx(out["alpha_nu"], rel=1e-9)
@@ -452,7 +553,7 @@ def test_dirichlet_form_cross_term_mass_solve(monkeypatch):
     # sparse LU's cross term, and stopping short of its tolerance is refused
     mesh = triangulate(DomainSpec.rectangle(0, 1, 1, 2, 16))
     phi, lam1 = first_dirichlet_mode(mesh, HALF_PLANE)
-    ops, f = assemble_scalar(mesh, HALF_PLANE), parse("-log(y)")
+    ops, f = whitney(mesh, HALF_PLANE), parse("-log(y)")
     cross = dirichlet_form_quadrature(ops, f, phi, lam1)["cross"]
     cg = assembly.spla.cg
     monkeypatch.setattr(
@@ -475,7 +576,7 @@ def test_dirichlet_form_rejects_non_unit_gradient():
     phi, lam1 = first_dirichlet_mode(mesh, HALF_PLANE)
     f = parse("x")
     with pytest.raises(AssemblyError, match="unit-gradient"):
-        dirichlet_form_quadrature(assemble_scalar(mesh, HALF_PLANE), f, phi, lam1)
+        dirichlet_form_quadrature(whitney(mesh, HALF_PLANE), f, phi, lam1)
 
 
 @pytest.mark.parametrize(
@@ -514,32 +615,23 @@ def test_edge_representatives_match_row_unique(domain):
     ids=["rectangle", "band"],
 )
 def test_dirichlet_form_builds_chart_data_once(domain, metric, f, monkeypatch):
-    # chart data is built once for the Whitney masses, inside
-    # assemble_oneform, and once for the integrands after that call returns
+    # the Whitney masses are the caller's: the quadrature assembles none and
+    # builds chart data once, for its integrands
     mesh = triangulate(domain)
     phi, lam1 = first_dirichlet_mode(mesh, metric)
     f = parse(f)
-    scalar = assemble_scalar(mesh, metric)
-    chart_data, oneform = assembly._chart_data, assembly.assemble_oneform
+    one = whitney(mesh, metric)
+    chart_data = assembly._chart_data
     calls = []
 
     def counted_chart_data(*args):
         calls.append(("chart data", args[0]))
         return chart_data(*args)
 
-    def counted_oneform(ops):
-        calls.append(("oneform", ops))
-        result = oneform(ops)
-        calls.append(("oneform returned", ops))
-        return result
-
     monkeypatch.setattr(assembly, "_chart_data", counted_chart_data)
-    monkeypatch.setattr(assembly, "assemble_oneform", counted_oneform)
-    got = dirichlet_form_quadrature(scalar, f, phi, lam1)
-    assert calls == [
-        ("oneform", scalar), ("chart data", mesh),
-        ("oneform returned", scalar), ("chart data", mesh),
-    ]
+    monkeypatch.setattr(assembly, "assemble_oneform", _must_not_assemble)
+    got = dirichlet_form_quadrature(one, f, phi, lam1)
+    assert calls == [("chart data", mesh)]
     assert set(got) == {"alpha_nu", "alpha_star_nu", "cross", "dphi_norm2"}
 
 
@@ -548,6 +640,4 @@ def test_dirichlet_form_rejects_unnormalized_phi():
     phi, lam1 = first_dirichlet_mode(mesh, HALF_PLANE)
     f = parse("-log(y)")
     with pytest.raises(AssemblyError, match="normalized"):
-        dirichlet_form_quadrature(
-            assemble_scalar(mesh, HALF_PLANE), f, 3.0 * phi, lam1
-        )
+        dirichlet_form_quadrature(whitney(mesh, HALF_PLANE), f, 3.0 * phi, lam1)

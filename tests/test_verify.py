@@ -403,6 +403,26 @@ def test_level_cache_checks_the_range_before_assembly(monkeypatch, bc):
             cache.spectrum(0, bc, k)
 
 
+def test_lemma_and_union_assemble_the_whitney_masses_once(monkeypatch):
+    # the level cache keeps each level's Whitney masses: the union's 1-form
+    # solve and the lemma's trial quadrature at level 0 read the same ones
+    built = []
+    assemble_oneform = verify.assemble_oneform
+
+    def counted(ops):
+        built.append(ops.mesh.level)
+        return assemble_oneform(ops)
+
+    monkeypatch.setattr(verify, "assemble_oneform", counted)
+    monkeypatch.setattr(assembly, "assemble_oneform", counted)
+    domain = DomainSpec.rectangle(0, math.pi, 0, math.pi, 6)
+    cache = LevelCache(domain, FLAT)
+    spectrum_union_check(domain, FLAT, count=4, cache=cache)
+    lemma_check(domain, FLAT, "x", cache=cache)
+    assert built == [0, 1]
+    assert cache.oneform(0) is cache.oneform(0)
+
+
 def test_oneform_spectrum_of_the_union_is_solved_once(monkeypatch):
     calls = []
     solve_oneform = verify.solve_oneform
