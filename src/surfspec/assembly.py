@@ -20,10 +20,10 @@ Default quadrature is the 3-point edge-midpoint rule (degree-2 exact
 in the chart).  A 7-point degree-5 rule is available for strongly
 varying metrics.  Each operator computes the entries of its faces by
 vectorised array arithmetic: three diagonal entries and three corner
-(or edge) pairs per face, as the element blocks are symmetric.  The P1
-operators take the faces in blocks of one expression-evaluator chunk of
-rule points, so their chart data is held one block at a time; the
-Whitney masses take all faces in one pass.  One scatter sums the
+(or edge) pairs per face, as the element blocks are symmetric.  Every
+quadrature over the mesh takes the faces in blocks of one
+expression-evaluator chunk of rule points (:func:`_face_blocks`), so
+its chart data is held one block at a time.  One scatter sums the
 entries by ``np.bincount`` onto a fixed pattern, the
 diagonal plus both orientations of each pair; for P1 the pairs are the
 mesh's edges, so the pattern is the vertex-edge graph (nnz = V + 2E),
@@ -170,15 +170,24 @@ def _rule(name: str):
         raise AssemblyError(f"unknown quadrature rule '{name}'") from None
 
 
-def _chart_data(mesh, metric: ChartMetric, rule: str, faces=slice(None)):
+def _face_blocks(mesh, metric: ChartMetric, rule: str):
+    """``(faces, chart data)`` per slice of ``expr._CHUNK // nq`` faces
+    (read at call time), one evaluator chunk of rule points."""
+    block = expr._CHUNK // len(_rule(rule)[1])
+    for start in range(0, mesh.n_faces, block):
+        faces = slice(start, start + block)
+        yield faces, _chart_data(mesh, metric, rule, faces)
+
+
+def _chart_data(mesh, metric: ChartMetric, rule: str, faces: slice):
     """Geometry and metric samples at the rule points of the faces
-    ``mesh.tris[faces]``, every face by default.
+    ``mesh.tris[faces]``.
 
     Gradients and inverse-metric entries are kept as component arrays:
     ``grads`` is (du, dv) of the three corner hats, each (F, 3), and
     ``ginv`` is (g^11, g^12, g^22), each (F, nq), F being the number of
-    faces taken.  Each face's samples depend on that face alone, so a
-    slice of faces gets the rows of the whole mesh's arrays bit for bit.
+    faces taken.  Each face's samples depend on that face alone, so any
+    walk of the faces gets every face's samples bit for bit.
     """
     pts, wts = _rule(rule)
     tris = mesh.tris[faces]
@@ -257,21 +266,14 @@ def assemble_scalar(
     scatter into one shared row, so no extra constraint handling is
     needed.  The off-diagonal entries of a face are those of its
     ``LOCAL_EDGES`` corner pairs, summed by ``mesh.tri_edges`` onto the
-    mesh's edges, so the pattern is the vertex-edge graph.
-
-    The faces are taken in blocks of one expression-evaluator chunk of
-    rule points (``expr._CHUNK // nq`` faces, read at call time), so the
-    chart data held at once scales with a block, not with the mesh.  Each
-    block writes its entries into four whole-mesh (F, 3) arrays, and one
-    scatter sums them.
+    mesh's edges, so the pattern is the vertex-edge graph.  Each block of
+    :func:`_face_blocks` writes its entries into four whole-mesh (F, 3)
+    arrays, and one scatter sums them.
     """
-    block = expr._CHUNK // len(_rule(quad_rule)[1])
     mass_diag, mass_off, stiff_diag, stiff_off = (
         np.empty((mesh.n_faces, 3)) for _ in range(4)
     )
-    for start in range(0, mesh.n_faces, block):
-        faces = slice(start, start + block)
-        data = _chart_data(mesh, metric, quad_rule, faces)
+    for faces, data in _face_blocks(mesh, metric, quad_rule):
         lam = data["lam"]
         # hat products at the rule points: the three diagonal, then the pairs
         local = data["dA"] @ np.hstack([lam * lam, lam * lam[:, _NEXT]])  # (F, 6)
@@ -331,26 +333,34 @@ def assemble_oneform(scalar: ScalarOperators) -> OneFormOperators:
     relating local traversal to the global a -> b orientation.  The
     face mass uses the basis 2-form that integrates to one over its
     face, giving the diagonal weight
-    ``area^{-2} \\int du dv / sqrt(det g)``.  All faces take one pass, on
-    chart data that is dropped on return.
+    ``area^{-2} \\int du dv / sqrt(det g)``.  Each block of
+    :func:`_face_blocks` writes its entries into two whole-mesh (F, 3)
+    arrays and its faces' M2 weights, and one scatter sums the entries.
     """
     mesh = scalar.mesh
-    data = _chart_data(mesh, scalar.metric, scalar.quad_rule)
-    lam, nq = data["lam"], len(data["lam"])
-    # the Whitney form of local edge k = (a, b), lam_a grad_b - lam_b grad_a,
-    # is the corner gradients times basis: (F, 3) @ (3, 3 nq) per component
-    basis = np.zeros((3, 3, nq))
-    for k, (a, b) in enumerate(LOCAL_EDGES):
-        basis[b, k], basis[a, k] = lam[:, a], -lam[:, b]
-    gu, gv = data["grads"]
-    wu = (gu @ basis.reshape(3, -1)).reshape(-1, 3, nq)
-    wv = (gv @ basis.reshape(3, -1)).reshape(-1, 3, nq)
-    # each form's dA-weighted inverse-metric image, (F, 3, nq)
-    c11, c12, c22 = ((g * data["dA"])[:, None, :] for g in data["ginv"])
-    pu, pv = c11 * wu + c12 * wv, c12 * wu + c22 * wv
-    diag = np.sum(wu * pu + wv * pv, axis=2)
-    # the local edge pairs (k, _NEXT[k]), signed by the edge orientations
-    off = np.sum(wu[:, _NEXT] * pu + wv[:, _NEXT] * pv, axis=2)
+    diag, off = np.empty((mesh.n_faces, 3)), np.empty((mesh.n_faces, 3))
+    face_mass = np.empty(mesh.n_faces)
+    for faces, data in _face_blocks(mesh, scalar.metric, scalar.quad_rule):
+        lam, nq = data["lam"], len(data["lam"])
+        # the Whitney form of local edge k = (a, b), lam_a grad_b - lam_b
+        # grad_a, is the corner gradients times basis: (F, 3) @ (3, 3 nq)
+        basis = np.zeros((3, 3, nq))
+        for k, (a, b) in enumerate(LOCAL_EDGES):
+            basis[b, k], basis[a, k] = lam[:, a], -lam[:, b]
+        gu, gv = data["grads"]
+        wu = (gu @ basis.reshape(3, -1)).reshape(-1, 3, nq)
+        wv = (gv @ basis.reshape(3, -1)).reshape(-1, 3, nq)
+        # each form's dA-weighted inverse-metric image, (F, 3, nq)
+        c11, c12, c22 = ((g * data["dA"])[:, None, :] for g in data["ginv"])
+        pu, pv = c11 * wu + c12 * wv, c12 * wu + c22 * wv
+        diag[faces] = np.sum(wu * pu + wv * pv, axis=2)
+        # the local edge pairs (k, _NEXT[k])
+        off[faces] = np.sum(wu[:, _NEXT] * pu + wv[:, _NEXT] * pv, axis=2)
+        area = 0.5 * data["detJ"]
+        face_mass[faces] = (
+            np.sum(data["wts"] / data["sqrtdet"], axis=1) * data["detJ"] / area**2
+        )
+    # signed by the edge orientations
     off *= mesh.tri_edge_signs * mesh.tri_edge_signs[:, _NEXT]
     # the face-local edge pairs as sorted pairs of edge ids, numbered
     edge_pairs = face_edges(mesh.tri_edges)
@@ -359,9 +369,7 @@ def assemble_oneform(scalar: ScalarOperators) -> OneFormOperators:
     (mass1,) = _scatter(
         mesh.tri_edges, pair_ids.reshape(3, -1).T, pairs, mesh.n_edges, (diag, off)
     )
-    area = 0.5 * data["detJ"]
-    inv_sqrt = np.sum(data["wts"][None, :] / data["sqrtdet"], axis=1) * data["detJ"]
-    return OneFormOperators(mass1, sp.diags(inv_sqrt / area**2), scalar)
+    return OneFormOperators(mass1, sp.diags(face_mass), scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -397,25 +405,30 @@ def _whitney_interpolate(mesh, metric: ChartMetric, f, forms, phi) -> list:
 
     ``forms`` are pairs of expressions built from f, the du and dv
     components of each 1-form rho, all evaluated in one plan at the Gauss
-    points of every logical edge's :func:`_edge_representatives` pair;
-    ``phi`` holds P1 values on logical vertices, linear along each edge.
-    Returns one array of edge values per form.
+    points of every logical edge's :func:`_edge_representatives` pair,
+    one expression-evaluator chunk of points (``expr._CHUNK // 4`` edges)
+    at a time; ``phi`` holds P1 values on logical vertices, linear along
+    each edge.  Returns one array of edge values per form.
     """
     a, b = _edge_representatives(mesh)
-    pa, pb = mesh.verts[a], mesh.verts[b]
-    delta = pb - pa
-    pts = pa[:, None, :] + _EDGE_T[None, :, None] * delta[:, None, :]
-    comps = evaluate_on_f(
-        metric, tuple(c for form in forms for c in form), f, pts[..., 0], pts[..., 1]
-    )
-    phi_line = (
-        phi[mesh.raw_to_logical[a]][:, None] * (1 - _EDGE_T)[None, :]
-        + phi[mesh.raw_to_logical[b]][:, None] * _EDGE_T[None, :]
-    )
-    return [
-        (phi_line * (cu * delta[:, None, 0] + cv * delta[:, None, 1])) @ _EDGE_W
-        for cu, cv in zip(comps[::2], comps[1::2])
-    ]
+    comps = tuple(c for form in forms for c in form)
+    out = [np.empty(len(a)) for _ in forms]
+    block = expr._CHUNK // len(_EDGE_T)
+    for start in range(0, len(a), block):
+        ea, eb = a[start:start + block], b[start:start + block]
+        pa, pb = mesh.verts[ea], mesh.verts[eb]
+        delta = pb - pa
+        pts = pa[:, None, :] + _EDGE_T[None, :, None] * delta[:, None, :]
+        vals = evaluate_on_f(metric, comps, f, pts[..., 0], pts[..., 1])
+        phi_line = (
+            phi[mesh.raw_to_logical[ea]][:, None] * (1 - _EDGE_T)[None, :]
+            + phi[mesh.raw_to_logical[eb]][:, None] * _EDGE_T[None, :]
+        )
+        for w, cu, cv in zip(out, vals[::2], vals[1::2]):
+            w[start:start + block] = (
+                phi_line * (cu * delta[:, None, 0] + cv * delta[:, None, 1])
+            ) @ _EDGE_W
+    return out
 
 
 def dirichlet_form_quadrature(
@@ -442,71 +455,69 @@ def dirichlet_form_quadrature(
     refinement.
 
     ``lambda_ref`` is the eigenvalue of phi; it is echoed in the
-    diagnostic when the normalization check fails.  The Whitney masses
-    are the caller's (a level cache keeps them with the level's other
-    operators), so they are held while the integrands' chart data is.
+    diagnostic when the normalization check fails.  Each block of
+    :func:`_face_blocks` evaluates the integrands, |grad f|^2 among them,
+    in one plan; the unit-gradient, then the normalization refusal
+    follow the walk.
     """
     scalar = whitney.scalar
     mesh, metric, mass0 = scalar.mesh, scalar.metric, scalar.mass
     fe = _as_expr(f)
-    data = _chart_data(mesh, metric, scalar.quad_rule)
-    u, v, dA, lam = data["u"], data["v"], data["dA"], data["lam"]
+    # |grad f|^2, df, Lap f (analytic, in flux-divergence form), the curl
+    # of *df (its d(*df) coefficient on du^dv) and *df
+    du, dv = metric.u, metric.v
+    fu, fv = fe.diff(du), fe.diff(dv)
+    su_e, sv_e = star_exprs(metric, fu, fv)
+    curl_s = sv_e.diff(du) - su_e.diff(dv)
+    integrands = (
+        gradient_norm2_expr(metric, fe), fu, fv, laplacian_expr(metric, fe),
+        curl_s, su_e, sv_e,
+    )
+    nq, dev = len(_rule(scalar.quad_rule)[1]), 0.0
+    route_1, route_2, dphi_sq = (np.empty((mesh.n_faces, nq)) for _ in range(3))
+    for faces, data in _face_blocks(mesh, metric, scalar.quad_rule):
+        gn2, df_u, df_v, lap_q, curl_q, sdf_u, sdf_v = evaluate_on_f(
+            metric, integrands, fe, data["u"], data["v"]
+        )
+        dev = max(dev, float(np.max(np.abs(gn2 - 1.0))))
+        dA, phi_nodes = data["dA"], phi[mesh.logical_tris[faces]]  # (F, 3)
+        # dphi is constant per face
+        dphi_u, dphi_v = (np.sum(phi_nodes * g, axis=1)[:, None] for g in data["grads"])
+        phi_q = phi_nodes @ data["lam"].T  # (F, nq)
+        i11, i12, i22 = data["ginv"]
 
-    gn2 = evaluate_on_f(metric, gradient_norm2_expr(metric, fe), fe, u, v)
-    dev = float(np.max(np.abs(gn2 - 1.0)))
+        def pair(au, av, bu, bv):
+            return au * (i11 * bu + i12 * bv) + av * (i12 * bu + i22 * bv)
+
+        a_q = pair(dphi_u, dphi_v, df_u, df_v)
+        dphi_norm2_q = pair(dphi_u, dphi_v, dphi_u, dphi_v)
+        b2_q = np.maximum(dphi_norm2_q - a_q**2, 0.0)
+        # route 1: exterior part b^2, codifferential part (a - phi Lap f)^2
+        route_1[faces] = (b2_q + (a_q - phi_q * lap_q) ** 2) * dA
+        # route 2: same energy through the starred field phi (*df); its
+        # exterior part is the wedge dphi ^ *df plus phi d(*df) with the
+        # latter taken as the curl of the starred components, and its
+        # codifferential part is -<dphi, *df>
+        sqrtdet = data["sqrtdet"]
+        dstar_q = curl_q / sqrtdet  # equals -Lap f
+        wedge_q = (dphi_u * sdf_v - dphi_v * sdf_u) / sqrtdet
+        c_q = pair(dphi_u, dphi_v, sdf_u, sdf_v)
+        route_2[faces] = ((wedge_q + phi_q * dstar_q) ** 2 + c_q**2) * dA
+        dphi_sq[faces] = dphi_norm2_q * dA
+
     if dev > UNIT_GRADIENT_TOL:
         raise AssemblyError(
             f"distance function is not unit-gradient (max deviation {dev:.3e})"
         )
-
     norm = float(phi @ (mass0 @ phi))
     if abs(norm - 1.0) > M_NORMALIZATION_TOL:
         raise AssemblyError(
             f"phi is not M-normalized: phi'M phi = {norm!r} "
             f"(eigenvalue reference {lambda_ref!r})"
         )
-
-    lt = mesh.logical_tris
-    phi_nodes = phi[lt]  # (F, 3)
-    # dphi is constant per face
-    dphi_u, dphi_v = (np.sum(phi_nodes * g, axis=1)[:, None] for g in data["grads"])
-    phi_q = phi_nodes @ lam.T  # (F, nq)
-
-    # df, Lap f (analytic, in flux-divergence form), the curl of *df
-    # (its d(*df) coefficient on du^dv) and *df, in one plan
-    du, dv = metric.u, metric.v
-    fu, fv = fe.diff(du), fe.diff(dv)
-    su_e, sv_e = star_exprs(metric, fu, fv)
-    curl_s = sv_e.diff(du) - su_e.diff(dv)
-    df_u, df_v, lap_q, curl_q, sdf_u, sdf_v = evaluate_on_f(
-        metric, (fu, fv, laplacian_expr(metric, fe), curl_s, su_e, sv_e), fe, u, v
+    alpha_nu, alpha_star_nu, dphi_norm2 = (
+        float(np.sum(q)) for q in (route_1, route_2, dphi_sq)
     )
-
-    i11, i12, i22 = data["ginv"]
-
-    def pair(au, av, bu, bv):
-        return au * (i11 * bu + i12 * bv) + av * (i12 * bu + i22 * bv)
-
-    a_q = pair(dphi_u, dphi_v, df_u, df_v)
-    dphi_norm2_q = pair(dphi_u, dphi_v, dphi_u, dphi_v)
-    b2_q = np.maximum(dphi_norm2_q - a_q**2, 0.0)
-
-    # route 1: exterior part b^2, codifferential part (a - phi Lap f)^2
-    alpha_nu = float(np.sum((b2_q + (a_q - phi_q * lap_q) ** 2) * dA))
-
-    # route 2: same energy through the starred field phi (*df); its
-    # exterior part is the wedge dphi ^ *df plus phi d(*df) with the
-    # latter taken as the curl of the starred components, and its
-    # codifferential part is -<dphi, *df>
-    sqrtdet = data["sqrtdet"]
-    dstar_q = curl_q / sqrtdet  # equals -Lap f
-    wedge_q = (dphi_u * sdf_v - dphi_v * sdf_u) / sqrtdet
-    c_q = pair(dphi_u, dphi_v, sdf_u, sdf_v)
-    alpha_star_nu = float(
-        np.sum(((wedge_q + phi_q * dstar_q) ** 2 + c_q**2) * dA)
-    )
-
-    dphi_norm2 = float(np.sum(dphi_norm2_q * dA))
 
     # discrete cross term
     w_a, w_b = _whitney_interpolate(

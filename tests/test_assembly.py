@@ -21,7 +21,7 @@ from surfspec.assembly import (
     star_exprs,
 )
 from surfspec.expr import Var, evaluate, parse
-from surfspec.geometry import builtin_metric
+from surfspec.geometry import ChartEvalError, builtin_metric
 from surfspec.mesh import (
     DomainSpec, Mesh, _unique_pairs, face_edges, refine, triangulate,
 )
@@ -49,9 +49,9 @@ def _must_not_assemble(*args, **kwargs):
     raise AssertionError("assembled the Whitney masses again")
 
 
-def first_dirichlet_mode(mesh, metric):
+def first_dirichlet_mode(mesh, metric, rule="midpoint"):
     """Oracle eigenpair: dense generalized solve on the reduced pair."""
-    ops = assemble_scalar(mesh, metric)
+    ops = assemble_scalar(mesh, metric, rule)
     red = apply_dirichlet(ops)
     w, vecs = scipy.linalg.eigh(red.stiffness.toarray(), red.mass.toarray())
     vec = vecs[:, 0]
@@ -233,13 +233,13 @@ def test_stiffness_equals_gradient_image_energy(mesh, metric):
     assert np.max(np.abs(diff)) < 1e-12
 
 
-def assembly_peak(mesh, metric):
-    """The ``tracemalloc`` peak of one ``assemble_scalar``, after a first
-    call has compiled the metric's expressions."""
-    assemble_scalar(mesh, metric)
+def traced_peak(call):
+    """The ``tracemalloc`` peak of ``call()``, after a first call has
+    compiled its expressions."""
+    call()
     tracemalloc.start()
     try:
-        assemble_scalar(mesh, metric)
+        call()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -252,7 +252,7 @@ def test_scalar_assembly_peak_memory():
     # 8.2 MB
     mesh = refine(triangulate(DomainSpec.rectangle(0, 1, 1, math.e, 24)))
     assert mesh.n_faces == 7872
-    assert assembly_peak(mesh, HALF_PLANE) < 4.5 * 2**20
+    assert traced_peak(lambda: assemble_scalar(mesh, HALF_PLANE)) < 4.5 * 2**20
 
 
 def test_blocked_assembly_peak_memory():
@@ -261,25 +261,49 @@ def test_blocked_assembly_peak_memory():
     mesh = triangulate(DomainSpec.rectangle(0, 1, 1, math.e, 24))
     mesh = refine(refine(mesh))
     assert mesh.n_faces == 31488
-    assert assembly_peak(mesh, HALF_PLANE) < 15 * 2**20
+    assert traced_peak(lambda: assemble_scalar(mesh, HALF_PLANE)) < 15 * 2**20
 
 
-def test_level_two_assembly_peak_memory():
+@pytest.fixture(scope="module")
+def level_two():
+    """Halfplane's level-2 mesh, 125,952 faces."""
+    mesh = refine(refine(triangulate(DomainSpec.rectangle(0, 1, 1, math.e, 48))))
+    assert mesh.n_faces == 125_952
+    return mesh
+
+
+def test_level_two_assembly_peak_memory(level_two):
     # halfplane's level-2 mesh (125,952 faces): M and K take 8.7 MiB with one
     # shared pattern.  The peak was 43.0 MiB (4.9 times that) when the
     # scatter sorted int64 keys of every entry and gave each matrix its own
     # pattern; from the sorted edges it is 27.8 MiB (3.2 times).  The bound
     # is 3.2 plus 15 %.
-    mesh = triangulate(DomainSpec.rectangle(0, 1, 1, math.e, 48))
-    mesh = refine(refine(mesh))
-    assert mesh.n_faces == 125_952
-    peak = assembly_peak(mesh, HALF_PLANE)
+    mesh = level_two
+    peak = traced_peak(lambda: assemble_scalar(mesh, HALF_PLANE))
     ops = assemble_scalar(mesh, HALF_PLANE)
     M, K = ops.mass, ops.stiffness
     assert np.shares_memory(M.indices, K.indices)
     assert np.shares_memory(M.indptr, K.indptr)
     matrices = M.data.nbytes + K.data.nbytes + K.indices.nbytes + K.indptr.nbytes
     assert peak < 3.7 * matrices
+
+
+def test_level_two_oneform_and_trial_quadrature_peak_memory(level_two):
+    # M1 takes 11.5 MiB.  Over the faces in blocks, the Whitney masses peak
+    # at 42.3 MiB (3.66 times M1) and the trial quadrature at 23.3 MiB (2.02
+    # times); each took all faces in one pass at 111.2 MiB (9.64 times) and
+    # 140.1 MiB (12.14 times).  The bounds are the blocked peaks plus 15 %.
+    mesh = level_two
+    scalar = assemble_scalar(mesh, HALF_PLANE)
+    one = assemble_oneform(scalar)
+    M1 = one.mass1
+    m1 = M1.data.nbytes + M1.indices.nbytes + M1.indptr.nbytes
+    assert traced_peak(lambda: assemble_oneform(scalar)) < 4.2 * m1
+    phi = np.zeros(mesh.n_vertices)
+    phi[mesh.interior] = 1.0
+    phi /= math.sqrt(phi @ (scalar.mass @ phi))
+    f = parse("-log(y)")
+    assert traced_peak(lambda: dirichlet_form_quadrature(one, f, phi, 1.0)) < 2.3 * m1
 
 
 # the shapes of the recorded meshes of tests/test_mesh.py
@@ -355,26 +379,44 @@ def test_dirichlet_restriction_equals_fancy_indexing(name):
 
 
 @pytest.mark.parametrize(
-    "mesh,metric,rule",
+    "mesh,metric,rule,f",
     [
-        (triangulate(DomainSpec.rectangle(0, 1, 1, 2, 5)), HALF_PLANE, "midpoint"),
-        (triangulate(DomainSpec.periodic_band(-1, 1, 5)), collar_metric(), "midpoint"),
-        (triangulate(DomainSpec.disk(0, 0, 1, 4)), FLAT, "midpoint"),
-        (triangulate(DomainSpec.rectangle(0, 1, 1, 2, 5)), HALF_PLANE, "degree5"),
+        (triangulate(DomainSpec.rectangle(0, 1, 1, 2, 5)), HALF_PLANE, "midpoint",
+         "-log(y)"),
+        (triangulate(DomainSpec.periodic_band(-1, 1, 5)), collar_metric(), "midpoint",
+         "r"),
+        (triangulate(DomainSpec.disk(0, 0, 1, 4)), FLAT, "midpoint", "x"),
+        (triangulate(DomainSpec.rectangle(0, 1, 1, 2, 5)), HALF_PLANE, "degree5",
+         "-log(y)"),
     ],
     ids=["rectangle", "band", "disk", "degree5"],
 )
-def test_face_blocks_do_not_change_the_operators(mesh, metric, rule, monkeypatch):
-    # blocks of 9 faces (3 for degree5), the last one short, give the
-    # operators of one block over the whole mesh bit for bit
-    whole = assemble_scalar(mesh, metric, rule)
+def test_face_blocks_do_not_change_the_operators(mesh, metric, rule, f, monkeypatch):
+    # blocks of 9 faces (3 for degree5) and of 6 edges, the last ones short,
+    # give the P1 and Whitney operators and the trial quadrature of one
+    # block over the whole mesh bit for bit
+    phi, lam1 = first_dirichlet_mode(mesh, metric, rule)
+
+    def build():
+        one = assemble_oneform(assemble_scalar(mesh, metric, rule))
+        return one, dirichlet_form_quadrature(one, parse(f), phi, lam1)
+
+    whole, whole_quadrature = build()
     monkeypatch.setattr(expr, "_CHUNK", 27)
-    blocked = assemble_scalar(mesh, metric, rule)
+    blocked, quadrature = build()
     assert mesh.n_faces % (27 // len(assembly._RULES[rule][1])) != 0
-    pairs = zip((blocked.mass, blocked.stiffness), (whole.mass, whole.stiffness))
+    assert mesh.n_edges % (27 // 4) != 0
+    pairs = zip(
+        (blocked.scalar.mass, blocked.scalar.stiffness, blocked.mass1),
+        (whole.scalar.mass, whole.scalar.stiffness, whole.mass1),
+    )
     for got, want in pairs:
         for a in ("data", "indices", "indptr"):
             assert getattr(got, a).tobytes() == getattr(want, a).tobytes()
+    assert blocked.mass2.diagonal().tobytes() == whole.mass2.diagonal().tobytes()
+    assert {k: v.hex() for k, v in quadrature.items()} == {
+        k: v.hex() for k, v in whole_quadrature.items()
+    }
 
 
 def test_validity_refusal_in_a_later_block(monkeypatch):
@@ -571,12 +613,22 @@ def test_dirichlet_form_cross_term_mass_solve(monkeypatch):
         dirichlet_form_quadrature(ops, f, phi, lam1)
 
 
+def rectangle_mode(metric, y0=1, y1=2):
+    """A resolution-4 rectangle [0, 1] x [y0, y1], the Whitney operators
+    of ``metric`` on it and their first Dirichlet mode."""
+    mesh = triangulate(DomainSpec.rectangle(0, 1, y0, y1, 4))
+    return (whitney(mesh, metric), *first_dirichlet_mode(mesh, metric))
+
+
 def test_dirichlet_form_rejects_non_unit_gradient():
-    mesh = triangulate(DomainSpec.rectangle(0, 1, 1, 2, 4))
-    phi, lam1 = first_dirichlet_mode(mesh, HALF_PLANE)
-    f = parse("x")
-    with pytest.raises(AssemblyError, match="unit-gradient"):
-        dirichlet_form_quadrature(whitney(mesh, HALF_PLANE), f, phi, lam1)
+    # alone, and before the normalization refusal when phi fails it too
+    one, phi, lam1 = rectangle_mode(HALF_PLANE)
+    for scale in (1.0, 3.0):
+        with pytest.raises(AssemblyError) as caught:
+            dirichlet_form_quadrature(one, parse("x"), scale * phi, lam1)
+        assert str(caught.value) == (
+            "distance function is not unit-gradient (max deviation 3.000e+00)"
+        )
 
 
 @pytest.mark.parametrize(
@@ -616,7 +668,7 @@ def test_edge_representatives_match_row_unique(domain):
 )
 def test_dirichlet_form_builds_chart_data_once(domain, metric, f, monkeypatch):
     # the Whitney masses are the caller's: the quadrature assembles none and
-    # builds chart data once, for its integrands
+    # walks the faces once (one block here), for its integrands
     mesh = triangulate(domain)
     phi, lam1 = first_dirichlet_mode(mesh, metric)
     f = parse(f)
@@ -636,8 +688,45 @@ def test_dirichlet_form_builds_chart_data_once(domain, metric, f, monkeypatch):
 
 
 def test_dirichlet_form_rejects_unnormalized_phi():
-    mesh = triangulate(DomainSpec.rectangle(0, 1, 1, 2, 4))
-    phi, lam1 = first_dirichlet_mode(mesh, HALF_PLANE)
-    f = parse("-log(y)")
-    with pytest.raises(AssemblyError, match="normalized"):
-        dirichlet_form_quadrature(whitney(mesh, HALF_PLANE), f, 3.0 * phi, lam1)
+    one, phi, lam1 = rectangle_mode(HALF_PLANE)
+    phi = 3.0 * phi
+    with pytest.raises(AssemblyError) as caught:
+        dirichlet_form_quadrature(one, parse("-log(y)"), phi, lam1)
+    norm = float(phi @ (one.scalar.mass @ phi))
+    assert str(caught.value) == (
+        f"phi is not M-normalized: phi'M phi = {norm!r} "
+        f"(eigenvalue reference {lam1!r})"
+    )
+
+
+@pytest.mark.parametrize(
+    "f,message",
+    [
+        ("-log(y)+log(x)", "log of a non-positive value"),
+        # f is defined at x = 0, its x-derivative is not
+        ("-log(y)+x*sqrt(x)", "division by zero"),
+    ],
+    ids=["f", "derivative"],
+)
+def test_dirichlet_form_refuses_a_domain_error_of_f(f, message):
+    one, phi, lam1 = rectangle_mode(HALF_PLANE)
+    with pytest.raises(ChartEvalError) as caught:
+        dirichlet_form_quadrature(one, parse(f), phi, lam1)
+    assert caught.value.source == "distance_function"
+    assert str(caught.value) == f"f = {f}: {message}"
+
+
+def test_dirichlet_form_refuses_a_domain_error_of_the_metric():
+    # g22 is defined at x = 0 and so is f = x, unit-gradient; the x-derivative
+    # of sqrt(g22) in Lap f divides by zero at the midpoints on x = 0
+    metric = builtin_metric("general", {
+        "g11": "1", "g12": "0", "g22": "1 + sqrt(x)^3", "vars": ["x", "y"],
+        "validity": [0.0, 10.0, -10.0, 10.0],
+    })
+    one, phi, lam1 = rectangle_mode(metric, 0, 1)
+    with pytest.raises(ChartEvalError) as caught:
+        dirichlet_form_quadrature(one, parse("x"), phi, lam1)
+    assert caught.value.source == "metric"
+    assert str(caught.value) == (
+        "division by zero in the metric's terms, where f is defined"
+    )

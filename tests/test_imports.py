@@ -9,7 +9,9 @@ import carries ``# noqa: F401``.  A private name (one leading underscore,
 not a dunder) that a module defines as a function, class or assignment
 at its top level, or as a method or nested function at any depth, must
 be loaded, as a name or an attribute, outside its own definition by some
-module of the package.
+module of the package.  Chart data has one policy: the face walk of
+``assembly`` is the only caller of ``_chart_data``, whose ``faces`` has no
+default, so no quadrature takes the whole mesh in one pass.
 """
 
 import ast
@@ -160,4 +162,54 @@ def test_orphaned_private_name_is_found():
         ("a", "_unused"),
         ("a", "_dead"),
         ("a", "_inner"),
+    ]
+
+
+def chart_data_policy(sources: dict) -> list:
+    """The calls of ``_chart_data`` in ``sources`` (module -> text), each
+    as (module, the top-level function holding it), then the parameters
+    that its definition gives a default, as (module, "name=")."""
+    calls, defaults = [], []
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name == "_chart_data":
+                        calls.append((module, getattr(top, "name", None)))
+                elif isinstance(node, ast.FunctionDef) and node.name == "_chart_data":
+                    args = node.args
+                    params = [*args.posonlyargs, *args.args]
+                    named = params[len(params) - len(args.defaults):]
+                    named += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+                    defaults += [(module, f"{a.arg}=") for a in named]
+    return calls + defaults
+
+
+def test_chart_data_has_one_caller_and_no_default_faces():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert chart_data_policy(sources) == [("assembly", "_face_blocks")]
+
+
+def test_a_second_chart_data_policy_is_found():
+    sources = {
+        "assembly": (
+            "def _chart_data(mesh, metric, rule, faces=slice(None), *, k=1):\n"
+            "    return faces\n"
+            "def _face_blocks(mesh, metric, rule):\n"
+            "    yield _chart_data(mesh, metric, rule, slice(0, 1))\n"
+            "def assemble_oneform(scalar):\n"
+            "    return _chart_data(scalar.mesh, scalar.metric, 'midpoint')\n"
+        ),
+        "verify": (
+            "from . import assembly\n"
+            "data = assembly._chart_data(None, None, 'midpoint')\n"
+        ),
+    }
+    assert chart_data_policy(sources) == [
+        ("assembly", "_face_blocks"),
+        ("assembly", "assemble_oneform"),
+        ("verify", None),
+        ("assembly", "faces="),
+        ("assembly", "k="),
     ]
