@@ -43,6 +43,7 @@ from . import expr
 from .expr import Expr
 from .geometry import (
     UNIT_GRADIENT_TOL,
+    ChartEvalError,
     ChartMetric,
     _as_expr,
     evaluate_on_f,
@@ -208,8 +209,13 @@ def _chart_data(mesh, metric: ChartMetric, rule: str, faces: slice):
         raise AssemblyError("mesh leaves the metric validity region")
     g11, g12, g22 = metric.evaluate((metric.g11, metric.g12, metric.g22), u, v)
     det = g11 * g22 - g12 * g12
-    if np.any(det <= 0) or np.any(g11 <= 0):
-        raise AssemblyError("metric not positive definite at a quadrature point")
+    bad = (det <= 0) | (g11 <= 0)
+    if np.any(bad):
+        i = tuple(np.argwhere(bad)[0])
+        raise ChartEvalError("metric", (
+            f"metric not positive definite at the quadrature point "
+            f"({u[i]:.6g}, {v[i]:.6g})"
+        ))
     sqrtdet = np.sqrt(det)
     return {
         "wts": wts,

@@ -66,7 +66,8 @@ class GeometryError(ValueError):
 
 
 class ChartEvalError(GeometryError):
-    """A domain error in expressions built from a distance function f.
+    """A domain error in expressions built from a distance function f, or
+    a metric that is not positive definite at a quadrature point.
     ``source`` is ``"distance_function"`` when f or one of its partial
     derivatives fails on the same points, else ``"metric"``."""
 

@@ -2,13 +2,12 @@
 
 The checks on refinement levels take their meshes, scalar operators
 and spectra from a :class:`LevelCache`, their own or one shared by the
-checks of a run.  Spectra are keyed on ``(level, bc, k)``, except that
-every Neumann request of k <= NEUMANN_BLOCK reads the first k pairs of
-one solve of the block max(k, min(NEUMANN_BLOCK, dim)), the inequality's
-four Neumann pairs; a sparse solve above level 0 starts from the coarser
-level's solve of the same block when that level has as many pairs
-(:meth:`LevelCache.plan`).  The block depends only on ``(bc, k, dim)``,
-so a check's numbers do not depend on which other checks ran.
+checks of a run.  Spectra are keyed on ``(level, bc, k)``, and each is a
+solve of the k pairs asked for; a sparse solve above level 0 starts from
+the coarser level's solve of k pairs when that level has as many
+(:meth:`LevelCache.plan`).  The inequality and the Neumann convergence
+study both ask for NEUMANN_BLOCK pairs, so they share one Neumann solve
+per level, and a check's numbers do not depend on which other checks ran.
 Every check returns a :class:`VerificationReport` built by one
 constructor that sets the pass flag by the check's :func:`recompute_pass`
 rule, so the flag is by construction a pure function of the recorded
@@ -89,8 +88,8 @@ UNION_RTOL = 1e-8
 ZERO_MODE_FACTOR = 1e-10  # eta below this times max(eta) counts as harmonic
 LEMMA_SLACK = 0.05
 SHRINK_SLACK = 1e-12
-# Neumann pairs solved per level: mu_1..mu_4, the inequality's mu_{3-b1} for
-# b1 <= 2 plus the constant mode; smaller Neumann requests read its prefix
+# Neumann pairs the inequality and the Neumann convergence study ask for:
+# mu_1..mu_4, the inequality's mu_{3-b1} for b1 <= 2 plus the constant mode
 NEUMANN_BLOCK = 4
 # the tolerance of a report refused at the unit-gradient or curvature screening
 REFUSAL_TOLERANCE = "preconditions: unit gradient 1e-10, margin >= -1e-9"
@@ -257,9 +256,9 @@ class LevelCache:
     Level 0 is ``triangulate(domain)`` and level L + 1 refines level L.
     Each item is built on first request and kept; spectra are keyed on
     ``(level, bc, k)`` with ``bc`` "dirichlet", "neumann" or "oneform".  A
-    request's number of pairs (:meth:`pairs`), and the block, method and
-    solver memory of its solve (:meth:`plan`), are predicted from the
-    level's meshes alone.  Every caller gets the same objects, which
+    request's number of pairs (:meth:`pairs`), and the method and solver
+    memory of its solve (:meth:`plan`), are predicted from the level's
+    meshes alone.  Every caller gets the same objects, which
     nothing may modify.  ``solves`` records each solve that
     :meth:`spectrum` runs, in the order they finish.
     """
@@ -320,33 +319,29 @@ class LevelCache:
             return mesh.n_vertices - 1 + len(mesh.interior) + mesh.betti1
         return len(mesh.interior) if bc == "dirichlet" else mesh.n_vertices
 
-    def plan(self, level: int, bc: str, k: int) -> Tuple[int, str, int]:
-        """``(block, method, floats)`` of ``spectrum(level, bc, k)``: the one
-        rule for what a request solves, read off the meshes alone.
+    def plan(self, level: int, bc: str, k: int) -> Tuple[str, int]:
+        """``(method, floats)`` of ``spectrum(level, bc, k)``: the one rule
+        for how a request is solved, read off the meshes alone.
 
-        The block is k, or for Neumann max(k, min(NEUMANN_BLOCK, dim)), so
-        every Neumann request of k <= NEUMANN_BLOCK is the first k pairs of
-        one solve per level.  Its method and floats are :func:`solve_plan`'s,
-        nested when level > 0 and the coarser level has the block's pairs.
-        A 1-form request is "hodge-split/" and the method of its cold
-        Neumann solve, min(k + 1, V) pairs, charged the larger of that solve
-        and its cold Dirichlet one, min(k, n_int) pairs when n_int > 0.
+        A scalar request is :func:`solve_plan`'s for its k pairs, nested
+        when level > 0 and the coarser level has k pairs.  A 1-form request
+        is "hodge-split/" and the method of its cold Neumann solve,
+        min(k + 1, V) pairs, charged the larger of that solve and its cold
+        Dirichlet one, min(k, n_int) pairs when n_int > 0.
         """
         if bc == "oneform":
             v, n_int = self.pairs(level, "neumann"), self.pairs(level, "dirichlet")
             method, floats = solve_plan(v, min(k + 1, v))
             if n_int > 0:
                 floats = max(floats, solve_plan(n_int, min(k, n_int))[1])
-            return k, "hodge-split/" + method, floats
-        dim = self.pairs(level, bc)
-        block = max(k, min(NEUMANN_BLOCK, dim)) if bc == "neumann" else k
-        nested = level > 0 and self.pairs(level - 1, bc) >= block
-        return (block, *solve_plan(dim, block, nested))
+            return "hodge-split/" + method, floats
+        nested = level > 0 and self.pairs(level - 1, bc) >= k
+        return solve_plan(self.pairs(level, bc), k, nested)
 
     def fits(self, level: int, bc: str, k: int) -> bool:
         """Whether ``spectrum(level, bc, k)``'s work arrays, as :meth:`plan`
         charges them, fit ``eigen.MAX_SOLVE_FLOATS``, read at call time."""
-        return self.plan(level, bc, k)[2] <= eigen.MAX_SOLVE_FLOATS
+        return self.plan(level, bc, k)[1] <= eigen.MAX_SOLVE_FLOATS
 
     def spectrum(self, level: int, bc: str, k: int) -> SpectralResult:
         """The k smallest eigenpairs of a level's ``bc`` spectrum.
@@ -355,23 +350,21 @@ class LevelCache:
         anything is assembled.  The 1-form spectrum is
         :func:`solve_oneform` of the level's :meth:`oneform`; it reads no scalar
         spectrum of the cache, so the spectrum union compares independent
-        solves.  A scalar request runs its :meth:`plan`; one of k below its
-        block is the block's first k values, vectors and residuals, bit for
-        bit, with the block's method, shift and convergence flag.
+        solves.  A scalar request runs its :meth:`plan` for its own k pairs;
+        no spectrum is read off another.
 
-        ARPACK runs on :meth:`_factor` at level 0, and above it (a block
-        beyond the coarser spectrum) on a factor of its own pencil.  A
-        nested solve interpolates the coarser level's solve of the same
-        block by :meth:`_transfer` (Knyazev & Neymeyr, ETNA 15, 2003) and
+        ARPACK runs on :meth:`_factor` at level 0, and above it (more pairs
+        than the coarser spectrum has) on a factor of its own pencil.  A
+        nested solve interpolates the coarser level's solve of the same k
+        by :meth:`_transfer` (Knyazev & Neymeyr, ETNA 15, 2003) and
         runs LOBPCG from it, one pair after another, each from its own
         column and preconditioned by :meth:`_vcycle`; it factors nothing,
         always derives from the same coarser solve, whichever checks asked
         for it, and records each pair's LOBPCG steps in ``iterations``.
 
-        Each solve run here, not a view of a block, appends to ``solves``
-        its level, bc, k (the block), dimension, method, iterations,
-        seconds (the solver call alone, once its inputs are built) and
-        worst residual.
+        Each solve appends to ``solves`` its level, bc, k, dimension,
+        method, iterations, seconds (the solver call alone, once its
+        inputs are built) and worst residual.
         """
         dim = self.pairs(level, bc)
         if not 1 <= k <= dim:
@@ -395,9 +388,7 @@ class LevelCache:
             return self._get(key, lambda: record(
                 solve_oneform, self.oneform(level), k, options=self.options,
             ))
-        block, method, _ = self.plan(level, bc, k)
-        if k < block:
-            return self._get(key, lambda: _leading(self.spectrum(level, bc, block), k))
+        method, _ = self.plan(level, bc, k)
 
         def solve():
             pencil, given = self.pencil(level, bc), {}
@@ -586,15 +577,6 @@ def _lines(A: sp.csr_matrix):
         upper, info = dpbtrf(band)
         factor = (upper,)
     return (order.astype(np.int32), factor) if info == 0 else None
-
-
-def _leading(block: SpectralResult, k: int) -> SpectralResult:
-    """The first k pairs of a solved block; everything else is the block's."""
-    return SpectralResult(
-        block.values[:k], block.vectors[:, :k], block.residuals[:k], block.bc,
-        block.method, shift=block.shift, converged=block.converged,
-        iterations=None if block.iterations is None else block.iterations[:k],
-    )
 
 
 def _spectrum(cache: LevelCache, level: int, bc: str, k: int) -> SpectralResult:
@@ -1060,12 +1042,13 @@ def convergence_study(
         raise VerifyError(f"unknown boundary condition tag '{bc}'")
 
     cache = _level_cache(domain, metric, options, cache)
-    index = 0 if bc == "dirichlet" else 1  # skip the constant Neumann mode
+    # mu_2 skips the constant mode; the inequality's NEUMANN_BLOCK solve has it
+    index, k = (0, 1) if bc == "dirichlet" else (1, NEUMANN_BLOCK)
     rows = [
         {
             "level": lvl,
             "h": cache.mesh(lvl).h_max,
-            "value": float(_spectrum(cache, lvl, bc, index + 1).values[index]),
+            "value": float(_spectrum(cache, lvl, bc, k).values[index]),
         }
         for lvl in range(levels)
     ]

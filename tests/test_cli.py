@@ -339,6 +339,32 @@ def test_metric_domain_error_is_not_attributed_to_f(tmp_path, capsys):
     assert "config field 'metric': division by zero" in err
 
 
+def test_metric_not_positive_at_a_quadrature_point_names_field_and_point(
+    tmp_path, capsys
+):
+    # g22 < 0 only on 0.30 < x < 0.31: the 33 x 33 samples taken when the
+    # metric is built miss it (their smallest g22 is 3.2e-5), the midpoint
+    # rule points at x = 0.3046875 of the resolution-64 mesh do not; the
+    # first of them is the midpoint of a bottom edge
+    cfg = base_config(tmp_path)
+    cfg["metric"] = {
+        "family": "general",
+        "params": {"g11": "1", "g12": "0", "g22": "(x-0.30)*(x-0.31)+1e-6",
+                   "vars": ["x", "y"], "validity": [0.0, 1.0, 0.0, 1.0]},
+    }
+    cfg["domain"] = {
+        "shape": "rectangle", "extents": [0.0, 1.0, 0.0, 1.0], "resolution": 64,
+    }
+    cfg["checks"] = ["union"]
+    cfg["check_params"] = {"union": {"count": 2}}
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: config field 'metric': metric not positive definite at the "
+        "quadrature point (0.304688, 0)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "where,value",
     [
@@ -606,8 +632,7 @@ def test_reports_byte_identical_excluding_metadata(tmp_path):
 
 def test_metadata_records_each_solve_the_run_makes(tmp_path, monkeypatch):
     # a 3-level inequality solves lambda_1 and the Neumann block of 4 at
-    # each level: six solves, dense at level 0 and nested above it; the
-    # check's request of 3 Neumann pairs is a view of the block, unrecorded
+    # each level: six solves, dense at level 0 and nested above it
     cfg = base_config(tmp_path)
     cfg["metric"] = {"family": "hyperbolic_half_plane"}
     cfg["distance_function"] = "-log(y)"
@@ -678,8 +703,9 @@ def test_neumann_block_reports_byte_identical_alone(tmp_path, monkeypatch):
 
     shared, code = run(cfg)
     assert code == 0
-    # convergence reads the inequality's Neumann block when they share a
-    # cache and solves that block itself when alone: the same numbers
+    # both checks ask for the Neumann block: convergence reads the
+    # inequality's solve when they share a cache and solves the block
+    # itself when alone, the same numbers
     for name, payload in reversed(list(zip(cfg["checks"], shared["checks"]))):
         alone, _ = run({**cfg, "checks": [name]})
         assert dumped(alone["checks"]) == dumped([payload])
@@ -710,8 +736,8 @@ def test_run_shares_levels_across_checks(tmp_path, monkeypatch):
     cfg["check_params"] = {"convergence": {"bc": "neumann", "levels": 3}}
     run(cfg)
     # levels 0-2: Dirichlet k=1 and Neumann k=4 for the inequality; the
-    # lemma reuses the Dirichlet ground states and convergence (Neumann k=2)
-    # reads the first two pairs of the inequality's Neumann block
+    # lemma reuses the Dirichlet ground states and convergence reads mu_2
+    # from the inequality's Neumann k=4 solves
     assert calls == {
         "solve_smallest": 6, "assemble_scalar": 3, "refine": 2, "triangulate": 1,
     }

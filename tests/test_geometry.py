@@ -506,6 +506,32 @@ def test_warped_requires_phi():
         builtin_metric("warped", {"r_range": (0, 1)})
 
 
+@pytest.mark.parametrize("family,params,message", [
+    ("hyperbolic_half_plane", {"validity": (0, 1, 0, 1)}, "requires y > 0"),
+    ("hyperbolic_half_plane", {"validity": (0, 1, -1, 1)}, "requires y > 0"),
+    ("warped", {"phi": "exp(r)"}, "requires 'r_range'"),
+    ("warped", {"phi": "q*r", "r_range": (0, 1)}, r"unknown variables \['q'\]"),
+    ("general", {"g11": "1"}, r"requires \['g12', 'g22'\]"),
+])
+def test_builtin_metric_refusals_name_the_problem(family, params, message):
+    with pytest.raises(GeometryError, match=message):
+        builtin_metric(family, params)
+
+
+def test_warped_validity_is_r_range_and_the_period():
+    # the 'validity' spelling of a warped chart box: r_range and [0, period]
+    for period in (2.0 * math.pi, 3.0):
+        by_range = builtin_metric("warped", {
+            "phi": "exp(r)", "r_range": (-1.0, 0.0), "theta_period": period,
+        })
+        by_validity = builtin_metric("warped", {
+            "phi": "exp(r)", "validity": (-1.0, 0.0, 0.0, period),
+            "theta_period": period,
+        })
+        assert by_validity.validity == by_range.validity == (-1.0, 0.0, 0.0, period)
+        assert by_validity.theta_period == by_range.theta_period == period
+
+
 def test_warp_positivity_failure_names_sample():
     with pytest.raises(GeometryError, match="not strictly positive"):
         builtin_metric("warped", {"phi": "r", "r_range": (-1.0, 1.0)})

@@ -420,6 +420,17 @@ def test_bad_annulus_radii():
     assert info.value.cause == "extents"
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda: DomainSpec.periodic_band(1.0, 1.0, 4), "band extents are degenerate"),
+    (lambda: DomainSpec.periodic_band(1.0, 0.0, 4), "band extents are degenerate"),
+    (lambda: DomainSpec.disk(0.0, 0.0, 0.0, 4), "disk radius must be positive"),
+])
+def test_degenerate_band_and_disk_refused(make, message):
+    with pytest.raises(MeshError, match=message) as info:
+        make()
+    assert info.value.cause == "extents"
+
+
 @pytest.mark.parametrize(
     "shape,extents",
     [
@@ -631,10 +642,17 @@ def test_negative_area_rejected():
 
 
 def test_non_manifold_edge_rejected():
-    verts = [[0, 0], [1, 0], [0, 1], [1, 1], [0.5, -1]]
-    tris = [[0, 1, 2], [1, 3, 2], [0, 1, 4], [1, 0, 4]]
-    with pytest.raises(MeshError):
+    # three triangles of positive area on the edge 0-1
+    verts = [[0, 0], [1, 0], [0, 1], [1, 1], [0.5, -1], [0.5, 0.5]]
+    tris = [[0, 1, 2], [1, 3, 2], [1, 0, 4], [0, 1, 5]]
+    with pytest.raises(MeshError, match="edge shared by more than two triangles"):
         Mesh.from_arrays(verts, tris)
+
+
+def test_missing_vertex_rejected():
+    verts = [[0, 0], [1, 0], [0, 1]]
+    with pytest.raises(MeshError, match="triangle references a missing vertex"):
+        Mesh.from_arrays(verts, [[0, 1, 3]])
 
 
 def test_disconnected_rejected():

@@ -26,7 +26,7 @@ def test_summary_of_paired_runs():
               0.6302, 0.6043, 0.6299, 0.6199, 0.6185]
     change = [0.5427, 0.6428, 0.5102, 0.554, 0.5075,
               0.4899, 0.4898, 0.5428, 0.5168, 0.5045]
-    assert pairs.summarize(parent, change) == {
+    assert pairs.summarize(parent, change, 0.25) == {
         "parent": parent,
         "change": change,
         "parent_median": 0.625,
@@ -36,11 +36,28 @@ def test_summary_of_paired_runs():
         "change_wins": 9,
         "parent_wins": 1,
         "pairs": 10,
+        "within_bound": True,
+        "gain_shown": True,
     }
 
 
+def test_summary_within_its_bound_shows_no_gain():
+    # BENCH_relative_stop.json's cusp-band run_s at seed 3: a median 1.8 %
+    # lower, but 6 wins of 10 and a gap inside the parent's quartiles
+    parent = [0.2113, 0.2025, 0.202, 0.2165, 0.2174,
+              0.2059, 0.2055, 0.1966, 0.1973, 0.216]
+    change = [0.1947, 0.1729, 0.2016, 0.2205, 0.2027,
+              0.2067, 0.1944, 0.193, 0.2044, 0.2346]
+    summary = pairs.summarize(parent, change, 0.25)
+    assert summary["change_wins"] == 6
+    assert summary["within_bound"] is True and summary["gain_shown"] is False
+    # the bound is a fraction of the parent's median
+    assert pairs.summarize([1.0, 1.0, 1.0], [1.25, 1.25, 1.25], 0.25)["within_bound"]
+    assert not pairs.summarize([1.0, 1.0, 1.0], [1.3, 1.3, 1.3], 0.25)["within_bound"]
+
+
 def test_summary_counts_a_tie_for_neither_side():
-    summary = pairs.summarize([143.25, 143.5, 143.0], [133.125, 143.5, 143.75])
+    summary = pairs.summarize([143.25, 143.5, 143.0], [133.125, 143.5, 143.75], 0.1)
     assert (summary["change_wins"], summary["parent_wins"]) == (1, 1)
     assert summary["parent_median"] == 143.25
     assert summary["change_quartiles"] == [133.125, 143.75]

@@ -9,9 +9,13 @@ runs N times in each tree, alternately: parent, then change, then parent
 again.  Each value is the median of one invocation's runs.  The output is
 one JSON object, the ``end_to_end`` block of a ``BENCH_*.json`` file: per
 seed, workload and end-to-end metric, both sides' values in run order,
-their medians and quartiles (``statistics.quantiles(n=4)``), and the pairs
-that each side wins.  Every end-to-end metric is better lower, and a tie
-counts for neither side.  An invocation that reports an incorrect or
+their medians and quartiles (``statistics.quantiles(n=4)``), the pairs
+that each side wins, and two verdicts: ``within_bound``, the change's
+median at most the parent's times 1 + the metric's ``bound`` in CHANGE's
+``BENCHMARK.json``, and ``gain_shown``, the change winning at least 9 in
+10 of the pairs with a median below the parent's by more than the
+parent's quartile spread.  Every end-to-end metric is better lower, and a
+tie counts for neither side.  An invocation that reports an incorrect or
 failed run stops the script.
 """
 
@@ -43,26 +47,35 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return {name: out["metrics"][name]["value"] for name in METRICS}
 
 
-def summarize(parent: list, change: list) -> dict:
+def summarize(parent: list, change: list, bound: float) -> dict:
     """The paired summary of one metric, lower being better: values,
-    medians and quartiles, rounded to 4 places, and each side's wins."""
+    medians and quartiles, rounded to 4 places, each side's wins, and the
+    verdicts on the metric's ``bound`` (a fraction) and on a gain."""
     def rounded(values):
         return [round(v, 4) for v in values]
 
     def quartiles(values):
         q1, _, q3 = statistics.quantiles(values, n=4)
-        return rounded([q1, q3])
+        return [q1, q3]
 
+    parent_median, change_median = statistics.median(parent), statistics.median(change)
+    q1, q3 = quartiles(parent)
+    change_wins = sum(c < p for p, c in zip(parent, change))
     return {
         "parent": rounded(parent),
         "change": rounded(change),
-        "parent_median": round(statistics.median(parent), 4),
-        "change_median": round(statistics.median(change), 4),
-        "parent_quartiles": quartiles(parent),
-        "change_quartiles": quartiles(change),
-        "change_wins": sum(c < p for p, c in zip(parent, change)),
+        "parent_median": round(parent_median, 4),
+        "change_median": round(change_median, 4),
+        "parent_quartiles": rounded([q1, q3]),
+        "change_quartiles": rounded(quartiles(change)),
+        "change_wins": change_wins,
         "parent_wins": sum(p < c for p, c in zip(parent, change)),
         "pairs": len(parent),
+        "within_bound": change_median <= parent_median * (1 + bound),
+        "gain_shown": (
+            10 * change_wins >= 9 * len(parent)
+            and parent_median - change_median > q3 - q1
+        ),
     }
 
 
@@ -77,6 +90,8 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("quartiles need at least 2 pairs")
+    declared = json.loads((args.change / "BENCHMARK.json").read_text())
+    bounds = {m["name"]: m["bound"] for m in declared["end_to_end"]}
     block = {}
     for seed in args.seed:
         for workload in args.workload:
@@ -87,7 +102,8 @@ def main(argv=None) -> None:
                     runs[side].append(run_once(tree, workload, seed, args.seconds))
             block.setdefault(f"seed_{seed}", {})[workload] = {
                 name: summarize(
-                    [r[name] for r in runs["parent"]], [r[name] for r in runs["change"]]
+                    [r[name] for r in runs["parent"]], [r[name] for r in runs["change"]],
+                    bounds[name],
                 )
                 for name in METRICS
             }
