@@ -10,8 +10,9 @@ Conventions:
 
 * the Laplacian is positive (stiffness = Dirichlet energy);
 * an edge (a, b) with a < b is oriented a -> b; :mod:`surfspec.mesh`
-  owns that convention, the face-edge order, the edge numbering, the
-  interior vertex set and the incidence matrices ``d0``/``d1``;
+  owns that convention, the face-edge order and ``NEXT``, the numbering
+  of edges and of the pairs of edges sharing a face, the interior vertex
+  set and the incidence matrices ``d0``/``d1``;
 * orientation of the chart is du ^ dv, so the Hodge star rotates
   ``*(p du + q dv) = -sqrt(g)(g^{12}p + g^{22}q) du
   + sqrt(g)(g^{11}p + g^{12}q) dv``.
@@ -27,7 +28,7 @@ its chart data is held one block at a time.  One scatter sums the
 entries by ``np.bincount`` onto a fixed pattern, the
 diagonal plus both orientations of each pair; for P1 the pairs are the
 mesh's edges, so the pattern is the vertex-edge graph (nnz = V + 2E),
-and for the Whitney mass they are the pairs of edges sharing a face.
+and for the Whitney mass they are ``Mesh.edge_pairs``.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .geometry import (
     laplacian_expr,
     sqrt_det_expr,
 )
-from .mesh import LOCAL_EDGES, _unique_pairs, _vertex_slots, face_edges
+from .mesh import LOCAL_EDGES, NEXT, _edge_representatives, _vertex_slots
 
 __all__ = [
     "AssemblyError",
@@ -103,10 +104,6 @@ _EDGE_T = 0.5 + 0.5 * np.array(
 _EDGE_W = 0.5 * np.array(
     [0.3478548451374538, 0.6521451548625461, 0.6521451548625461, 0.3478548451374538]
 )
-
-# LOCAL_EDGES[k] is the corner pair (k, _NEXT[k]); a face's pairs of local
-# edges are taken the same way
-_NEXT = [b for _, b in LOCAL_EDGES]
 
 
 class AssemblyError(ValueError):
@@ -282,7 +279,7 @@ def assemble_scalar(
     for faces, data in _face_blocks(mesh, metric, quad_rule):
         lam = data["lam"]
         # hat products at the rule points: the three diagonal, then the pairs
-        local = data["dA"] @ np.hstack([lam * lam, lam * lam[:, _NEXT]])  # (F, 6)
+        local = data["dA"] @ np.hstack([lam * lam, lam * lam[:, NEXT]])  # (F, 6)
         mass_diag[faces], mass_off[faces] = local[:, :3], local[:, 3:]
         # the dA-weighted inverse metric, summed over the rule points
         w11, w12, w22 = (
@@ -291,7 +288,7 @@ def assemble_scalar(
         gu, gv = data["grads"]
         tu, tv = w11 * gu + w12 * gv, w12 * gu + w22 * gv
         stiff_diag[faces] = gu * tu + gv * tv
-        stiff_off[faces] = gu[:, _NEXT] * tu + gv[:, _NEXT] * tv
+        stiff_off[faces] = gu[:, NEXT] * tu + gv[:, NEXT] * tv
     mass, stiff = _scatter(
         mesh.logical_tris, mesh.tri_edges, mesh.edges, mesh.n_vertices,
         (mass_diag, mass_off), (stiff_diag, stiff_off),
@@ -360,21 +357,16 @@ def assemble_oneform(scalar: ScalarOperators) -> OneFormOperators:
         c11, c12, c22 = ((g * data["dA"])[:, None, :] for g in data["ginv"])
         pu, pv = c11 * wu + c12 * wv, c12 * wu + c22 * wv
         diag[faces] = np.sum(wu * pu + wv * pv, axis=2)
-        # the local edge pairs (k, _NEXT[k])
-        off[faces] = np.sum(wu[:, _NEXT] * pu + wv[:, _NEXT] * pv, axis=2)
+        # the local edge pairs (k, NEXT[k])
+        off[faces] = np.sum(wu[:, NEXT] * pu + wv[:, NEXT] * pv, axis=2)
         area = 0.5 * data["detJ"]
         face_mass[faces] = (
             np.sum(data["wts"] / data["sqrtdet"], axis=1) * data["detJ"] / area**2
         )
     # signed by the edge orientations
-    off *= mesh.tri_edge_signs * mesh.tri_edge_signs[:, _NEXT]
-    # the face-local edge pairs as sorted pairs of edge ids, numbered
-    edge_pairs = face_edges(mesh.tri_edges)
-    edge_pairs.sort(axis=1)
-    pairs, pair_ids = _unique_pairs(edge_pairs, mesh.n_edges)
-    (mass1,) = _scatter(
-        mesh.tri_edges, pair_ids.reshape(3, -1).T, pairs, mesh.n_edges, (diag, off)
-    )
+    off *= mesh.tri_edge_signs * mesh.tri_edge_signs[:, NEXT]
+    pairs, pair_ids = mesh.edge_pairs()
+    (mass1,) = _scatter(mesh.tri_edges, pair_ids, pairs, mesh.n_edges, (diag, off))
     return OneFormOperators(mass1, sp.diags(face_mass), scalar)
 
 
@@ -395,23 +387,13 @@ def star_exprs(metric: ChartMetric, comp_u, comp_v) -> Tuple[Expr, Expr]:
 # Dirichlet-form quadrature for the comparison argument
 
 
-def _edge_representatives(mesh) -> Tuple[np.ndarray, np.ndarray]:
-    """One raw vertex pair per logical edge, oriented with the edge: its
-    first face edge in :func:`surfspec.mesh.face_edges` order, reversed
-    where ``tri_edge_signs`` says the face runs against the edge."""
-    _, first = np.unique(mesh.tri_edges.T, return_index=True)
-    raw = face_edges(mesh.tris)[first]
-    flip = mesh.tri_edge_signs.T.ravel()[first] < 0
-    raw = np.where(flip[:, None], raw[:, ::-1], raw)
-    return raw[:, 0], raw[:, 1]
-
-
 def _whitney_interpolate(mesh, metric: ChartMetric, f, forms, phi) -> list:
     """Edge degrees of freedom of ``phi * rho`` by 4-point Gauss lines.
 
     ``forms`` are pairs of expressions built from f, the du and dv
     components of each 1-form rho, all evaluated in one plan at the Gauss
-    points of every logical edge's :func:`_edge_representatives` pair,
+    points of every logical edge's
+    :func:`surfspec.mesh._edge_representatives` pair,
     one expression-evaluator chunk of points (``expr._CHUNK // 4`` edges)
     at a time; ``phi`` holds P1 values on logical vertices, linear along
     each edge.  Returns one array of edge values per form.

@@ -53,7 +53,9 @@ from . import THREAD_SETTINGS
 from .assembly import _RULES, AssemblyError
 from .eigen import EigenError, SolverOptions, cluster_multiplicities
 from .expr import Expr, ExprError, parse
-from .geometry import ChartEvalError, ChartMetric, GeometryError, builtin_metric
+from .geometry import (
+    FAMILIES, ChartEvalError, ChartMetric, GeometryError, builtin_metric,
+)
 from .mesh import EXTENT_COUNT, DomainSpec, MeshError
 from .mesh import triangulate  # noqa: F401  (perfbench/tracer.py wraps cli.triangulate)
 from .verify import (
@@ -278,15 +280,7 @@ CONFIG_SCHEMA = {
             "required": ["family"],
             "additionalProperties": False,
             "properties": {
-                "family": {
-                    "enum": [
-                        "euclidean",
-                        "hyperbolic_half_plane",
-                        "warped",
-                        "twisted",
-                        "general",
-                    ]
-                },
+                "family": {"enum": list(FAMILIES)},
                 "params": {"type": "object"},
             },
         },

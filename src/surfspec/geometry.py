@@ -43,6 +43,7 @@ from .expr import Call, Const, EvalError, Expr, evaluate, parse
 from .mesh import MAX_CHART_COORDINATE
 
 __all__ = [
+    "FAMILIES",
     "GeometryError",
     "ChartEvalError",
     "ChartMetric",
@@ -55,6 +56,9 @@ __all__ = [
     "laplacian_expr",
     "margin_expr",
 ]
+
+# the metric families of builtin_metric, in the order the config schema lists them
+FAMILIES = ("euclidean", "hyperbolic_half_plane", "warped", "twisted", "general")
 
 UNIT_GRADIENT_TOL = 1e-10
 MARGIN_TOL = 1e-9

@@ -21,9 +21,11 @@ maps the first onto the second.
 
 Edges are stored as sorted logical vertex pairs in lexicographic
 order; the orientation of an edge (a, b) with a < b is a -> b.  Column
-k of ``tri_edges`` is each face's corner pair ``LOCAL_EDGES[k]``, and
-``tri_edge_signs`` records whether it runs with the edge.  Other modules
-read this order, the edge numbering and ``Mesh.interior`` from here.
+k of ``tri_edges`` is each face's corner pair ``LOCAL_EDGES[k]`` =
+(k, ``NEXT[k]``), and ``tri_edge_signs`` records whether it runs with
+the edge.  ``_face_pairs`` is the one numbering of face-edge pairs:
+edges, raw edges, a refinement's inner edges and ``Mesh.edge_pairs``.
+Other modules read these orders and numberings and ``Mesh.interior``.
 The signed incidence matrices of that convention, ``Mesh.d0``
 (vertices to edges, -1 at a and +1 at b) and ``Mesh.d1`` (edges to
 faces, the traversal signs), are built here on first use, from the
@@ -49,6 +51,7 @@ __all__ = [
     "MAX_VERTICES",
     "MAX_CHART_COORDINATE",
     "LOCAL_EDGES",
+    "NEXT",
     "DomainSpec",
     "Mesh",
     "triangulate",
@@ -92,6 +95,8 @@ MAX_CHART_COORDINATE = 1e150
 
 # a face's corner pairs, in the order of the tri_edges and tri_edge_signs columns
 LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
+# the next-edge order: face edge NEXT[k] follows k, as corner NEXT[k] follows k
+NEXT = tuple(b for _, b in LOCAL_EDGES)
 
 
 @dataclass(frozen=True)
@@ -319,6 +324,11 @@ class Mesh:
             shape=(F, self.n_edges),
         ).tocsr()
 
+    def edge_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The pairs of edges sharing a face, ``(pairs, pair_ids)`` of
+        :func:`_face_pairs` of ``tri_edges``, built on each call."""
+        return _face_pairs(self.tri_edges, self.n_edges)[:2]
+
     def chart_areas(self) -> np.ndarray:
         """Signed chart area of every face, read off the coordinate columns."""
         x, y = self.verts[:, 0], self.verts[:, 1]
@@ -331,8 +341,9 @@ class Mesh:
 
     def _finalize(self, topology=None):
         """Check the mesh and fill its topology: ``(edges, tri_edges,
-        tri_edge_signs)`` as :func:`refine` derives it, or else found by
-        sorting the face edges, as arbitrary triangles need."""
+        tri_edge_signs)`` as :func:`refine` derives it, or else
+        :func:`_face_pairs` of the logical faces, as arbitrary triangles
+        need."""
         if self.tris.size and self.tris.max() >= len(self.verts):
             raise MeshError("triangle references a missing vertex")
         areas = self.chart_areas()
@@ -350,7 +361,7 @@ class Mesh:
             raise MeshError("triangle collapses under seam identification")
 
         if topology is None:
-            topology = _sorted_topology(lt, self.n_vertices)
+            topology = _face_pairs(lt, self.n_vertices)
         del lt
         self.edges, self.tri_edges, self.tri_edge_signs = topology
 
@@ -389,16 +400,26 @@ def face_edges(tris: np.ndarray) -> np.ndarray:
     return np.concatenate([tris[:, [a, b]] for a, b in LOCAL_EDGES], axis=0)
 
 
-def _sorted_topology(lt: np.ndarray, n: int):
-    """``(edges, tri_edges, tri_edge_signs)`` of the logical faces ``lt``
-    with vertices in [0, n), by one sort of the 3F face edges."""
-    pairs = face_edges(lt)
-    flipped = pairs[:, 0] > pairs[:, 1]
-    sorted_pairs = np.where(flipped[:, None], pairs[:, ::-1], pairs)
-    edges, inverse = _unique_pairs(sorted_pairs, n)
-    F = len(lt)
-    signs = np.where(flipped, -1, 1).astype(np.int8)
-    return edges, inverse.reshape(3, F).T.copy(), signs.reshape(3, F).T.copy()
+def _face_pairs(ids: np.ndarray, n: int):
+    """For faces ``ids`` (F, 3) with entries in [0, n): the distinct
+    sorted pairs a < b of their face edges in lexicographic order, each
+    face edge's pair id as a C-contiguous (F, 3) array (column k is corner
+    pair ``LOCAL_EDGES[k]``), and its int8 sign, -1 where it runs from the
+    larger id; of logical faces, ``(edges, tri_edges, tri_edge_signs)``."""
+    pairs, inverse = _unique_pairs(face_edges(ids), n)
+    signs = np.where(ids > ids[:, NEXT], -1, 1).astype(np.int8)
+    return pairs, inverse.reshape(3, len(ids)).T.copy(), signs
+
+
+def _edge_representatives(mesh: "Mesh") -> Tuple[np.ndarray, np.ndarray]:
+    """One raw vertex pair per logical edge, oriented with the edge: its
+    first face edge in :func:`face_edges` order, reversed where
+    ``tri_edge_signs`` says the face runs against the edge."""
+    _, first = np.unique(mesh.tri_edges.T, return_index=True)
+    raw = face_edges(mesh.tris)[first]
+    flip = mesh.tri_edge_signs.T.ravel()[first] < 0
+    raw = np.where(flip[:, None], raw[:, ::-1], raw)
+    return raw[:, 0], raw[:, 1]
 
 
 def _vertex_slots(pairs: np.ndarray, n: int, own: int):
@@ -434,18 +455,13 @@ def _vertex_slots(pairs: np.ndarray, n: int, own: int):
     return at_b, at_own, at_a, start
 
 
-def _raw_edges(mesh: "Mesh") -> Tuple[np.ndarray, np.ndarray]:
-    """The distinct raw edges as sorted pairs, and each face edge's id (F, 3)."""
-    pairs = face_edges(mesh.tris)
-    pairs.sort(axis=1)
-    edges, inverse = _unique_pairs(pairs, len(mesh.verts))
-    return edges, inverse.reshape(3, -1).T
-
-
 def _unique_pairs(pairs: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """``np.unique(pairs, axis=0, return_inverse=True)`` for entries in [0, n),
-    from one sort of the keys a * n + b (their order is the rows' order)."""
-    keys, inverse = np.unique(pairs[:, 0] * n + pairs[:, 1], return_inverse=True)
+    """``np.unique(np.sort(pairs, axis=1), axis=0, return_inverse=True)`` for
+    entries in [0, n), from one sort of the keys min * n + max (their order
+    is the sorted rows' order); ``pairs`` itself is not reordered."""
+    a, b = pairs[:, 0], pairs[:, 1]
+    keys = np.minimum(a, b) * n + np.maximum(a, b)
+    keys, inverse = np.unique(keys, return_inverse=True)
     return np.stack([keys // n, keys % n], axis=1), inverse
 
 
@@ -556,9 +572,9 @@ def refine(mesh: Mesh) -> Mesh:
     (a, V + e) and (b, V + e), and each face three inner edges joining
     its midpoints.  The fine edges, sorted as always, are the half edges
     first: for each vertex v in turn, its coarse edges with b = v, then
-    those with a = v, each in ascending e.  The inner edges follow,
-    numbered by one sort of their 3F coarse edge pairs.  A child's edges
-    and signs follow from its face's ``tri_edges`` and
+    those with a = v, each in ascending e.  The inner edges follow, as
+    :func:`_face_pairs` numbers the pairs of coarse edges sharing a face.
+    A child's edges and signs follow from its face's ``tri_edges`` and
     ``tri_edge_signs``.  Every :class:`Mesh` check still runs.
     """
     verts, tris = mesh.verts, mesh.tris
@@ -566,7 +582,7 @@ def refine(mesh: Mesh) -> Mesh:
     if np.array_equal(mesh.raw_to_logical, np.arange(len(verts))):
         raw_edges, tri_raw_edges = mesh.edges, mesh.tri_edges
     else:
-        raw_edges, tri_raw_edges = _raw_edges(mesh)
+        raw_edges, tri_raw_edges = _face_pairs(tris, len(verts))[:2]
     midpoints = 0.5 * (verts[raw_edges[:, 0]] + verts[raw_edges[:, 1]])
     new_verts = np.concatenate([verts, midpoints], axis=0)
     mid_logical = np.empty(len(raw_edges), dtype=np.int64)
@@ -600,15 +616,11 @@ def _refined_topology(mesh: Mesh):
     # the half edge of face edge k at corner k, and at corner k + 1
     head = np.where(forward, at_a[te], at_b[te])
     tail = np.where(forward, at_b[te], at_a[te])
-    # inner edge k joins the midpoints of face edges k and k + 1; the middle
+    # inner edge k joins the midpoints of face edges k and NEXT[k]; the middle
     # child runs it in that direction, with its orientation where up is 1
-    nxt = te[:, [1, 2, 0]]
-    up = np.where(te < nxt, 1, -1).astype(np.int8)
-    keys, inner = np.unique(
-        (np.minimum(te, nxt) * E + np.maximum(te, nxt)).ravel(), return_inverse=True
-    )
-    inner = 2 * E + inner.reshape(F, 3)
-    edges = np.concatenate([edges, np.stack([V + keys // E, V + keys % E], axis=1)])
+    inner_edges, inner, up = _face_pairs(te, E)
+    inner += 2 * E
+    edges = np.concatenate([edges, V + inner_edges])
 
     # a corner child leaves its coarse corner along a head, crosses an inner
     # edge against the middle child and returns along a tail; a half edge
@@ -671,7 +683,7 @@ def export_off(mesh: Mesh) -> str:
     duplicated so viewers see honest coordinates), then V vertex lines
     and F face lines.  Deterministic ordering.
     """
-    n_raw_edges = len(_raw_edges(mesh)[0])
+    n_raw_edges = len(_face_pairs(mesh.tris, len(mesh.verts))[0])
     lines = [f"{len(mesh.verts)} {n_raw_edges} {len(mesh.tris)}"]
     for x, y in mesh.verts:
         lines.append(f"{float(x)!r} {float(y)!r}")

@@ -447,13 +447,12 @@ class LevelCache:
         on that factor.  A vertex on no line keeps the diagonal, so a
         level without lines is smoothed by damped point Jacobi.  B is
         symmetric positive definite, and with equal pre- and
-        post-smoothing the V-cycle is symmetric.  Applies to a vector or
-        a block.
+        post-smoothing the V-cycle is symmetric.  Applies to a vector.
 
         A level with lines is worked in line order: its line vertices
         first, as :func:`_lines` orders them, then the others.  A_l and
         the rows of P_l are permuted by it once, here, and so are the
-        columns of P_{l + 1}; level 0 keeps the natural order.  A block
+        columns of P_{l + 1}; level 0 keeps the natural order.  A vector
         is gathered into that order once on entering the finest level
         and scattered back once on leaving it, and each smoothing step
         reads and writes the line vertices as one slice.
@@ -478,7 +477,7 @@ class LevelCache:
             if l - 1 in perm:
                 p = p[:, perm[l - 1]]
             A[l], P[l] = a, p
-            jacobi[l] = VCYCLE_DAMPING / a.diagonal()[:, None]
+            jacobi[l] = VCYCLE_DAMPING / a.diagonal()
 
         def smooth(l, r):
             if l not in lines:
@@ -492,8 +491,7 @@ class LevelCache:
         # a loop, not a recursive closure: that closure would be a reference
         # cycle, which keeps A and the smoothers alive after the solve until
         # the cyclic garbage collector happens to run
-        def apply(block):
-            r = block.reshape(block.shape[0], -1)
+        def apply(r):
             if level in perm:
                 r = r[perm[level]]
             down = []
@@ -512,7 +510,7 @@ class LevelCache:
             if level in perm:
                 x = np.empty_like(fine)
                 x[perm[level]] = fine
-            return x.reshape(block.shape)
+            return x
 
         return apply
 

@@ -11,7 +11,10 @@ at its top level, or as a method or nested function at any depth, must
 be loaded, as a name or an attribute, outside its own definition by some
 module of the package.  Chart data has one policy: the face walk of
 ``assembly`` is the only caller of ``_chart_data``, whose ``faces`` has no
-default, so no quadrature takes the whole mesh in one pass.
+default, so no quadrature takes the whole mesh in one pass.  Face-edge
+pairs have one owner: no module but ``mesh`` references ``face_edges``,
+``_unique_pairs`` or ``_face_pairs``, so every numbering of face-edge pairs
+is ``mesh``'s one rule.
 """
 
 import ast
@@ -212,4 +215,55 @@ def test_a_second_chart_data_policy_is_found():
         ("verify", None),
         ("assembly", "faces="),
         ("assembly", "k="),
+    ]
+
+
+PAIR_NAMES = ("face_edges", "_unique_pairs", "_face_pairs")
+
+
+def pair_numbering_outside_mesh(sources: dict) -> list:
+    """(module, name) of each reference, as a name, an attribute or an
+    imported name, to one of ``PAIR_NAMES`` in a module of ``sources``
+    (module -> text) other than ``mesh``."""
+    found = []
+    for module, source in sources.items():
+        if module == "mesh":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                names = [getattr(node, "id", getattr(node, "attr", None))]
+            found += [(module, name) for name in names if name in PAIR_NAMES]
+    return found
+
+
+def test_only_mesh_numbers_face_edge_pairs():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert pair_numbering_outside_mesh(sources) == []
+
+
+def test_a_second_pair_numbering_is_found():
+    sources = {
+        "mesh": (
+            "def face_edges(tris):\n"
+            "    return tris\n"
+            "def _face_pairs(ids, n):\n"
+            "    return face_edges(ids)\n"
+        ),
+        "assembly": (
+            "from .mesh import _unique_pairs, face_edges\n"
+            "pairs = _unique_pairs(face_edges(None), 3)\n"
+        ),
+        "verify": (
+            "from . import mesh\n"
+            "ids = mesh._face_pairs(None, 3)[1]\n"
+        ),
+    }
+    assert sorted(pair_numbering_outside_mesh(sources)) == [
+        ("assembly", "_unique_pairs"),
+        ("assembly", "_unique_pairs"),
+        ("assembly", "face_edges"),
+        ("assembly", "face_edges"),
+        ("verify", "_face_pairs"),
     ]
